@@ -7,6 +7,12 @@ in temperature with an optional specific-volume factor (model B).
 
 All evaluations accept scalars or numpy arrays and broadcast
 elementwise.  Everything is dimensionless (code units).
+
+Caller contract: the specific volume v is finite and > 0.  The laws do
+not check it; they run many times per step on states whose volume is
+already known to be valid.  Positivity is enforced where states are
+created instead: init_state (State.require_valid), the floor check in
+solver.volume_step, the explicit reference step and read_snapshot.
 """
 
 from __future__ import annotations
@@ -80,16 +86,10 @@ class PhysParams:
         return self.beta < self.q_cond + 9.0
 
 
-def _check_volume(v: np.ndarray) -> None:
-    if not np.all(np.isfinite(v)) or np.any(v <= 0.0):
-        raise ValueError("specific volume must be finite and > 0")
-
-
 def pressure(v, theta, params: PhysParams):
     """Total pressure R*theta/v + (a/3)*theta^4."""
     v = np.asarray(v, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    _check_volume(v)
     p = params.r_gas * theta / v + (params.a_rad / 3.0) * theta**4
     return p if p.ndim else float(p)
 
@@ -98,7 +98,6 @@ def internal_energy(v, theta, params: PhysParams):
     """Internal energy per unit mass, C_v*theta + a*v*theta^4."""
     v = np.asarray(v, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    _check_volume(v)
     e = params.cv * theta + params.a_rad * v * theta**4
     return e if e.ndim else float(e)
 
@@ -111,9 +110,17 @@ def de_dtheta(v, theta, params: PhysParams):
     """
     v = np.asarray(v, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    _check_volume(v)
     et = params.cv + 4.0 * params.a_rad * v * theta**3
     return et if et.ndim else float(et)
+
+
+def _arrhenius(v, theta, params: PhysParams):
+    return (
+        params.k_rate
+        * v ** (1.0 - params.m_order)
+        * theta**params.beta
+        * np.exp(-params.a_act / theta)
+    )
 
 
 def reaction_rate(v, theta, params: PhysParams):
@@ -121,19 +128,20 @@ def reaction_rate(v, theta, params: PhysParams):
 
     The theta -> 0 limit is 0 for every beta >= 0 (the exponential
     dominates); it is returned as exactly 0.0 rather than evaluated, which
-    would produce 0*inf in floating point.
+    would produce 0*inf in floating point.  When v and theta have one
+    shape and theta > 0 everywhere, the solver's case, the rate is
+    evaluated without the mask: the same elementwise operations, so the
+    same bits.
     """
-    v, theta = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(theta, dtype=float))
-    _check_volume(v)
-    rate = np.zeros(theta.shape)
-    hot = theta > 0.0
-    th = theta[hot]
-    rate[hot] = (
-        params.k_rate
-        * v[hot] ** (1.0 - params.m_order)
-        * th**params.beta
-        * np.exp(-params.a_act / th)
-    )
+    v = np.asarray(v, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    if v.shape == theta.shape and (theta > 0.0).all():
+        rate = _arrhenius(v, theta, params)
+    else:
+        v, theta = np.broadcast_arrays(v, theta)
+        rate = np.zeros(theta.shape)
+        hot = theta > 0.0
+        rate[hot] = _arrhenius(v[hot], theta[hot], params)
     return rate if rate.ndim else float(rate)
 
 
@@ -147,7 +155,6 @@ def conductivity(v, theta, params: PhysParams):
     module docstring note on the fractional-exponent limit.
     """
     v, theta = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(theta, dtype=float))
-    _check_volume(v)
     q = params.q_cond
     theta_q = theta**q
     if q == 0.0:

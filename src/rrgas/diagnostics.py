@@ -72,7 +72,7 @@ def total_energy(state: State, params: PhysParams) -> float:
         + 0.5 * params.g_grav * x * (1.0 - x) * state.v
         + params.p_ext * state.v
     )
-    return float(np.sum(density) * grid.dx)
+    return float(density.sum() * grid.dx)
 
 
 def entropy_U(state: State, params: PhysParams) -> float:
@@ -81,7 +81,7 @@ def entropy_U(state: State, params: PhysParams) -> float:
     density = params.cv * (theta - 1.0 - np.log(theta)) + params.r_gas * (
         v - 1.0 - np.log(v)
     )
-    return float(np.sum(density) * state.grid.dx)
+    return float(density.sum() * state.grid.dx)
 
 
 def dissipation_V(state: State, params: PhysParams) -> float:
@@ -94,26 +94,27 @@ def dissipation_V(state: State, params: PhysParams) -> float:
     dx = grid.dx
     v, theta, z = state.v, state.theta, state.z
 
-    dudx = np.diff(state.u) / dx
+    u = state.u
+    dudx = (u[1:] - u[:-1]) / dx
     out = params.mu * dudx**2 / (v * theta)
     out = out + params.lambda_heat * reaction_rate(v, theta, params) * np.power(
         z, params.m_order
     ) / theta
-    total = float(np.sum(out) * dx)
+    total = float(out.sum() * dx)
 
     if grid.n_cells >= 2:
-        dthdx = np.diff(theta) / dx
+        dthdx = (theta[1:] - theta[:-1]) / dx
         kappa = conductivity(v, theta, params)[0]
         v_m = 0.5 * (v[:-1] + v[1:])
         th_m = 0.5 * (theta[:-1] + theta[1:])
         k_m = 0.5 * (kappa[:-1] + kappa[1:])
-        total += float(np.sum(k_m * dthdx**2 / (v_m * th_m**2)) * dx)
+        total += float((k_m * dthdx**2 / (v_m * th_m**2)).sum() * dx)
     return total
 
 
 def z_squared_norm(state: State) -> float:
     """Half the integral of z^2, the decaying part of the z balance."""
-    return 0.5 * float(np.sum(state.z**2) * state.grid.dx)
+    return 0.5 * float((state.z**2).sum() * state.grid.dx)
 
 
 def z_balance_residual(records) -> float:
@@ -151,9 +152,9 @@ def record(
         z_diff_accum=accumulators.z_diff,
         z_react_accum=accumulators.z_react,
         width=width(state),
-        min_v=float(np.min(state.v)),
-        min_theta=float(np.min(state.theta)),
-        min_z=float(np.min(state.z)),
-        max_z=float(np.max(state.z)),
+        min_v=float(state.v.min()),
+        min_theta=float(state.theta.min()),
+        min_z=float(state.z.min()),
+        max_z=float(state.z.max()),
         momentum=velocity_mean(state),
     )

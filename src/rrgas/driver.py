@@ -1,9 +1,9 @@
 """Simulation loop and the scenario-level invariant check.
 
 run_simulation owns the time loop: init, step, accumulate, record.  It
-never raises for a failed integration; the result says how far it got
-and why it stopped, so callers can still serialize the partial
-trajectory.
+never raises for a failed integration, nor for a violated scheme
+invariant; the result says how far it got and why it stopped, so
+callers can still serialize the partial trajectory.
 
 check_scenario runs a configuration and grades every runtime-checkable
 bound on the recorded trajectory.  The _step_hook argument exists for
@@ -22,7 +22,7 @@ from .diagnostics import (
     z_balance_residual,
 )
 from .mesh import State
-from .solver import SimulationError, step
+from .solver import InvariantViolation, SimulationError, step
 
 # Regression thresholds for check_scenario, chosen with margin against
 # the shipped scenarios at their default resolutions.
@@ -60,6 +60,9 @@ def run_simulation(config: RunConfig, *, on_step=None, max_steps: int = 5_000_00
         except SimulationError as exc:
             last = exc.last_state if exc.last_state is not None else state
             return RunResult(last, records, False, str(exc), n_steps)
+        except InvariantViolation as exc:
+            message = f"scheme invariant violated at t={state.t:.6e}: {exc}"
+            return RunResult(state, records, False, message, n_steps)
         n_steps += 1
         accum.absorb(report)
         if on_step is not None:

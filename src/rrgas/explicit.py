@@ -83,15 +83,7 @@ def explicit_reference_step(
 
     s_v = s_u = s_th = s_z = None
     if sources is not None:
-        x_c, x_e = grid.cell_centers, grid.edges
-        if sources.s_v is not None:
-            s_v = sources.s_v(x_c, t)
-        if sources.s_u is not None:
-            s_u = sources.s_u(x_e, t)
-        if sources.s_theta is not None:
-            s_th = sources.s_theta(x_c, t)
-        if sources.s_z is not None:
-            s_z = sources.s_z(x_c, t)
+        s_v, s_u, s_th, s_z = sources.sample(grid.cell_centers, grid.edges, t)
 
     sigma = total_stress(v, theta, u, dx, params)
     accel = stress_divergence(sigma, params.p_ext, dx) + gravity_accel(grid.edges, params)
@@ -119,13 +111,14 @@ def explicit_reference_step(
     new.a_pos = state.a_pos + dt * float(u[0])
     new.u = u + dt * accel
     new.v = v + dt * v_rate
+    # Checked before the recovery, which evaluates e(v, theta) at new.v.
+    if not np.all(np.isfinite(new.v)) or np.any(new.v <= 0.0):
+        raise InvariantViolation("explicit step lost volume positivity")
     new.z = z + dt * z_rate
     e_new = internal_energy(v, theta, params) + dt * e_rate
     new.theta = _recover_theta(new.v, theta, e_new, params)
     new.t = t + dt
 
-    if not np.all(np.isfinite(new.v)) or np.any(new.v <= 0.0):
-        raise InvariantViolation("explicit step lost volume positivity")
     if sources is None and (np.any(new.z < 0.0) or np.any(new.z > 1.0)):
         raise InvariantViolation("explicit step left the species range")
     return new

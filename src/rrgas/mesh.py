@@ -97,7 +97,7 @@ def velocity_mean(state_or_u, dx: float | None = None) -> float:
 
 def width(state: State) -> float:
     """Physical slab width, the discrete integral of v over the mass mesh."""
-    return float(np.sum(state.v) * state.grid.dx)
+    return float(state.v.sum() * state.grid.dx)
 
 
 def physical_coordinates(state: State) -> tuple[np.ndarray, tuple[float, float]]:
@@ -107,7 +107,7 @@ def physical_coordinates(state: State) -> tuple[np.ndarray, tuple[float, float]]
     Strictly increasing whenever v > 0.
     """
     dx = state.grid.dx
-    y = state.a_pos + np.concatenate(([0.0], np.cumsum(state.v) * dx))
+    y = state.a_pos + np.concatenate(([0.0], state.v.cumsum() * dx))
     return y, (float(y[0]), float(y[-1]))
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .config import RunConfig, serialize_config
 from .constitutive import PhysParams
 from .diagnostics import DiagnosticsRecord
-from .mesh import Grid, State, physical_coordinates
+from .mesh import ConfigurationError, Grid, State, physical_coordinates
 
 DIAG_COLUMNS = tuple(f.name for f in dataclasses.fields(DiagnosticsRecord))
 
@@ -97,7 +97,10 @@ def write_snapshot(path, state: State, params: PhysParams, run: str = "") -> Non
 
 
 def read_snapshot(path):
-    """Returns (state, header dict); inverse of write_snapshot."""
+    """Returns (state, header dict); inverse of write_snapshot.
+
+    Raises ConfigurationError if any specific volume is not finite and > 0.
+    """
     meta = {}
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -121,6 +124,13 @@ def read_snapshot(path):
     if len(rows) != n:
         raise ValueError(f"snapshot row count {len(rows)} does not match n_cells {n}")
     v = np.array([float(r[3]) for r in rows])
+    # The constitutive laws take v finite and > 0 on trust; a snapshot
+    # is a state entering the program, so it is checked here.
+    bad = np.flatnonzero(~(np.isfinite(v) & (v > 0.0)))
+    if bad.size:
+        raise ConfigurationError(
+            f"snapshot v must be finite and > 0; violated at cell {bad[0]}"
+        )
     theta = np.array([float(r[4]) for r in rows])
     z = np.array([float(r[5]) for r in rows])
     u = np.empty(n + 1)

@@ -81,6 +81,19 @@ class SourceTerms:
         self.s_theta = s_theta
         self.s_z = s_z
 
+    def sample(self, x_cells: np.ndarray, x_edges: np.ndarray, t: float):
+        """(s_v, s_u, s_theta, s_z) at time t, None for each absent source."""
+
+        def at(source, x):
+            return None if source is None else source(x, t)
+
+        return (
+            at(self.s_v, x_cells),
+            at(self.s_u, x_edges),
+            at(self.s_theta, x_cells),
+            at(self.s_z, x_cells),
+        )
+
 
 def _solve_spd_tridiag(diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve a symmetric positive definite tridiagonal system.
@@ -98,7 +111,7 @@ def _solve_spd_tridiag(diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> 
 
 def total_stress(v, theta, u, dx: float, params: PhysParams) -> np.ndarray:
     """Cell total stress sigma = -p + mu*u_x/v."""
-    du = np.diff(u)
+    du = u[1:] - u[:-1]
     return -pressure(v, theta, params) + params.mu * du / (dx * v)
 
 
@@ -143,7 +156,7 @@ def diffusion_apply(coeff: np.ndarray, f: np.ndarray, dx: float) -> np.ndarray:
     """Conservative zero-flux divergence of coeff*f_x on cell centers."""
     div = np.zeros_like(f)
     if coeff.size:
-        flux = coeff * np.diff(f) / dx
+        flux = coeff * (f[1:] - f[:-1]) / dx
         div[0] = flux[0] / dx
         div[-1] = -flux[-1] / dx
         div[1:-1] = (flux[1:] - flux[:-1]) / dx
@@ -175,18 +188,18 @@ def cfl_dt(state: State, params: PhysParams, config) -> float:
     c2 = theta * (params.r_gas + (4.0 * params.a_rad / 3.0) * theta**3 * v) * (
         params.r_gas / params.cv + 1.0
     )
-    with np.errstate(divide="ignore"):
-        acoustic = np.where(c2 > 0.0, dx * v / np.sqrt(np.maximum(c2, 1e-300)), np.inf)
-    dt = min(float(np.min(acoustic)), config.dt_max)
+    # The floor keeps the denominator positive, so nothing divides by zero.
+    acoustic = np.where(c2 > 0.0, dx * v / np.sqrt(np.maximum(c2, 1e-300)), np.inf)
+    dt = min(float(acoustic.min()), config.dt_max)
 
     phi = reaction_rate(v, theta, params)
     hot = phi > 0.0
-    if np.any(hot):
+    if hot.any():
         th = theta[hot]
         growth = params.lambda_heat * phi[hot] * np.power(z[hot], params.m_order) * (
             params.beta / th + params.a_act / th**2
         )
-        peak = float(np.max(growth))
+        peak = float(growth.max())
         if peak > 0.0:
             dt = min(dt, 1.0 / peak)
 
@@ -238,31 +251,34 @@ def momentum_step(state: State, dt: float, params: PhysParams, s_u=None) -> np.n
 
 def volume_step(state: State, dt: float, *, v_floor: float = 1e-8, s_v=None) -> np.ndarray:
     """v^{n+1} = v^n + dt*u_x^{n+1}; requires state.u already updated."""
-    rate = np.diff(state.u) / state.grid.dx
+    u = state.u
+    rate = (u[1:] - u[:-1]) / state.grid.dx
     if s_v is not None:
         rate = rate + s_v
     v_new = state.v + dt * rate
-    if not np.all(np.isfinite(v_new)) or np.any(v_new <= v_floor):
+    if not np.isfinite(v_new).all() or (v_new <= v_floor).any():
         raise StepRejection("volume_floor")
     return v_new
 
 
-def species_step(state: State, dt: float, params: PhysParams, *, s_z=None):
+def species_step(state: State, dt: float, params: PhysParams, *, s_z=None, phi=None):
     """Implicit species diffusion with semi-implicit reaction decay.
 
     Requires state.v at the new level, state.theta and state.z at the
-    old one.  Returns (z_new, diff_increment, react_increment) where the
+    old one.  phi, if given, is reaction_rate(state.v, state.theta).
+    Returns (z_new, diff_increment, react_increment) where the
     increments are this step's contributions to the accumulated
     gradient and reaction quadratures, evaluated with the same frozen
     coefficients the solve itself used.
     """
     dx = state.grid.dx
     v, theta, z = state.v, state.theta, state.z
-    phi = reaction_rate(v, theta, params)
+    if phi is None:
+        phi = reaction_rate(v, theta, params)
     decay = phi * np.power(z, params.m_order - 1.0)
     g = species_interface_coeff(v, params)
 
-    if s_z is None and np.all(z == z[0]):
+    if s_z is None and (z == z[0]).all():
         # Diffusion of a constant vanishes identically, so the solve
         # degenerates to per-cell implicit decay.  Taking that path
         # keeps a constant profile exactly constant in floats.
@@ -275,15 +291,15 @@ def species_step(state: State, dt: float, params: PhysParams, *, s_z=None):
     if s_z is None:
         # M-matrix solve of nonnegative data: exact nonnegativity, and
         # the maximum principle up to roundoff in the factorization.
-        if np.any(z_new < 0.0):
+        if (z_new < 0.0).any():
             raise InvariantViolation("species went negative")
-        bound = float(np.max(z)) * (1.0 + 1e-13)
-        if float(np.max(z_new)) > bound:
+        bound = float(z.max()) * (1.0 + 1e-13)
+        if float(z_new.max()) > bound:
             raise InvariantViolation("species exceeded its initial maximum")
 
-    grad = np.diff(z_new) / dx
-    diff_inc = dt * float(np.sum(g * grad * grad)) * dx
-    react_inc = dt * float(np.sum(decay * z_new * z_new)) * dx
+    grad = (z_new[1:] - z_new[:-1]) / dx
+    diff_inc = dt * float((g * grad * grad).sum()) * dx
+    react_inc = dt * float((decay * z_new * z_new).sum()) * dx
     return z_new, diff_inc, react_inc
 
 
@@ -297,13 +313,15 @@ def energy_step(
     newton_max_iter: int = 50,
     theta_floor: float = 1e-8,
     s_theta=None,
+    phi=None,
 ):
     """Newton solve for theta^{n+1} from the internal-energy balance.
 
     Requires state.u, state.v, state.z at the new level and state.theta
-    at the old one.  The residual carries implicit conduction (kappa at
-    the current iterate) against explicit compression work and reaction
-    heat; the Jacobian freezes kappa, keeping it SPD tridiagonal.
+    at the old one; phi, if given, is reaction_rate(state.v, state.theta).
+    The residual carries implicit conduction (kappa at the current
+    iterate) against explicit compression work and reaction heat; the
+    Jacobian freezes kappa, keeping it SPD tridiagonal.
     Convergence is checked before the first iteration, so an exact
     fixed point returns theta unchanged with zero iterations.
 
@@ -313,11 +331,11 @@ def energy_step(
     v, z, u = state.v, state.z, state.u
     theta_n = state.theta
 
-    dudx = np.diff(u) / dx
+    if phi is None:
+        phi = reaction_rate(v, theta_n, params)
+    dudx = (u[1:] - u[:-1]) / dx
     work = (-pressure(v, theta_n, params) + params.mu * dudx / v) * dudx
-    heating = params.lambda_heat * reaction_rate(v, theta_n, params) * np.power(
-        z, params.m_order
-    )
+    heating = params.lambda_heat * phi * np.power(z, params.m_order)
     target = internal_energy(v_old, theta_n, params) + dt * (work + heating)
     if s_theta is not None:
         target = target + dt * s_theta
@@ -328,7 +346,7 @@ def energy_step(
         k = heat_interface_coeff(v, theta, params)
         e_cur = internal_energy(v, theta, params)
         resid = e_cur - target - dt * diffusion_apply(k, theta, dx)
-        res = float(np.max(np.abs(resid))) / max(1.0, float(np.max(np.abs(e_cur))))
+        res = float(np.abs(resid).max()) / max(1.0, float(np.abs(e_cur).max()))
         if res <= newton_tol:
             return theta, iters, res
         if iters >= newton_max_iter:
@@ -339,7 +357,7 @@ def energy_step(
         scale = 1.0
         for _ in range(40):
             candidate = theta - scale * delta
-            if np.all(candidate > theta_floor):
+            if (candidate > theta_floor).all():
                 break
             scale *= 0.5
         else:
@@ -353,23 +371,16 @@ def _attempt(state: State, params: PhysParams, config, dt: float, sources):
     t_new = state.t + dt
     s_v = s_u = s_th = s_z = None
     if sources is not None:
-        x_c = trial.grid.cell_centers
-        x_e = trial.grid.edges
         # Implicit sub-updates see sources at the level they solve for.
-        if sources.s_v is not None:
-            s_v = sources.s_v(x_c, t_new)
-        if sources.s_u is not None:
-            s_u = sources.s_u(x_e, t_new)
-        if sources.s_theta is not None:
-            s_th = sources.s_theta(x_c, t_new)
-        if sources.s_z is not None:
-            s_z = sources.s_z(x_c, t_new)
+        s_v, s_u, s_th, s_z = sources.sample(trial.grid.cell_centers, trial.grid.edges, t_new)
 
     v_old = state.v
     trial.u = momentum_step(trial, dt, params, s_u=s_u)
     trial.v = volume_step(trial, dt, v_floor=config.v_floor, s_v=s_v)
     advance_boundary(trial, dt)
-    z_new, diff_inc, react_inc = species_step(trial, dt, params, s_z=s_z)
+    # Species and energy both take the rate at (v^{n+1}, theta^n).
+    phi = reaction_rate(trial.v, trial.theta, params)
+    z_new, diff_inc, react_inc = species_step(trial, dt, params, s_z=s_z, phi=phi)
     trial.z = z_new
     trial.theta, iters, res = energy_step(
         trial,
@@ -380,6 +391,7 @@ def _attempt(state: State, params: PhysParams, config, dt: float, sources):
         newton_max_iter=config.newton_max_iter,
         theta_floor=config.theta_floor,
         s_theta=s_th,
+        phi=phi,
     )
     trial.t = t_new
     return trial, iters, res, diff_inc, react_inc

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+import rrgas.solver
 from rrgas.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SIMULATION, main
-from rrgas.output import read_diagnostics, read_snapshot
+from rrgas.config import load_config
+from rrgas.output import read_diagnostics, read_snapshot, run_id
 
 REST_INI = """\
 [run]
@@ -86,6 +88,38 @@ def test_run_reports_simulation_failure(tmp_path, capsys):
     assert payload["t_last"] == 0.0
     # diagnostics for the partial trajectory still exist
     assert (out / "diagnostics.csv").exists()
+
+
+def test_run_reports_invariant_violation(rest_ini, tmp_path, capsys, monkeypatch):
+    # Fault injection: the species update breaks its maximum principle
+    # on the third step.  The run must end like any failed run: exit 2,
+    # diagnostics for the steps taken, and a failure manifest.
+    real_species_step = rrgas.solver.species_step
+    calls = []
+
+    def faulty_species_step(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise rrgas.solver.InvariantViolation("species exceeded its initial maximum")
+        return real_species_step(*args, **kwargs)
+
+    monkeypatch.setattr(rrgas.solver, "species_step", faulty_species_step)
+    out = tmp_path / "out"
+    code = main(["run", str(rest_ini), "--out", str(out)])
+    assert code == EXIT_SIMULATION
+    assert "scheme invariant violated" in capsys.readouterr().err
+
+    records = read_diagnostics(out / "diagnostics.csv")
+    assert len(records) == 3  # the initial row and two accepted steps
+    payload = json.loads((out / "failure.json").read_text())
+    assert payload["status"] == "failed"
+    assert payload["run_id"] == run_id(load_config(rest_ini))
+    assert payload["t_last"] == records[-1].t
+    assert "species exceeded its initial maximum" in payload["error"]
+    assert "scheme invariant violated" in payload["error"]
+    # the last valid state is also written as the final snapshot
+    state, _ = read_snapshot(out / "snapshot_000002.csv")
+    assert state.t == records[-1].t
 
 
 def test_run_rejects_invalid_config(tmp_path, capsys):

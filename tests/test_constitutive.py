@@ -111,8 +111,25 @@ def test_rate_general_state():
 
 def test_rate_vector_mixes_hot_and_cold():
     p = params(k_rate=1.0, a_act=1.0, beta=0.0, m_order=1.0)
-    out = reaction_rate(np.ones(3), np.array([1.0, 0.0, -2.0]), p)
-    np.testing.assert_allclose(out, [math.exp(-1.0), 0.0, 0.0], rtol=1e-15)
+    out = reaction_rate(np.ones(4), np.array([1.0, 0.0, -2.0, -0.0]), p)
+    np.testing.assert_allclose(out, [math.exp(-1.0), 0.0, 0.0, 0.0], rtol=1e-15)
+    assert np.all(out[1:] == 0.0)  # exactly zero, never evaluated
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.0, 3.7])
+@pytest.mark.parametrize("m_order", [1.0, 1.5, 2.0])
+def test_rate_unmasked_branch_matches_masked_bitwise(beta, m_order):
+    # An all-hot array takes the unmasked branch; one cold cell appended
+    # sends the same values through the masked branch.  The hot entries
+    # must agree to the bit, which is what keeps solver outputs unchanged.
+    p = params(k_rate=2.5, a_act=3.0, beta=beta, m_order=m_order)
+    rng = np.random.default_rng(7)
+    v = 0.05 + 3.0 * rng.random(257)
+    theta = 1e-3 + 5.0 * rng.random(257)
+    unmasked = reaction_rate(v, theta, p)
+    masked = reaction_rate(np.append(v, 1.0), np.append(theta, -1.0), p)
+    np.testing.assert_array_equal(unmasked, masked[:-1])
+    assert masked[-1] == 0.0
 
 
 @given(

@@ -85,6 +85,16 @@ def test_recovery_rejects_nonpositive_energy():
         explicit_reference_step(s, 1e-3, params(), sources=src)
 
 
+def test_step_rejects_lost_volume_positivity():
+    # A converging velocity field squeezes cell 0 past zero volume in one
+    # step: 1 + 0.1 * (-100 - 0) / 0.25 < 0.  The step reports it before
+    # any constitutive law sees the negative volume.
+    s = uniform_state(4)
+    s.u[1] = -100.0
+    with pytest.raises(InvariantViolation, match="volume positivity"):
+        explicit_reference_step(s, 0.1, params())
+
+
 def test_run_explicit_advances_time():
     p = params()
     s = uniform_state(8, z=0.5)

@@ -1,0 +1,53 @@
+"""Byte-exact outputs of the shipped configurations.
+
+Each shipped config is run through the CLI and its diagnostics.csv and
+snapshot files are hashed.  A change that keeps every output bit (a
+speed-up, a refactor) leaves these hashes alone; a change that moves
+bits on purpose has to say which bits moved and why, and recapture the
+hashes.  They were captured with numpy 2.4 on x86-64; another numpy
+build or CPU can move the last bit of a transcendental function, which
+would show here first.
+"""
+
+import hashlib
+
+import pytest
+
+from rrgas.cli import EXIT_OK, main
+
+# config name -> (SHA-256 of diagnostics.csv, SHA-256 of the snapshots)
+GOLDEN = {
+    "equilibrium": (
+        "529166d97cb51108adcbda01ff881a9352598931d0a867fc560e61e4fb1e0bd6",
+        "0ae49f3ebc3064d43df7f67699ed7c652853df370794da1ff7bdd38af6312b86",
+    ),
+    "expansion": (
+        "117a914ac9bbae4ded8a17b10b872b33fb6f85f7f3a6a8cf45a7644646bc87f3",
+        "44835a7acc80a13c5cfb3b3dcda61b7b2959b7355c475ed7ecd3a64c66aa20cc",
+    ),
+    "reacting": (
+        "266274ac30415f73ef40499a98c195d6bd92025f741c013f2547b7eee19bb060",
+        "c8e5ce6ffeb84ed9a2f96d55889a327fc83cb5192393e3d16484d62e0c5768cc",
+    ),
+    "reference": (
+        "36f123e1def5d7e39973a53b3d49b3c4f7f42cbc7afd45032caf9879188e7943",
+        "a6ba7056671f40ba60417b9f83d604459027d4205cf8714786567a95b20569da",
+    ),
+}
+
+
+def snapshots_digest(out):
+    """One hash over every snapshot, each as its file name, a newline, its bytes."""
+    h = hashlib.sha256()
+    for path in sorted(out.glob("snapshot_*.csv")):
+        h.update(path.name.encode() + b"\n" + path.read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_shipped_config_outputs_are_byte_identical(name, configs_dir, tmp_path):
+    out = tmp_path / name
+    assert main(["run", str(configs_dir / f"{name}.ini"), "--out", str(out)]) == EXIT_OK
+    diagnostics, snapshots = GOLDEN[name]
+    assert hashlib.sha256((out / "diagnostics.csv").read_bytes()).hexdigest() == diagnostics
+    assert snapshots_digest(out) == snapshots

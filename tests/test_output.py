@@ -9,7 +9,7 @@ import pytest
 from rrgas.config import RunConfig
 from rrgas.constitutive import PhysParams
 from rrgas.diagnostics import DiagnosticsRecord
-from rrgas.mesh import Grid, State
+from rrgas.mesh import ConfigurationError, Grid, State
 from rrgas.output import (
     DIAG_COLUMNS,
     SNAPSHOT_COLUMNS,
@@ -79,6 +79,16 @@ def test_snapshot_rejects_truncated_file(tmp_path):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-2]) + "\n")  # drop two data rows
     with pytest.raises(ValueError, match="row count"):
+        read_snapshot(path)
+
+
+@pytest.mark.parametrize("bad_v", [0.0, -0.25, float("nan"), float("inf")])
+def test_snapshot_rejects_invalid_volume(tmp_path, bad_v):
+    s = awkward_state()
+    s.v[3] = bad_v
+    path = tmp_path / "snap.csv"
+    write_snapshot(path, s, PhysParams())
+    with pytest.raises(ConfigurationError, match="violated at cell 3"):
         read_snapshot(path)
 
 

@@ -19,6 +19,7 @@ from rrgas.explicit import explicit_reference_step
 from rrgas.mesh import Grid, State, velocity_mean, width
 from rrgas.solver import (
     SimulationError,
+    SourceTerms,
     StepRejection,
     _solve_spd_tridiag,
     cfl_dt,
@@ -430,6 +431,16 @@ def test_energy_newton_stall_rejects():
 
 
 # ------------------------------------------------------------- full step
+
+def test_source_sample_places_and_times_each_source():
+    grid = Grid(4)
+    src = SourceTerms(s_u=lambda x, t: x + t, s_z=lambda x, t: x * t)
+    s_v, s_u, s_theta, s_z = src.sample(grid.cell_centers, grid.edges, 2.0)
+    assert s_v is None and s_theta is None
+    np.testing.assert_array_equal(s_u, grid.edges + 2.0)  # velocity lives on edges
+    np.testing.assert_array_equal(s_z, grid.cell_centers * 2.0)
+    assert SourceTerms().sample(grid.cell_centers, grid.edges, 0.0) == (None,) * 4
+
 
 def test_step_rest_state_is_exact_fixed_point():
     cfg = RunConfig()
