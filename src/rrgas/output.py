@@ -1,10 +1,11 @@
 """On-disk formats: diagnostics CSV, snapshots, failure manifests.
 
-Everything numeric is serialized with 17 significant digits, which
-round-trips IEEE doubles exactly; rereading a snapshot reproduces the
-state bit for bit.  A run is identified by a short hash of its fully
-serialized configuration, so the id is stable across processes and
-machines.
+Everything numeric is serialized with 17 significant digits (`_NUM`),
+which round-trips IEEE doubles exactly; rereading a snapshot reproduces
+the state bit for bit.  The table writers format a whole row, or a
+block of rows, with one `%`-template; the bytes are those of `fmt`.  A
+run is identified by a short hash of its fully serialized
+configuration, so the id is stable across processes and machines.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import operator
 
 import numpy as np
 
@@ -24,9 +26,21 @@ DIAG_COLUMNS = tuple(f.name for f in dataclasses.fields(DiagnosticsRecord))
 
 SNAPSHOT_COLUMNS = ("i", "x_center", "y_center", "v", "theta", "z", "u_left_edge")
 
+# The one number format: 17 significant digits.
+_NUM = "%.17g"
+
+_DIAG_ROW = ",".join([_NUM] * len(DIAG_COLUMNS)) + "\n"
+_diag_values = operator.attrgetter(*DIAG_COLUMNS)
+
+# Snapshot rows are formatted this many at a time: a whole 4096-cell
+# table in one template peaks at about 2 MB of transient memory,
+# 256-row blocks at about 0.4 MB, at the same speed.
+_SNAPSHOT_BLOCK = 256
+_SNAPSHOT_ROW = "%d" + ("," + _NUM) * (len(SNAPSHOT_COLUMNS) - 1) + "\n"
+
 
 def fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    return _NUM % float(x)
 
 
 def run_id(config: RunConfig) -> str:
@@ -37,8 +51,7 @@ def run_id(config: RunConfig) -> str:
 def write_diagnostics(path, records) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(DIAG_COLUMNS) + "\n")
-        for rec in records:
-            fh.write(",".join(fmt(getattr(rec, col)) for col in DIAG_COLUMNS) + "\n")
+        fh.writelines(_DIAG_ROW % _diag_values(rec) for rec in records)
 
 
 def read_diagnostics(path):
@@ -78,22 +91,14 @@ def write_snapshot(path, state: State, params: PhysParams, run: str = "") -> Non
         fh.write(f"# u_last_edge = {fmt(state.u[-1])}\n")
         fh.write(f"# physics: {echo}\n")
         fh.write(",".join(SNAPSHOT_COLUMNS) + "\n")
-        x = state.grid.cell_centers
-        for i in range(state.grid.n_cells):
-            fh.write(
-                ",".join(
-                    (
-                        str(i),
-                        fmt(x[i]),
-                        fmt(y_center[i]),
-                        fmt(state.v[i]),
-                        fmt(state.theta[i]),
-                        fmt(state.z[i]),
-                        fmt(state.u[i]),
-                    )
-                )
-                + "\n"
-            )
+        n = state.grid.n_cells
+        table = np.column_stack((
+            np.arange(n), state.grid.cell_centers, y_center,
+            state.v, state.theta, state.z, state.u[:-1],
+        ))
+        for start in range(0, n, _SNAPSHOT_BLOCK):
+            block = table[start:start + _SNAPSHOT_BLOCK]
+            fh.write((_SNAPSHOT_ROW * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_snapshot(path):
@@ -104,7 +109,7 @@ def read_snapshot(path):
     meta = {}
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
@@ -118,7 +123,13 @@ def read_snapshot(path):
                 continue
             if line.startswith(SNAPSHOT_COLUMNS[0] + ","):
                 continue
-            rows.append(line.split(","))
+            fields = line.split(",")
+            if len(fields) != len(SNAPSHOT_COLUMNS):
+                raise ValueError(
+                    f"snapshot line {lineno} has {len(fields)} fields, "
+                    f"expected {len(SNAPSHOT_COLUMNS)}: {line!r}"
+                )
+            rows.append(fields)
 
     n = int(meta["n_cells"])
     if len(rows) != n:

@@ -126,15 +126,22 @@ def _worker(args):
 
 
 def run_sweep(manifest_path, out_dir, jobs: int = 1):
-    """Execute every combination; write out_dir/summary.csv; return rows."""
+    """Execute every combination; write out_dir/summary.csv; return rows.
+
+    At most `jobs` worker processes, and never more than there are runs:
+    a fork-based pool starts all of its workers up front.
+    """
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
     base, items = load_manifest(manifest_path)
     combos = expand(base, items)
     tasks = [(i, values, cfg) for i, (values, cfg) in enumerate(combos)]
 
-    if jobs <= 1:
+    workers = min(jobs, len(tasks))
+    if workers == 1:
         rows = [run_one(*task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_worker, tasks))
     rows.sort(key=lambda row: row.index)
 

@@ -180,6 +180,13 @@ def test_sweep_rejects_bad_manifest(tmp_path, capsys):
     assert "cannot sweep" in capsys.readouterr().err
 
 
+def test_sweep_rejects_zero_jobs(configs_dir, tmp_path, capsys):
+    code = main(["sweep", str(configs_dir / "sweep_example.ini"),
+                 "--out", str(tmp_path / "out"), "--jobs", "0"])
+    assert code == EXIT_CONFIG
+    assert "jobs must be at least 1" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------ mms
 
 def test_mms_table_layout(capsys):

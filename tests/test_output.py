@@ -9,8 +9,9 @@ import pytest
 from rrgas.config import RunConfig
 from rrgas.constitutive import PhysParams
 from rrgas.diagnostics import DiagnosticsRecord
-from rrgas.mesh import ConfigurationError, Grid, State
+from rrgas.mesh import ConfigurationError, Grid, State, physical_coordinates
 from rrgas.output import (
+    _SNAPSHOT_BLOCK,
     DIAG_COLUMNS,
     SNAPSHOT_COLUMNS,
     fmt,
@@ -41,25 +42,78 @@ def awkward_state(n=6):
     return s
 
 
+# Values a formatter is most likely to get wrong.
+EDGE_VALUES = (-0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e16, 1e17, 0.1)
+
+
+def edge_state(n):
+    """Random fields with EDGE_VALUES in every third theta, z and u (v stays valid)."""
+    rng = np.random.default_rng(47)
+    s = State(
+        Grid(n), 0.3 + rng.random(n), rng.random(n), rng.random(n),
+        rng.standard_normal(n + 1), t=0.1, a_pos=-1.0 / 3.0,
+    )
+    for arr, shift in ((s.theta, 0), (s.z, 3), (s.u, 5)):
+        arr[::3] = np.resize(np.roll(EDGE_VALUES, shift), arr[::3].size)
+    return s
+
+
+def data_rows(path):
+    lines = path.read_text().splitlines(True)
+    return lines[lines.index(",".join(SNAPSHOT_COLUMNS) + "\n") + 1:]
+
+
 def test_fmt_round_trips_doubles():
     for x in (1.0 / 3.0, 0.1, -2.5e-300, 7.0, 1e17 + 1):
         assert float(fmt(x)) == x
 
 
 def test_snapshot_round_trip_bitwise(tmp_path):
-    s = awkward_state()
-    p = PhysParams()
+    # The second state spans more than one block of formatted rows.
+    for n in (6, 2 * _SNAPSHOT_BLOCK + 5):
+        s = awkward_state(n)
+        p = PhysParams()
+        path = tmp_path / f"snap_{n}.csv"
+        write_snapshot(path, s, p, run="abc123")
+        back, meta = read_snapshot(path)
+        np.testing.assert_array_equal(back.v, s.v)
+        np.testing.assert_array_equal(back.theta, s.theta)
+        np.testing.assert_array_equal(back.z, s.z)
+        np.testing.assert_array_equal(back.u, s.u)
+        assert back.t == s.t
+        assert back.a_pos == s.a_pos
+        assert meta["run_id"] == "abc123"
+        assert int(meta["n_cells"]) == n
+
+
+@pytest.mark.parametrize(
+    "n",
+    [1, _SNAPSHOT_BLOCK - 1, _SNAPSHOT_BLOCK, _SNAPSHOT_BLOCK + 1, 2 * _SNAPSHOT_BLOCK + 3],
+)
+def test_snapshot_rows_match_per_value_format(tmp_path, n):
+    s = edge_state(n)
     path = tmp_path / "snap.csv"
-    write_snapshot(path, s, p, run="abc123")
-    back, meta = read_snapshot(path)
-    np.testing.assert_array_equal(back.v, s.v)
-    np.testing.assert_array_equal(back.theta, s.theta)
-    np.testing.assert_array_equal(back.z, s.z)
-    np.testing.assert_array_equal(back.u, s.u)
-    assert back.t == s.t
-    assert back.a_pos == s.a_pos
-    assert meta["run_id"] == "abc123"
-    assert int(meta["n_cells"]) == 6
+    write_snapshot(path, s, PhysParams())
+    y_edges, _ = physical_coordinates(s)
+    y_center = 0.5 * (y_edges[:-1] + y_edges[1:])
+    x = s.grid.cell_centers
+    expected = [
+        ",".join((str(i), fmt(x[i]), fmt(y_center[i]), fmt(s.v[i]),
+                  fmt(s.theta[i]), fmt(s.z[i]), fmt(s.u[i]))) + "\n"
+        for i in range(n)
+    ]
+    assert data_rows(path) == expected
+
+
+def test_snapshot_rejects_short_row(tmp_path):
+    s = awkward_state()
+    path = tmp_path / "snap.csv"
+    write_snapshot(path, s, PhysParams())
+    lines = path.read_text().splitlines()
+    lines[9] = "2,0.5"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="line 10 has 2 fields, expected 7"):
+        read_snapshot(path)
 
 
 def test_snapshot_header_carries_physics_echo(tmp_path):
@@ -114,6 +168,20 @@ def test_diagnostics_round_trip(tmp_path):
     write_diagnostics(path, rows)
     back = read_diagnostics(path)
     assert back == rows
+
+
+def test_diagnostics_rows_match_per_value_format(tmp_path):
+    values = EDGE_VALUES + (1.0 / 3.0, -2.5e-300, np.float64(0.7), 3, -1e-17, 1e17 + 1)
+    rows = [
+        DiagnosticsRecord(*np.roll(values, k)[: len(DIAG_COLUMNS)].tolist())
+        for k in range(3)
+    ] + [DiagnosticsRecord(*values[: len(DIAG_COLUMNS)])]
+    path = tmp_path / "diag.csv"
+    write_diagnostics(path, rows)
+    expected = [",".join(DIAG_COLUMNS) + "\n"] + [
+        ",".join(fmt(getattr(rec, col)) for col in DIAG_COLUMNS) + "\n" for rec in rows
+    ]
+    assert path.read_text().splitlines(True) == expected
 
 
 def test_diagnostics_header_is_column_order(tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import rrgas.sweep
 from rrgas.driver import run_simulation
 from rrgas.mesh import ConfigurationError, width
 from rrgas.sweep import expand, load_manifest, run_one, run_sweep
@@ -117,6 +118,52 @@ def test_run_sweep_parallel_output_identical(tmp_path):
     run_sweep(path, out1, jobs=1)
     run_sweep(path, out2, jobs=2)
     assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize(
+    "sweep_block, jobs, expected_sizes",
+    [
+        ("[sweep]\np_ext = -0.1, 0.5\n\n", 500, [2]),  # capped at the run count
+        ("[sweep]\np_ext = -0.1, 0.0, 0.5\nbeta = 1.0, 12.0\n\n", 2, [2]),
+        ("", 4, []),  # a single run never starts a pool
+    ],
+    ids=["capped", "jobs2", "single-run"],
+)
+def test_run_sweep_pool_size(tmp_path, monkeypatch, sweep_block, jobs, expected_sizes):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(rrgas.sweep, "ProcessPoolExecutor", RecordingPool)
+    path = write_manifest(tmp_path, sweep_block)
+    out = tmp_path / "out"
+    out.mkdir()
+    rows, _ = run_sweep(path, out, jobs=jobs)
+    assert RecordingPool.sizes == expected_sizes
+    assert [row.index for row in rows] == list(range(len(rows)))
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_run_sweep_rejects_jobs_below_one(tmp_path, jobs):
+    path = write_manifest(tmp_path, "[sweep]\np_ext = -0.1, 0.5\n\n")
+    with pytest.raises(ConfigurationError, match="jobs must be at least 1"):
+        run_sweep(path, tmp_path, jobs=jobs)
+    assert not (tmp_path / "summary.csv").exists()
 
 
 def test_burned_classification(tmp_path):
