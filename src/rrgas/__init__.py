@@ -7,6 +7,7 @@ from .constitutive import (
     PhysParams,
     conductivity,
     de_dtheta,
+    heat_conductivity,
     internal_energy,
     pressure,
     reaction_rate,

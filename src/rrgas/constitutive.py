@@ -145,30 +145,41 @@ def reaction_rate(v, theta, params: PhysParams):
     return rate if rate.ndim else float(rate)
 
 
-def conductivity(v, theta, params: PhysParams):
-    """Heat conductivity and its partials (kappa, dkappa_dv, dkappa_dtheta).
+def heat_conductivity(v, theta, params: PhysParams):
+    """Heat conductivity kappa alone, for callers that need no partials.
 
     Model A: kappa = kappa1 + kappa2 * theta^q       (volume-independent)
     Model B: kappa = kappa1 + kappa2 * v * theta^q
+    """
+    v = np.asarray(v, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    if params.cond_model == "A":
+        kappa = params.kappa1 + params.kappa2 * theta**params.q_cond
+    else:
+        kappa = params.kappa1 + params.kappa2 * v * theta**params.q_cond
+    return kappa if kappa.ndim else float(kappa)
 
-    Derivatives are evaluated at max(theta, THETA_DERIV_FLOOR); see the
-    module docstring note on the fractional-exponent limit.
+
+def conductivity(v, theta, params: PhysParams):
+    """Heat conductivity and its partials (kappa, dkappa_dv, dkappa_dtheta).
+
+    kappa is heat_conductivity's.  Derivatives are evaluated at
+    max(theta, THETA_DERIV_FLOOR); see the module docstring note on the
+    fractional-exponent limit.
     """
     v, theta = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(theta, dtype=float))
+    kappa = heat_conductivity(v, theta, params)
     q = params.q_cond
-    theta_q = theta**q
     if q == 0.0:
         dkappa_dtheta = np.zeros(theta.shape)
     else:
         th = np.maximum(theta, THETA_DERIV_FLOOR)
         dkappa_dtheta = q * params.kappa2 * th ** (q - 1.0)
     if params.cond_model == "A":
-        kappa = params.kappa1 + params.kappa2 * theta_q
         dkappa_dv = np.zeros(theta.shape)
     else:
-        kappa = params.kappa1 + params.kappa2 * v * theta_q
-        dkappa_dv = params.kappa2 * theta_q
+        dkappa_dv = params.kappa2 * theta**q
         dkappa_dtheta = v * dkappa_dtheta
-    if kappa.ndim:
+    if theta.ndim:
         return kappa, dkappa_dv, dkappa_dtheta
-    return float(kappa), float(dkappa_dv), float(dkappa_dtheta)
+    return kappa, float(dkappa_dv), float(dkappa_dtheta)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constitutive import PhysParams, conductivity, internal_energy, reaction_rate
+from .constitutive import PhysParams, heat_conductivity, internal_energy, reaction_rate
 from .mesh import State, velocity_mean, width
 from .solver import StepReport
 
@@ -104,7 +104,7 @@ def dissipation_V(state: State, params: PhysParams) -> float:
 
     if grid.n_cells >= 2:
         dthdx = (theta[1:] - theta[:-1]) / dx
-        kappa = conductivity(v, theta, params)[0]
+        kappa = heat_conductivity(v, theta, params)
         v_m = 0.5 * (v[:-1] + v[1:])
         th_m = 0.5 * (theta[:-1] + theta[1:])
         k_m = 0.5 * (kappa[:-1] + kappa[1:])

@@ -14,8 +14,8 @@ import numpy as np
 
 from .constitutive import (
     PhysParams,
-    conductivity,
     de_dtheta,
+    heat_conductivity,
     internal_energy,
     pressure,
     reaction_rate,
@@ -42,7 +42,7 @@ def stable_dt(state: State, params: PhysParams, safety: float = 0.4) -> float:
     """
     v, theta = state.v, state.theta
     dx = state.grid.dx
-    kappa = conductivity(v, theta, params)[0]
+    kappa = heat_conductivity(v, theta, params)
     heat = v * de_dtheta(v, theta, params) / kappa
     species = v**2 / params.d_diff
     viscous = v / params.mu

@@ -20,7 +20,11 @@ class ConfigurationError(ValueError):
 
 
 class Grid:
-    """Uniform mass mesh: n_cells cells of mass dx = 1/n_cells."""
+    """Uniform mass mesh: n_cells cells of mass dx = 1/n_cells.
+
+    The sample arrays cell_centers and edges are read-only, so a
+    function of them can be cached against the array itself (mms does).
+    """
 
     def __init__(self, n_cells: int):
         if n_cells < 1:
@@ -29,6 +33,8 @@ class Grid:
         self.dx = 1.0 / self.n_cells
         self.cell_centers = (np.arange(self.n_cells) + 0.5) * self.dx
         self.edges = np.arange(self.n_cells + 1) * self.dx
+        self.cell_centers.setflags(write=False)
+        self.edges.setflags(write=False)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Grid) and other.n_cells == self.n_cells

@@ -22,8 +22,8 @@ from scipy.linalg import solveh_banded
 
 from .constitutive import (
     PhysParams,
-    conductivity,
     de_dtheta,
+    heat_conductivity,
     internal_energy,
     pressure,
     reaction_rate,
@@ -138,7 +138,7 @@ def gravity_accel(edges: np.ndarray, params: PhysParams) -> np.ndarray:
 
 def heat_interface_coeff(v, theta, params: PhysParams) -> np.ndarray:
     """kappa/v at interior interfaces, arithmetic mean of cell values."""
-    kc = conductivity(v, theta, params)[0] / v
+    kc = heat_conductivity(v, theta, params) / v
     return 0.5 * (kc[:-1] + kc[1:])
 
 

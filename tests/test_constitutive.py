@@ -11,6 +11,7 @@ from rrgas.constitutive import (
     PhysParams,
     conductivity,
     de_dtheta,
+    heat_conductivity,
     internal_energy,
     pressure,
     reaction_rate,
@@ -192,6 +193,20 @@ def test_conductivity_v_derivative_matches_fd():
         up = conductivity(v + h, theta, p)[0]
         dn = conductivity(v - h, theta, p)[0]
         assert conductivity(v, theta, p)[1] == pytest.approx((up - dn) / (2 * h), rel=1e-6)
+
+
+@pytest.mark.parametrize("model", ["A", "B"])
+@pytest.mark.parametrize("q", [0.0, 0.5, 2.0, 3.7])
+def test_heat_conductivity_is_conductivity_kappa_bitwise(model, q):
+    p = params(cond_model=model, kappa1=0.3, kappa2=0.9, q_cond=q)
+    v = np.array([0.2, 0.9, 1.0, 1.7, 4.5])
+    theta = np.array([0.0, 0.3, 1.0, 1.9, 7.25])
+    kappa = heat_conductivity(v, theta, p)
+    assert kappa.tobytes() == conductivity(v, theta, p)[0].tobytes()
+    for vi, ti in zip(v, theta):
+        k = heat_conductivity(float(vi), float(ti), p)
+        assert type(k) is float
+        assert k == conductivity(float(vi), float(ti), p)[0]
 
 
 # ---------------------------------------------------------- validation

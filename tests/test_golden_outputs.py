@@ -1,7 +1,10 @@
-"""Byte-exact outputs of the shipped configurations.
+"""Byte-exact outputs of the shipped configurations and the sourced path.
 
 Each shipped config is run through the CLI and its diagnostics.csv and
-snapshot files are hashed.  A change that keeps every output bit (a
+snapshot files are hashed.  The shipped configs all use conductivity
+model A and no sources, so the final states of two small manufactured-
+solution runs (trig: model A; tanh: model B, reaction and gravity) are
+hashed too.  A change that keeps every output bit (a
 speed-up, a refactor) leaves these hashes alone; a change that moves
 bits on purpose has to say which bits moved and why, and recapture the
 hashes.  They were captured with numpy 2.4 on x86-64; another numpy
@@ -14,6 +17,7 @@ import hashlib
 import pytest
 
 from rrgas.cli import EXIT_OK, main
+from rrgas.mms import CASES, run_mms
 
 # config name -> (SHA-256 of diagnostics.csv, SHA-256 of the snapshots)
 GOLDEN = {
@@ -36,6 +40,15 @@ GOLDEN = {
 }
 
 
+# MMS case -> SHA-256 of the final v, u, theta, z bytes of run_mms
+# at MMS_RUN = (n_cells, t_end, n_steps)
+MMS_RUN = (32, 0.1, 40)
+MMS_GOLDEN = {
+    "tanh": "15f78f9e2bbcbac466d842902bf265196922eb04566e522a26f5f91860f15275",
+    "trig": "ff2d53b1609b61cfda5836014f693129eecb570c6e6718f8f41133378abd2b96",
+}
+
+
 def snapshots_digest(out):
     """One hash over every snapshot, each as its file name, a newline, its bytes."""
     h = hashlib.sha256()
@@ -51,3 +64,12 @@ def test_shipped_config_outputs_are_byte_identical(name, configs_dir, tmp_path):
     diagnostics, snapshots = GOLDEN[name]
     assert hashlib.sha256((out / "diagnostics.csv").read_bytes()).hexdigest() == diagnostics
     assert snapshots_digest(out) == snapshots
+
+
+@pytest.mark.parametrize("name", sorted(MMS_GOLDEN))
+def test_mms_final_state_is_byte_identical(name):
+    _, state = run_mms(CASES[name](), *MMS_RUN)
+    h = hashlib.sha256()
+    for field in (state.v, state.u, state.theta, state.z):
+        h.update(field.tobytes())
+    assert h.hexdigest() == MMS_GOLDEN[name]

@@ -34,6 +34,14 @@ def test_grid_geometry():
     np.testing.assert_allclose(g.edges, [0.0, 0.25, 0.5, 0.75, 1.0])
 
 
+def test_grid_sample_arrays_are_read_only():
+    g = Grid(4)
+    with pytest.raises(ValueError):
+        g.cell_centers[0] = 0.5
+    with pytest.raises(ValueError):
+        g.edges[1:3] = 0.0
+
+
 def test_grid_rejects_empty():
     with pytest.raises(ConfigurationError):
         Grid(0)
