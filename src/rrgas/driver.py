@@ -1,6 +1,7 @@
 """Simulation loop and the scenario-level invariant check.
 
-run_simulation owns the time loop: init, step, accumulate, record.  It
+run_simulation owns the time loop: init, step, accumulate, record (the
+last can be switched off for callers that read only the final state).  It
 never raises for a failed integration, nor for a violated scheme
 invariant; the result says how far it got and why it stopped, so
 callers can still serialize the partial trajectory.
@@ -40,17 +41,26 @@ class RunResult:
     n_steps: int = 0
 
 
-def run_simulation(config: RunConfig, *, on_step=None, max_steps: int = 5_000_000) -> RunResult:
+def run_simulation(
+    config: RunConfig,
+    *,
+    on_step=None,
+    max_steps: int = 5_000_000,
+    diagnostics: bool = True,
+) -> RunResult:
     """Integrate from t=0 to t_end, recording diagnostics every step.
 
     on_step(state, report, step_index) runs after each accepted step;
     if it returns a State, that state replaces the current one before
-    it is recorded.
+    it is recorded.  With diagnostics=False no record is built and
+    `records` stays empty; the steps, the balance accumulators, the
+    hook and the failure results are the same, and `state` is always
+    the state the last record would have been built from.
     """
     params = config.params
     state = init_state(config)
     accum = BalanceAccumulators()
-    records = [record(state, params, accum, dt=0.0)]
+    records = [record(state, params, accum, dt=0.0)] if diagnostics else []
     n_steps = 0
     while state.t < config.t_end:
         if n_steps >= max_steps:
@@ -69,7 +79,8 @@ def run_simulation(config: RunConfig, *, on_step=None, max_steps: int = 5_000_00
             replacement = on_step(state, report, n_steps)
             if replacement is not None:
                 state = replacement
-        records.append(record(state, params, accum, dt=report.dt))
+        if diagnostics:
+            records.append(record(state, params, accum, dt=report.dt))
     return RunResult(state, records, True, None, n_steps)
 
 

@@ -6,6 +6,8 @@ comma-separated lists.  The cartesian product is taken in the order
 the keys appear; each combination becomes an independent run.  Workers
 share nothing, and the summary CSV is written in manifest order after
 all runs finish, so the output is identical whatever the job count.
+A member builds no per-step diagnostics: its summary row reads the
+final state alone, so the extrema are those of the final state.
 """
 
 from __future__ import annotations
@@ -75,31 +77,39 @@ def load_manifest(path):
 
 
 def expand(base: RunConfig, items):
-    """All combinations as (values dict, RunConfig), in manifest order."""
+    """All combinations as (values dict, RunConfig), in manifest order.
+
+    A combination out of the physical range raises ConfigurationError
+    naming the member's index and its swept values.
+    """
     if not items:
         return [({}, base)]
     keys = [key for key, _ in items]
     combos = itertools.product(*(values for _, values in items))
     out = []
-    for combo in combos:
+    for index, combo in enumerate(combos):
         overrides = dict(zip(keys, combo))
-        params = dataclasses.replace(base.params, **overrides)
+        try:
+            params = dataclasses.replace(base.params, **overrides)
+        except ValueError as exc:
+            swept = ", ".join(f"{key}={value!r}" for key, value in overrides.items())
+            raise ConfigurationError(f"sweep member {index} ({swept}): {exc}") from exc
         out.append((overrides, dataclasses.replace(base, params=params)))
     return out
 
 
 def run_one(index: int, values: dict, config: RunConfig) -> SweepRow:
+    """Run one member and summarize its final state; never raises."""
     supported = config.params.rate_exponent_supported
     try:
         first = init_state(config)
         z_initial = float(np.sum(first.z)) * first.grid.dx
-        result = run_simulation(config)
+        result = run_simulation(config, diagnostics=False)
     except Exception as exc:  # a sweep never dies on one bad run
         return SweepRow(index, values, supported, "failed",
                         0.0, 0.0, 0.0, 0.0, 0.0, 0.0, error=str(exc))
 
     state = result.state
-    last = result.records[-1]
     if not result.completed:
         classification = "failed"
     else:
@@ -113,10 +123,10 @@ def run_one(index: int, values: dict, config: RunConfig) -> SweepRow:
         classification,
         final_t=state.t,
         width=width(state),
-        min_v=last.min_v,
-        min_theta=last.min_theta,
-        min_z=last.min_z,
-        max_z=last.max_z,
+        min_v=float(state.v.min()),
+        min_theta=float(state.theta.min()),
+        min_z=float(state.z.min()),
+        max_z=float(state.z.max()),
         error="" if result.completed else (result.error or ""),
     )
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import rrgas.solver
 from rrgas.config import Profile, RunConfig, load_config
 from rrgas.constitutive import PhysParams
 from rrgas.driver import check_scenario, run_simulation
@@ -91,6 +92,68 @@ def test_step_budget():
     assert not result.completed
     assert result.error == "step budget exhausted"
     assert result.n_steps == 3
+
+
+def state_bits(state):
+    return (state.t, state.v.tobytes(), state.u.tobytes(),
+            state.theta.tobytes(), state.z.tobytes())
+
+
+def spiking_hook(calls):
+    def hook(state, report, index):
+        calls.append(index)
+        if index == 2:
+            out = state.copy()
+            out.theta = out.theta * 1.5
+            return out
+        return None
+
+    return hook
+
+
+def faulty_species_step(real, calls):
+    # the species update breaks its maximum principle on the third step
+    def step(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise rrgas.solver.InvariantViolation("species exceeded its initial maximum")
+        return real(*args, **kwargs)
+
+    return step
+
+
+@pytest.mark.parametrize("case", ["completed", "rejected", "budget", "hook", "invariant"])
+def test_run_without_diagnostics_takes_the_same_path(case, monkeypatch):
+    cfg = bump_config()
+    kwargs = {}
+    if case == "rejected":
+        cfg.v_floor = 2.0
+    elif case == "budget":
+        kwargs["max_steps"] = 3
+
+    def run(diagnostics):
+        calls = []
+        if case == "hook":
+            kwargs["on_step"] = spiking_hook(calls)
+        elif case == "invariant":
+            monkeypatch.setattr(
+                rrgas.solver, "species_step",
+                faulty_species_step(real_species_step, calls),
+            )
+        return run_simulation(cfg, diagnostics=diagnostics, **kwargs), calls
+
+    real_species_step = rrgas.solver.species_step
+    recorded, recorded_calls = run(True)
+    bare, bare_calls = run(False)
+    assert bare.records == []
+    assert (bare.completed, bare.error, bare.n_steps) == (
+        recorded.completed, recorded.error, recorded.n_steps
+    )
+    assert bare_calls == recorded_calls
+    assert state_bits(bare.state) == state_bits(recorded.state)
+    # the returned state is the one the last record was built from
+    assert recorded.records[-1].t == recorded.state.t
+    assert recorded.completed == (case in ("completed", "hook"))
 
 
 # ------------------------------------------------------------- check rows

@@ -1,7 +1,8 @@
 """Byte-exact outputs of the shipped configurations and the sourced path.
 
 Each shipped config is run through the CLI and its diagnostics.csv and
-snapshot files are hashed.  The shipped configs all use conductivity
+snapshot files are hashed, and so is the summary of the shipped
+sweep at one and at two jobs.  The shipped configs all use conductivity
 model A and no sources, so the final states of two small manufactured-
 solution runs (trig: model A; tanh: model B, reaction and gravity) are
 hashed too.  A change that keeps every output bit (a
@@ -49,6 +50,10 @@ MMS_GOLDEN = {
 }
 
 
+# SHA-256 of summary.csv for configs/sweep_example.ini, any --jobs
+SWEEP_GOLDEN = "19a2abb5949e8cb8f852aaaf5d1171812206e0d21181826aa09a1d09f676cb10"
+
+
 def snapshots_digest(out):
     """One hash over every snapshot, each as its file name, a newline, its bytes."""
     h = hashlib.sha256()
@@ -73,3 +78,12 @@ def test_mms_final_state_is_byte_identical(name):
     for field in (state.v, state.u, state.theta, state.z):
         h.update(field.tobytes())
     assert h.hexdigest() == MMS_GOLDEN[name]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_summary_is_byte_identical(jobs, configs_dir, tmp_path):
+    out = tmp_path / "sweep"
+    argv = ["sweep", str(configs_dir / "sweep_example.ini"), "--out", str(out),
+            "--jobs", str(jobs)]
+    assert main(argv) == EXIT_OK
+    assert hashlib.sha256((out / "summary.csv").read_bytes()).hexdigest() == SWEEP_GOLDEN

@@ -1,11 +1,15 @@
 """Sweep manifests: expansion order, execution, summary format."""
 
+import struct
+
 import numpy as np
 import pytest
 
+import rrgas.driver
 import rrgas.sweep
+from rrgas.cli import EXIT_CONFIG, main
 from rrgas.driver import run_simulation
-from rrgas.mesh import ConfigurationError, width
+from rrgas.mesh import ConfigurationError
 from rrgas.sweep import expand, load_manifest, run_one, run_sweep
 
 BASE = """\
@@ -69,15 +73,71 @@ def test_manifest_rejects_non_numeric_values(tmp_path):
         load_manifest(path)
 
 
+def bits(x):
+    return struct.pack("<d", x)
+
+
+def assert_summary_is_last_record(row, direct):
+    last = direct.records[-1]
+    for name in ("width", "min_v", "min_theta", "min_z", "max_z"):
+        assert bits(getattr(row, name)) == bits(getattr(last, name)), name
+    assert bits(row.final_t) == bits(last.t)
+
+
 def test_run_one_matches_direct_simulation(tmp_path):
+    # bitwise: the same deterministic path, and the summary of the final
+    # state equals the last record, for a completed and a failed member
     base, items = load_manifest(write_manifest(tmp_path, ""))
     row = run_one(0, {}, base)
     direct = run_simulation(base)
     assert row.classification == "quiescent"
     assert row.final_t == base.t_end
-    assert row.width == width(direct.state)  # bitwise: same deterministic path
-    assert row.min_z == direct.records[-1].min_z
     assert row.error == ""
+    assert_summary_is_last_record(row, direct)
+
+    base.v_floor = 2.0  # forces rejection of every step
+    row = run_one(0, {}, base)
+    direct = run_simulation(base)
+    assert row.classification == "failed"
+    assert row.final_t == 0.0
+    assert row.error == direct.error
+    assert_summary_is_last_record(row, direct)
+
+
+def test_run_one_builds_no_per_step_record(tmp_path, monkeypatch):
+    calls = []
+    real_record = rrgas.driver.record
+
+    def counting_record(*args, **kwargs):
+        calls.append(None)
+        return real_record(*args, **kwargs)
+
+    monkeypatch.setattr(rrgas.driver, "record", counting_record)
+    base, _ = load_manifest(write_manifest(tmp_path, ""))
+    direct = run_simulation(base)
+    assert len(calls) == direct.n_steps + 1  # the counter sees the driver's records
+    calls.clear()
+    row = run_one(0, {}, base)
+    assert row.classification == "quiescent"
+    assert calls == []
+
+
+def test_expand_names_the_member_out_of_range(tmp_path):
+    path = write_manifest(tmp_path, "[sweep]\nkappa1 = 0.5, 2.0\n\n")
+    base, items = load_manifest(path)
+    with pytest.raises(ConfigurationError) as info:
+        expand(base, items)
+    message = str(info.value)
+    assert message.startswith("sweep member 1 (kappa1=2.0): ")
+    assert "kappa1 <= kappa2" in message
+
+
+def test_sweep_cli_rejects_member_out_of_range(tmp_path, capsys):
+    path = write_manifest(tmp_path, "[sweep]\np_ext = 0.5, 1.0\nkappa1 = 0.5, 2.0\n\n")
+    out = tmp_path / "out"
+    assert main(["sweep", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert "sweep member 1 (p_ext=0.5, kappa1=2.0)" in capsys.readouterr().err
+    assert not (out / "summary.csv").exists()
 
 
 def test_run_one_flags_unsupported_exponent(tmp_path):
