@@ -14,7 +14,13 @@ from .config import init_state, load_config, serialize_config
 from .driver import check_scenario, run_simulation
 from .mesh import ConfigurationError
 from .mms import CASES, spatial_study, temporal_study
-from .output import run_id, write_diagnostics, write_failure, write_snapshot
+from .output import (
+    SnapshotWriter,
+    run_id,
+    write_diagnostics,
+    write_failure,
+    write_snapshot,
+)
 from .solver import SimulationError
 from .sweep import run_sweep
 
@@ -70,19 +76,23 @@ def cmd_run(args) -> int:
 
     written = set()
 
-    def snapshot(state, index):
-        write_snapshot(out / f"snapshot_{index:06d}.csv", state, config.params, rid)
-        written.add(index)
+    with SnapshotWriter() as writer:
 
-    def on_step(state, report, index):
-        if index % config.output_every == 0:
-            snapshot(state, index)
+        def snapshot(state, index):
+            path = out / f"snapshot_{index:06d}.csv"
+            write_snapshot(path, state, config.params, rid, writer=writer)
+            written.add(index)
 
-    snapshot(init_state(config), 0)
-    result = run_simulation(config, on_step=on_step)
-    write_diagnostics(out / "diagnostics.csv", result.records)
-    if result.n_steps not in written:
-        snapshot(result.state, result.n_steps)
+        def on_step(state, report, index):
+            if index % config.output_every == 0:
+                snapshot(state, index)
+
+        initial = init_state(config)
+        snapshot(initial, 0)
+        result = run_simulation(config, state=initial, on_step=on_step)
+        write_diagnostics(out / "diagnostics.csv", result.records)
+        if result.n_steps not in written:
+            snapshot(result.state, result.n_steps)
 
     if not result.completed:
         write_failure(out / "failure.json", result.error or "unknown", result.state, rid)

@@ -44,12 +44,15 @@ class RunResult:
 def run_simulation(
     config: RunConfig,
     *,
+    state: State | None = None,
     on_step=None,
     max_steps: int = 5_000_000,
     diagnostics: bool = True,
 ) -> RunResult:
     """Integrate from t=0 to t_end, recording diagnostics every step.
 
+    The run starts from `state`, if given, else from init_state(config);
+    a caller that has already built the initial state passes it in.
     on_step(state, report, step_index) runs after each accepted step;
     if it returns a State, that state replaces the current one before
     it is recorded.  With diagnostics=False no record is built and
@@ -58,7 +61,8 @@ def run_simulation(
     the state the last record would have been built from.
     """
     params = config.params
-    state = init_state(config)
+    if state is None:
+        state = init_state(config)
     accum = BalanceAccumulators()
     records = [record(state, params, accum, dt=0.0)] if diagnostics else []
     n_steps = 0

@@ -13,7 +13,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import operator
+import signal
 
 import numpy as np
 
@@ -37,6 +39,19 @@ _diag_values = operator.attrgetter(*DIAG_COLUMNS)
 # 256-row blocks at about 0.4 MB, at the same speed.
 _SNAPSHOT_BLOCK = 256
 _SNAPSHOT_ROW = "%d" + ("," + _NUM) * (len(SNAPSHOT_COLUMNS) - 1) + "\n"
+
+# Tables of more rows than this go to a SnapshotWriter's helper process,
+# if the caller has one; smaller ones are written inline.  Measured as
+# the main() wall time of `rrgas run`, reacting scenario, output_every
+# = 10, about 300-360 steps, one BLAS thread, on a shared 2-core host,
+# ten interleaved pairs per size (wins of the helper, median change):
+# 512 cells 3/10, +7.5 %; 1024 1/10, +16 % and 5/10, -1 %; 1536 4/10,
+# +6 %; 2048 6/10, -8 % and 9/10, -35 %; 3072 10/10, -43 %; 4096
+# 10/10, -38 %.  Main-process CPU fell 19-46 % at every size, but up
+# to 1536 cells the hand-off (pickling, the pipe, the fork, a second
+# busy core) costs the wall time it saves.
+_OFFLOAD_ROWS = 1536
+_CAN_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 def fmt(x: float) -> str:
@@ -69,12 +84,16 @@ def read_diagnostics(path):
     return out
 
 
-def write_snapshot(path, state: State, params: PhysParams, run: str = "") -> None:
+def write_snapshot(path, state: State, params: PhysParams, run: str = "", writer=None) -> None:
     """One CSV of per-cell rows with a commented header.
 
     The header carries what the rows cannot: the time, the left
     boundary position, the last edge velocity (rows hold the left edge
-    of each cell only) and an echo of the physical constants.
+    of each cell only) and an echo of the physical constants.  The
+    header and the table are built here; a table of more than
+    `_OFFLOAD_ROWS` rows goes to `writer` (a SnapshotWriter), if one is
+    given, to be formatted and written in its helper process.  The
+    bytes are the same either way.
     """
     y_edges, _ = physical_coordinates(state)
     y_center = 0.5 * (y_edges[:-1] + y_edges[1:])
@@ -83,22 +102,140 @@ def write_snapshot(path, state: State, params: PhysParams, run: str = "") -> Non
         else f"{f.name}={fmt(getattr(params, f.name))}"
         for f in dataclasses.fields(params)
     )
+    n = state.grid.n_cells
+    header = (
+        f"# run_id = {run}\n"
+        f"# n_cells = {n}\n"
+        f"# t = {fmt(state.t)}\n"
+        f"# a_pos = {fmt(state.a_pos)}\n"
+        f"# u_last_edge = {fmt(state.u[-1])}\n"
+        f"# physics: {echo}\n"
+        + ",".join(SNAPSHOT_COLUMNS) + "\n"
+    )
+    table = np.column_stack((
+        np.arange(n), state.grid.cell_centers, y_center,
+        state.v, state.theta, state.z, state.u[:-1],
+    ))
+    if writer is not None and n > _OFFLOAD_ROWS and _CAN_FORK:
+        writer.send(path, header, table)
+    else:
+        _write_table(path, header, table)
+
+
+def _write_table(path, header: str, table) -> None:
+    """The snapshot file: the header text, then one row per table row."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# run_id = {run}\n")
-        fh.write(f"# n_cells = {state.grid.n_cells}\n")
-        fh.write(f"# t = {fmt(state.t)}\n")
-        fh.write(f"# a_pos = {fmt(state.a_pos)}\n")
-        fh.write(f"# u_last_edge = {fmt(state.u[-1])}\n")
-        fh.write(f"# physics: {echo}\n")
-        fh.write(",".join(SNAPSHOT_COLUMNS) + "\n")
-        n = state.grid.n_cells
-        table = np.column_stack((
-            np.arange(n), state.grid.cell_centers, y_center,
-            state.v, state.theta, state.z, state.u[:-1],
-        ))
-        for start in range(0, n, _SNAPSHOT_BLOCK):
+        fh.write(header)
+        for start in range(0, len(table), _SNAPSHOT_BLOCK):
             block = table[start:start + _SNAPSHOT_BLOCK]
             fh.write((_SNAPSHOT_ROW * len(block)) % tuple(block.ravel().tolist()))
+
+
+class SnapshotWriter:
+    """Formats and writes snapshot tables in one forked helper process.
+
+    The helper is forked on the first `send` and gets each (path,
+    header, table) over a pipe; the caller goes on while the helper
+    formats.  Files are written in the order they are sent.  The first
+    error the helper meets (an OSError from `open`, say) ends it; the
+    next `send`, or the exit of the `with` block, raises that error.
+    On exit the helper has written every file it was sent, or has
+    failed, and has been joined.  A helper that dies without reporting
+    is an OSError naming its exit code.  An exception already leaving
+    the `with` block is not replaced by the helper's.
+
+    The helper only formats strings and writes files; it calls no BLAS
+    or other threaded library, so forking a process whose BLAS has
+    started threads is safe for it.  The parent starts no thread: the
+    pipe is written synchronously, with no feeder thread as in a pool.
+    """
+
+    def __init__(self):
+        self._conn = None
+        self._child = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if self._conn is None:
+            return False
+        if exc is not None:
+            # A send cut short by the exception may have left part of a
+            # message in the pipe, so close it rather than send the
+            # sentinel: the helper writes every whole table it got,
+            # then sees EOF.
+            self._conn.close()
+            self._conn = None
+            self._child.join()
+            return False
+        try:
+            self._conn.send(None)
+        except OSError:
+            pass  # the helper is gone; _stop reads why
+        error = self._stop()
+        if error is not None:
+            raise error
+        return False
+
+    def send(self, path, header: str, table) -> None:
+        if self._child is None:
+            self._start()
+        elif self._conn.poll():
+            raise self._stop()
+        try:
+            self._conn.send((path, header, table))
+        except OSError:
+            raise self._stop() from None
+
+    def _start(self) -> None:
+        ctx = multiprocessing.get_context("fork")
+        ours, theirs = ctx.Pipe()
+        child = ctx.Process(target=_serve, args=(theirs, ours), daemon=True)
+        try:
+            child.start()
+        finally:
+            theirs.close()  # the helper's end; the parent keeps only its own
+        self._conn, self._child = ours, child
+
+    def _stop(self) -> BaseException | None:
+        """Reads the helper's status and joins it; returns its error, if any."""
+        conn, self._conn = self._conn, None
+        died = False
+        try:
+            error = conn.recv()
+        except (EOFError, OSError):  # it died without reporting
+            died = True
+        finally:
+            conn.close()
+            self._child.join()
+        if died:
+            return OSError(
+                f"snapshot writer exited with code {self._child.exitcode} "
+                "before reporting"
+            )
+        return error
+
+
+def _serve(conn, other) -> None:
+    """The helper's loop: write each table until the sentinel, then report.
+
+    It ignores SIGINT, which reaches the whole process group on ^C, so
+    it still writes what it was sent while the parent unwinds; it sees
+    EOF, and stops, if the parent dies.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    other.close()
+    error = None
+    try:
+        for item in iter(conn.recv, None):
+            _write_table(*item)
+    except Exception as exc:  # EOFError too, if the parent closed the pipe
+        error = exc
+    try:
+        conn.send(error)
+    except OSError:
+        pass  # the parent closed the pipe: no one reads a status
 
 
 def read_snapshot(path):

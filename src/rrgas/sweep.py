@@ -104,7 +104,7 @@ def run_one(index: int, values: dict, config: RunConfig) -> SweepRow:
     try:
         first = init_state(config)
         z_initial = float(np.sum(first.z)) * first.grid.dx
-        result = run_simulation(config, diagnostics=False)
+        result = run_simulation(config, state=first, diagnostics=False)
     except Exception as exc:  # a sweep never dies on one bad run
         return SweepRow(index, values, supported, "failed",
                         0.0, 0.0, 0.0, 0.0, 0.0, 0.0, error=str(exc))

@@ -1,3 +1,4 @@
+import multiprocessing
 import pathlib
 
 import pytest
@@ -21,3 +22,15 @@ def shipped_config():
         return load_config(CONFIGS_DIR / f"{name}.ini")
 
     return load
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_child_processes():
+    """Fails a test that leaves a child process running (a snapshot
+    writer or a sweep worker that was never joined)."""
+    yield
+    leaked = multiprocessing.active_children()
+    for child in leaked:
+        child.terminate()
+        child.join()
+    assert not leaked, f"child processes left running: {leaked}"

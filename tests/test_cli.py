@@ -1,14 +1,19 @@
 """Command-line interface: subcommands, exit codes, emitted files."""
 
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+import rrgas.cli
+import rrgas.driver
+import rrgas.output
 import rrgas.solver
 from rrgas.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SIMULATION, main
 from rrgas.config import load_config
-from rrgas.output import read_diagnostics, read_snapshot, run_id
+from rrgas.output import _OFFLOAD_ROWS, read_diagnostics, read_snapshot, run_id
 
 REST_INI = """\
 [run]
@@ -136,6 +141,108 @@ def test_run_missing_file_is_io_error(tmp_path, capsys):
     code = main(["run", str(tmp_path / "absent.ini"), "--out", str(tmp_path / "out")])
     assert code == EXIT_IO
     assert "io error" in capsys.readouterr().err
+
+
+# ------------------------------------------------------ snapshot writer
+
+LARGE = 4096  # cells: every snapshot goes to the helper process
+assert LARGE > _OFFLOAD_ROWS
+
+
+def reacting_ini(configs_dir, tmp_path, n_cells, t_end, extra=""):
+    """configs/reacting.ini at another size and end time, plus `extra` [run] keys."""
+    text = (configs_dir / "reacting.ini").read_text()
+    text = text.replace("n_cells = 128", f"n_cells = {n_cells}")
+    text = text.replace("t_end = 0.2", f"t_end = {t_end}{extra}")
+    path = tmp_path / f"reacting_{n_cells}.ini"
+    path.write_text(text)
+    return path
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The processes started through the fork context during the test."""
+    started = []
+    real_start = multiprocessing.context.ForkProcess.start
+
+    def start(self):
+        started.append(self)
+        real_start(self)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start)
+    return started
+
+
+def test_run_small_grid_starts_no_process(configs_dir, tmp_path, forks):
+    ini = reacting_ini(configs_dir, tmp_path, 128, 0.05)
+    assert main(["run", str(ini), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert forks == []
+
+
+@pytest.mark.parametrize("outcome", ["completed", "failed"])
+def test_run_large_grid_joins_its_writer(outcome, configs_dir, tmp_path, forks):
+    # 4096 cells, about 15 steps: snapshots 0, 10 and the last one go to
+    # one helper, which is joined, with every file complete, on return.
+    extra = "\nv_floor = 2.0" if outcome == "failed" else ""
+    ini = reacting_ini(configs_dir, tmp_path, LARGE, 0.0006, extra)
+    out = tmp_path / "out"
+    code = main(["run", str(ini), "--out", str(out)])
+    assert code == (EXIT_OK if outcome == "completed" else EXIT_SIMULATION)
+    assert len(forks) == 1
+    assert multiprocessing.active_children() == []
+    records = read_diagnostics(out / "diagnostics.csv")
+    snapshots = sorted(out.glob("snapshot_*.csv"))
+    assert len(snapshots) == (3 if outcome == "completed" else 1)
+    for path in snapshots:
+        state, _ = read_snapshot(path)
+        assert state.grid.n_cells == LARGE
+    assert state.t == records[-1].t
+    assert (out / "failure.json").exists() == (outcome == "failed")
+
+
+@pytest.mark.parametrize("n_cells", [128, LARGE])
+def test_run_snapshot_path_taken_is_io_error(n_cells, configs_dir, tmp_path, forks, capsys):
+    # Fault injection: a directory sits where snapshot 10 goes.  Inline
+    # and in the helper process alike, the run ends with exit 3 and an
+    # io error naming that file.
+    ini = reacting_ini(configs_dir, tmp_path, n_cells, 0.05 if n_cells == 128 else 0.0006)
+    out = tmp_path / "out"
+    (out / "snapshot_000010.csv").mkdir(parents=True)
+    code = main(["run", str(ini), "--out", str(out)])
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert "io error:" in err
+    assert str(out / "snapshot_000010.csv") in err
+    assert len(forks) == (n_cells > _OFFLOAD_ROWS)
+    assert multiprocessing.active_children() == []
+
+
+def test_run_writer_dying_unreported_is_io_error(configs_dir, tmp_path, monkeypatch, capsys):
+    # Fault injection: the helper process dies on its first table
+    # without sending a status.  That is an io error, not an EOFError.
+    monkeypatch.setattr(rrgas.output, "_write_table", lambda *args: os._exit(1))
+    ini = reacting_ini(configs_dir, tmp_path, LARGE, 0.0006)
+    code = main(["run", str(ini), "--out", str(tmp_path / "out")])
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert "io error:" in err
+    assert "exited with code 1" in err
+    assert "Traceback" not in err
+    assert multiprocessing.active_children() == []
+
+
+def test_run_builds_the_initial_state_once(rest_ini, tmp_path, monkeypatch):
+    calls = []
+    real_init_state = rrgas.cli.init_state
+
+    def counting_init_state(config):
+        calls.append(None)
+        return real_init_state(config)
+
+    for module in (rrgas.cli, rrgas.driver):
+        monkeypatch.setattr(module, "init_state", counting_init_state)
+    assert main(["run", str(rest_ini), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------- check

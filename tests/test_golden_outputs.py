@@ -5,7 +5,9 @@ snapshot files are hashed, and so is the summary of the shipped
 sweep at one and at two jobs.  The shipped configs all use conductivity
 model A and no sources, so the final states of two small manufactured-
 solution runs (trig: model A; tanh: model B, reaction and gravity) are
-hashed too.  A change that keeps every output bit (a
+hashed too.  The shipped configs have at most 128 cells, so their
+snapshots are written inline; a 4096-cell reacting run pins the
+snapshots that `rrgas run` hands to its helper process.  A change that keeps every output bit (a
 speed-up, a refactor) leaves these hashes alone; a change that moves
 bits on purpose has to say which bits moved and why, and recapture the
 hashes.  They were captured with numpy 2.4 on x86-64; another numpy
@@ -19,6 +21,7 @@ import pytest
 
 from rrgas.cli import EXIT_OK, main
 from rrgas.mms import CASES, run_mms
+from rrgas.output import _OFFLOAD_ROWS
 
 # config name -> (SHA-256 of diagnostics.csv, SHA-256 of the snapshots)
 GOLDEN = {
@@ -39,6 +42,14 @@ GOLDEN = {
         "a6ba7056671f40ba60417b9f83d604459027d4205cf8714786567a95b20569da",
     ),
 }
+
+# configs/reacting.ini at LARGE_RUN = (n_cells, t_end): 51 steps, seven
+# snapshots, each above output._OFFLOAD_ROWS rows
+LARGE_RUN = (4096, 0.002)
+LARGE_GOLDEN = (
+    "affdd92195dd7d8f73c990089759506e3bb2b34de146204cfb6aa44eb6f60a5e",
+    "824c65e8f650288a8b7f0be574dd2c0343bb90d777143a885d81e4d1aba36ef1",
+)
 
 
 # MMS case -> SHA-256 of the final v, u, theta, z bytes of run_mms
@@ -67,6 +78,21 @@ def test_shipped_config_outputs_are_byte_identical(name, configs_dir, tmp_path):
     out = tmp_path / name
     assert main(["run", str(configs_dir / f"{name}.ini"), "--out", str(out)]) == EXIT_OK
     diagnostics, snapshots = GOLDEN[name]
+    assert hashlib.sha256((out / "diagnostics.csv").read_bytes()).hexdigest() == diagnostics
+    assert snapshots_digest(out) == snapshots
+
+
+def test_large_reacting_outputs_are_byte_identical(configs_dir, tmp_path):
+    n_cells, t_end = LARGE_RUN
+    assert n_cells > _OFFLOAD_ROWS
+    text = (configs_dir / "reacting.ini").read_text()
+    ini = tmp_path / "large.ini"
+    ini.write_text(text.replace("n_cells = 128", f"n_cells = {n_cells}")
+                   .replace("t_end = 0.2", f"t_end = {t_end}"))
+    out = tmp_path / "large"
+    assert main(["run", str(ini), "--out", str(out)]) == EXIT_OK
+    assert len(list(out.glob("snapshot_*.csv"))) == 7
+    diagnostics, snapshots = LARGE_GOLDEN
     assert hashlib.sha256((out / "diagnostics.csv").read_bytes()).hexdigest() == diagnostics
     assert snapshots_digest(out) == snapshots
 

@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import multiprocessing
+import signal
+import struct
 
 import numpy as np
 import pytest
@@ -11,9 +14,11 @@ from rrgas.constitutive import PhysParams
 from rrgas.diagnostics import DiagnosticsRecord
 from rrgas.mesh import ConfigurationError, Grid, State, physical_coordinates
 from rrgas.output import (
+    _OFFLOAD_ROWS,
     _SNAPSHOT_BLOCK,
     DIAG_COLUMNS,
     SNAPSHOT_COLUMNS,
+    SnapshotWriter,
     fmt,
     read_diagnostics,
     read_snapshot,
@@ -222,3 +227,84 @@ def test_write_failure_without_state(tmp_path):
     path = tmp_path / "failure.json"
     write_failure(path, "bad config", None, run="x")
     assert json.loads(path.read_text())["t_last"] is None
+
+
+# ------------------------------------------------------- snapshot writer
+
+def test_snapshot_writer_bytes_match_inline(tmp_path):
+    # a table above the threshold goes to the helper; one at or below it
+    # is written inline and starts no process
+    params = PhysParams()
+    big, small = edge_state(_OFFLOAD_ROWS + 1), edge_state(_OFFLOAD_ROWS)
+    with SnapshotWriter() as writer:
+        write_snapshot(tmp_path / "small.csv", small, params, "r", writer=writer)
+        assert multiprocessing.active_children() == []
+        write_snapshot(tmp_path / "big.csv", big, params, "r", writer=writer)
+        assert len(multiprocessing.active_children()) == 1
+    assert multiprocessing.active_children() == []
+    write_snapshot(tmp_path / "big_inline.csv", big, params, "r")
+    write_snapshot(tmp_path / "small_inline.csv", small, params, "r")
+    for name in ("big", "small"):
+        assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}_inline.csv").read_bytes()
+
+
+def test_snapshot_writer_writes_in_order_and_reports_first_error(tmp_path):
+    # The error of the second table ends the helper: the first file is
+    # complete, the third is never written, and the block raises.
+    params = PhysParams()
+    state = edge_state(_OFFLOAD_ROWS + 1)
+    (tmp_path / "taken.csv").mkdir()
+    with pytest.raises(IsADirectoryError, match="taken.csv"):
+        with SnapshotWriter() as writer:
+            for name in ("first.csv", "taken.csv", "third.csv"):
+                write_snapshot(tmp_path / name, state, params, writer=writer)
+    assert len(data_rows(tmp_path / "first.csv")) == _OFFLOAD_ROWS + 1
+    assert not (tmp_path / "third.csv").exists()
+
+
+def test_snapshot_writer_send_raises_a_reported_error(tmp_path):
+    params = PhysParams()
+    state = edge_state(_OFFLOAD_ROWS + 1)
+    (tmp_path / "taken.csv").mkdir()
+    with SnapshotWriter() as writer:
+        write_snapshot(tmp_path / "taken.csv", state, params, writer=writer)
+        (helper,) = multiprocessing.active_children()
+        helper.join(timeout=30)  # it has reported its error and exited
+        assert not helper.is_alive()
+        with pytest.raises(IsADirectoryError):
+            write_snapshot(tmp_path / "next.csv", state, params, writer=writer)
+    assert not (tmp_path / "next.csv").exists()
+
+
+def test_snapshot_writer_keeps_the_exception_in_flight(tmp_path):
+    params = PhysParams()
+    state = edge_state(_OFFLOAD_ROWS + 1)
+    (tmp_path / "taken.csv").mkdir()
+    with pytest.raises(KeyError, match="in flight"):
+        with SnapshotWriter() as writer:
+            write_snapshot(tmp_path / "taken.csv", state, params, writer=writer)
+            raise KeyError("in flight")
+    assert multiprocessing.active_children() == []
+
+
+def test_snapshot_writer_survives_a_send_cut_short(tmp_path):
+    # An exception (say ^C) that cuts a send short leaves part of a
+    # message in the pipe; leaving the block must neither hang on it
+    # nor lose the tables sent whole before it.
+    def timed_out(signum, frame):
+        raise TimeoutError("the writer did not stop")
+
+    params = PhysParams()
+    state = edge_state(_OFFLOAD_ROWS + 1)
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(30)
+    try:
+        with pytest.raises(KeyError, match="interrupted"):
+            with SnapshotWriter() as writer:
+                write_snapshot(tmp_path / "whole.csv", state, params, writer=writer)
+                writer._conn._send(struct.pack("!i", 1 << 20) + b"cut short")
+                raise KeyError("interrupted")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(data_rows(tmp_path / "whole.csv")) == _OFFLOAD_ROWS + 1

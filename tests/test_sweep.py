@@ -122,6 +122,21 @@ def test_run_one_builds_no_per_step_record(tmp_path, monkeypatch):
     assert calls == []
 
 
+def test_run_sweep_builds_each_initial_state_once(tmp_path, monkeypatch):
+    calls = []
+    real_init_state = rrgas.sweep.init_state
+
+    def counting_init_state(config):
+        calls.append(None)
+        return real_init_state(config)
+
+    for module in (rrgas.sweep, rrgas.driver):
+        monkeypatch.setattr(module, "init_state", counting_init_state)
+    rows, _ = run_sweep(write_manifest(tmp_path, "[sweep]\nbeta = 1.0, 12.0\n\n"), tmp_path)
+    assert len(rows) == 2
+    assert len(calls) == 2
+
+
 def test_expand_names_the_member_out_of_range(tmp_path):
     path = write_manifest(tmp_path, "[sweep]\nkappa1 = 0.5, 2.0\n\n")
     base, items = load_manifest(path)
