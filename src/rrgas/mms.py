@@ -12,6 +12,11 @@ Shared shape conventions: s(0) = s(1) = 0 and s'(0) = s'(1) = 0, so at
 both boundaries the fields sit at their constant base values with zero
 slope.  With p_ext chosen as the pressure of the base state, the
 boundary stress, heat-flux and species-flux conditions hold exactly.
+
+The source methods broadcast: called with a (k, 1) column of times
+against a grid array, they return (k, n) rows, each bit-identical to
+the call at its one time.  run_mms steps with a fixed dt and uses this
+to evaluate the sources a block of time levels at a time.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .constitutive import (
     pressure,
     reaction_rate,
 )
-from .mesh import Grid, State
+from .mesh import ConfigurationError, Grid, State
 from .solver import (
     SourceTerms,
     diffusion_apply,
@@ -318,12 +323,75 @@ def state_errors(case: MmsCase, state: State):
     return out
 
 
+# Values per source array in one block of time levels: a run on n cells
+# evaluates max(1, _SOURCE_BLOCK // (n + 1)) levels per source call.
+_SOURCE_BLOCK = 4096
+
+
+class _BlockSources(SourceTerms):
+    """A case's sources at known time levels, a block of levels per call.
+
+    A fixed-dt run knows every level its steps will sample before the
+    first one.  Each source is called once per block with a (k, 1) time
+    column and broadcasts it against the grid array into (k, n) rows;
+    every operation is elementwise, so each row holds the bits of a call
+    at that one level.  sample serves read-only rows while it is asked
+    for the run's own grid arrays at the next level in order.  Anything
+    else (a halved dt after a rejection, every level after it, another
+    grid) is evaluated for that one level and builds no block.
+    """
+
+    def __init__(self, case: MmsCase, grid: Grid, levels):
+        super().__init__(
+            s_v=case.source_v, s_u=case.source_u, s_theta=case.source_theta, s_z=case.source_z
+        )
+        self._grid = grid
+        self._levels = levels
+        self._size = max(1, _SOURCE_BLOCK // grid.edges.size)
+        self._next = 0  # index of the level the next step asks for
+        self._block = ()  # (s_v, s_u, s_theta, s_z), each (k, n)
+
+    def sample(self, x_cells, x_edges, t):
+        i = self._next
+        if not (
+            x_cells is self._grid.cell_centers
+            and x_edges is self._grid.edges
+            and i < len(self._levels)
+            and t == self._levels[i]
+        ):
+            return super().sample(x_cells, x_edges, t)
+        # Levels are served in order from the first, so blocks start at
+        # multiples of the block size.
+        row = i % self._size
+        if row == 0:
+            self._block = ()  # dropped first, so two blocks are never held at once
+            times = np.array(self._levels[i : i + self._size]).reshape(-1, 1)
+            self._block = super().sample(x_cells, x_edges, times)
+            for values in self._block:
+                values.setflags(write=False)
+        self._next = i + 1
+        return tuple(values[row] for values in self._block)
+
+
 def run_mms(case: MmsCase, n_cells: int, t_end: float, n_steps: int):
-    """Integrate the sourced system and return (per-field errors, state)."""
+    """Integrate the sourced system and return (per-field errors, state).
+
+    The step size t_end/n_steps is fixed, so the sources are evaluated a
+    block of time levels at a time (_BlockSources), with the same bits
+    as one level at a time.
+    """
+    if n_steps < 1:
+        raise ConfigurationError(f"n_steps must be >= 1, got {n_steps}")
     config = RunConfig(params=case.params, n_cells=n_cells, t_end=t_end)
     state = case.initial_state(n_cells)
-    sources = case.sources()
     dt = t_end / n_steps
+    # The same additions step makes, so each level is its t_new bit for bit.
+    levels = []
+    t = state.t
+    for _ in range(n_steps):
+        t = t + dt
+        levels.append(t)
+    sources = _BlockSources(case, state.grid, levels)
     for _ in range(n_steps):
         state, _ = step(state, case.params, config, sources=sources, dt=dt)
     return state_errors(case, state), state

@@ -5,7 +5,9 @@ snapshot files are hashed, and so is the summary of the shipped
 sweep at one and at two jobs.  The shipped configs all use conductivity
 model A and no sources, so the final states of two small manufactured-
 solution runs (trig: model A; tanh: model B, reaction and gravity) are
-hashed too.  The shipped configs have at most 128 cells, so their
+hashed too, and so is the stdout of `rrgas mms` at two levels, whose
+runs span several source blocks and the temporal study's longer
+step counts.  The shipped configs have at most 128 cells, so their
 snapshots are written inline; a 4096-cell reacting run pins the
 snapshots that `rrgas run` hands to its helper process.  A change that keeps every output bit (a
 speed-up, a refactor) leaves these hashes alone; a change that moves
@@ -61,6 +63,13 @@ MMS_GOLDEN = {
 }
 
 
+# MMS case -> SHA-256 of the stdout of `rrgas mms <case> --levels 2`
+MMS_STDOUT_GOLDEN = {
+    "tanh": "55fa719eb005cf996d75377b5450535ec175f0f2bd4633d0f4092f4e56edde22",
+    "trig": "f760f921394304e55218c1073a330bf22c1cd17999083e545cca84840771deb6",
+}
+
+
 # SHA-256 of summary.csv for configs/sweep_example.ini, any --jobs
 SWEEP_GOLDEN = "19a2abb5949e8cb8f852aaaf5d1171812206e0d21181826aa09a1d09f676cb10"
 
@@ -104,6 +113,13 @@ def test_mms_final_state_is_byte_identical(name):
     for field in (state.v, state.u, state.theta, state.z):
         h.update(field.tobytes())
     assert h.hexdigest() == MMS_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(MMS_STDOUT_GOLDEN))
+def test_mms_table_is_byte_identical(name, capsys):
+    assert main(["mms", name, "--levels", "2"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == MMS_STDOUT_GOLDEN[name]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

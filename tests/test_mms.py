@@ -5,17 +5,21 @@ integrated, then the discrete stencils against grid refinement."""
 import numpy as np
 import pytest
 
+import rrgas.mms
+import rrgas.solver
 from rrgas.constitutive import (
     conductivity,
     internal_energy,
     pressure,
     reaction_rate,
 )
-from rrgas.mesh import Grid
+from rrgas.mesh import ConfigurationError, Grid
 from rrgas.mms import (
+    _SOURCE_BLOCK,
     CASES,
     Field,
     MmsCase,
+    _BlockSources,
     _cosine,
     _grid_memo,
     _sine,
@@ -28,6 +32,7 @@ from rrgas.mms import (
     state_errors,
     temporal_study,
 )
+from rrgas.solver import StepRejection
 
 H = 1e-5  # central-difference step for the oracle derivatives
 X_SAMPLES = (0.13, 0.41, 0.77)
@@ -140,19 +145,119 @@ def test_shape_memo_holds_two_entries_across_grids():
 
 # ---------------------------------------------------- one source path
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_run_mms_calls_each_source_once_per_step(name, monkeypatch):
-    calls = dict.fromkeys(("source_v", "source_u", "source_theta", "source_z"), 0)
-    for attr in calls:
+SOURCE_NAMES = ("source_v", "source_u", "source_theta", "source_z")
+
+
+@pytest.fixture
+def source_times(monkeypatch):
+    """Source name -> the t argument of every call, as the call passed it."""
+    times = {attr: [] for attr in SOURCE_NAMES}
+    for attr in SOURCE_NAMES:
         fn = getattr(MmsCase, attr)
 
-        def counted(self, x, t, fn=fn, attr=attr):
-            calls[attr] += 1
+        def recorded(self, x, t, fn=fn, attr=attr):
+            times[attr].append(t)
             return fn(self, x, t)
 
-        monkeypatch.setattr(MmsCase, attr, counted)
+        monkeypatch.setattr(MmsCase, attr, recorded)
+    return times
+
+
+def accumulated_levels(t_end, n_steps):
+    """The t_new of each fixed-dt step, by the additions step makes."""
+    dt = t_end / n_steps
+    levels = []
+    t = 0.0
+    for _ in range(n_steps):
+        t = t + dt
+        levels.append(t)
+    return levels
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_run_mms_evaluates_each_source_once_per_level(name, source_times):
     run_mms(CASES[name](), 16, 0.05, 12)
-    assert calls == dict.fromkeys(calls, 12)
+    levels = set(accumulated_levels(0.05, 12))
+    assert len(levels) == 12
+    n_blocks = -(-12 // max(1, _SOURCE_BLOCK // 17))
+    for attr, calls in source_times.items():
+        assert len(calls) == n_blocks, attr
+        assert sum(np.size(t) for t in calls) == 12, attr
+        assert {float(v) for t in calls for v in np.ravel(t)} == levels, attr
+
+
+@pytest.mark.parametrize("n_cells", [33, 127, 200, 4096])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_block_sources_match_per_level_bits(name, n_cells, source_times):
+    case = CASES[name]()
+    grid = Grid(n_cells)
+    per_block = max(1, _SOURCE_BLOCK // (n_cells + 1))
+    n_levels = 2 * per_block + per_block // 3 + 1  # two full blocks, a partial one
+    levels = accumulated_levels(0.4, n_levels)
+    blocks = _BlockSources(case, grid, levels)
+    reference = case.sources()
+    for t in levels:
+        got = blocks.sample(grid.cell_centers, grid.edges, t)
+        want = reference.sample(grid.cell_centers, grid.edges, t)
+        for g, w in zip(got, want):
+            assert not g.flags.writeable
+            assert g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+    # three block calls per source; the reference made the per-level ones
+    shapes = [np.shape(t) for t in source_times["source_theta"]]
+    assert [s for s in shapes if s] == [(per_block, 1), (per_block, 1), (per_block // 3 + 1, 1)]
+    assert shapes.count(()) == n_levels
+
+
+def test_block_sources_sample_another_grid_per_level(source_times):
+    case = CASES["tanh"]()
+    grid, other = Grid(16), Grid(16)
+    levels = accumulated_levels(0.1, 8)
+    blocks = _BlockSources(case, grid, levels)
+    reference = case.sources()
+    for g, t in ((other, levels[0]), (grid, levels[1]), (grid, 0.5 * levels[0])):
+        got = blocks.sample(g.cell_centers, g.edges, t)
+        want = reference.sample(g.cell_centers, g.edges, t)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    # each was evaluated for its one level, and no block was built
+    assert all(np.ndim(t) == 0 for calls in source_times.values() for t in calls)
+    # the run's own first level is still served from a block
+    blocks.sample(grid.cell_centers, grid.edges, levels[0])
+    assert np.shape(source_times["source_v"][-1]) == (8, 1)
+
+
+@pytest.mark.parametrize("reject_at", [40, 80])  # inside block 2; the last step
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_run_mms_after_a_rejection_matches_per_level_sources(name, reject_at, monkeypatch):
+    def run(per_level):
+        if per_level:
+            monkeypatch.setattr(rrgas.mms, "_BlockSources",
+                                lambda case, grid, levels: case.sources())
+        energy_step = rrgas.solver.energy_step
+        calls = []
+
+        def rejects_once(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == reject_at:  # the first attempt of that step
+                raise StepRejection("newton_stall")
+            return energy_step(*args, **kwargs)
+
+        monkeypatch.setattr(rrgas.solver, "energy_step", rejects_once)
+        _, state = run_mms(CASES[name](), 127, 0.1, 80)
+        monkeypatch.undo()
+        assert len(calls) == 81
+        return state
+
+    blocked, per_level = run(False), run(True)
+    assert blocked.t == per_level.t < 0.1  # one step was taken at dt/2
+    for field in ("v", "u", "theta", "z"):
+        assert getattr(blocked, field).tobytes() == getattr(per_level, field).tobytes()
+
+
+@pytest.mark.parametrize("n_steps", [0, -3])
+def test_run_mms_rejects_step_counts_below_one(n_steps):
+    with pytest.raises(ConfigurationError, match="n_steps"):
+        run_mms(CASES["trig"](), 16, 0.1, n_steps)
 
 
 # ------------------------------------------- source algebra vs FD oracle
