@@ -159,10 +159,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigurationError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SimulationError as exc:

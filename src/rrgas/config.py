@@ -24,7 +24,8 @@ import numpy as np
 from .constitutive import PhysParams
 from .mesh import ConfigurationError, Grid, State, velocity_mean
 
-_FMT = "{:.17g}"
+# The one number format: 17 significant digits round-trip every double.
+NUM_FORMAT = "%.17g"
 
 # kind -> {parameter: default}
 PROFILE_KINDS: dict[str, dict[str, float]] = {
@@ -72,7 +73,7 @@ class Profile:
 
     def serialize(self) -> str:
         parts = [self.kind]
-        parts += [f"{k}={_FMT.format(v)}" for k, v in sorted(self.params.items())]
+        parts += [f"{k}={NUM_FORMAT % v}" for k, v in sorted(self.params.items())]
         return " ".join(parts)
 
     @classmethod
@@ -94,6 +95,10 @@ class Profile:
 
 def constant_profile(value: float) -> Profile:
     return Profile("constant", {"value": value})
+
+
+_RUN_INT_KEYS = ("n_cells", "newton_max_iter", "output_every")
+_RUN_FLOAT_KEYS = ("t_end", "cfl_number", "dt_max", "newton_tol", "v_floor", "theta_floor")
 
 
 @dataclass
@@ -119,7 +124,11 @@ class RunConfig:
         self.validate()
 
     def validate(self) -> None:
-        problems = []
+        problems = [
+            f"{name} must be finite, got {getattr(self, name)}"
+            for name in _RUN_FLOAT_KEYS
+            if not np.isfinite(getattr(self, name))
+        ]
         if not self.n_cells >= 4:
             problems.append(f"n_cells must be >= 4, got {self.n_cells}")
         if not self.t_end > 0.0:
@@ -153,10 +162,8 @@ def init_state(config: RunConfig) -> State:
     return state
 
 
-_RUN_INT_KEYS = ("n_cells", "newton_max_iter", "output_every")
-_RUN_FLOAT_KEYS = ("t_end", "cfl_number", "dt_max", "newton_tol", "v_floor", "theta_floor")
 _PROFILE_KEYS = {"v": "v_profile", "u": "u_profile", "theta": "theta_profile", "z": "z_profile"}
-_PHYS_FLOAT_KEYS = tuple(
+PHYS_FLOAT_KEYS = tuple(
     f.name for f in dataclass_fields(PhysParams) if f.name != "cond_model"
 )
 
@@ -165,14 +172,18 @@ def _parser() -> configparser.ConfigParser:
     return configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse INI text into a validated RunConfig."""
+def read_ini(text: str) -> configparser.ConfigParser:
+    """Read INI text with the config syntax; a syntax error is a ConfigurationError."""
     cp = _parser()
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigurationError(f"config parse error: {exc}") from exc
+    return cp
 
+
+def build_config(cp: configparser.ConfigParser) -> RunConfig:
+    """A validated RunConfig from the sections of a read_ini result."""
     known_sections = {"run", "physics", "initial"}
     unknown = set(cp.sections()) - known_sections
     if unknown:
@@ -199,7 +210,7 @@ def parse_config(text: str) -> RunConfig:
         for key, raw in cp.items("physics"):
             if key == "cond_model":
                 phys_kwargs[key] = raw.strip()
-            elif key in _PHYS_FLOAT_KEYS:
+            elif key in PHYS_FLOAT_KEYS:
                 try:
                     phys_kwargs[key] = float(raw)
                 except ValueError as exc:
@@ -222,6 +233,11 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(params=params, **run_kwargs)
 
 
+def parse_config(text: str) -> RunConfig:
+    """Parse INI text into a validated RunConfig."""
+    return build_config(read_ini(text))
+
+
 def load_config(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
@@ -234,10 +250,10 @@ def serialize_config(config: RunConfig) -> str:
     for key in _RUN_INT_KEYS:
         cp.set("run", key, str(getattr(config, key)))
     for key in _RUN_FLOAT_KEYS:
-        cp.set("run", key, _FMT.format(getattr(config, key)))
+        cp.set("run", key, NUM_FORMAT % getattr(config, key))
     cp.add_section("physics")
-    for key in _PHYS_FLOAT_KEYS:
-        cp.set("physics", key, _FMT.format(getattr(config.params, key)))
+    for key in PHYS_FLOAT_KEYS:
+        cp.set("physics", key, NUM_FORMAT % getattr(config.params, key))
     cp.set("physics", "cond_model", config.params.cond_model)
     cp.add_section("initial")
     for key, attr in _PROFILE_KEYS.items():

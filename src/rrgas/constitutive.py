@@ -17,7 +17,7 @@ solver.volume_step, the explicit reference step and read_snapshot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,8 +52,15 @@ class PhysParams:
         self.validate()
 
     def validate(self) -> None:
-        """Check every bound and raise one error listing all violations."""
-        problems = []
+        """Check every bound and raise one error listing all violations.
+
+        Every constant but cond_model must be finite.
+        """
+        problems = [
+            f"{f.name} must be finite, got {getattr(self, f.name)}"
+            for f in fields(self)
+            if f.name != "cond_model" and not np.isfinite(getattr(self, f.name))
+        ]
         for name in ("mu", "d_diff", "cv", "r_gas", "a_rad", "a_act"):
             if not getattr(self, name) > 0.0:
                 problems.append(f"{name} must be > 0, got {getattr(self, name)}")
@@ -71,8 +78,6 @@ class PhysParams:
             )
         if self.cond_model not in ("A", "B"):
             problems.append(f"cond_model must be 'A' or 'B', got {self.cond_model!r}")
-        if not np.isfinite(self.p_ext):
-            problems.append(f"p_ext must be finite, got {self.p_ext}")
         if problems:
             raise ValueError("invalid physical parameters: " + "; ".join(problems))
 

@@ -23,7 +23,8 @@ class Grid:
     """Uniform mass mesh: n_cells cells of mass dx = 1/n_cells.
 
     The sample arrays cell_centers and edges are read-only, so a
-    function of them can be cached against the array itself (mms does).
+    function of them can be cached against the array itself: mms
+    serves block-evaluated sources while it is asked for these arrays.
     """
 
     def __init__(self, n_cells: int):

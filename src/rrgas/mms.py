@@ -16,7 +16,8 @@ boundary stress, heat-flux and species-flux conditions hold exactly.
 The source methods broadcast: called with a (k, 1) column of times
 against a grid array, they return (k, n) rows, each bit-identical to
 the call at its one time.  run_mms steps with a fixed dt and uses this
-to evaluate the sources a block of time levels at a time.
+to evaluate the sources, and the shapes inside them, a block of time
+levels at a time; nothing is cached across blocks.
 """
 
 from __future__ import annotations
@@ -69,34 +70,6 @@ class Field:
         return self.amp * self._s(x) * self._df(t)
 
 
-def _grid_memo(fn):
-    """fn, served from its last two results when called again on the same
-    read-only array.
-
-    The spatial shapes are called with a grid's cell_centers or edges
-    many times per step; both are read-only (Grid) and live for the
-    whole run, so identity is a sound key and each is evaluated once.
-    Two entries hold one grid's two arrays.  Anything else (a scalar, a
-    writable array, a view) is evaluated every time.  Cached values are
-    read-only too.
-    """
-    entries = []  # (array, fn(array)), newest first
-
-    def memoized(x):
-        if not (isinstance(x, np.ndarray) and x.flags.owndata and not x.flags.writeable):
-            return fn(x)
-        for key, value in entries:
-            if key is x:
-                return value
-        value = fn(x)
-        value.setflags(write=False)
-        entries[:] = [(x, value), *entries[:1]]
-        return value
-
-    memoized.entries = entries
-    return memoized
-
-
 def _trig_shape():
     def s(x):
         return np.sin(np.pi * x) ** 2
@@ -107,7 +80,7 @@ def _trig_shape():
     def dss(x):
         return 2.0 * np.pi**2 * np.cos(2.0 * np.pi * x)
 
-    return _grid_memo(s), _grid_memo(ds), _grid_memo(dss)
+    return s, ds, dss
 
 
 def _tanh_shape(c: float):
@@ -129,7 +102,7 @@ def _tanh_shape(c: float):
         sech2 = 1.0 - th**2
         return 2.0 * sech2 * ((sech2 - 2.0 * th**2) * gp**2 + th * gpp)
 
-    return _grid_memo(s), _grid_memo(ds), _grid_memo(dss)
+    return s, ds, dss
 
 
 def _cosine(omega: float):

@@ -1,11 +1,12 @@
 """On-disk formats: diagnostics CSV, snapshots, failure manifests.
 
-Everything numeric is serialized with 17 significant digits (`_NUM`),
-which round-trips IEEE doubles exactly; rereading a snapshot reproduces
-the state bit for bit.  The table writers format a whole row, or a
-block of rows, with one `%`-template; the bytes are those of `fmt`.  A
-run is identified by a short hash of its fully serialized
-configuration, so the id is stable across processes and machines.
+Everything numeric is serialized with 17 significant digits
+(`config.NUM_FORMAT`), which round-trips IEEE doubles exactly;
+rereading a snapshot reproduces the state bit for bit.  The table
+writers format a whole row, or a block of rows, with one `%`-template;
+the bytes are those of `fmt`.  A run is identified by a short hash of
+its fully serialized configuration, so the id is stable across
+processes and machines.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import signal
 
 import numpy as np
 
-from .config import RunConfig, serialize_config
+from .config import NUM_FORMAT, RunConfig, serialize_config
 from .constitutive import PhysParams
 from .diagnostics import DiagnosticsRecord
 from .mesh import ConfigurationError, Grid, State, physical_coordinates
@@ -28,17 +29,14 @@ DIAG_COLUMNS = tuple(f.name for f in dataclasses.fields(DiagnosticsRecord))
 
 SNAPSHOT_COLUMNS = ("i", "x_center", "y_center", "v", "theta", "z", "u_left_edge")
 
-# The one number format: 17 significant digits.
-_NUM = "%.17g"
-
-_DIAG_ROW = ",".join([_NUM] * len(DIAG_COLUMNS)) + "\n"
+_DIAG_ROW = ",".join([NUM_FORMAT] * len(DIAG_COLUMNS)) + "\n"
 _diag_values = operator.attrgetter(*DIAG_COLUMNS)
 
 # Snapshot rows are formatted this many at a time: a whole 4096-cell
 # table in one template peaks at about 2 MB of transient memory,
 # 256-row blocks at about 0.4 MB, at the same speed.
 _SNAPSHOT_BLOCK = 256
-_SNAPSHOT_ROW = "%d" + ("," + _NUM) * (len(SNAPSHOT_COLUMNS) - 1) + "\n"
+_SNAPSHOT_ROW = "%d" + ("," + NUM_FORMAT) * (len(SNAPSHOT_COLUMNS) - 1) + "\n"
 
 # Tables of more rows than this go to a SnapshotWriter's helper process,
 # if the caller has one; smaller ones are written inline.  Measured as
@@ -55,7 +53,7 @@ _CAN_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 def fmt(x: float) -> str:
-    return _NUM % float(x)
+    return NUM_FORMAT % float(x)
 
 
 def run_id(config: RunConfig) -> str:

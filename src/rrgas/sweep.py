@@ -12,24 +12,17 @@ final state alone, so the extrema are those of the final state.
 
 from __future__ import annotations
 
-import configparser
 import dataclasses
-import io
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig, init_state, parse_config
-from .constitutive import PhysParams
+from .config import PHYS_FLOAT_KEYS, RunConfig, build_config, init_state, read_ini
 from .driver import run_simulation
 from .mesh import ConfigurationError, width
 from .output import fmt
-
-_SWEEPABLE = tuple(
-    f.name for f in dataclasses.fields(PhysParams) if f.name != "cond_model"
-)
 
 
 @dataclass
@@ -49,31 +42,21 @@ class SweepRow:
 
 def load_manifest(path):
     """Returns (base RunConfig, ordered list of (param, values) pairs)."""
-    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cp.read_file(fh)
-    except configparser.Error as exc:
-        raise ConfigurationError(f"manifest parse error: {exc}") from exc
+    with open(path, "r", encoding="utf-8") as fh:
+        cp = read_ini(fh.read())
 
     items = []
     if cp.has_section("sweep"):
         for key, raw in cp.items("sweep"):
-            if key not in _SWEEPABLE:
+            if key not in PHYS_FLOAT_KEYS:
                 raise ConfigurationError(f"cannot sweep over {key!r}")
             try:
                 values = [float(part) for part in raw.split(",")]
             except ValueError as exc:
                 raise ConfigurationError(f"[sweep] {key} must be comma-separated numbers") from exc
-            if not values:
-                raise ConfigurationError(f"[sweep] {key} lists no values")
             items.append((key, values))
         cp.remove_section("sweep")
-
-    buf = io.StringIO()
-    cp.write(buf)
-    base = parse_config(buf.getvalue())
-    return base, items
+    return build_config(cp), items
 
 
 def expand(base: RunConfig, items):

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import multiprocessing
 import pathlib
 
 import pytest
 
+from rrgas.cli import main
 from rrgas.config import load_config
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -22,6 +25,23 @@ def shipped_config():
         return load_config(CONFIGS_DIR / f"{name}.ini")
 
     return load
+
+
+@pytest.fixture(scope="session")
+def mms_table():
+    """(exit code, stdout) of `rrgas mms <case> --levels 2`, computed once
+    per case and session: the layout and golden-hash tests share it."""
+    tables = {}
+
+    def run(case):
+        if case not in tables:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["mms", case, "--levels", "2"])
+            tables[case] = (code, out.getvalue())
+        return tables[case]
+
+    return run
 
 
 @pytest.fixture(autouse=True)

@@ -137,6 +137,20 @@ def test_run_rejects_invalid_config(tmp_path, capsys):
     assert not out.exists()  # rejected before any file was created
 
 
+@pytest.mark.parametrize("section,key", [
+    ("run", "t_end"), ("run", "newton_tol"), ("physics", "mu"), ("physics", "k_rate"),
+    ("physics", "d_diff"),
+])
+def test_run_rejects_nonfinite_constant(section, key, tmp_path, capsys):
+    ini = tmp_path / "inf.ini"
+    ini.write_text(f"[{section}]\n{key} = inf\n")
+    out = tmp_path / "out"
+    code = main(["run", str(ini), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert f"{key} must be finite, got inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_missing_file_is_io_error(tmp_path, capsys):
     code = main(["run", str(tmp_path / "absent.ini"), "--out", str(tmp_path / "out")])
     assert code == EXIT_IO
@@ -296,10 +310,10 @@ def test_sweep_rejects_zero_jobs(configs_dir, tmp_path, capsys):
 
 # ------------------------------------------------------------------ mms
 
-def test_mms_table_layout(capsys):
-    code = main(["mms", "trig", "--levels", "2"])
+def test_mms_table_layout(mms_table):
+    code, out = mms_table("trig")
     assert code == EXIT_OK
-    lines = capsys.readouterr().out.splitlines()
+    lines = out.splitlines()
     assert lines[0] == "study,case,field,level,n_cells,n_steps,error_l2,error_linf,order"
     spatial = [ln for ln in lines[1:] if ln.startswith("spatial,")]
     temporal = [ln for ln in lines[1:] if ln.startswith("temporal,")]

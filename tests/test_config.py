@@ -138,6 +138,20 @@ def test_parse_rejects_bad_physics():
         parse_config("[physics]\nkappa1 = 2.0\nkappa2 = 1.0\n")
 
 
+def test_parse_rejects_nonfinite_values_listing_each():
+    with pytest.raises(ConfigurationError) as info:
+        parse_config("[run]\nt_end = inf\nnewton_tol = nan\n")
+    message = str(info.value)
+    assert "t_end must be finite, got inf" in message
+    assert "newton_tol must be finite, got nan" in message
+
+    with pytest.raises(ConfigurationError) as info:
+        parse_config("[physics]\nmu = inf\nkappa1 = inf\nkappa2 = inf\np_ext = -inf\n")
+    message = str(info.value)
+    for name, value in (("mu", "inf"), ("kappa1", "inf"), ("kappa2", "inf"), ("p_ext", "-inf")):
+        assert f"{name} must be finite, got {value}" in message
+
+
 def test_parse_accepts_flagged_rate_exponent():
     # beta >= q+9 runs are allowed; only the support flag flips.
     cfg = parse_config("[physics]\nbeta = 11.0\nq_cond = 2.0\n")

@@ -116,9 +116,9 @@ def test_mms_final_state_is_byte_identical(name):
 
 
 @pytest.mark.parametrize("name", sorted(MMS_STDOUT_GOLDEN))
-def test_mms_table_is_byte_identical(name, capsys):
-    assert main(["mms", name, "--levels", "2"]) == EXIT_OK
-    out = capsys.readouterr().out
+def test_mms_table_is_byte_identical(name, mms_table):
+    code, out = mms_table(name)
+    assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == MMS_STDOUT_GOLDEN[name]
 
 

@@ -21,7 +21,6 @@ from rrgas.mms import (
     MmsCase,
     _BlockSources,
     _cosine,
-    _grid_memo,
     _sine,
     _tanh_shape,
     _trig_shape,
@@ -77,70 +76,6 @@ def test_field_composition():
     assert f.dx(x, t) == 0.5 * ds(x) * np.cos(2.0 * t)
     assert f.dxx(x, t) == 0.5 * dss(x) * np.cos(2.0 * t)
     assert f.dt(x, t) == 0.5 * s(x) * (-2.0 * np.sin(2.0 * t))
-
-
-# ------------------------------------------------ shape memo on grids
-
-SHAPES = {"trig": _trig_shape, "tanh": lambda: _tanh_shape(6.0)}
-
-
-@pytest.mark.parametrize("name", sorted(SHAPES))
-def test_memoized_shapes_match_bare_bits_on_grid_arrays(name):
-    grid = Grid(16)
-    for shape in SHAPES[name]():
-        for x in (grid.cell_centers, grid.edges):
-            bare = shape(x.copy())  # a writable array is always evaluated
-            first = shape(x)
-            assert first.tobytes() == bare.tobytes()
-            assert shape(x) is first
-            assert not first.flags.writeable
-
-
-def test_shape_memo_evaluates_uncacheable_inputs():
-    calls = []
-
-    def square(x):
-        calls.append(x)
-        return x * x
-
-    memo = _grid_memo(square)
-    grid = Grid(8)
-    memo(grid.cell_centers)
-    assert len(calls) == 1
-
-    writable = grid.cell_centers.copy()
-    memo(writable)
-    writable[0] = 3.0
-    assert memo(writable)[0] == 9.0
-
-    copy = grid.cell_centers.copy()
-    copy.setflags(write=False)
-    assert memo(copy) is not memo(grid.cell_centers)
-
-    base = grid.cell_centers.copy()
-    view = base[:]
-    view.setflags(write=False)
-    memo(view)
-    base[0] = 2.0  # a read-only view of writable memory can still change
-    assert memo(view)[0] == 4.0
-
-    assert memo(0.5) == 0.25
-    assert memo(np.float64(0.5)) == 0.25
-
-    # the grid array was evaluated once, everything else on every call
-    assert sum(c is grid.cell_centers for c in calls) == 1
-    assert len(calls) == 8
-    assert len(memo.entries) == 2  # the grid array and the read-only copy
-
-
-def test_shape_memo_holds_two_entries_across_grids():
-    case = CASES["tanh"]()
-    spatial_study(case, levels=3, t_end=0.01, base_cells=8, base_steps=2)
-    for field in (case.v, case.u, case.theta, case.z):
-        for shape in (field._s, field._ds, field._dss):
-            assert 1 <= len(shape.entries) <= 2
-            for key, _ in shape.entries:
-                assert key.size in (32, 33)  # the finest grid's cells and edges
 
 
 # ---------------------------------------------------- one source path

@@ -1,5 +1,6 @@
 """Sweep manifests: expansion order, execution, summary format."""
 
+import pathlib
 import struct
 
 import numpy as np
@@ -8,9 +9,12 @@ import pytest
 import rrgas.driver
 import rrgas.sweep
 from rrgas.cli import EXIT_CONFIG, main
+from rrgas.config import load_config
 from rrgas.driver import run_simulation
 from rrgas.mesh import ConfigurationError
 from rrgas.sweep import expand, load_manifest, run_one, run_sweep
+
+CONFIGS_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 BASE = """\
 [run]
@@ -70,6 +74,26 @@ def test_manifest_rejects_unknown_sweep_key(tmp_path):
 def test_manifest_rejects_non_numeric_values(tmp_path):
     path = write_manifest(tmp_path, "[sweep]\np_ext = 0.1, fast\n\n")
     with pytest.raises(ConfigurationError, match="comma-separated"):
+        load_manifest(path)
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in CONFIGS_DIR.glob("*.ini") if "[sweep]" not in p.read_text()),
+    ids=lambda p: p.stem,
+)
+def test_plain_config_loads_as_single_run_manifest(path):
+    assert load_manifest(path) == (load_config(path), [])  # dataclass equality
+
+
+@pytest.mark.parametrize("text,match", [
+    ("[sweep]\nbeta = 1.0\n[run\n", "config parse error"),
+    ("[sweep]\nbeta = 1.0\n\n[outputs]\nevery = 2\n", "outputs"),
+], ids=["syntax", "unknown-section"])
+def test_manifest_rejects_what_a_config_rejects(tmp_path, text, match):
+    path = tmp_path / "manifest.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError, match=match):
         load_manifest(path)
 
 
@@ -145,6 +169,15 @@ def test_expand_names_the_member_out_of_range(tmp_path):
     message = str(info.value)
     assert message.startswith("sweep member 1 (kappa1=2.0): ")
     assert "kappa1 <= kappa2" in message
+
+
+def test_expand_names_the_member_with_a_nonfinite_value(tmp_path):
+    base, items = load_manifest(write_manifest(tmp_path, "[sweep]\nbeta = 1.0, inf\n\n"))
+    with pytest.raises(ConfigurationError) as info:
+        expand(base, items)
+    message = str(info.value)
+    assert message.startswith("sweep member 1 (beta=inf): ")
+    assert "beta must be finite, got inf" in message
 
 
 def test_sweep_cli_rejects_member_out_of_range(tmp_path, capsys):
