@@ -6,6 +6,12 @@ norm with its accumulated diffusion and reaction quadratures, slab
 width, and discrete momentum.  Quadrature is the midpoint rule on
 cells, matching the finite-volume semantics of the solver, so identity
 residuals measure splitting error only.
+
+record builds the rows for a block of states at once, over stacked
+(K, N) fields: below about 1000 cells a row is call overhead, not
+arithmetic.  Each functional is one private kernel over a trailing cell
+axis, shared by record and by the per-state public functions, so a row
+has the same bits whichever way it is built.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constitutive import PhysParams, heat_conductivity, internal_energy, reaction_rate
-from .mesh import State, velocity_mean, width
+from .mesh import State
 from .solver import StepReport
 
 
@@ -54,6 +60,51 @@ class DiagnosticsRecord:
     momentum: float
 
 
+# Kernels: the cell (or edge) axis is the last one; one value per
+# leading index.
+
+def _total_energy(u, v, theta, z, grid, params: PhysParams):
+    x = grid.cell_centers
+    kinetic = 0.25 * (u[..., :-1] ** 2 + u[..., 1:] ** 2)
+    density = (
+        kinetic
+        + internal_energy(v, theta, params)
+        + params.lambda_heat * z
+        + 0.5 * params.g_grav * x * (1.0 - x) * v
+        + params.p_ext * v
+    )
+    return density.sum(axis=-1) * grid.dx
+
+
+def _entropy_U(v, theta, dx, params: PhysParams):
+    density = params.cv * (theta - 1.0 - np.log(theta)) + params.r_gas * (
+        v - 1.0 - np.log(v)
+    )
+    return density.sum(axis=-1) * dx
+
+
+def _dissipation_V(u, v, theta, z, dx, params: PhysParams):
+    dudx = (u[..., 1:] - u[..., :-1]) / dx
+    out = params.mu * dudx**2 / (v * theta)
+    out = out + params.lambda_heat * reaction_rate(v, theta, params) * np.power(
+        z, params.m_order
+    ) / theta
+    total = out.sum(axis=-1) * dx
+
+    if v.shape[-1] >= 2:
+        dthdx = (theta[..., 1:] - theta[..., :-1]) / dx
+        kappa = heat_conductivity(v, theta, params)
+        v_m = 0.5 * (v[..., :-1] + v[..., 1:])
+        th_m = 0.5 * (theta[..., :-1] + theta[..., 1:])
+        k_m = 0.5 * (kappa[..., :-1] + kappa[..., 1:])
+        total = total + (k_m * dthdx**2 / (v_m * th_m**2)).sum(axis=-1) * dx
+    return total
+
+
+def _z_squared_norm(z, dx):
+    return 0.5 * ((z**2).sum(axis=-1) * dx)
+
+
 def total_energy(state: State, params: PhysParams) -> float:
     """Energy functional: kinetic + internal + bound species heat
     + gravitational potential + boundary compression work.
@@ -62,26 +113,12 @@ def total_energy(state: State, params: PhysParams) -> float:
     (u_i^2 + u_{i+1}^2)/4; any consistent assignment shifts E by
     O(dx^2), this one is the frozen regression choice.
     """
-    grid = state.grid
-    x = grid.cell_centers
-    kinetic = 0.25 * (state.u[:-1] ** 2 + state.u[1:] ** 2)
-    density = (
-        kinetic
-        + internal_energy(state.v, state.theta, params)
-        + params.lambda_heat * state.z
-        + 0.5 * params.g_grav * x * (1.0 - x) * state.v
-        + params.p_ext * state.v
-    )
-    return float(density.sum() * grid.dx)
+    return float(_total_energy(state.u, state.v, state.theta, state.z, state.grid, params))
 
 
 def entropy_U(state: State, params: PhysParams) -> float:
     """Nonnegative distance from the (v, theta) = (1, 1) rest state."""
-    v, theta = state.v, state.theta
-    density = params.cv * (theta - 1.0 - np.log(theta)) + params.r_gas * (
-        v - 1.0 - np.log(v)
-    )
-    return float(density.sum() * state.grid.dx)
+    return float(_entropy_U(state.v, state.theta, state.grid.dx, params))
 
 
 def dissipation_V(state: State, params: PhysParams) -> float:
@@ -90,31 +127,12 @@ def dissipation_V(state: State, params: PhysParams) -> float:
     Velocity gradients live on cells, temperature gradients at interior
     interfaces with v, kappa, theta averaged arithmetically there.
     """
-    grid = state.grid
-    dx = grid.dx
-    v, theta, z = state.v, state.theta, state.z
-
-    u = state.u
-    dudx = (u[1:] - u[:-1]) / dx
-    out = params.mu * dudx**2 / (v * theta)
-    out = out + params.lambda_heat * reaction_rate(v, theta, params) * np.power(
-        z, params.m_order
-    ) / theta
-    total = float(out.sum() * dx)
-
-    if grid.n_cells >= 2:
-        dthdx = (theta[1:] - theta[:-1]) / dx
-        kappa = heat_conductivity(v, theta, params)
-        v_m = 0.5 * (v[:-1] + v[1:])
-        th_m = 0.5 * (theta[:-1] + theta[1:])
-        k_m = 0.5 * (kappa[:-1] + kappa[1:])
-        total += float((k_m * dthdx**2 / (v_m * th_m**2)).sum() * dx)
-    return total
+    return float(_dissipation_V(state.u, state.v, state.theta, state.z, state.grid.dx, params))
 
 
 def z_squared_norm(state: State) -> float:
     """Half the integral of z^2, the decaying part of the z balance."""
-    return 0.5 * float((state.z**2).sum() * state.grid.dx)
+    return float(_z_squared_norm(state.z, state.grid.dx))
 
 
 def z_balance_residual(records) -> float:
@@ -135,26 +153,40 @@ def z_balance_residual(records) -> float:
     )
 
 
-def record(
-    state: State,
-    params: PhysParams,
-    accumulators: BalanceAccumulators,
-    dt: float = 0.0,
-) -> DiagnosticsRecord:
-    """Assemble one diagnostics row for the current state."""
-    return DiagnosticsRecord(
-        t=state.t,
-        dt=dt,
-        e_total=total_energy(state, params),
-        u_entropy=entropy_U(state, params),
-        v_dissipation=dissipation_V(state, params),
-        z_l2=z_squared_norm(state),
-        z_diff_accum=accumulators.z_diff,
-        z_react_accum=accumulators.z_react,
-        width=width(state),
-        min_v=float(state.v.min()),
-        min_theta=float(state.theta.min()),
-        min_z=float(state.z.min()),
-        max_z=float(state.z.max()),
-        momentum=velocity_mean(state),
+def record(block, params: PhysParams) -> list[DiagnosticsRecord]:
+    """Diagnostics rows for a block of states on one grid, in order.
+
+    Each entry of block is (state, dt, z_diff, z_react): the state, the
+    step that reached it and the balance accumulators after that step.
+    The functionals are evaluated once over the stacked (K, N) fields.
+    A row is bitwise the one the per-state functions give: the
+    elementwise expressions are the same, and numpy sums each contiguous
+    row with the same pairwise sum as a 1-D array.
+    """
+    states, dts, z_diffs, z_reacts = zip(*block)
+    # np.stack copies; one state, the large-grid case, is viewed as (1, N)
+    stack = np.stack if len(states) > 1 else (lambda arrays: arrays[0][None])
+    v = stack([s.v for s in states])
+    theta = stack([s.theta for s in states])
+    z = stack([s.z for s in states])
+    u = stack([s.u for s in states])
+    grid = states[0].grid
+    dx = grid.dx
+    columns = (
+        [s.t for s in states],
+        dts,
+        _total_energy(u, v, theta, z, grid, params).tolist(),
+        _entropy_U(v, theta, dx, params).tolist(),
+        _dissipation_V(u, v, theta, z, dx, params).tolist(),
+        _z_squared_norm(z, dx).tolist(),
+        z_diffs,
+        z_reacts,
+        # mesh.width and mesh.velocity_mean, per row
+        (v.sum(axis=-1) * dx).tolist(),
+        v.min(axis=-1).tolist(),
+        theta.min(axis=-1).tolist(),
+        z.min(axis=-1).tolist(),
+        z.max(axis=-1).tolist(),
+        np.trapezoid(u, dx=dx, axis=-1).tolist(),
     )
+    return [DiagnosticsRecord(*row) for row in zip(*columns)]

@@ -1,10 +1,11 @@
 """Simulation loop and the scenario-level invariant check.
 
 run_simulation owns the time loop: init, step, accumulate, record (the
-last can be switched off for callers that read only the final state).  It
-never raises for a failed integration, nor for a violated scheme
-invariant; the result says how far it got and why it stopped, so
-callers can still serialize the partial trajectory.
+last, built a block of states at a time, can be switched off for
+callers that read only the final state).  It never raises for a failed
+integration, nor for a violated scheme invariant; the result says how
+far it got and why it stopped, so callers can still serialize the
+partial trajectory.
 
 check_scenario runs a configuration and grades every runtime-checkable
 bound on the recorded trajectory.  The _step_hook argument exists for
@@ -31,6 +32,10 @@ ENERGY_DRIFT_TOL = 2e-2
 Z_BALANCE_TOL = 1e-3
 UV_RUN_CAP = 1e3
 
+# run_simulation builds diagnostics rows for K = max(1, _RECORD_BLOCK //
+# n_cells) states per record call, as mms._SOURCE_BLOCK does for sources.
+_RECORD_BLOCK = 4096
+
 
 @dataclass
 class RunResult:
@@ -55,37 +60,57 @@ def run_simulation(
     a caller that has already built the initial state passes it in.
     on_step(state, report, step_index) runs after each accepted step;
     if it returns a State, that state replaces the current one before
-    it is recorded.  With diagnostics=False no record is built and
-    `records` stays empty; the steps, the balance accumulators, the
-    hook and the failure results are the same, and `state` is always
-    the state the last record would have been built from.
+    it is recorded.  Rows are built a block of states at a time, so a
+    hook must not change a state in place after it has returned; every
+    return path hands over the last, partial block, so `records` holds
+    n_steps + 1 rows whenever run_simulation returns.  With
+    diagnostics=False no record is built and `records` stays empty; the
+    steps, the balance accumulators, the hook and the failure results
+    are the same, and `state` is always the state the last record would
+    have been built from.
     """
     params = config.params
     if state is None:
         state = init_state(config)
     accum = BalanceAccumulators()
-    records = [record(state, params, accum, dt=0.0)] if diagnostics else []
+    records = []
+    pending = []  # (state, dt, z_diff, z_react) awaiting their rows
+    block = max(1, _RECORD_BLOCK // state.grid.n_cells)
+
+    def keep(kept, dt):
+        if diagnostics:
+            pending.append((kept, dt, accum.z_diff, accum.z_react))
+            if len(pending) == block:
+                records.extend(record(pending, params))
+                pending.clear()
+
+    keep(state, 0.0)
     n_steps = 0
+    completed, error = True, None
     while state.t < config.t_end:
         if n_steps >= max_steps:
-            return RunResult(state, records, False, "step budget exhausted", n_steps)
+            completed, error = False, "step budget exhausted"
+            break
         try:
             state, report = step(state, params, config)
         except SimulationError as exc:
-            last = exc.last_state if exc.last_state is not None else state
-            return RunResult(last, records, False, str(exc), n_steps)
+            if exc.last_state is not None:
+                state = exc.last_state
+            completed, error = False, str(exc)
+            break
         except InvariantViolation as exc:
-            message = f"scheme invariant violated at t={state.t:.6e}: {exc}"
-            return RunResult(state, records, False, message, n_steps)
+            completed, error = False, f"scheme invariant violated at t={state.t:.6e}: {exc}"
+            break
         n_steps += 1
         accum.absorb(report)
         if on_step is not None:
             replacement = on_step(state, report, n_steps)
             if replacement is not None:
                 state = replacement
-        if diagnostics:
-            records.append(record(state, params, accum, dt=report.dt))
-    return RunResult(state, records, True, None, n_steps)
+        keep(state, report.dt)
+    if pending:
+        records.extend(record(pending, params))
+    return RunResult(state, records, completed, error, n_steps)
 
 
 @dataclass

@@ -239,7 +239,9 @@ def _serve(conn, other) -> None:
 def read_snapshot(path):
     """Returns (state, header dict); inverse of write_snapshot.
 
-    Raises ConfigurationError if any specific volume is not finite and > 0.
+    Raises ConfigurationError if any specific volume is not finite and > 0,
+    and ValueError if the file is not a snapshot: a header line missing,
+    a row with the wrong field count, or a row count other than n_cells.
     """
     meta = {}
     rows = []
@@ -266,6 +268,9 @@ def read_snapshot(path):
                 )
             rows.append(fields)
 
+    for key in ("n_cells", "t", "a_pos", "u_last_edge"):
+        if key not in meta:
+            raise ValueError(f"snapshot header has no {key!r} line")
     n = int(meta["n_cells"])
     if len(rows) != n:
         raise ValueError(f"snapshot row count {len(rows)} does not match n_cells {n}")

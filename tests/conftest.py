@@ -7,6 +7,14 @@ import pytest
 
 from rrgas.cli import main
 from rrgas.config import load_config
+from rrgas.diagnostics import (
+    DiagnosticsRecord,
+    dissipation_V,
+    entropy_U,
+    total_energy,
+    z_squared_norm,
+)
+from rrgas.mesh import velocity_mean, width
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIGS_DIR = REPO_ROOT / "configs"
@@ -25,6 +33,32 @@ def shipped_config():
         return load_config(CONFIGS_DIR / f"{name}.ini")
 
     return load
+
+
+@pytest.fixture
+def per_state_row():
+    """Builds one state's diagnostics row from the per-state functionals:
+    the reference that rows built for a block of states must equal."""
+
+    def build(state, params, dt, z_diff, z_react):
+        return DiagnosticsRecord(
+            t=state.t,
+            dt=dt,
+            e_total=total_energy(state, params),
+            u_entropy=entropy_U(state, params),
+            v_dissipation=dissipation_V(state, params),
+            z_l2=z_squared_norm(state),
+            z_diff_accum=z_diff,
+            z_react_accum=z_react,
+            width=width(state),
+            min_v=float(state.v.min()),
+            min_theta=float(state.theta.min()),
+            min_z=float(state.z.min()),
+            max_z=float(state.z.max()),
+            momentum=velocity_mean(state),
+        )
+
+    return build
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 """Diagnostic functionals against hand-evaluated integrals."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rrgas.constitutive import PhysParams
+from rrgas.driver import _RECORD_BLOCK
 from rrgas.diagnostics import (
     BalanceAccumulators,
     DiagnosticsRecord,
@@ -185,7 +187,7 @@ def test_record_collects_extrema():
     s.v[2] = 0.3
     s.theta[1] = 4.0
     s.z[0] = 0.9
-    r = record(s, params(), BalanceAccumulators(z_diff=1.0, z_react=2.0), dt=0.01)
+    [r] = record([(s, 0.01, 1.0, 2.0)], params())
     assert r.min_v == 0.3
     assert r.min_theta == 1.0
     assert r.min_z == 0.5
@@ -194,3 +196,37 @@ def test_record_collects_extrema():
     assert r.z_diff_accum == 1.0
     assert r.z_react_accum == 2.0
     assert r.width == pytest.approx(0.825, rel=1e-15)
+
+
+def bits(rec):
+    return np.array(dataclasses.astuple(rec), dtype=float).tobytes()
+
+
+def random_block(n, length, seed):
+    rng = np.random.default_rng(seed)
+    grid = Grid(n)
+    v, theta = rng.uniform(0.2, 3.0, (2, length, n))
+    z = rng.uniform(0.0, 1.0, (length, n))
+    u = rng.standard_normal((length, n + 1))
+    return [
+        (State(grid, v[k], theta[k], z[k], u[k], t=0.1 * k), 1e-3 * k, 0.5 * k, 0.25 * k)
+        for k in range(length)
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 100, 128, 4096])
+def test_block_rows_equal_per_state_rows(n, per_state_row):
+    # Blocks of length 1, K - 1, K and K + 1, K being the driver's block
+    # at n cells, are prefixes of one block.  Its last state has a cell
+    # at theta <= 0, so the longest block makes reaction_rate mask every
+    # state, while each other state alone takes the unmasked branch.
+    p = params(k_rate=2.0, a_act=1.5, m_order=1.5, beta=2.0, q_cond=1.5,
+               g_grav=0.7, p_ext=0.3, cond_model="B", kappa2=2.0)
+    k = max(1, _RECORD_BLOCK // n)
+    block = random_block(n, k + 1, seed=n)
+    block[k][0].theta[n // 2] = 0.0
+    with np.errstate(all="ignore"):
+        expected = [bits(per_state_row(s, p, *rest)) for s, *rest in block]
+        for length in sorted({1, max(1, k - 1), k, k + 1}):
+            rows = record(block[:length], p)
+            assert [bits(r) for r in rows] == expected[:length], (n, length)

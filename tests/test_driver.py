@@ -1,10 +1,13 @@
 """Simulation loop and scenario grading."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import rrgas.driver
 import rrgas.solver
-from rrgas.config import Profile, RunConfig, load_config
+from rrgas.config import Profile, RunConfig, init_state, load_config
 from rrgas.constitutive import PhysParams
 from rrgas.driver import check_scenario, run_simulation
 
@@ -154,6 +157,57 @@ def test_run_without_diagnostics_takes_the_same_path(case, monkeypatch):
     # the returned state is the one the last record was built from
     assert recorded.records[-1].t == recorded.state.t
     assert recorded.completed == (case in ("completed", "hook"))
+
+
+def bits(rec):
+    return np.array(dataclasses.astuple(rec), dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("case", ["completed", "budget", "rejected", "invariant"])
+def test_rows_come_in_blocks_and_are_complete_on_every_exit(case, monkeypatch, per_state_row):
+    # 4 states per record call on 32 cells.  Every run here ends with a
+    # partly filled block, which the driver must still hand over.
+    block = 4
+    monkeypatch.setattr(rrgas.driver, "_RECORD_BLOCK", block * 32)
+    cfg = bump_config()
+    kwargs = {}
+    if case == "rejected":
+        cfg.v_floor = 2.0
+    elif case == "budget":
+        kwargs["max_steps"] = 5
+    elif case == "invariant":
+        monkeypatch.setattr(
+            rrgas.solver, "species_step",
+            faulty_species_step(rrgas.solver.species_step, []),
+        )
+    sizes = []
+    real_record = rrgas.driver.record
+
+    def sized_record(pending, params):
+        sizes.append(len(pending))
+        return real_record(pending, params)
+
+    monkeypatch.setattr(rrgas.driver, "record", sized_record)
+    seen = []
+    z_diff = z_react = 0.0
+
+    def hook(state, report, index):
+        nonlocal z_diff, z_react
+        z_diff += report.z_diff_increment
+        z_react += report.z_react_increment
+        seen.append((state, report.dt, z_diff, z_react))
+
+    initial = init_state(cfg)
+    result = run_simulation(cfg, state=initial, on_step=hook, **kwargs)
+    assert result.completed == (case == "completed")
+    assert len(result.records) == result.n_steps + 1
+    assert sizes[:-1] == [block] * (len(sizes) - 1)
+    assert 0 < sizes[-1] < block
+    # each row is its own state's, with the accumulators after its step
+    expected = [per_state_row(initial, cfg.params, 0.0, 0.0, 0.0)] + [
+        per_state_row(state, cfg.params, *rest) for state, *rest in seen
+    ]
+    assert [bits(r) for r in result.records] == [bits(r) for r in expected]
 
 
 # ------------------------------------------------------------- check rows

@@ -141,6 +141,16 @@ def test_snapshot_rejects_truncated_file(tmp_path):
         read_snapshot(path)
 
 
+@pytest.mark.parametrize("key", ["n_cells", "t", "a_pos", "u_last_edge"])
+def test_snapshot_rejects_missing_header_line(tmp_path, key):
+    path = tmp_path / "snap.csv"
+    write_snapshot(path, awkward_state(), PhysParams())
+    lines = [ln for ln in path.read_text().splitlines() if not ln.startswith(f"# {key} =")]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"snapshot header has no '{key}' line"):
+        read_snapshot(path)
+
+
 @pytest.mark.parametrize("bad_v", [0.0, -0.25, float("nan"), float("inf")])
 def test_snapshot_rejects_invalid_volume(tmp_path, bad_v):
     s = awkward_state()

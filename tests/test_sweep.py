@@ -129,17 +129,18 @@ def test_run_one_matches_direct_simulation(tmp_path):
 
 
 def test_run_one_builds_no_per_step_record(tmp_path, monkeypatch):
-    calls = []
+    calls = []  # one entry per row built, summed over blocks
     real_record = rrgas.driver.record
 
     def counting_record(*args, **kwargs):
-        calls.append(None)
-        return real_record(*args, **kwargs)
+        rows = real_record(*args, **kwargs)
+        calls.extend(None for _ in rows)
+        return rows
 
     monkeypatch.setattr(rrgas.driver, "record", counting_record)
     base, _ = load_manifest(write_manifest(tmp_path, ""))
     direct = run_simulation(base)
-    assert len(calls) == direct.n_steps + 1  # the counter sees the driver's records
+    assert len(calls) == direct.n_steps + 1  # the counter sees the driver's rows
     calls.clear()
     row = run_one(0, {}, base)
     assert row.classification == "quiescent"
