@@ -28,7 +28,6 @@ from .mms import MmsCase, convergence_order, run_mms, tanh_case, trig_case
 from .solver import (
     InvariantViolation,
     SimulationError,
-    SourceTerms,
     StepReport,
     cfl_dt,
     energy_step,

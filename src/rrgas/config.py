@@ -86,6 +86,8 @@ class Profile:
             if "=" not in tok:
                 raise ConfigurationError(f"malformed profile parameter {tok!r} (expected key=value)")
             key, _, val = tok.partition("=")
+            if key in params:
+                raise ConfigurationError(f"repeated profile parameter {key!r} in {text!r}")
             try:
                 params[key] = float(val)
             except ValueError as exc:
@@ -156,9 +158,9 @@ def init_state(config: RunConfig) -> State:
     theta = config.theta_profile(grid.cell_centers)
     z = config.z_profile(grid.cell_centers)
     u = config.u_profile(grid.edges)
-    u = u - velocity_mean(u, grid.dx)
     state = State(grid, v, theta, z, u, t=0.0, a_pos=0.0)
-    state.require_valid()
+    state.require_valid()  # before the shift, which would spread a non-finite u
+    state.u = u - velocity_mean(u, grid.dx)
     return state
 
 

@@ -8,9 +8,7 @@ far it got and why it stopped, so callers can still serialize the
 partial trajectory.
 
 check_scenario runs a configuration and grades every runtime-checkable
-bound on the recorded trajectory.  The _step_hook argument exists for
-negative-control tests that need to corrupt the state mid-run and see
-the check fail; production callers never pass it.
+bound on the recorded trajectory.
 """
 
 from __future__ import annotations
@@ -58,16 +56,14 @@ def run_simulation(
 
     The run starts from `state`, if given, else from init_state(config);
     a caller that has already built the initial state passes it in.
-    on_step(state, report, step_index) runs after each accepted step;
-    if it returns a State, that state replaces the current one before
-    it is recorded.  Rows are built a block of states at a time, so a
-    hook must not change a state in place after it has returned; every
-    return path hands over the last, partial block, so `records` holds
-    n_steps + 1 rows whenever run_simulation returns.  With
-    diagnostics=False no record is built and `records` stays empty; the
-    steps, the balance accumulators, the hook and the failure results
-    are the same, and `state` is always the state the last record would
-    have been built from.
+    on_step(state, report, step_index) observes each accepted step.
+    Rows are built a block of states at a time, so a hook must not
+    change a state in place; every return path hands over the last,
+    partial block, so `records` holds n_steps + 1 rows whenever
+    run_simulation returns.  With diagnostics=False no record is built
+    and `records` stays empty; the steps, the balance accumulators, the
+    hook and the failure results are the same, and `state` is always the
+    state the last record would have been built from.
     """
     params = config.params
     if state is None:
@@ -92,7 +88,7 @@ def run_simulation(
             completed, error = False, "step budget exhausted"
             break
         try:
-            state, report = step(state, params, config)
+            state, report = step(state, config)
         except SimulationError as exc:
             if exc.last_state is not None:
                 state = exc.last_state
@@ -104,9 +100,7 @@ def run_simulation(
         n_steps += 1
         accum.absorb(report)
         if on_step is not None:
-            replacement = on_step(state, report, n_steps)
-            if replacement is not None:
-                state = replacement
+            on_step(state, report, n_steps)
         keep(state, report.dt)
     if pending:
         records.extend(record(pending, params))
@@ -131,14 +125,9 @@ class CheckReport:
         return self.completed and all(row.passed for row in self.rows)
 
 
-def check_scenario(config: RunConfig, *, _step_hook=None) -> CheckReport:
+def check_scenario(config: RunConfig) -> CheckReport:
     """Run the scenario and grade the trajectory-level bounds."""
-    hook = None
-    if _step_hook is not None:
-        def hook(state, report, index):
-            return _step_hook(state)
-
-    result = run_simulation(config, on_step=hook)
+    result = run_simulation(config)
     report = CheckReport(completed=result.completed, result=result)
     add = report.rows.append
     if not result.completed:

@@ -23,7 +23,6 @@ from .constitutive import (
 from .mesh import State
 from .solver import (
     InvariantViolation,
-    SourceTerms,
     diffusion_apply,
     gravity_accel,
     heat_interface_coeff,
@@ -72,10 +71,12 @@ def _recover_theta(v, theta_guess, e_target, params: PhysParams):
     raise InvariantViolation("temperature recovery did not converge")
 
 
-def explicit_reference_step(
-    state: State, dt: float, params: PhysParams, sources: SourceTerms | None = None
-) -> State:
-    """One forward-Euler step; dt must satisfy the stability bounds."""
+def explicit_reference_step(state: State, dt: float, params: PhysParams, sources=None) -> State:
+    """One forward-Euler step; dt must satisfy the stability bounds.
+
+    sources, if given, is a callable t -> (s_v, s_u, s_theta, s_z) on
+    the state's grid, as step takes it.
+    """
     grid = state.grid
     dx = grid.dx
     v, theta, z, u = state.v, state.theta, state.z, state.u
@@ -83,7 +84,7 @@ def explicit_reference_step(
 
     s_v = s_u = s_th = s_z = None
     if sources is not None:
-        s_v, s_u, s_th, s_z = sources.sample(grid.cell_centers, grid.edges, t)
+        s_v, s_u, s_th, s_z = sources(t)
 
     sigma = total_stress(v, theta, u, dx, params)
     accel = stress_divergence(sigma, params.p_ext, dx) + gravity_accel(grid.edges, params)
@@ -124,13 +125,7 @@ def explicit_reference_step(
     return new
 
 
-def run_explicit(
-    state: State,
-    dt: float,
-    n_steps: int,
-    params: PhysParams,
-    sources: SourceTerms | None = None,
-) -> State:
+def run_explicit(state: State, dt: float, n_steps: int, params: PhysParams, sources=None) -> State:
     for _ in range(n_steps):
         state = explicit_reference_step(state, dt, params, sources)
     return state

@@ -22,9 +22,8 @@ class ConfigurationError(ValueError):
 class Grid:
     """Uniform mass mesh: n_cells cells of mass dx = 1/n_cells.
 
-    The sample arrays cell_centers and edges are read-only, so a
-    function of them can be cached against the array itself: mms
-    serves block-evaluated sources while it is asked for these arrays.
+    The sample arrays cell_centers and edges are read-only: every State
+    on the grid, and every source callable built on it, shares them.
     """
 
     def __init__(self, n_cells: int):
@@ -77,7 +76,13 @@ class State:
                      self.u.copy(), self.t, self.a_pos)
 
     def require_valid(self, v_floor: float = 0.0, theta_floor: float = 0.0) -> None:
-        """Raise if positivity or the reactant range is violated."""
+        """Raise if a field is not finite, or positivity or the reactant
+        range is violated."""
+        for name in ("v", "theta", "z", "u"):
+            bad = np.flatnonzero(~np.isfinite(getattr(self, name)))
+            if bad.size:
+                where = "edge" if name == "u" else "cell"
+                raise ConfigurationError(f"{name} must be finite; violated at {where} {bad[0]}")
         bad = np.flatnonzero(~(self.v > v_floor))
         if bad.size:
             raise ConfigurationError(f"v must be > {v_floor}; violated at cell {bad[0]}")

@@ -37,7 +37,6 @@ from .constitutive import (
 )
 from .mesh import ConfigurationError, Grid, State
 from .solver import (
-    SourceTerms,
     diffusion_apply,
     gravity_accel,
     heat_interface_coeff,
@@ -192,10 +191,23 @@ class MmsCase:
         sink = reaction_rate(v, self.theta.value(x, t), p) * np.power(z, p.m_order)
         return self.z.dt(x, t) - diffusion + sink
 
-    def sources(self) -> SourceTerms:
-        return SourceTerms(
-            s_v=self.source_v, s_u=self.source_u, s_theta=self.source_theta, s_z=self.source_z
-        )
+    def sources(self, grid: Grid):
+        """The sources on grid, as the callable step takes.
+
+        It maps t to (s_v, s_u, s_theta, s_z): s_u at the edges, the
+        other three at the cell centers.
+        """
+        x_cells, x_edges = grid.cell_centers, grid.edges
+
+        def at(t):
+            return (
+                self.source_v(x_cells, t),
+                self.source_u(x_edges, t),
+                self.source_theta(x_cells, t),
+                self.source_z(x_cells, t),
+            )
+
+        return at
 
 
 def trig_case() -> MmsCase:
@@ -301,45 +313,37 @@ def state_errors(case: MmsCase, state: State):
 _SOURCE_BLOCK = 4096
 
 
-class _BlockSources(SourceTerms):
+class _BlockSources:
     """A case's sources at known time levels, a block of levels per call.
 
     A fixed-dt run knows every level its steps will sample before the
     first one.  Each source is called once per block with a (k, 1) time
     column and broadcasts it against the grid array into (k, n) rows;
     every operation is elementwise, so each row holds the bits of a call
-    at that one level.  sample serves read-only rows while it is asked
-    for the run's own grid arrays at the next level in order.  Anything
-    else (a halved dt after a rejection, every level after it, another
-    grid) is evaluated for that one level and builds no block.
+    at that one level.  Called with the next level in order, it serves
+    read-only rows from the block.  Any other time (a halved dt after a
+    rejection, every level after it) is evaluated alone and builds no
+    block.
     """
 
     def __init__(self, case: MmsCase, grid: Grid, levels):
-        super().__init__(
-            s_v=case.source_v, s_u=case.source_u, s_theta=case.source_theta, s_z=case.source_z
-        )
-        self._grid = grid
+        self._sources = case.sources(grid)
         self._levels = levels
         self._size = max(1, _SOURCE_BLOCK // grid.edges.size)
         self._next = 0  # index of the level the next step asks for
         self._block = ()  # (s_v, s_u, s_theta, s_z), each (k, n)
 
-    def sample(self, x_cells, x_edges, t):
+    def __call__(self, t):
         i = self._next
-        if not (
-            x_cells is self._grid.cell_centers
-            and x_edges is self._grid.edges
-            and i < len(self._levels)
-            and t == self._levels[i]
-        ):
-            return super().sample(x_cells, x_edges, t)
+        if not (i < len(self._levels) and t == self._levels[i]):
+            return self._sources(t)
         # Levels are served in order from the first, so blocks start at
         # multiples of the block size.
         row = i % self._size
         if row == 0:
             self._block = ()  # dropped first, so two blocks are never held at once
             times = np.array(self._levels[i : i + self._size]).reshape(-1, 1)
-            self._block = super().sample(x_cells, x_edges, times)
+            self._block = self._sources(times)
             for values in self._block:
                 values.setflags(write=False)
         self._next = i + 1
@@ -366,7 +370,7 @@ def run_mms(case: MmsCase, n_cells: int, t_end: float, n_steps: int):
         levels.append(t)
     sources = _BlockSources(case, state.grid, levels)
     for _ in range(n_steps):
-        state, _ = step(state, case.params, config, sources=sources, dt=dt)
+        state, _ = step(state, config, sources=sources, dt=dt)
     return state_errors(case, state), state
 
 

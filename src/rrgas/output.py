@@ -68,17 +68,27 @@ def write_diagnostics(path, records) -> None:
 
 
 def read_diagnostics(path):
-    """Rows back as DiagnosticsRecord objects (column order is fixed)."""
+    """Rows back as DiagnosticsRecord objects (column order is fixed).
+
+    Raises ValueError if the header is not DIAG_COLUMNS or a row has the
+    wrong field count.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if tuple(header) != DIAG_COLUMNS:
             raise ValueError(f"unexpected diagnostics columns: {header}")
         out = []
-        for line in fh:
-            if not line.strip():
+        for lineno, line in enumerate(fh, 2):
+            line = line.strip()
+            if not line:
                 continue
-            vals = [float(part) for part in line.split(",")]
-            out.append(DiagnosticsRecord(*vals))
+            fields = line.split(",")
+            if len(fields) != len(DIAG_COLUMNS):
+                raise ValueError(
+                    f"diagnostics line {lineno} has {len(fields)} fields, "
+                    f"expected {len(DIAG_COLUMNS)}: {line!r}"
+                )
+            out.append(DiagnosticsRecord(*map(float, fields)))
     return out
 
 

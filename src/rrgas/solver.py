@@ -68,33 +68,6 @@ class StepReport:
     z_react_increment: float = 0.0
 
 
-class SourceTerms:
-    """Optional manufactured right-hand sides.
-
-    Each entry is None or a callable (x, t) -> array.  Cell sources
-    (s_v, s_theta, s_z) are sampled at cell centers, s_u at edges.
-    """
-
-    def __init__(self, s_v=None, s_u=None, s_theta=None, s_z=None):
-        self.s_v = s_v
-        self.s_u = s_u
-        self.s_theta = s_theta
-        self.s_z = s_z
-
-    def sample(self, x_cells: np.ndarray, x_edges: np.ndarray, t: float):
-        """(s_v, s_u, s_theta, s_z) at time t, None for each absent source."""
-
-        def at(source, x):
-            return None if source is None else source(x, t)
-
-        return (
-            at(self.s_v, x_cells),
-            at(self.s_u, x_edges),
-            at(self.s_theta, x_cells),
-            at(self.s_z, x_cells),
-        )
-
-
 def _solve_spd_tridiag(diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve a symmetric positive definite tridiagonal system.
 
@@ -175,7 +148,7 @@ def _diffusion_system(coeff: np.ndarray, scale: float, base_diag: np.ndarray):
     return diag, upper
 
 
-def cfl_dt(state: State, params: PhysParams, config) -> float:
+def cfl_dt(state: State, config) -> float:
     """Accuracy/stability step bound for the explicitly treated terms.
 
     The acoustic bound uses a conservative sound-speed estimate that
@@ -183,6 +156,7 @@ def cfl_dt(state: State, params: PhysParams, config) -> float:
     bound limits the explicit heat-release growth rate.  The result is
     clamped to dt_max and to the time remaining before t_end.
     """
+    params = config.params
     v, theta, z = state.v, state.theta, state.z
     dx = state.grid.dx
     c2 = theta * (params.r_gas + (4.0 * params.a_rad / 3.0) * theta**3 * v) * (
@@ -366,13 +340,14 @@ def energy_step(
         iters += 1
 
 
-def _attempt(state: State, params: PhysParams, config, dt: float, sources):
+def _attempt(state: State, config, dt: float, sources):
+    params = config.params
     trial = state.copy()
     t_new = state.t + dt
     s_v = s_u = s_th = s_z = None
     if sources is not None:
         # Implicit sub-updates see sources at the level they solve for.
-        s_v, s_u, s_th, s_z = sources.sample(trial.grid.cell_centers, trial.grid.edges, t_new)
+        s_v, s_u, s_th, s_z = sources(t_new)
 
     v_old = state.v
     trial.u = momentum_step(trial, dt, params, s_u=s_u)
@@ -397,22 +372,23 @@ def _attempt(state: State, params: PhysParams, config, dt: float, sources):
     return trial, iters, res, diff_inc, react_inc
 
 
-def step(state: State, params: PhysParams, config, sources=None, dt: float | None = None):
+def step(state: State, config, sources=None, dt: float | None = None):
     """Advance one accepted step, retrying with halved dt on rejection.
 
-    dt is normally taken from cfl_dt; passing it explicitly pins the
-    step size for convergence studies.  Returns (new_state, StepReport).
+    sources, if given, is a callable t -> (s_v, s_u, s_theta, s_z) of
+    manufactured right-hand sides on the state's grid, each an array or
+    None: s_u on the edges, the others on the cells.  dt is normally
+    taken from cfl_dt; passing it explicitly pins the step size for
+    convergence studies.  Returns (new_state, StepReport).
     """
     if dt is None:
-        dt = cfl_dt(state, params, config)
+        dt = cfl_dt(state, config)
     rejections = 0
     floor_hit = False
     nonconverged = False
     while True:
         try:
-            trial, iters, res, diff_inc, react_inc = _attempt(
-                state, params, config, dt, sources
-            )
+            trial, iters, res, diff_inc, react_inc = _attempt(state, config, dt, sources)
             break
         except StepRejection as rej:
             rejections += 1

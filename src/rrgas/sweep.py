@@ -130,13 +130,13 @@ def run_sweep(manifest_path, out_dir, jobs: int = 1):
     combos = expand(base, items)
     tasks = [(i, values, cfg) for i, (values, cfg) in enumerate(combos)]
 
+    # Both branches return the rows in task order.
     workers = min(jobs, len(tasks))
     if workers == 1:
         rows = [run_one(*task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_worker, tasks))
-    rows.sort(key=lambda row: row.index)
 
     keys = [key for key, _ in items]
     path = out_dir / "summary.csv"

@@ -169,7 +169,7 @@ def test_criterion_6_integrator_equivalence():
         assert dt < stable_dt(s0, cfg.params)
         imex = s0
         for _ in range(n_steps):
-            imex, _ = step(imex, cfg.params, cfg, dt=dt)
+            imex, _ = step(imex, cfg, dt=dt)
         ref = run_explicit(s0.copy(), dt, n_steps, cfg.params)
         gaps.append(max(
             np.max(np.abs(imex.v - ref.v)),

@@ -151,6 +151,19 @@ def test_run_rejects_nonfinite_constant(section, key, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("field,value,where", [
+    ("z", "nan", "cell 0"), ("u", "inf", "edge 0"), ("v", "inf", "cell 0"),
+])
+def test_nonfinite_initial_field_is_config_error(command, field, value, where, tmp_path, capsys):
+    ini = tmp_path / "nonfinite.ini"
+    ini.write_text(REST_INI + f"\n[initial]\n{field} = constant value={value}\n")
+    args = [command, str(ini)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+    assert main(args) == EXIT_CONFIG
+    assert f"{field} must be finite; violated at {where}" in capsys.readouterr().err
+
+
 def test_run_missing_file_is_io_error(tmp_path, capsys):
     code = main(["run", str(tmp_path / "absent.ini"), "--out", str(tmp_path / "out")])
     assert code == EXIT_IO

@@ -80,6 +80,13 @@ def test_profile_parse_rejects_bad_tokens():
         Profile.parse("")
 
 
+def test_profile_parse_rejects_repeated_parameter():
+    with pytest.raises(ConfigurationError, match="repeated profile parameter 'width'"):
+        Profile.parse("gaussian-bump width=0.1 width=0.2")
+    with pytest.raises(ConfigurationError, match="repeated profile parameter 'width'"):
+        parse_config("[initial]\ntheta = gaussian-bump width=0.1 base=1 width=0.2\n")
+
+
 # ------------------------------------------------------------ ini round trip
 
 def test_serialize_parse_round_trip_defaults():

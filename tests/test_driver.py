@@ -60,26 +60,6 @@ def test_record_times_are_strictly_increasing():
     assert all(r.dt > 0.0 for r in result.records[1:])
 
 
-def test_on_step_replacement_is_recorded():
-    spiked = []
-
-    def hook(state, report, index):
-        if index == 2:
-            out = state.copy()
-            out.theta = out.theta * 1.5
-            spiked.append(out)
-            return out
-        return None
-
-    result = run_simulation(rest_config(), on_step=hook)
-    assert spiked  # the hook fired
-    recs = result.records
-    # the spiked state is what the recorder saw at index 2...
-    assert recs[2].e_total > recs[1].e_total * 1.2
-    # ...and what the dynamics kept evolving afterwards
-    assert result.state.theta.max() > 1.1
-
-
 def test_failed_run_returns_partial_result():
     cfg = bump_config()
     cfg.v_floor = 2.0  # impossible bound, every attempt is rejected
@@ -102,14 +82,9 @@ def state_bits(state):
             state.theta.tobytes(), state.z.tobytes())
 
 
-def spiking_hook(calls):
+def observing_hook(calls):
     def hook(state, report, index):
-        calls.append(index)
-        if index == 2:
-            out = state.copy()
-            out.theta = out.theta * 1.5
-            return out
-        return None
+        calls.append((index, report.dt, state_bits(state)))
 
     return hook
 
@@ -137,7 +112,7 @@ def test_run_without_diagnostics_takes_the_same_path(case, monkeypatch):
     def run(diagnostics):
         calls = []
         if case == "hook":
-            kwargs["on_step"] = spiking_hook(calls)
+            kwargs["on_step"] = observing_hook(calls)
         elif case == "invariant":
             monkeypatch.setattr(
                 rrgas.solver, "species_step",
@@ -252,15 +227,28 @@ def test_check_reports_failed_run():
     assert not report.rows[0].passed
 
 
-def test_check_negative_control_species_range():
-    # Corrupt z beyond its physical range mid-run through the hidden
-    # hook; exactly the species-range row must flip to FAIL.
+def corrupting_step(corrupt, monkeypatch):
+    # Every accepted state is passed through corrupt before the driver
+    # sees it, and the next step starts from the corrupted state.
+    real = rrgas.driver.step
+
+    def step(state, config):
+        new, report = real(state, config)
+        return corrupt(new), report
+
+    monkeypatch.setattr(rrgas.driver, "step", step)
+
+
+def test_check_negative_control_species_range(monkeypatch):
+    # Corrupt z beyond its physical range mid-run; exactly the
+    # species-range row must flip to FAIL.
     def corrupt(state):
         bad = state.copy()
         bad.z[0] = 1.5
         return bad
 
-    report = check_scenario(bump_config(), _step_hook=corrupt)
+    corrupting_step(corrupt, monkeypatch)
+    report = check_scenario(bump_config())
     assert report.completed
     assert not report.passed
     by_name = {row.name: row.passed for row in report.rows}
@@ -268,13 +256,14 @@ def test_check_negative_control_species_range():
     assert by_name["run completed"] is True
 
 
-def test_check_negative_control_energy_drift():
+def test_check_negative_control_energy_drift(monkeypatch):
     # A 1 percent energy injection every step breaks the drift bound.
     def pump(state):
         out = state.copy()
         out.theta = out.theta * 1.01
         return out
 
-    report = check_scenario(rest_config(), _step_hook=pump)
+    corrupting_step(pump, monkeypatch)
+    report = check_scenario(rest_config())
     by_name = {row.name: row.passed for row in report.rows}
     assert by_name["energy drift bounded"] is False

@@ -80,6 +80,17 @@ def test_require_valid_names_first_bad_cell():
         s.require_valid()
 
 
+@pytest.mark.parametrize("field,index,value,where", [
+    ("v", 3, np.inf, "cell 3"), ("theta", 1, np.nan, "cell 1"),
+    ("z", 2, np.nan, "cell 2"), ("u", 4, -np.inf, "edge 4"),
+])
+def test_require_valid_rejects_nonfinite_values(field, index, value, where):
+    s = make_state()
+    getattr(s, field)[index] = value
+    with pytest.raises(ConfigurationError, match=f"{field} must be finite; violated at {where}"):
+        s.require_valid()
+
+
 def test_require_valid_honors_floors():
     s = make_state(v=1e-9, theta=1e-9)
     s.require_valid()  # zero floors: fine

@@ -121,6 +121,20 @@ def test_run_mms_evaluates_each_source_once_per_level(name, source_times):
         assert {float(v) for t in calls for v in np.ravel(t)} == levels, attr
 
 
+def test_case_sources_place_each_source_on_its_grid():
+    case = CASES["tanh"]()
+    grid = Grid(16)
+    got = case.sources(grid)(0.3)
+    want = (
+        case.source_v(grid.cell_centers, 0.3),
+        case.source_u(grid.edges, 0.3),  # velocity lives on edges
+        case.source_theta(grid.cell_centers, 0.3),
+        case.source_z(grid.cell_centers, 0.3),
+    )
+    assert [a.shape for a in got] == [(16,), (17,), (16,), (16,)]
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
 @pytest.mark.parametrize("n_cells", [33, 127, 200, 4096])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_block_sources_match_per_level_bits(name, n_cells, source_times):
@@ -130,10 +144,10 @@ def test_block_sources_match_per_level_bits(name, n_cells, source_times):
     n_levels = 2 * per_block + per_block // 3 + 1  # two full blocks, a partial one
     levels = accumulated_levels(0.4, n_levels)
     blocks = _BlockSources(case, grid, levels)
-    reference = case.sources()
+    reference = case.sources(grid)
     for t in levels:
-        got = blocks.sample(grid.cell_centers, grid.edges, t)
-        want = reference.sample(grid.cell_centers, grid.edges, t)
+        got = blocks(t)
+        want = reference(t)
         for g, w in zip(got, want):
             assert not g.flags.writeable
             assert g.shape == w.shape
@@ -144,20 +158,18 @@ def test_block_sources_match_per_level_bits(name, n_cells, source_times):
     assert shapes.count(()) == n_levels
 
 
-def test_block_sources_sample_another_grid_per_level(source_times):
+def test_block_sources_evaluate_other_levels_alone(source_times):
     case = CASES["tanh"]()
-    grid, other = Grid(16), Grid(16)
+    grid = Grid(16)
     levels = accumulated_levels(0.1, 8)
     blocks = _BlockSources(case, grid, levels)
-    reference = case.sources()
-    for g, t in ((other, levels[0]), (grid, levels[1]), (grid, 0.5 * levels[0])):
-        got = blocks.sample(g.cell_centers, g.edges, t)
-        want = reference.sample(g.cell_centers, g.edges, t)
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    reference = case.sources(grid)
+    for t in (levels[1], 0.5 * levels[0]):
+        assert [a.tobytes() for a in blocks(t)] == [a.tobytes() for a in reference(t)]
     # each was evaluated for its one level, and no block was built
     assert all(np.ndim(t) == 0 for calls in source_times.values() for t in calls)
-    # the run's own first level is still served from a block
-    blocks.sample(grid.cell_centers, grid.edges, levels[0])
+    # the first level in order is still served from a block
+    blocks(levels[0])
     assert np.shape(source_times["source_v"][-1]) == (8, 1)
 
 
@@ -167,7 +179,7 @@ def test_run_mms_after_a_rejection_matches_per_level_sources(name, reject_at, mo
     def run(per_level):
         if per_level:
             monkeypatch.setattr(rrgas.mms, "_BlockSources",
-                                lambda case, grid, levels: case.sources())
+                                lambda case, grid, levels: case.sources(grid))
         energy_step = rrgas.solver.energy_step
         calls = []
 

@@ -213,6 +213,18 @@ def test_diagnostics_rejects_foreign_header(tmp_path):
         read_diagnostics(path)
 
 
+@pytest.mark.parametrize("row", ["1,2,3", ",".join(["1"] * (len(DIAG_COLUMNS) + 1))],
+                         ids=["short", "long"])
+def test_diagnostics_rejects_row_of_wrong_length(tmp_path, row):
+    path = tmp_path / "diag.csv"
+    write_diagnostics(path, [DiagnosticsRecord(*[0.0] * len(DIAG_COLUMNS))])
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(row + "\n")
+    n = len(row.split(","))
+    with pytest.raises(ValueError, match=f"line 3 has {n} fields, expected 14"):
+        read_diagnostics(path)
+
+
 def test_run_id_deterministic_and_sensitive():
     cfg = RunConfig()
     assert run_id(cfg) == run_id(RunConfig())

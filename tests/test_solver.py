@@ -13,13 +13,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
+import rrgas.solver
 from rrgas.config import Profile, RunConfig, init_state
 from rrgas.constitutive import PhysParams, internal_energy, pressure, reaction_rate
 from rrgas.explicit import explicit_reference_step
 from rrgas.mesh import Grid, State, velocity_mean, width
 from rrgas.solver import (
     SimulationError,
-    SourceTerms,
     StepRejection,
     _solve_spd_tridiag,
     cfl_dt,
@@ -124,22 +124,21 @@ def test_gravity_accel_antisymmetric():
 
 def test_cfl_dt_max_clamp():
     # Slow sound (cold, dilute): dt_max is the binding constraint.
-    cfg = RunConfig()
+    cfg = RunConfig(params=ref_params())
     cfg.dt_max = 0.01
     cfg.cfl_number = 0.5
     cfg.t_end = 100.0
     s = uniform_state(4, v=10.0, theta=0.01)
-    assert cfl_dt(s, ref_params(), cfg) == 0.5 * 0.01
+    assert cfl_dt(s, cfg) == 0.5 * 0.01
 
 
 def test_cfl_dt_acoustic_scales_with_dx():
-    cfg = RunConfig()
+    cfg = RunConfig(params=ref_params())
     cfg.dt_max = 1.0
     cfg.cfl_number = 0.5
     cfg.t_end = 100.0
-    p = ref_params()
-    dt_coarse = cfl_dt(uniform_state(64), p, cfg)
-    dt_fine = cfl_dt(uniform_state(128), p, cfg)
+    dt_coarse = cfl_dt(uniform_state(64), cfg)
+    dt_fine = cfl_dt(uniform_state(128), cfg)
     assert dt_coarse == pytest.approx(2.0 * dt_fine, rel=1e-15)
 
 
@@ -150,31 +149,31 @@ def test_cfl_dt_reaction_clamp():
     s = uniform_state(8, z=1.0)
     phi = reaction_rate(1.0, 1.0, p)
     growth = p.lambda_heat * phi * (p.beta / 1.0 + p.a_act / 1.0)
-    cfg = RunConfig()
+    cfg = RunConfig(params=p)
     cfg.dt_max = 1.0
     cfg.cfl_number = 0.5
     cfg.t_end = 100.0
-    assert cfl_dt(s, p, cfg) == pytest.approx(0.5 / growth, rel=1e-12)
+    assert cfl_dt(s, cfg) == pytest.approx(0.5 / growth, rel=1e-12)
 
 
 def test_cfl_dt_lands_exactly_on_t_end():
-    cfg = RunConfig()
+    cfg = RunConfig(params=ref_params())
     cfg.dt_max = 1.0
     cfg.cfl_number = 0.5
     cfg.t_end = 0.2
     s = uniform_state(4, v=10.0, theta=0.01)
     s.t = 0.15
-    dt = cfl_dt(s, ref_params(), cfg)
+    dt = cfl_dt(s, cfg)
     assert s.t + dt == cfg.t_end  # bit-exact landing
 
 
 def test_cfl_dt_underflow_raises():
-    cfg = RunConfig()
+    cfg = RunConfig(params=ref_params())
     cfg.t_end = 0.1
     s = uniform_state(4)
     s.t = 0.1
     with pytest.raises(SimulationError):
-        cfl_dt(s, ref_params(), cfg)
+        cfl_dt(s, cfg)
 
 
 def test_cfl_dt_within_factor_two_of_explicit_stability():
@@ -206,11 +205,11 @@ def test_cfl_dt_within_factor_two_of_explicit_stability():
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if survives(mid) else (lo, mid)
 
-    cfg = RunConfig()
+    cfg = RunConfig(params=p)
     cfg.dt_max = 1.0
     cfg.cfl_number = 1.0
     cfg.t_end = 100.0
-    bound = cfl_dt(fresh(), p, cfg)
+    bound = cfl_dt(fresh(), cfg)
     assert 0.5 <= lo / bound <= 2.0
 
 
@@ -432,14 +431,33 @@ def test_energy_newton_stall_rejects():
 
 # ------------------------------------------------------------- full step
 
-def test_source_sample_places_and_times_each_source():
-    grid = Grid(4)
-    src = SourceTerms(s_u=lambda x, t: x + t, s_z=lambda x, t: x * t)
-    s_v, s_u, s_theta, s_z = src.sample(grid.cell_centers, grid.edges, 2.0)
-    assert s_v is None and s_theta is None
-    np.testing.assert_array_equal(s_u, grid.edges + 2.0)  # velocity lives on edges
-    np.testing.assert_array_equal(s_z, grid.cell_centers * 2.0)
-    assert SourceTerms().sample(grid.cell_centers, grid.edges, 0.0) == (None,) * 4
+@pytest.mark.parametrize("rejections", [0, 2])
+def test_step_samples_sources_at_each_attempts_new_level(rejections, monkeypatch):
+    # Each attempt asks for the sources at its own t + dt, the halved
+    # dt of a retry included.
+    cfg = bump_config(n_cells=16, t_end=1.0)
+    s = init_state(cfg)
+    s.t = 0.25
+    times = []
+
+    def sources(t):
+        times.append(t)
+        return np.zeros(16), np.zeros(17), np.zeros(16), np.zeros(16)
+
+    energy_step = rrgas.solver.energy_step
+
+    def rejecting(*args, **kwargs):
+        if len(times) <= rejections:
+            raise StepRejection("newton_stall")
+        return energy_step(*args, **kwargs)
+
+    monkeypatch.setattr(rrgas.solver, "energy_step", rejecting)
+    s2, report = step(s, cfg, sources=sources, dt=0.01)
+    dts = [0.01 * 0.5**k for k in range(rejections + 1)]
+    assert times == [0.25 + dt for dt in dts]
+    assert report.rejections == rejections
+    assert report.dt == dts[-1]
+    assert s2.t == times[-1]
 
 
 def test_step_rest_state_is_exact_fixed_point():
@@ -448,7 +466,7 @@ def test_step_rest_state_is_exact_fixed_point():
     cfg.n_cells = 16
     cfg.t_end = 1.0
     s = uniform_state(16)
-    s2, report = step(s, cfg.params, cfg)
+    s2, report = step(s, cfg)
     assert np.all(s2.u == 0.0)
     assert np.all(s2.v == 1.0)
     assert np.all(s2.theta == 1.0)
@@ -465,7 +483,7 @@ def test_step_preserves_velocity_mean():
     cfg = bump_config(n_cells=64, t_end=1.0)
     s = init_state(cfg)
     for _ in range(20):
-        s, _ = step(s, cfg.params, cfg)
+        s, _ = step(s, cfg)
         assert abs(velocity_mean(s)) <= 1e-15
 
 
@@ -478,7 +496,7 @@ def test_step_first_order_in_dt():
         s = init_state(cfg)
         dt = cfg.t_end / nsteps
         for _ in range(nsteps):
-            s, _ = step(s, cfg.params, cfg, dt=dt)
+            s, _ = step(s, cfg, dt=dt)
         return s
 
     coarse, mid, fine = run_pinned(50), run_pinned(100), run_pinned(200)
@@ -497,7 +515,7 @@ def test_step_halves_dt_on_rejection():
     s = init_state(cfg)
     v_before = s.v.copy()
     with pytest.raises(SimulationError) as err:
-        step(s, cfg.params, cfg)
+        step(s, cfg)
     assert err.value.last_state.t == 0.0
     np.testing.assert_array_equal(err.value.last_state.v, v_before)
 
@@ -508,7 +526,7 @@ def test_step_recovers_after_transient_rejection():
     cfg = bump_config(n_cells=16, t_end=10.0)
     cfg.params = dataclasses.replace(cfg.params, p_ext=5.0)  # hard squeeze
     s = init_state(cfg)
-    s2, report = step(s, cfg.params, cfg, dt=0.4)
+    s2, report = step(s, cfg, dt=0.4)
     assert report.rejections >= 1
     assert report.dt < 0.4
     assert s2.t == report.dt
