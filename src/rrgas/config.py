@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field, fields as dataclass_fields
 
 import numpy as np
@@ -56,6 +57,15 @@ class Profile:
             )
         merged = dict(defaults)
         merged.update({k: float(v) for k, v in self.params.items()})
+        for key, value in merged.items():
+            if not math.isfinite(value):
+                raise ConfigurationError(
+                    f"parameter {key!r} of profile {self.kind!r} must be finite, got {value}"
+                )
+        if "width" in merged and not merged["width"] > 0.0:
+            raise ConfigurationError(
+                f"parameter 'width' of profile {self.kind!r} must be > 0, got {merged['width']}"
+            )
         self.params = merged
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -226,7 +236,10 @@ def build_config(cp: configparser.ConfigParser) -> RunConfig:
         for key, raw in cp.items("initial"):
             if key not in _PROFILE_KEYS:
                 raise ConfigurationError(f"unknown key {key!r} in section [initial]")
-            run_kwargs[_PROFILE_KEYS[key]] = Profile.parse(raw)
+            try:
+                run_kwargs[_PROFILE_KEYS[key]] = Profile.parse(raw)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"[initial] {key}: {exc}") from exc
 
     try:
         params = PhysParams(**phys_kwargs)

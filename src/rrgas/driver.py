@@ -13,6 +13,7 @@ bound on the recorded trajectory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .config import RunConfig, init_state
@@ -175,7 +176,7 @@ def check_scenario(config: RunConfig) -> CheckReport:
     add(
         CheckRow(
             "U plus integrated V bounded",
-            _isfinite(uv) and uv < UV_RUN_CAP,
+            math.isfinite(uv) and uv < UV_RUN_CAP,
             f"value={uv:.6e} cap={UV_RUN_CAP:g}",
         )
     )
@@ -208,13 +209,9 @@ def check_scenario(config: RunConfig) -> CheckReport:
     return report
 
 
-def _isfinite(x: float) -> bool:
-    return x == x and abs(x) != float("inf")
-
-
 def _all_finite(rec) -> bool:
     return all(
-        _isfinite(getattr(rec, name))
+        math.isfinite(getattr(rec, name))
         for name in (
             "e_total",
             "u_entropy",

@@ -45,11 +45,15 @@ class Grid:
 
 @dataclass
 class State:
-    """Discrete fields at one time level.
+    """Discrete fields at one time level, of one run or of a batch of runs.
 
     v, theta, z are cell-centered arrays of length n_cells; u is
     edge-based of length n_cells + 1.  a_pos is the physical position of
-    the left free boundary.
+    the left free boundary.  A batch of B runs on one grid has a leading
+    member axis: (B, n_cells) and (B, n_cells + 1) fields, with t and
+    a_pos as (B,) arrays.  Indexing selects members: an int gives one
+    member's state, an index array or mask a smaller batch, and None
+    turns a single state into a batch of one.
     """
 
     grid: Grid
@@ -62,18 +66,34 @@ class State:
 
     def __post_init__(self) -> None:
         n = self.grid.n_cells
-        for name in ("v", "theta", "z"):
+        self.v = np.asarray(self.v, dtype=float)
+        lead = self.v.shape[:-1]
+        for name, size in (("v", n), ("theta", n), ("z", n), ("u", n + 1)):
             arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (n,):
-                raise ConfigurationError(f"{name} must have shape ({n},), got {arr.shape}")
+            if arr.shape != lead + (size,):
+                raise ConfigurationError(
+                    f"{name} must have shape {lead + (size,)}, got {arr.shape}"
+                )
             setattr(self, name, arr)
-        self.u = np.asarray(self.u, dtype=float)
-        if self.u.shape != (n + 1,):
-            raise ConfigurationError(f"u must have shape ({n + 1},), got {self.u.shape}")
+        if lead:
+            # Fresh arrays: a batch's times are updated per member.
+            self.t = np.full(lead, self.t, dtype=float)
+            self.a_pos = np.full(lead, self.a_pos, dtype=float)
 
     def copy(self) -> "State":
         return State(self.grid, self.v.copy(), self.theta.copy(), self.z.copy(),
                      self.u.copy(), self.t, self.a_pos)
+
+    def __getitem__(self, index) -> "State":
+        t, a_pos = np.asarray(self.t)[index], np.asarray(self.a_pos)[index]
+        if t.ndim == 0:
+            t, a_pos = float(t), float(a_pos)
+        return State(self.grid, self.v[index], self.theta[index], self.z[index],
+                     self.u[index], t, a_pos)
+
+    def __setitem__(self, index, other: "State") -> None:
+        for name in ("v", "theta", "z", "u", "t", "a_pos"):
+            getattr(self, name)[index] = getattr(other, name)
 
     def require_valid(self, v_floor: float = 0.0, theta_floor: float = 0.0) -> None:
         """Raise if a field is not finite, or positivity or the reactant
@@ -123,7 +143,16 @@ def physical_coordinates(state: State) -> tuple[np.ndarray, tuple[float, float]]
     return y, (float(y[0]), float(y[-1]))
 
 
-def advance_boundary(state: State, dt: float) -> float:
-    """Move the left free boundary with the boundary fluid speed: a += dt*u_0."""
-    state.a_pos = state.a_pos + dt * float(state.u[0])
+def stack(states) -> State:
+    """One batch of the given states, all on one grid, in their order."""
+    fields = ("v", "theta", "z", "u", "t", "a_pos")
+    return State(states[0].grid, *(np.stack([getattr(s, f) for s in states]) for f in fields))
+
+
+def advance_boundary(state: State, dt) -> float:
+    """Move the left free boundary with the boundary fluid speed: a += dt*u_0.
+
+    For a batch, dt and the result are per member.
+    """
+    state.a_pos = state.a_pos + dt * state.u[..., 0]
     return state.a_pos

@@ -18,6 +18,11 @@ against a grid array, they return (k, n) rows, each bit-identical to
 the call at its one time.  run_mms steps with a fixed dt and uses this
 to evaluate the sources, and the shapes inside them, a block of time
 levels at a time; nothing is cached across blocks.
+
+run_mms given several step counts advances the runs as one batch on one
+grid (solver.step_batch, a leading member axis), and each member leaves
+the batch after its last step; every member keeps the bits of its own
+run.  temporal_study runs its levels that way.
 """
 
 from __future__ import annotations
@@ -35,13 +40,14 @@ from .constitutive import (
     pressure,
     reaction_rate,
 )
-from .mesh import ConfigurationError, Grid, State
+from .mesh import ConfigurationError, Grid, State, stack
 from .solver import (
     diffusion_apply,
     gravity_accel,
     heat_interface_coeff,
     species_interface_coeff,
     step,
+    step_batch,
     stress_divergence,
     total_stress,
 )
@@ -192,14 +198,17 @@ class MmsCase:
         return self.z.dt(x, t) - diffusion + sink
 
     def sources(self, grid: Grid):
-        """The sources on grid, as the callable step takes.
+        """The sources on grid, as the callable step and step_batch take.
 
         It maps t to (s_v, s_u, s_theta, s_z): s_u at the edges, the
-        other three at the cell centers.
+        other three at the cell centers.  An array of times gives one
+        row per time, of shape t.shape + (the grid's size,).
         """
         x_cells, x_edges = grid.cell_centers, grid.edges
 
         def at(t):
+            if np.ndim(t):
+                t = np.asarray(t)[..., None]
             return (
                 self.source_v(x_cells, t),
                 self.source_u(x_edges, t),
@@ -308,8 +317,9 @@ def state_errors(case: MmsCase, state: State):
     return out
 
 
-# Values per source array in one block of time levels: a run on n cells
-# evaluates max(1, _SOURCE_BLOCK // (n + 1)) levels per source call.
+# Values per source array in one block of time levels: a run of B
+# members on n cells evaluates max(1, _SOURCE_BLOCK // (B * (n + 1)))
+# levels per source call.
 _SOURCE_BLOCK = 4096
 
 
@@ -317,61 +327,101 @@ class _BlockSources:
     """A case's sources at known time levels, a block of levels per call.
 
     A fixed-dt run knows every level its steps will sample before the
-    first one.  Each source is called once per block with a (k, 1) time
-    column and broadcasts it against the grid array into (k, n) rows;
-    every operation is elementwise, so each row holds the bits of a call
-    at that one level.  Called with the next level in order, it serves
-    read-only rows from the block.  Any other time (a halved dt after a
-    rejection, every level after it) is evaluated alone and builds no
-    block.
+    first one; levels holds that list for each member of a batch.  Each
+    source is called once per block with the times of the members still
+    stepping, (k,) or (k, b), and broadcasts them against the grid array
+    into rows; every operation is elementwise, so each row holds the bits
+    of a call at that one level.  Called with the next level of every
+    member still stepping, in member order (a float for a single run, a
+    (b,) array for a batch), it serves read-only rows from the block.
+    Any other call (a halved dt after a rejection, every level after it)
+    is evaluated alone and builds no block.
     """
 
     def __init__(self, case: MmsCase, grid: Grid, levels):
         self._sources = case.sources(grid)
-        self._levels = levels
-        self._size = max(1, _SOURCE_BLOCK // grid.edges.size)
-        self._next = 0  # index of the level the next step asks for
-        self._block = ()  # (s_v, s_u, s_theta, s_z), each (k, n)
+        self._counts = np.array([len(member) for member in levels])
+        self._levels = np.full((len(levels), self._counts.max()), np.nan)
+        for row, member in zip(self._levels, levels):
+            row[: len(member)] = member
+        self._width = grid.edges.size
+        self._next = 0  # index of the step the next call asks for
+        self._start = self._stop = 0  # the steps the block holds
+        self._times = None  # their levels, (k, b)
+        self._block = ()  # (s_v, s_u, s_theta, s_z), each (k, ...) rows
 
     def __call__(self, t):
         i = self._next
-        if not (i < len(self._levels) and t == self._levels[i]):
+        if i < self._stop:
+            want = self._times[i - self._start]
+        elif i < self._levels.shape[1]:
+            want = self._levels[self._counts > i, i]
+        else:
             return self._sources(t)
-        # Levels are served in order from the first, so blocks start at
-        # multiples of the block size.
-        row = i % self._size
-        if row == 0:
+        if not (np.size(t) == want.size and (np.reshape(t, -1) == want).all()):
+            return self._sources(t)
+        if i == self._stop:
+            # Blocks end where a member stops stepping, so the rows of
+            # one block are for one set of members.
+            stepping = self._counts > i
+            size = max(1, _SOURCE_BLOCK // (want.size * self._width))
+            stop = min(i + size, self._counts[stepping].min())
             self._block = ()  # dropped first, so two blocks are never held at once
-            times = np.array(self._levels[i : i + self._size]).reshape(-1, 1)
-            self._block = self._sources(times)
+            self._times = self._levels[stepping, i:stop].T
+            self._block = self._sources(self._times.reshape((stop - i,) + np.shape(t)))
             for values in self._block:
                 values.setflags(write=False)
+            self._start, self._stop = i, stop
         self._next = i + 1
-        return tuple(values[row] for values in self._block)
+        return tuple(values[i - self._start] for values in self._block)
 
 
-def run_mms(case: MmsCase, n_cells: int, t_end: float, n_steps: int):
+def run_mms(case: MmsCase, n_cells: int, t_end: float, n_steps):
     """Integrate the sourced system and return (per-field errors, state).
 
     The step size t_end/n_steps is fixed, so the sources are evaluated a
     block of time levels at a time (_BlockSources), with the same bits
-    as one level at a time.
+    as one level at a time.  n_steps may also be a sequence of step
+    counts: the runs then advance as one batch (solver.step_batch), each
+    member leaves it after its last step, and one (errors, state) is
+    returned per member, each with the bits of its own run.  A single
+    run, or the last member left, steps with solver.step.
     """
-    if n_steps < 1:
-        raise ConfigurationError(f"n_steps must be >= 1, got {n_steps}")
+    counts = list(np.atleast_1d(n_steps))
+    for count in counts:
+        if count < 1:
+            raise ConfigurationError(f"n_steps must be >= 1, got {count}")
     config = RunConfig(params=case.params, n_cells=n_cells, t_end=t_end)
     state = case.initial_state(n_cells)
-    dt = t_end / n_steps
+    dts = [t_end / count for count in counts]
     # The same additions step makes, so each level is its t_new bit for bit.
     levels = []
-    t = state.t
-    for _ in range(n_steps):
-        t = t + dt
-        levels.append(t)
+    for dt, count in zip(dts, counts):
+        t = state.t
+        levels.append([t := t + dt for _ in range(count)])
     sources = _BlockSources(case, state.grid, levels)
-    for _ in range(n_steps):
-        state, _ = step(state, config, sources=sources, dt=dt)
-    return state_errors(case, state), state
+
+    finals = [None] * len(counts)
+    live = np.arange(len(counts))  # the members still stepping, in order
+    batch = stack([state] * len(counts))
+    taken = 0
+    while live.size > 1:
+        batch, _ = step_batch(batch, config, sources=sources, dt=np.take(dts, live))
+        taken += 1
+        done = np.take(counts, live) == taken
+        if done.any():
+            for member, position in zip(live[done], np.flatnonzero(done)):
+                finals[member] = batch[position]
+            live, batch = live[~done], batch[~done]
+    if live.size:
+        # The last member steps on as a single run: the same code without
+        # the member axis, which costs less per step.
+        (member,), state = live, batch[0]
+        for _ in range(counts[member] - taken):
+            state, _ = step(state, config, sources=sources, dt=dts[member])
+        finals[member] = state
+    runs = [(state_errors(case, final), final) for final in finals]
+    return runs if np.ndim(n_steps) else runs[0]
 
 
 def convergence_order(coarse_error: float, fine_error: float, refinement_ratio: float) -> float:
@@ -461,15 +511,16 @@ def temporal_study(case: MmsCase, levels: int = 3, t_end: float = 0.4,
 
     Orders come from successive solution differences (S_dt - S_dt/2
     against S_dt/2 - S_dt/4), which cancels the fixed spatial error
-    that would otherwise mask the first-order-in-dt signal.
+    that would otherwise mask the first-order-in-dt signal.  The levels
+    run as one batch (run_mms with a sequence of step counts).
     """
-    states = []
-    rows = []
-    for i in range(levels):
-        steps = base_steps * 2**i
-        errors, state = run_mms(case, n_cells, t_end, steps)
-        states.append(state)
-        rows.append({"n_cells": n_cells, "n_steps": steps, "errors": errors})
+    counts = [base_steps * 2**i for i in range(levels)]
+    runs = run_mms(case, n_cells, t_end, counts)
+    states = [state for _, state in runs]
+    rows = [
+        {"n_cells": n_cells, "n_steps": steps, "errors": errors}
+        for steps, (errors, _) in zip(counts, runs)
+    ]
 
     diffs = []
     for a, b in zip(states[:-1], states[1:]):

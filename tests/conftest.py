@@ -15,6 +15,7 @@ from rrgas.diagnostics import (
     z_squared_norm,
 )
 from rrgas.mesh import velocity_mean, width
+from rrgas.mms import CASES, spatial_study, temporal_study
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIGS_DIR = REPO_ROOT / "configs"
@@ -74,6 +75,22 @@ def mms_table():
                 code = main(["mms", case, "--levels", "2"])
             tables[case] = (code, out.getvalue())
         return tables[case]
+
+    return run
+
+
+@pytest.fixture(scope="session")
+def mms_studies():
+    """((rows, orders), (rows, diffs, orders)) of a case's spatial and
+    temporal studies at 3 levels, computed once per case and session:
+    acceptance criterion 5 and the golden temporal hash share them."""
+    studies = {}
+
+    def run(name):
+        if name not in studies:
+            case = CASES[name]()
+            studies[name] = (spatial_study(case, levels=3), temporal_study(case, levels=3))
+        return studies[name]
 
     return run
 

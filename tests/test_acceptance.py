@@ -24,7 +24,6 @@ from rrgas.constitutive import (
 from rrgas.diagnostics import z_balance_residual
 from rrgas.driver import run_simulation
 from rrgas.explicit import run_explicit, stable_dt
-from rrgas.mms import CASES, spatial_study, temporal_study
 from rrgas.output import write_diagnostics
 from rrgas.solver import step
 
@@ -146,10 +145,8 @@ def test_criterion_4_entropy_functionals(equilibrium_run, reference_t1_run):
 
 
 @pytest.mark.parametrize("preset", ["trig", "tanh"])
-def test_criterion_5_mms_convergence(preset):
-    case = CASES[preset]()
-    _, spatial_orders = spatial_study(case, levels=3)
-    _, _, temporal_orders = temporal_study(case, levels=3)
+def test_criterion_5_mms_convergence(preset, mms_studies):
+    (_, spatial_orders), (_, _, temporal_orders) = mms_studies(preset)
     print(f"criterion 5 ({preset}): spatial {spatial_orders} temporal {temporal_orders}")
     for name, orders in spatial_orders.items():
         for order in orders:

@@ -161,7 +161,33 @@ def test_nonfinite_initial_field_is_config_error(command, field, value, where, t
     ini.write_text(REST_INI + f"\n[initial]\n{field} = constant value={value}\n")
     args = [command, str(ini)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
     assert main(args) == EXIT_CONFIG
-    assert f"{field} must be finite; violated at {where}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert (f"[initial] {field}: parameter 'value' of profile 'constant' must be finite, "
+            f"got {value}") in err
+    # rejected at the parameter, before any cell or edge of the field is built
+    assert where not in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("field,profile,message", [
+    ("u", "sine amplitude=inf", "parameter 'amplitude' of profile 'sine' must be finite, got inf"),
+    ("theta", "gaussian-bump base=1.0 center=nan",
+     "parameter 'center' of profile 'gaussian-bump' must be finite, got nan"),
+    ("theta", "tanh-layer base=1.0 amplitude=0.5 width=0",
+     "parameter 'width' of profile 'tanh-layer' must be > 0, got 0.0"),
+    ("v", "gaussian-bump base=1.0 amplitude=0.1 width=-0.1",
+     "parameter 'width' of profile 'gaussian-bump' must be > 0, got -0.1"),
+], ids=["amplitude-inf", "center-nan", "width-zero", "width-negative"])
+def test_bad_profile_parameter_is_config_error(command, field, profile, message, tmp_path,
+                                               capsys):
+    ini = tmp_path / "profile.ini"
+    ini.write_text(REST_INI + f"\n[initial]\n{field} = {profile}\n")
+    out = tmp_path / "out"
+    args = [command, str(ini)] + (["--out", str(out)] if command == "run" else [])
+    assert main(args) == EXIT_CONFIG
+    assert f"[initial] {field}: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_missing_file_is_io_error(tmp_path, capsys):

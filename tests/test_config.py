@@ -87,6 +87,17 @@ def test_profile_parse_rejects_repeated_parameter():
         parse_config("[initial]\ntheta = gaussian-bump width=0.1 base=1 width=0.2\n")
 
 
+@pytest.mark.parametrize("kind,params,match", [
+    ("sine", {"amplitude": math.inf}, "parameter 'amplitude' of profile 'sine' must be finite"),
+    ("constant", {"value": math.nan}, "parameter 'value' of profile 'constant' must be finite"),
+    ("tanh-layer", {"width": 0.0}, "parameter 'width' of profile 'tanh-layer' must be > 0"),
+    ("gaussian-bump", {"width": -1.0}, "parameter 'width' of profile 'gaussian-bump' must be > 0"),
+])
+def test_profile_rejects_nonfinite_parameter_and_nonpositive_width(kind, params, match):
+    with pytest.raises(ConfigurationError, match=match):
+        Profile(kind, params)
+
+
 # ------------------------------------------------------------ ini round trip
 
 def test_serialize_parse_round_trip_defaults():

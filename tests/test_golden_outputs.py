@@ -7,7 +7,10 @@ model A and no sources, so the final states of two small manufactured-
 solution runs (trig: model A; tanh: model B, reaction and gravity) are
 hashed too, and so is the stdout of `rrgas mms` at two levels, whose
 runs span several source blocks and the temporal study's longer
-step counts.  The shipped configs have at most 128 cells, so their
+step counts.  The full-size temporal study (three members stepped as
+one batch) is hashed to every digit of its errors and differences, and
+the explicit reference integrator's final state, which shares the IMEX
+step's stencils, is hashed as the MMS final states are.  The shipped configs have at most 128 cells, so their
 snapshots are written inline; a 4096-cell reacting run pins the
 snapshots that `rrgas run` hands to its helper process.  A change that keeps every output bit (a
 speed-up, a refactor) leaves these hashes alone; a change that moves
@@ -22,7 +25,9 @@ import hashlib
 import pytest
 
 from rrgas.cli import EXIT_OK, main
-from rrgas.mms import CASES, run_mms
+from rrgas.config import init_state, load_config
+from rrgas.explicit import run_explicit
+from rrgas.mms import CASES, FIELD_NAMES, run_mms
 from rrgas.output import _OFFLOAD_ROWS
 
 # config name -> (SHA-256 of diagnostics.csv, SHA-256 of the snapshots)
@@ -60,6 +65,20 @@ MMS_RUN = (32, 0.1, 40)
 MMS_GOLDEN = {
     "tanh": "15f78f9e2bbcbac466d842902bf265196922eb04566e522a26f5f91860f15275",
     "trig": "ff2d53b1609b61cfda5836014f693129eecb570c6e6718f8f41133378abd2b96",
+}
+
+
+# SHA-256 of the final v, u, theta, z bytes of run_explicit from
+# configs/reference.ini's initial state, EXPLICIT_RUN = (dt, n_steps)
+EXPLICIT_RUN = (0.05 / 800, 100)
+EXPLICIT_GOLDEN = "5dce9158c8956ef4d6f9385d2316ebff2c61973d4f8910743f16c0fe99159927"
+
+
+# MMS case -> SHA-256 of the repr of every float of its temporal study
+# at 3 levels: the errors of each row, then the successive differences
+TEMPORAL_GOLDEN = {
+    "tanh": "75134eec6c2d33f4b92088626ef13942d21a964775142968ef188623b97cba42",
+    "trig": "91f86f5f923193afef61be08d6abb97e56f83ef3f17c81dc4b8362237c08eb1f",
 }
 
 
@@ -113,6 +132,33 @@ def test_mms_final_state_is_byte_identical(name):
     for field in (state.v, state.u, state.theta, state.z):
         h.update(field.tobytes())
     assert h.hexdigest() == MMS_GOLDEN[name]
+
+
+def test_explicit_final_state_is_byte_identical(configs_dir):
+    # The explicit integrator shares the stress, gravity and diffusion
+    # stencils and both interface coefficients with the IMEX step.
+    config = load_config(configs_dir / "reference.ini")
+    dt, n_steps = EXPLICIT_RUN
+    state = run_explicit(init_state(config), dt, n_steps, config.params)
+    h = hashlib.sha256()
+    for field in (state.v, state.u, state.theta, state.z):
+        h.update(field.tobytes())
+    assert h.hexdigest() == EXPLICIT_GOLDEN
+
+
+@pytest.mark.parametrize("name", sorted(TEMPORAL_GOLDEN))
+def test_mms_temporal_study_is_byte_identical(name, mms_studies):
+    _, (rows, diffs, _) = mms_studies(name)
+    assert [row["n_steps"] for row in rows] == [512, 1024, 2048]
+    h = hashlib.sha256()
+    for row in rows:
+        for field in FIELD_NAMES:
+            for value in row["errors"][field]:
+                h.update(repr(value).encode() + b"\n")
+    for diff in diffs:
+        for field in FIELD_NAMES:
+            h.update(repr(diff[field]).encode() + b"\n")
+    assert h.hexdigest() == TEMPORAL_GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", sorted(MMS_STDOUT_GOLDEN))

@@ -10,6 +10,7 @@ from rrgas.mesh import (
     State,
     advance_boundary,
     physical_coordinates,
+    stack,
     velocity_mean,
     width,
 )
@@ -58,6 +59,26 @@ def test_state_shape_checks():
         State(g, np.ones(4), np.ones(3), np.ones(4), np.zeros(5))
     with pytest.raises(ConfigurationError, match="u"):
         State(g, np.ones(4), np.ones(4), np.ones(4), np.zeros(4))
+
+
+def test_batch_state_shapes_and_members():
+    a, b = make_state(v=1.0, a_pos=0.5), make_state(v=2.0)
+    b.t = 0.25
+    batch = stack([a, b])
+    assert batch.v.shape == (2, 4) and batch.u.shape == (2, 5)
+    assert batch.t.tolist() == [0.0, 0.25] and batch.a_pos.tolist() == [0.5, 0.0]
+    one = batch[1]
+    assert one.v.shape == (4,) and type(one.t) is float and one.t == 0.25
+    assert batch[None].v.shape == (1, 2, 4)
+    assert make_state()[None].t.tolist() == [0.0]
+    sub = batch[np.array([1])]
+    assert sub.v.shape == (1, 4) and sub.t.tolist() == [0.25]
+    c = batch.copy()
+    c[np.array([0])] = sub
+    assert c.v[0].tolist() == [2.0] * 4 and c.t.tolist() == [0.25, 0.25]
+    assert batch.v[0].tolist() == [1.0] * 4 and batch.t.tolist() == [0.0, 0.25]
+    with pytest.raises(ConfigurationError, match=r"u must have shape \(2, 5\)"):
+        State(Grid(4), batch.v, batch.theta, batch.z, np.zeros(5))
 
 
 def test_state_copy_is_deep():

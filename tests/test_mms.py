@@ -143,7 +143,7 @@ def test_block_sources_match_per_level_bits(name, n_cells, source_times):
     per_block = max(1, _SOURCE_BLOCK // (n_cells + 1))
     n_levels = 2 * per_block + per_block // 3 + 1  # two full blocks, a partial one
     levels = accumulated_levels(0.4, n_levels)
-    blocks = _BlockSources(case, grid, levels)
+    blocks = _BlockSources(case, grid, [levels])  # one member
     reference = case.sources(grid)
     for t in levels:
         got = blocks(t)
@@ -162,7 +162,7 @@ def test_block_sources_evaluate_other_levels_alone(source_times):
     case = CASES["tanh"]()
     grid = Grid(16)
     levels = accumulated_levels(0.1, 8)
-    blocks = _BlockSources(case, grid, levels)
+    blocks = _BlockSources(case, grid, [levels])  # one member
     reference = case.sources(grid)
     for t in (levels[1], 0.5 * levels[0]):
         assert [a.tobytes() for a in blocks(t)] == [a.tobytes() for a in reference(t)]
@@ -201,10 +201,46 @@ def test_run_mms_after_a_rejection_matches_per_level_sources(name, reject_at, mo
         assert getattr(blocked, field).tobytes() == getattr(per_level, field).tobytes()
 
 
-@pytest.mark.parametrize("n_steps", [0, -3])
+@pytest.mark.parametrize("n_steps", [0, -3, [40, 0]])
 def test_run_mms_rejects_step_counts_below_one(n_steps):
     with pytest.raises(ConfigurationError, match="n_steps"):
         run_mms(CASES["trig"](), 16, 0.1, n_steps)
+
+
+def test_block_sources_serve_batch_rows(source_times):
+    # Three members with their own step counts: every row is the bits of
+    # that member's level evaluated alone, and a block ends where a
+    # member stops stepping.
+    case = CASES["tanh"]()
+    grid = Grid(31)
+    counts = (7, 11, 18)
+    levels = [accumulated_levels(0.1, n) for n in counts]
+    per_block = max(1, _SOURCE_BLOCK // (3 * 32))
+    blocks = _BlockSources(case, grid, levels)
+    reference = case.sources(grid)
+    for i in range(max(counts)):
+        t = np.array([member[i] for member in levels if len(member) > i])
+        got = blocks(t)
+        for row, level in enumerate(t):
+            for g, w in zip(got, reference(level)):
+                assert not g.flags.writeable
+                assert g[row].tobytes() == w.tobytes()
+    shapes = [np.shape(t) for t in source_times["source_theta"] if np.ndim(t) > 1]
+    assert shapes == [(min(per_block, 7), 3, 1), (4, 2, 1), (7, 1, 1)]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_run_mms_batch_matches_serial_runs(name):
+    case = CASES[name]()
+    counts = [40, 80, 160]
+    batch = run_mms(case, 32, 0.1, counts)
+    assert len(batch) == len(counts)
+    for n_steps, (errors, state) in zip(counts, batch):
+        serial_errors, serial = run_mms(case, 32, 0.1, n_steps)
+        assert state.t == serial.t
+        for field in ("v", "u", "theta", "z"):
+            assert getattr(state, field).tobytes() == getattr(serial, field).tobytes()
+        assert errors == serial_errors
 
 
 # ------------------------------------------- source algebra vs FD oracle

@@ -17,7 +17,7 @@ import rrgas.solver
 from rrgas.config import Profile, RunConfig, init_state
 from rrgas.constitutive import PhysParams, internal_energy, pressure, reaction_rate
 from rrgas.explicit import explicit_reference_step
-from rrgas.mesh import Grid, State, velocity_mean, width
+from rrgas.mesh import Grid, State, stack, velocity_mean, width
 from rrgas.solver import (
     SimulationError,
     StepRejection,
@@ -28,6 +28,7 @@ from rrgas.solver import (
     momentum_step,
     species_step,
     step,
+    step_batch,
     stress_divergence,
     total_stress,
     volume_step,
@@ -530,3 +531,82 @@ def test_step_recovers_after_transient_rejection():
     assert report.rejections >= 1
     assert report.dt < 0.4
     assert s2.t == report.dt
+
+
+# ----------------------------------------------------------------- batch
+
+def state_bits(s):
+    return b"".join(getattr(s, name).tobytes() for name in ("v", "u", "theta", "z"))
+
+
+@pytest.mark.parametrize("max_iter,dts", [
+    # 0.01 is never rejected; 0.05 once; 0.4 several times, at the
+    # volume floor too.  The members converge in different numbers of
+    # Newton iterations, so converged members are frozen while others
+    # iterate.
+    (50, [0.01, 0.05, 0.4]),
+    # Every member stalls at 3 iterations and is rejected, some when
+    # others have converged.
+    (3, [0.01, 0.05, 0.1]),
+])
+def test_step_batch_members_match_their_serial_runs(max_iter, dts):
+    cfg = bump_config(n_cells=16, t_end=10.0, k_rate=5.0)
+    cfg.params = dataclasses.replace(cfg.params, p_ext=5.0)  # hard squeeze
+    cfg.newton_max_iter = max_iter
+    s0 = init_state(cfg)
+    batch = stack([s0] * len(dts))
+    totals = np.zeros((len(dts), 4), dtype=int)
+    for _ in range(3):
+        batch, report = step_batch(batch, cfg, dt=np.array(dts))
+        totals += np.column_stack([report.newton_iterations, report.rejections,
+                                   report.floor_hit, report.nonconverged])
+    for member, dt in enumerate(dts):
+        serial, expected = s0, np.zeros(4, dtype=int)
+        for _ in range(3):
+            serial, r = step(serial, cfg, dt=dt)
+            expected += [r.newton_iterations, r.rejections, r.floor_hit, r.nonconverged]
+        got = batch[member]
+        assert state_bits(got) == state_bits(serial)
+        assert (got.t, got.a_pos) == (serial.t, serial.a_pos)
+        assert totals[member].tolist() == expected.tolist()
+    assert totals[:, 1].tolist() == ([0, 1, 9] if max_iter == 50 else [15, 24, 27])
+
+
+def test_step_batch_keeps_a_constant_species_profile_per_member():
+    # One member's reactant is uniform (it takes the per-cell decay
+    # branch and stays exactly constant), the other's is not (it takes
+    # the diffusion solve); each gets the bits of its own step.
+    cfg = bump_config(n_cells=16, t_end=1.0)
+    flat = init_state(cfg)
+    cfg.z_profile = Profile("gaussian-bump", {"base": 0.5, "amplitude": 0.3})
+    bumped = init_state(cfg)
+    batch, _ = step_batch(stack([flat, bumped]), cfg, dt=np.array([0.01, 0.01]))
+    for member, s in enumerate((flat, bumped)):
+        assert state_bits(batch[member]) == state_bits(step(s, cfg, dt=0.01)[0])
+    assert np.all(batch.z[0] == batch.z[0, 0])
+
+
+def test_step_batch_reports_every_field_per_member():
+    # The members converge on the same Newton iteration here; the report
+    # still has one entry per member in every field.
+    cfg = bump_config(n_cells=16, t_end=1.0)
+    batch, report = step_batch(stack([init_state(cfg)] * 2), cfg, dt=np.array([1e-3, 1e-3]))
+    for value in vars(report).values():
+        assert np.shape(value) == (2,)
+    assert report.newton_iterations[0] == report.newton_iterations[1] > 0
+
+
+def test_step_batch_raises_the_error_of_a_member_out_of_retries():
+    # Only the member below the volume floor is rejected; it spends its
+    # retry budget as its serial run does, and the batch stops with the
+    # serial run's error and the untouched batch as the last state.
+    cfg = RunConfig(params=rest_params(), n_cells=16, t_end=1.0, v_floor=2.0)
+    squeezed, roomy = uniform_state(16, v=1.0), uniform_state(16, v=3.0)
+    with pytest.raises(SimulationError) as err:
+        step(squeezed, cfg, dt=0.01)
+    batch = stack([roomy, squeezed])
+    with pytest.raises(SimulationError) as batch_err:
+        step_batch(batch, cfg, dt=np.array([0.01, 0.01]))
+    assert str(batch_err.value) == str(err.value)
+    assert batch_err.value.last_state is batch
+    assert step(roomy, cfg, dt=0.01)[1].rejections == 0
