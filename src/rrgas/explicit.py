@@ -1,9 +1,9 @@
 """Fully explicit reference integrator.
 
-Forward Euler on the identical staggered stencils and boundary closures
-as the IMEX solver: every right-hand side is evaluated at the old time
-level, the energy equation is advanced conservatively in e and the
-temperature recovered per cell afterwards.  Slow (diffusion restricts
+Forward Euler on solver.rates, the semi-discrete operator built from
+the IMEX solver's stencils and boundary closures, with every term at
+the old time level.  The energy equation is advanced conservatively in
+e and the temperature recovered per cell afterwards.  Slow (diffusion restricts
 dt to O(dx^2)) but free of splitting and linearization choices, which
 is exactly what makes it a useful cross-check.
 """
@@ -12,24 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .constitutive import (
-    PhysParams,
-    de_dtheta,
-    heat_conductivity,
-    internal_energy,
-    pressure,
-    reaction_rate,
-)
+from .constitutive import PhysParams, de_dtheta, heat_conductivity, internal_energy
 from .mesh import State
-from .solver import (
-    InvariantViolation,
-    diffusion_apply,
-    gravity_accel,
-    heat_interface_coeff,
-    species_interface_coeff,
-    stress_divergence,
-    total_stress,
-)
+from .solver import InvariantViolation, rates
 
 
 def stable_dt(state: State, params: PhysParams, safety: float = 0.4) -> float:
@@ -77,36 +62,9 @@ def explicit_reference_step(state: State, dt: float, params: PhysParams, sources
     sources, if given, is a callable t -> (s_v, s_u, s_theta, s_z) on
     the state's grid, as step takes it.
     """
-    grid = state.grid
-    dx = grid.dx
     v, theta, z, u = state.v, state.theta, state.z, state.u
     t = state.t
-
-    s_v = s_u = s_th = s_z = None
-    if sources is not None:
-        s_v, s_u, s_th, s_z = sources(t)
-
-    sigma = total_stress(v, theta, u, dx, params)
-    accel = stress_divergence(sigma, params.p_ext, dx) + gravity_accel(grid.edges, params)
-    if s_u is not None:
-        accel = accel + s_u
-
-    dudx = np.diff(u) / dx
-    v_rate = dudx if s_v is None else dudx + s_v
-
-    phi = reaction_rate(v, theta, params)
-    zm = np.power(z, params.m_order)
-    z_rate = diffusion_apply(species_interface_coeff(v, params), z, dx) - phi * zm
-    if s_z is not None:
-        z_rate = z_rate + s_z
-
-    e_rate = (
-        diffusion_apply(heat_interface_coeff(v, theta, params), theta, dx)
-        + sigma * dudx
-        + params.lambda_heat * phi * zm
-    )
-    if s_th is not None:
-        e_rate = e_rate + s_th
+    v_rate, accel, e_rate, z_rate = rates(state, params, None if sources is None else sources(t))
 
     new = state.copy()
     new.a_pos = state.a_pos + dt * float(u[0])

@@ -10,6 +10,7 @@ the left free boundary.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,8 @@ class Grid:
     """
 
     def __init__(self, n_cells: int):
-        if n_cells < 1:
-            raise ConfigurationError(f"n_cells must be >= 1, got {n_cells}")
+        if not isinstance(n_cells, numbers.Integral) or n_cells < 1:
+            raise ConfigurationError(f"n_cells must be an integer >= 1, got {n_cells}")
         self.n_cells = int(n_cells)
         self.dx = 1.0 / self.n_cells
         self.cell_centers = (np.arange(self.n_cells) + 0.5) * self.dx

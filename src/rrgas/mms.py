@@ -28,29 +28,14 @@ run.  temporal_study runs its levels that way.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
 from .config import RunConfig
-from .constitutive import (
-    PhysParams,
-    conductivity,
-    de_dtheta,
-    internal_energy,
-    pressure,
-    reaction_rate,
-)
+from .constitutive import PhysParams, conductivity, de_dtheta, pressure, reaction_rate
 from .mesh import ConfigurationError, Grid, State, stack
-from .solver import (
-    diffusion_apply,
-    gravity_accel,
-    heat_interface_coeff,
-    species_interface_coeff,
-    step,
-    step_batch,
-    stress_divergence,
-    total_stress,
-)
+from .solver import rates, step, step_batch
 
 
 class Field:
@@ -144,15 +129,14 @@ class MmsCase:
         self.theta = theta
         self.z = z
 
+    def state(self, grid: Grid, t: float = 0.0) -> State:
+        """The manufactured fields on grid at time t."""
+        x = grid.cell_centers
+        return State(grid, self.v.value(x, t), self.theta.value(x, t), self.z.value(x, t),
+                     self.u.value(grid.edges, t), t)
+
     def initial_state(self, n_cells: int) -> State:
-        grid = Grid(n_cells)
-        return State(
-            grid,
-            self.v.value(grid.cell_centers, 0.0),
-            self.theta.value(grid.cell_centers, 0.0),
-            self.z.value(grid.cell_centers, 0.0),
-            self.u.value(grid.edges, 0.0),
-        )
+        return self.state(Grid(n_cells))
 
     def source_v(self, x, t):
         return self.v.dt(x, t) - self.u.dx(x, t)
@@ -305,16 +289,10 @@ def _field_norms(err: np.ndarray, dx: float, edge_field: bool):
 
 def state_errors(case: MmsCase, state: State):
     """Per-field (L2, Linf) of numerical minus manufactured at state.t."""
-    grid = state.grid
-    t = state.t
-    out = {}
-    out["v"] = _field_norms(state.v - case.v.value(grid.cell_centers, t), grid.dx, False)
-    out["u"] = _field_norms(state.u - case.u.value(grid.edges, t), grid.dx, True)
-    out["theta"] = _field_norms(
-        state.theta - case.theta.value(grid.cell_centers, t), grid.dx, False
-    )
-    out["z"] = _field_norms(state.z - case.z.value(grid.cell_centers, t), grid.dx, False)
-    return out
+    exact = case.state(state.grid, state.t)
+    return {name: _field_norms(getattr(state, name) - getattr(exact, name), state.grid.dx,
+                               name == "u")
+            for name in FIELD_NAMES}
 
 
 # Values per source array in one block of time levels: a run of B
@@ -387,10 +365,12 @@ def run_mms(case: MmsCase, n_cells: int, t_end: float, n_steps):
     returned per member, each with the bits of its own run.  A single
     run, or the last member left, steps with solver.step.
     """
-    counts = list(np.atleast_1d(n_steps))
+    counts = list(n_steps) if np.ndim(n_steps) else [n_steps]
+    if not counts:
+        raise ConfigurationError("n_steps must hold at least one step count")
     for count in counts:
-        if count < 1:
-            raise ConfigurationError(f"n_steps must be >= 1, got {count}")
+        if not isinstance(count, numbers.Integral) or count < 1:
+            raise ConfigurationError(f"n_steps must be integers >= 1, got {count}")
     config = RunConfig(params=case.params, n_cells=n_cells, t_end=t_end)
     state = case.initial_state(n_cells)
     dts = [t_end / count for count in counts]
@@ -436,48 +416,24 @@ def convergence_order(coarse_error: float, fine_error: float, refinement_ratio: 
 def discrete_residual(case: MmsCase, n_cells: int, t: float):
     """Plug exact fields into the semi-discrete equations at time t.
 
-    Uses the solver's spatial stencils against the analytic time
-    derivatives, isolating spatial consistency from time integration.
+    The analytic time derivatives minus solver.rates of the exact state
+    with the case's sources, the operator the explicit integrator steps
+    with: this isolates spatial consistency from time integration.
     Cell equations are second order; the momentum boundary rows are
     first order (half-cell control volumes), its interior rows second.
     """
     grid = Grid(n_cells)
-    dx = grid.dx
-    xc, xe = grid.cell_centers, grid.edges
-    p = case.params
-
-    v = case.v.value(xc, t)
-    theta = case.theta.value(xc, t)
-    z = case.z.value(xc, t)
-    u = case.u.value(xe, t)
-    dudx = np.diff(u) / dx
-
-    r_v = case.v.dt(xc, t) - dudx - case.source_v(xc, t)
-
-    sigma = total_stress(v, theta, u, dx, p)
-    accel = (
-        stress_divergence(sigma, p.p_ext, dx)
-        + gravity_accel(xe, p)
-        + case.source_u(xe, t)
-    )
-    r_u = case.u.dt(xe, t) - accel
-
-    e_t = _de_dv(theta, p) * case.v.dt(xc, t) + de_dtheta(v, theta, p) * case.theta.dt(xc, t)
-    heating = p.lambda_heat * reaction_rate(v, theta, p) * np.power(z, p.m_order)
-    r_theta = e_t - (
-        diffusion_apply(heat_interface_coeff(v, theta, p), theta, dx)
-        + sigma * dudx
-        + heating
-        + case.source_theta(xc, t)
-    )
-
-    sink = reaction_rate(v, theta, p) * np.power(z, p.m_order)
-    r_z = case.z.dt(xc, t) - (
-        diffusion_apply(species_interface_coeff(v, p), z, dx)
-        - sink
-        + case.source_z(xc, t)
-    )
-    return {"v": r_v, "u": r_u, "theta": r_theta, "z": r_z}
+    exact = case.state(grid, t)
+    v_t, u_t, e_t, z_t = rates(exact, case.params, case.sources(grid)(t))
+    x, p = grid.cell_centers, case.params
+    v, theta = exact.v, exact.theta
+    exact_e_t = _de_dv(theta, p) * case.v.dt(x, t) + de_dtheta(v, theta, p) * case.theta.dt(x, t)
+    return {
+        "v": case.v.dt(x, t) - v_t,
+        "u": case.u.dt(grid.edges, t) - u_t,
+        "theta": exact_e_t - e_t,
+        "z": case.z.dt(x, t) - z_t,
+    }
 
 
 def spatial_study(case: MmsCase, levels: int = 3, t_end: float = 0.4,
@@ -522,15 +478,11 @@ def temporal_study(case: MmsCase, levels: int = 3, t_end: float = 0.4,
         for steps, (errors, _) in zip(counts, runs)
     ]
 
-    diffs = []
-    for a, b in zip(states[:-1], states[1:]):
-        dx = a.grid.dx
-        d = {}
-        d["v"] = _field_norms(a.v - b.v, dx, False)[0]
-        d["u"] = _field_norms(a.u - b.u, dx, True)[0]
-        d["theta"] = _field_norms(a.theta - b.theta, dx, False)[0]
-        d["z"] = _field_norms(a.z - b.z, dx, False)[0]
-        diffs.append(d)
+    diffs = [
+        {name: _field_norms(getattr(a, name) - getattr(b, name), a.grid.dx, name == "u")[0]
+         for name in FIELD_NAMES}
+        for a, b in zip(states[:-1], states[1:])
+    ]
     orders = {}
     if len(diffs) >= 2:
         for name in FIELD_NAMES:

@@ -170,6 +170,43 @@ def diffusion_apply(coeff: np.ndarray, f: np.ndarray, dx: float) -> np.ndarray:
     return (flux[..., 1:] - flux[..., :-1]) / dx
 
 
+def _acceleration(v, theta, u, grid, params: PhysParams):
+    """Cell total stresses and the edge accelerations they and gravity give."""
+    sigma = total_stress(v, theta, u, grid.dx, params)
+    accel = stress_divergence(sigma, params.p_ext, grid.dx) + gravity_accel(grid.edges, params)
+    return sigma, accel
+
+
+def rates(state: State, params: PhysParams, sources=None):
+    """The semi-discrete right-hand side at the state's own level.
+
+    Returns (v_t, u_t, e_t, z_t): the rates of the cell volumes, edge
+    velocities, cell internal energies and cell reactant fractions, from
+    the stencils and boundary closures step uses.  sources, if given, is
+    the tuple (s_v, s_u, s_theta, s_z) at that level, each an array or
+    None; each given source is added last.  The explicit reference
+    integrator steps with this operator, and the MMS residual checks the
+    manufactured fields against it.
+    """
+    grid = state.grid
+    dx = grid.dx
+    v, theta, z, u = state.v, state.theta, state.z, state.u
+    sigma, u_t = _acceleration(v, theta, u, grid, params)
+    v_t = (u[..., 1:] - u[..., :-1]) / dx
+    phi = reaction_rate(v, theta, params)
+    zm = np.power(z, params.m_order)
+    z_t = diffusion_apply(species_interface_coeff(v, params), z, dx) - phi * zm
+    e_t = (
+        diffusion_apply(heat_interface_coeff(v, theta, params), theta, dx)
+        + sigma * v_t
+        + params.lambda_heat * phi * zm
+    )
+    out = (v_t, u_t, e_t, z_t)
+    if sources is None:
+        return out
+    return tuple(r if s is None else r + s for r, s in zip(out, sources))
+
+
 def _per_cell(x):
     """A per-member value against per-cell arrays: a scalar as it is,
     a batch's (B,) array as a (B, 1) column."""
@@ -255,8 +292,7 @@ def momentum_step(state: State, dt, params: PhysParams, s_u=None) -> np.ndarray:
     grid = state.grid
     dx = grid.dx
     v = state.v
-    sigma = total_stress(v, state.theta, state.u, dx, params)
-    accel = stress_divergence(sigma, params.p_ext, dx) + gravity_accel(grid.edges, params)
+    _, accel = _acceleration(v, state.theta, state.u, grid, params)
     if s_u is not None:
         accel = accel + s_u
 

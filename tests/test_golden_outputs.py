@@ -9,9 +9,10 @@ hashed too, and so is the stdout of `rrgas mms` at two levels, whose
 runs span several source blocks and the temporal study's longer
 step counts.  The full-size temporal study (three members stepped as
 one batch) is hashed to every digit of its errors and differences, and
-the explicit reference integrator's final state, which shares the IMEX
-step's stencils, is hashed as the MMS final states are.  The shipped configs have at most 128 cells, so their
-snapshots are written inline; a 4096-cell reacting run pins the
+the explicit reference integrator's final state, which steps with the
+semi-discrete operator solver.rates, is hashed as the MMS final states
+are, unsourced and with each case's sources.  The shipped configs have
+at most 128 cells, so their snapshots are written inline; a 4096-cell reacting run pins the
 snapshots that `rrgas run` hands to its helper process.  A change that keeps every output bit (a
 speed-up, a refactor) leaves these hashes alone; a change that moves
 bits on purpose has to say which bits moved and why, and recapture the
@@ -73,6 +74,15 @@ MMS_GOLDEN = {
 EXPLICIT_RUN = (0.05 / 800, 100)
 EXPLICIT_GOLDEN = "5dce9158c8956ef4d6f9385d2316ebff2c61973d4f8910743f16c0fe99159927"
 
+# MMS case -> SHA-256 of the final v, u, theta, z bytes of run_explicit
+# with the case's sources from its initial state on SOURCED_EXPLICIT_RUN
+# = (n_cells, dt, n_steps)
+SOURCED_EXPLICIT_RUN = (32, 1e-5, 50)
+SOURCED_EXPLICIT_GOLDEN = {
+    "tanh": "22b78f42c483632515d0fae4708b494fdcebd8782c003b8f17cc9a13e6f0f5b9",
+    "trig": "7f82d300444fdf4a87052d328d80cae919136d19df6b6ffe92691d9a4a9a14cc",
+}
+
 
 # MMS case -> SHA-256 of the repr of every float of its temporal study
 # at 3 levels: the errors of each row, then the successive differences
@@ -91,6 +101,14 @@ MMS_STDOUT_GOLDEN = {
 
 # SHA-256 of summary.csv for configs/sweep_example.ini, any --jobs
 SWEEP_GOLDEN = "19a2abb5949e8cb8f852aaaf5d1171812206e0d21181826aa09a1d09f676cb10"
+
+
+def state_digest(state):
+    """SHA-256 of a state's v, u, theta and z bytes, in that order."""
+    h = hashlib.sha256()
+    for field in (state.v, state.u, state.theta, state.z):
+        h.update(field.tobytes())
+    return h.hexdigest()
 
 
 def snapshots_digest(out):
@@ -128,22 +146,27 @@ def test_large_reacting_outputs_are_byte_identical(configs_dir, tmp_path):
 @pytest.mark.parametrize("name", sorted(MMS_GOLDEN))
 def test_mms_final_state_is_byte_identical(name):
     _, state = run_mms(CASES[name](), *MMS_RUN)
-    h = hashlib.sha256()
-    for field in (state.v, state.u, state.theta, state.z):
-        h.update(field.tobytes())
-    assert h.hexdigest() == MMS_GOLDEN[name]
+    assert state_digest(state) == MMS_GOLDEN[name]
 
 
 def test_explicit_final_state_is_byte_identical(configs_dir):
-    # The explicit integrator shares the stress, gravity and diffusion
-    # stencils and both interface coefficients with the IMEX step.
+    # The explicit integrator steps with solver.rates, the right-hand
+    # side whose stress, gravity and diffusion stencils and interface
+    # coefficients the IMEX step uses too.
     config = load_config(configs_dir / "reference.ini")
     dt, n_steps = EXPLICIT_RUN
     state = run_explicit(init_state(config), dt, n_steps, config.params)
-    h = hashlib.sha256()
-    for field in (state.v, state.u, state.theta, state.z):
-        h.update(field.tobytes())
-    assert h.hexdigest() == EXPLICIT_GOLDEN
+    assert state_digest(state) == EXPLICIT_GOLDEN
+
+
+@pytest.mark.parametrize("name", sorted(SOURCED_EXPLICIT_GOLDEN))
+def test_sourced_explicit_final_state_is_byte_identical(name):
+    # The sourced path of solver.rates, which the MMS residual also takes.
+    case = CASES[name]()
+    n_cells, dt, n_steps = SOURCED_EXPLICIT_RUN
+    state = case.initial_state(n_cells)
+    state = run_explicit(state, dt, n_steps, case.params, case.sources(state.grid))
+    assert state_digest(state) == SOURCED_EXPLICIT_GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", sorted(TEMPORAL_GOLDEN))

@@ -43,9 +43,10 @@ def test_grid_sample_arrays_are_read_only():
         g.edges[1:3] = 0.0
 
 
-def test_grid_rejects_empty():
-    with pytest.raises(ConfigurationError):
-        Grid(0)
+@pytest.mark.parametrize("n_cells", [0, -4, 2.5, "8"])
+def test_grid_rejects_bad_cell_counts(n_cells):
+    with pytest.raises(ConfigurationError, match="n_cells"):
+        Grid(n_cells)
 
 
 def test_grid_equality_by_size():

@@ -201,8 +201,9 @@ def test_run_mms_after_a_rejection_matches_per_level_sources(name, reject_at, mo
         assert getattr(blocked, field).tobytes() == getattr(per_level, field).tobytes()
 
 
-@pytest.mark.parametrize("n_steps", [0, -3, [40, 0]])
+@pytest.mark.parametrize("n_steps", [0, -3, [40, 0], [], 2.5])
 def test_run_mms_rejects_step_counts_below_one(n_steps):
+    # Also an empty sequence and a count that is not an integer.
     with pytest.raises(ConfigurationError, match="n_steps"):
         run_mms(CASES["trig"](), 16, 0.1, n_steps)
 
@@ -429,10 +430,20 @@ def test_initial_state_samples_closures():
     np.testing.assert_array_equal(s.u, case.u.value(g.edges, 0.0))
 
 
+def test_state_samples_closures_at_its_time():
+    case = CASES["trig"]()
+    g = Grid(16)
+    s = case.state(g, 0.3)
+    assert s.t == 0.3
+    np.testing.assert_array_equal(s.v, case.v.value(g.cell_centers, 0.3))
+    np.testing.assert_array_equal(s.u, case.u.value(g.edges, 0.3))
+
+
 def test_state_errors_zero_for_exact_state():
     case = CASES["trig"]()
     s = case.initial_state(32)
     errors = state_errors(case, s)
+    assert list(errors) == ["v", "u", "theta", "z"]
     for name in ("v", "u", "theta", "z"):
         assert errors[name] == (0.0, 0.0)
 

@@ -26,6 +26,7 @@ from rrgas.solver import (
     energy_step,
     gravity_accel,
     momentum_step,
+    rates,
     species_step,
     step,
     step_batch,
@@ -119,6 +120,32 @@ def test_gravity_accel_antisymmetric():
     a = gravity_accel(g.edges, ref_params(g_grav=0.4))
     np.testing.assert_allclose(a, -a[::-1], atol=1e-16)
     assert a[0] == 0.2  # -G*(0 - 1/2)
+
+
+def random_state(n, seed):
+    rng = np.random.default_rng(seed)
+    return State(Grid(n), 1.0 + 0.3 * rng.random(n), 1.0 + 0.5 * rng.random(n),
+                 0.2 + 0.6 * rng.random(n), 0.1 * rng.standard_normal(n + 1))
+
+
+def test_rates_add_each_given_source_last():
+    s = random_state(12, 3)
+    p = ref_params(k_rate=2.0, m_order=2.0)
+    plain = rates(s, p)
+    sources = (np.full(12, 0.3), None, np.linspace(-1.0, 1.0, 12), np.full(12, -0.2))
+    sourced = rates(s, p, sources)
+    for rate, source, with_source in zip(plain, sources, sourced):
+        expected = rate if source is None else rate + source
+        assert with_source.tobytes() == expected.tobytes()
+
+
+def test_rates_of_a_batch_are_each_members_rates():
+    states = [random_state(10, seed) for seed in (4, 5, 6)]
+    p = ref_params(k_rate=2.0, m_order=2.0)
+    batch = rates(stack(states), p)
+    for i, state in enumerate(states):
+        for row, alone in zip(batch, rates(state, p)):
+            assert row[i].tobytes() == alone.tobytes()
 
 
 # -------------------------------------------------------------- step bound
