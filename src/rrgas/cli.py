@@ -131,27 +131,27 @@ def cmd_mms(args) -> int:
     if args.levels < 2:
         raise ConfigurationError("need at least 2 levels for a convergence table")
     case = CASES[args.case]()
-
-    print("study,case,field,level,n_cells,n_steps,error_l2,error_linf,order")
-
-    rows, orders = spatial_study(case, levels=args.levels)
-    for i, row in enumerate(rows):
-        for name, (l2, linf) in row["errors"].items():
-            order = f"{orders[name][i - 1]:.3f}" if i >= 1 else ""
-            print(
-                f"spatial,{case.name},{name},{i},{row['n_cells']},{row['n_steps']},"
-                f"{l2:.6e},{linf:.6e},{order}"
-            )
-
+    spatial = spatial_study(case, levels=args.levels)
     rows, _, orders = temporal_study(case, levels=args.levels)
-    for i, row in enumerate(rows):
-        for name, (l2, linf) in row["errors"].items():
-            order = f"{orders[name][i - 2]:.3f}" if orders and i >= 2 else ""
-            print(
-                f"temporal,{case.name},{name},{i},{row['n_cells']},{row['n_steps']},"
-                f"{l2:.6e},{linf:.6e},{order}"
-            )
+    print(mms_table(case.name, spatial, (rows, orders)), end="")
     return EXIT_OK
+
+
+def mms_table(case_name: str, spatial, temporal) -> str:
+    """The `rrgas mms` table: a header, then one line per study, level and field.
+
+    spatial and temporal are each (rows, orders) of their study.  A
+    spatial level's order compares it with the level before; a temporal
+    order needs two differences, so it starts at level 2.
+    """
+    lines = ["study,case,field,level,n_cells,n_steps,error_l2,error_linf,order"]
+    for study, (rows, orders), first in (("spatial", spatial, 1), ("temporal", temporal, 2)):
+        for i, row in enumerate(rows):
+            for name, (l2, linf) in row["errors"].items():
+                order = f"{orders[name][i - first]:.3f}" if i >= first else ""
+                lines.append(f"{study},{case_name},{name},{i},{row['n_cells']},"
+                             f"{row['n_steps']},{l2:.6e},{linf:.6e},{order}")
+    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:

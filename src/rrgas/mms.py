@@ -15,9 +15,13 @@ boundary stress, heat-flux and species-flux conditions hold exactly.
 
 The source methods broadcast: called with a (k, 1) column of times
 against a grid array, they return (k, n) rows, each bit-identical to
-the call at its one time.  run_mms steps with a fixed dt and uses this
-to evaluate the sources, and the shapes inside them, a block of time
-levels at a time; nothing is cached across blocks.
+the call at its one time.  run_mms steps with a fixed dt, so it knows
+every time level before the first step: its loop evaluates the
+sources, and the shapes inside them, for a block of levels per call
+and hands each step the rows of its levels.  A block ends where a
+batch member leaves, and nothing is kept across blocks.  A rejected
+step would end a run short of t_end, so run_mms stops there with a
+SimulationError.
 
 run_mms given several step counts advances the runs as one batch on one
 grid (solver.step_batch, a leading member axis), and each member leaves
@@ -29,13 +33,14 @@ from __future__ import annotations
 
 import math
 import numbers
+from functools import partial
 
 import numpy as np
 
 from .config import RunConfig
 from .constitutive import PhysParams, conductivity, de_dtheta, pressure, reaction_rate
 from .mesh import ConfigurationError, Grid, State, stack
-from .solver import rates, step, step_batch
+from .solver import SimulationError, rates, step, step_batch
 
 
 class Field:
@@ -301,69 +306,32 @@ def state_errors(case: MmsCase, state: State):
 _SOURCE_BLOCK = 4096
 
 
-class _BlockSources:
-    """A case's sources at known time levels, a block of levels per call.
+def _serving(sources, levels, rows):
+    """sources, but rows for exactly the levels one step asks for."""
 
-    A fixed-dt run knows every level its steps will sample before the
-    first one; levels holds that list for each member of a batch.  Each
-    source is called once per block with the times of the members still
-    stepping, (k,) or (k, b), and broadcasts them against the grid array
-    into rows; every operation is elementwise, so each row holds the bits
-    of a call at that one level.  Called with the next level of every
-    member still stepping, in member order (a float for a single run, a
-    (b,) array for a batch), it serves read-only rows from the block.
-    Any other call (a halved dt after a rejection, every level after it)
-    is evaluated alone and builds no block.
-    """
+    def at(t):
+        if np.shape(t) == np.shape(levels) and np.all(t == levels):
+            return rows
+        return sources(t)  # a retry at a shorter dt
 
-    def __init__(self, case: MmsCase, grid: Grid, levels):
-        self._sources = case.sources(grid)
-        self._counts = np.array([len(member) for member in levels])
-        self._levels = np.full((len(levels), self._counts.max()), np.nan)
-        for row, member in zip(self._levels, levels):
-            row[: len(member)] = member
-        self._width = grid.edges.size
-        self._next = 0  # index of the step the next call asks for
-        self._start = self._stop = 0  # the steps the block holds
-        self._times = None  # their levels, (k, b)
-        self._block = ()  # (s_v, s_u, s_theta, s_z), each (k, ...) rows
-
-    def __call__(self, t):
-        i = self._next
-        if i < self._stop:
-            want = self._times[i - self._start]
-        elif i < self._levels.shape[1]:
-            want = self._levels[self._counts > i, i]
-        else:
-            return self._sources(t)
-        if not (np.size(t) == want.size and (np.reshape(t, -1) == want).all()):
-            return self._sources(t)
-        if i == self._stop:
-            # Blocks end where a member stops stepping, so the rows of
-            # one block are for one set of members.
-            stepping = self._counts > i
-            size = max(1, _SOURCE_BLOCK // (want.size * self._width))
-            stop = min(i + size, self._counts[stepping].min())
-            self._block = ()  # dropped first, so two blocks are never held at once
-            self._times = self._levels[stepping, i:stop].T
-            self._block = self._sources(self._times.reshape((stop - i,) + np.shape(t)))
-            for values in self._block:
-                values.setflags(write=False)
-            self._start, self._stop = i, stop
-        self._next = i + 1
-        return tuple(values[i - self._start] for values in self._block)
+    return at
 
 
 def run_mms(case: MmsCase, n_cells: int, t_end: float, n_steps):
     """Integrate the sourced system and return (per-field errors, state).
 
-    The step size t_end/n_steps is fixed, so the sources are evaluated a
-    block of time levels at a time (_BlockSources), with the same bits
-    as one level at a time.  n_steps may also be a sequence of step
-    counts: the runs then advance as one batch (solver.step_batch), each
-    member leaves it after its last step, and one (errors, state) is
-    returned per member, each with the bits of its own run.  A single
-    run, or the last member left, steps with solver.step.
+    The step size t_end/n_steps is fixed, so every time level is known
+    before the first step: the sources are evaluated a block of levels
+    per call, into read-only rows with the bits of one level at a time.
+    n_steps may also be a sequence of step counts: the runs then advance
+    as one batch (solver.step_batch), each member leaves it after its
+    last step, and one (errors, state) is returned per member, each with
+    the bits of its own run.  A single run, or the last member left,
+    steps with solver.step.
+
+    A rejected step would leave a member short of t_end, so it raises
+    SimulationError naming the member's step count and t, with that
+    member's state before the step as last_state.
     """
     counts = list(n_steps) if np.ndim(n_steps) else [n_steps]
     if not counts:
@@ -373,33 +341,52 @@ def run_mms(case: MmsCase, n_cells: int, t_end: float, n_steps):
             raise ConfigurationError(f"n_steps must be integers >= 1, got {count}")
     config = RunConfig(params=case.params, n_cells=n_cells, t_end=t_end)
     state = case.initial_state(n_cells)
-    dts = [t_end / count for count in counts]
-    # The same additions step makes, so each level is its t_new bit for bit.
-    levels = []
-    for dt, count in zip(dts, counts):
-        t = state.t
-        levels.append([t := t + dt for _ in range(count)])
-    sources = _BlockSources(case, state.grid, levels)
+    sources, width = case.sources(state.grid), state.grid.edges.size
+    counts = np.array(counts)
+    dts = t_end / counts
+    # From t = 0 by the additions step makes, so each level is its t_new
+    # bit for bit.
+    levels = [np.add.accumulate(np.full(count, dt)) for dt, count in zip(dts, counts)]
 
     finals = [None] * len(counts)
     live = np.arange(len(counts))  # the members still stepping, in order
-    batch = stack([state] * len(counts))
+    state, batched = stack([state] * len(counts)), True
     taken = 0
-    while live.size > 1:
-        batch, _ = step_batch(batch, config, sources=sources, dt=np.take(dts, live))
-        taken += 1
-        done = np.take(counts, live) == taken
-        if done.any():
-            for member, position in zip(live[done], np.flatnonzero(done)):
-                finals[member] = batch[position]
-            live, batch = live[~done], batch[~done]
-    if live.size:
-        # The last member steps on as a single run: the same code without
-        # the member axis, which costs less per step.
-        (member,), state = live, batch[0]
-        for _ in range(counts[member] - taken):
-            state, _ = step(state, config, sources=sources, dt=dts[member])
-        finals[member] = state
+    while live.size:
+        if live.size == 1 and batched:
+            # The last member steps on as a single run: the same code
+            # without the member axis, which costs less per step.
+            state, batched = state[0], False
+        # A block ends where a member leaves, so its rows are for one
+        # set of members: (k, b) levels, or (k,) for a single run.
+        stop = min(taken + max(1, _SOURCE_BLOCK // (live.size * width)), counts[live].min())
+        times = np.array([levels[member][taken:stop] for member in live]).T
+        times = times if batched else times[:, 0]
+        at = block = ()  # dropped first, so two blocks are never held at once
+        block = sources(times)
+        for values in block:
+            values.setflags(write=False)
+        advance = (partial(step_batch, dt=dts[live]) if batched
+                   else partial(step, dt=dts[live[0]]))
+        for k, level in enumerate(times):
+            at = _serving(sources, level, tuple(values[k] for values in block))
+            new, report = advance(state, config, sources=at)
+            rejected = np.flatnonzero(report.rejections)
+            if rejected.size:
+                last = state[rejected[0]] if batched else state
+                raise SimulationError(
+                    f"the run of {counts[live[rejected[0]]]} steps had a step rejected "
+                    f"at t={last.t:.6e}; a fixed-dt study cannot take a shorter one",
+                    last_state=last,
+                )
+            state = new
+        taken = stop
+        done = counts[live] == taken
+        for member, position in zip(live[done], np.flatnonzero(done)):
+            finals[member] = state[position] if batched else state
+        live = live[~done]
+        if batched:
+            state = state[~done]
     runs = [(state_errors(case, final), final) for final in finals]
     return runs if np.ndim(n_steps) else runs[0]
 
@@ -436,6 +423,13 @@ def discrete_residual(case: MmsCase, n_cells: int, t: float):
     }
 
 
+def _orders(l2s):
+    """Field -> the orders between consecutive entries of l2s, each a
+    dict of field -> L2 norm, at a refinement ratio of 2."""
+    return {name: [convergence_order(a[name], b[name], 2.0) for a, b in zip(l2s, l2s[1:])]
+            for name in FIELD_NAMES}
+
+
 def spatial_study(case: MmsCase, levels: int = 3, t_end: float = 0.4,
                   base_cells: int = 64, base_steps: int = 160):
     """Mesh refinement with dt proportional to dx^2.
@@ -450,15 +444,7 @@ def spatial_study(case: MmsCase, levels: int = 3, t_end: float = 0.4,
         steps = base_steps * 4**i
         errors, _ = run_mms(case, n, t_end, steps)
         rows.append({"n_cells": n, "n_steps": steps, "errors": errors})
-    orders = {}
-    for name in FIELD_NAMES:
-        orders[name] = [
-            convergence_order(
-                rows[i]["errors"][name][0], rows[i + 1]["errors"][name][0], 2.0
-            )
-            for i in range(levels - 1)
-        ]
-    return rows, orders
+    return rows, _orders([{name: l2 for name, (l2, _) in row["errors"].items()} for row in rows])
 
 
 def temporal_study(case: MmsCase, levels: int = 3, t_end: float = 0.4,
@@ -483,11 +469,4 @@ def temporal_study(case: MmsCase, levels: int = 3, t_end: float = 0.4,
          for name in FIELD_NAMES}
         for a, b in zip(states[:-1], states[1:])
     ]
-    orders = {}
-    if len(diffs) >= 2:
-        for name in FIELD_NAMES:
-            orders[name] = [
-                convergence_order(diffs[i][name], diffs[i + 1][name], 2.0)
-                for i in range(len(diffs) - 1)
-            ]
-    return rows, diffs, orders
+    return rows, diffs, _orders(diffs) if len(diffs) >= 2 else {}

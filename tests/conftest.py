@@ -1,11 +1,8 @@
-import contextlib
-import io
 import multiprocessing
 import pathlib
 
 import pytest
 
-from rrgas.cli import main
 from rrgas.config import load_config
 from rrgas.diagnostics import (
     DiagnosticsRecord,
@@ -63,27 +60,11 @@ def per_state_row():
 
 
 @pytest.fixture(scope="session")
-def mms_table():
-    """(exit code, stdout) of `rrgas mms <case> --levels 2`, computed once
-    per case and session: the layout and golden-hash tests share it."""
-    tables = {}
-
-    def run(case):
-        if case not in tables:
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = main(["mms", case, "--levels", "2"])
-            tables[case] = (code, out.getvalue())
-        return tables[case]
-
-    return run
-
-
-@pytest.fixture(scope="session")
 def mms_studies():
     """((rows, orders), (rows, diffs, orders)) of a case's spatial and
     temporal studies at 3 levels, computed once per case and session:
-    acceptance criterion 5 and the golden temporal hash share them."""
+    acceptance criterion 5, the golden temporal hash and the golden
+    `rrgas mms --levels 2` table share them."""
     studies = {}
 
     def run(name):

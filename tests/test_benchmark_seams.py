@@ -1,0 +1,57 @@
+"""The names perfbench's traced mode wraps still exist and are still reached.
+
+perfbench/tracer.py replaces module attributes and MmsCase methods by
+name.  A rename in rrgas would make it fail, or (for the MMS sources)
+leave a metric that silently reads 0; perfbench's own self-test is not
+part of this suite, so the seams are checked here.
+"""
+
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+import rrgas.solver
+import rrgas.sweep
+from rrgas.mms import CASES, MmsCase, run_mms
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+# (module, attribute) the tracer wraps by name besides every public function
+WRAPPED = [(rrgas.solver, "solveh_banded"), (rrgas.solver, "step"), (rrgas.sweep, "run_one")]
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("module,attr", WRAPPED, ids=lambda x: getattr(x, "__name__", x))
+def test_every_name_the_tracer_wraps_exists(tracer, module, attr):
+    assert attr in inspect.getsource(tracer)  # still the tracer's seam
+    assert callable(getattr(module, attr))
+
+
+def test_every_mms_source_the_tracer_wraps_exists(tracer):
+    assert tracer.MMS_SOURCES
+    for attr in tracer.MMS_SOURCES:
+        assert inspect.isfunction(getattr(MmsCase, attr)), attr
+
+
+def test_run_mms_reaches_every_source_the_tracer_wraps(tracer, monkeypatch):
+    # Otherwise mms.sources.us_per_step would read 0 on mms-trig.
+    calls = dict.fromkeys(tracer.MMS_SOURCES, 0)
+    for attr in tracer.MMS_SOURCES:
+        fn = getattr(MmsCase, attr)
+
+        def counted(self, x, t, fn=fn, attr=attr):
+            calls[attr] += 1
+            return fn(self, x, t)
+
+        monkeypatch.setattr(MmsCase, attr, counted)
+    run_mms(CASES["trig"](), 8, 0.01, [2, 3])
+    assert all(calls.values()), calls

@@ -349,8 +349,11 @@ def test_sweep_rejects_zero_jobs(configs_dir, tmp_path, capsys):
 
 # ------------------------------------------------------------------ mms
 
-def test_mms_table_layout(mms_table):
-    code, out = mms_table("trig")
+def test_mms_table_layout(capsys):
+    # The one end-to-end `rrgas mms` run; the golden hashes pin the bytes
+    # of the table formatted from the acceptance studies.
+    code = main(["mms", "trig", "--levels", "2"])
+    out = capsys.readouterr().out
     assert code == EXIT_OK
     lines = out.splitlines()
     assert lines[0] == "study,case,field,level,n_cells,n_steps,error_l2,error_linf,order"
@@ -365,6 +368,27 @@ def test_mms_table_layout(mms_table):
             assert 1.5 <= float(parts[8]) <= 2.5
     # with 2 temporal levels there is one difference, no order column yet
     assert all(ln.endswith(",") for ln in temporal)
+
+
+def test_mms_with_a_rejected_step_exits_2(monkeypatch, capsys):
+    # A fixed-dt study run that loses a step would be graded short of
+    # t_end; the command fails instead, with no partial table.
+    energy_step = rrgas.solver.energy_step
+    calls = []
+
+    def rejects_once(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise rrgas.solver.StepRejection("newton_stall")
+        return energy_step(*args, **kwargs)
+
+    monkeypatch.setattr(rrgas.solver, "energy_step", rejects_once)
+    code = main(["mms", "trig", "--levels", "2"])
+    captured = capsys.readouterr()
+    assert code == EXIT_SIMULATION
+    assert "simulation failed" in captured.err
+    assert "run of 160 steps" in captured.err
+    assert captured.out == ""
 
 
 def test_mms_unknown_case(capsys):

@@ -19,7 +19,6 @@ from rrgas.mms import (
     CASES,
     Field,
     MmsCase,
-    _BlockSources,
     _cosine,
     _sine,
     _tanh_shape,
@@ -31,7 +30,7 @@ from rrgas.mms import (
     state_errors,
     temporal_study,
 )
-from rrgas.solver import StepRejection
+from rrgas.solver import SimulationError, StepRejection
 
 H = 1e-5  # central-difference step for the oracle derivatives
 X_SAMPLES = (0.13, 0.41, 0.77)
@@ -135,70 +134,124 @@ def test_case_sources_place_each_source_on_its_grid():
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
+@pytest.fixture
+def served(monkeypatch):
+    """(t, the arrays returned) of every call run_mms's steps make to
+    the sources they are handed, in order."""
+    calls = []
+    for name in ("step", "step_batch"):
+
+        def recording(state, config, sources=None, *, fn=getattr(rrgas.mms, name), **kwargs):
+            def at(t):
+                values = sources(t)
+                calls.append((t, values))
+                return values
+
+            return fn(state, config, sources=at, **kwargs)
+
+        monkeypatch.setattr(rrgas.mms, name, recording)
+    return calls
+
+
+def rejecting_once(monkeypatch, at_call, members=None):
+    """Make the at_call-th energy_step call reject (members, for a batch)."""
+    energy_step = rrgas.solver.energy_step
+    calls = []
+
+    def rejects(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == at_call:
+            raise StepRejection("newton_stall", members)
+        return energy_step(*args, **kwargs)
+
+    monkeypatch.setattr(rrgas.solver, "energy_step", rejects)
+
+
 @pytest.mark.parametrize("n_cells", [33, 127, 200, 4096])
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_block_sources_match_per_level_bits(name, n_cells, source_times):
+def test_block_sources_match_per_level_bits(name, n_cells, served, source_times):
     case = CASES[name]()
-    grid = Grid(n_cells)
     per_block = max(1, _SOURCE_BLOCK // (n_cells + 1))
-    n_levels = 2 * per_block + per_block // 3 + 1  # two full blocks, a partial one
-    levels = accumulated_levels(0.4, n_levels)
-    blocks = _BlockSources(case, grid, [levels])  # one member
-    reference = case.sources(grid)
-    for t in levels:
-        got = blocks(t)
-        want = reference(t)
-        for g, w in zip(got, want):
+    n_steps = 2 * per_block + per_block // 3 + 1  # two full blocks, a partial one
+    t_end = 1e-4 * n_steps
+    run_mms(case, n_cells, t_end, n_steps)
+    # each source was called once per block, with a column of its levels
+    shapes = [np.shape(t) for t in source_times["source_theta"]]
+    assert shapes == [(per_block, 1), (per_block, 1), (per_block // 3 + 1, 1)]
+    assert [t for t, _ in served] == accumulated_levels(t_end, n_steps)
+    reference = case.sources(Grid(n_cells))
+    for t, got in served:
+        for g, w in zip(got, reference(t)):
             assert not g.flags.writeable
             assert g.shape == w.shape
             assert g.tobytes() == w.tobytes()
-    # three block calls per source; the reference made the per-level ones
-    shapes = [np.shape(t) for t in source_times["source_theta"]]
-    assert [s for s in shapes if s] == [(per_block, 1), (per_block, 1), (per_block // 3 + 1, 1)]
-    assert shapes.count(()) == n_levels
 
 
-def test_block_sources_evaluate_other_levels_alone(source_times):
+def test_block_sources_serve_batch_rows(served, source_times):
+    # Three members with their own step counts: every row is the bits of
+    # that member's level evaluated alone, and a block ends where a
+    # member stops stepping.  The last member steps on as a single run.
     case = CASES["tanh"]()
-    grid = Grid(16)
+    counts = (7, 11, 18)
+    levels = [accumulated_levels(0.1, n) for n in counts]
+    per_block = max(1, _SOURCE_BLOCK // (3 * 32))
+    run_mms(case, 31, 0.1, list(counts))
+    shapes = [np.shape(t) for t in source_times["source_theta"]]
+    assert shapes == [(min(per_block, 7), 3, 1), (4, 2, 1), (7, 1)]
+    assert len(served) == max(counts)
+    reference = case.sources(Grid(31))
+    for i, (t, got) in enumerate(served):
+        assert list(np.atleast_1d(t)) == [member[i] for member in levels if len(member) > i]
+        for row, level in enumerate(np.atleast_1d(t)):
+            for g, w in zip(got, reference(level)):
+                assert not g.flags.writeable
+                assert np.atleast_2d(g)[row].tobytes() == w.tobytes()
+
+
+def test_batch_blocks_hold_source_block_values_over_the_members_left(source_times):
+    # At 255 cells a block holds _SOURCE_BLOCK // (b * 256) levels of the
+    # b members still stepping: 5 of three, 8 of two and 16 of one, each
+    # cut where a member leaves.
+    run_mms(CASES["trig"](), 255, 0.01, [7, 11, 18])
+    shapes = [np.shape(t) for t in source_times["source_v"]]
+    assert shapes == [(5, 3, 1), (2, 3, 1), (4, 2, 1), (7, 1)]
+
+
+def test_block_sources_evaluate_other_levels_alone(served, source_times, monkeypatch):
+    # The 5th step's first attempt is rejected; its retry at dt/2 asks
+    # for a level no block holds, and gets the bits of a per-level call
+    # before run_mms stops the run.
+    case = CASES["tanh"]()
+    rejecting_once(monkeypatch, 5)
+    with pytest.raises(SimulationError):
+        run_mms(case, 16, 0.1, 8)
     levels = accumulated_levels(0.1, 8)
-    blocks = _BlockSources(case, grid, [levels])  # one member
-    reference = case.sources(grid)
-    for t in (levels[1], 0.5 * levels[0]):
-        assert [a.tobytes() for a in blocks(t)] == [a.tobytes() for a in reference(t)]
-    # each was evaluated for its one level, and no block was built
-    assert all(np.ndim(t) == 0 for calls in source_times.values() for t in calls)
-    # the first level in order is still served from a block
-    blocks(levels[0])
-    assert np.shape(source_times["source_v"][-1]) == (8, 1)
+    assert [t for t, _ in served] == levels[:5] + [levels[3] + 0.1 / 8 / 2]
+    assert [np.shape(t) for t in source_times["source_v"]] == [(8, 1), ()]
+    retry_t, retry = served[-1]
+    for g, w in zip(retry, case.sources(Grid(16))(retry_t)):
+        assert g.tobytes() == w.tobytes()
 
 
-@pytest.mark.parametrize("reject_at", [40, 80])  # inside block 2; the last step
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_run_mms_after_a_rejection_matches_per_level_sources(name, reject_at, monkeypatch):
-    def run(per_level):
-        if per_level:
-            monkeypatch.setattr(rrgas.mms, "_BlockSources",
-                                lambda case, grid, levels: case.sources(grid))
-        energy_step = rrgas.solver.energy_step
-        calls = []
+def test_run_mms_stops_a_run_that_has_a_step_rejected(name, monkeypatch):
+    # A fixed-dt run cannot take a shorter step and still end at t_end.
+    rejecting_once(monkeypatch, 10)  # the first attempt of step 10
+    with pytest.raises(SimulationError, match=r"run of 40 steps.* at t=2\.25") as err:
+        run_mms(CASES[name](), 32, 0.1, 40)
+    last = err.value.last_state
+    assert last.t == accumulated_levels(0.1, 40)[8]
+    assert last.v.shape == (32,)
 
-        def rejects_once(*args, **kwargs):
-            calls.append(None)
-            if len(calls) == reject_at:  # the first attempt of that step
-                raise StepRejection("newton_stall")
-            return energy_step(*args, **kwargs)
 
-        monkeypatch.setattr(rrgas.solver, "energy_step", rejects_once)
-        _, state = run_mms(CASES[name](), 127, 0.1, 80)
-        monkeypatch.undo()
-        assert len(calls) == 81
-        return state
-
-    blocked, per_level = run(False), run(True)
-    assert blocked.t == per_level.t < 0.1  # one step was taken at dt/2
-    for field in ("v", "u", "theta", "z"):
-        assert getattr(blocked, field).tobytes() == getattr(per_level, field).tobytes()
+def test_run_mms_stops_a_batch_when_a_member_has_a_step_rejected(monkeypatch):
+    # The second member's 10th step is rejected; the first member's is not.
+    rejecting_once(monkeypatch, 10, members=np.array([False, True]))
+    with pytest.raises(SimulationError, match=r"run of 80 steps.* at t=1\.125") as err:
+        run_mms(CASES["trig"](), 32, 0.1, [40, 80])
+    last = err.value.last_state
+    assert last.t == accumulated_levels(0.1, 80)[8]
+    assert last.v.shape == (32,)
 
 
 @pytest.mark.parametrize("n_steps", [0, -3, [40, 0], [], 2.5])
@@ -206,28 +259,6 @@ def test_run_mms_rejects_step_counts_below_one(n_steps):
     # Also an empty sequence and a count that is not an integer.
     with pytest.raises(ConfigurationError, match="n_steps"):
         run_mms(CASES["trig"](), 16, 0.1, n_steps)
-
-
-def test_block_sources_serve_batch_rows(source_times):
-    # Three members with their own step counts: every row is the bits of
-    # that member's level evaluated alone, and a block ends where a
-    # member stops stepping.
-    case = CASES["tanh"]()
-    grid = Grid(31)
-    counts = (7, 11, 18)
-    levels = [accumulated_levels(0.1, n) for n in counts]
-    per_block = max(1, _SOURCE_BLOCK // (3 * 32))
-    blocks = _BlockSources(case, grid, levels)
-    reference = case.sources(grid)
-    for i in range(max(counts)):
-        t = np.array([member[i] for member in levels if len(member) > i])
-        got = blocks(t)
-        for row, level in enumerate(t):
-            for g, w in zip(got, reference(level)):
-                assert not g.flags.writeable
-                assert g[row].tobytes() == w.tobytes()
-    shapes = [np.shape(t) for t in source_times["source_theta"] if np.ndim(t) > 1]
-    assert shapes == [(min(per_block, 7), 3, 1), (4, 2, 1), (7, 1, 1)]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
