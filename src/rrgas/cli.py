@@ -74,14 +74,11 @@ def cmd_run(args) -> int:
     with open(out / "config.ini", "w", encoding="utf-8") as fh:
         fh.write(serialize_config(config))
 
-    written = set()
-
     with SnapshotWriter() as writer:
 
         def snapshot(state, index):
             path = out / f"snapshot_{index:06d}.csv"
             write_snapshot(path, state, config.params, rid, writer=writer)
-            written.add(index)
 
         def on_step(state, report, index):
             if index % config.output_every == 0:
@@ -91,7 +88,7 @@ def cmd_run(args) -> int:
         snapshot(initial, 0)
         result = run_simulation(config, state=initial, on_step=on_step)
         write_diagnostics(out / "diagnostics.csv", result.records)
-        if result.n_steps not in written:
+        if result.n_steps % config.output_every:
             snapshot(result.state, result.n_steps)
 
     if not result.completed:

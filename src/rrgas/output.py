@@ -4,9 +4,12 @@ Everything numeric is serialized with 17 significant digits
 (`config.NUM_FORMAT`), which round-trips IEEE doubles exactly;
 rereading a snapshot reproduces the state bit for bit.  The table
 writers format a whole row, or a block of rows, with one `%`-template;
-the bytes are those of `fmt`.  A run is identified by a short hash of
-its fully serialized configuration, so the id is stable across
-processes and machines.
+the bytes are those of `fmt`.  `rrgas run` hands every snapshot table
+to a SnapshotWriter, whose forked helper process formats and writes it
+while the run steps on; where the platform cannot fork, the tables are
+written inline.  A run is identified by a short hash of its fully
+serialized configuration, so the id is stable across processes and
+machines.
 """
 
 from __future__ import annotations
@@ -38,17 +41,6 @@ _diag_values = operator.attrgetter(*DIAG_COLUMNS)
 _SNAPSHOT_BLOCK = 256
 _SNAPSHOT_ROW = "%d" + ("," + NUM_FORMAT) * (len(SNAPSHOT_COLUMNS) - 1) + "\n"
 
-# Tables of more rows than this go to a SnapshotWriter's helper process,
-# if the caller has one; smaller ones are written inline.  Measured as
-# the main() wall time of `rrgas run`, reacting scenario, output_every
-# = 10, about 300-360 steps, one BLAS thread, on a shared 2-core host,
-# ten interleaved pairs per size (wins of the helper, median change):
-# 512 cells 3/10, +7.5 %; 1024 1/10, +16 % and 5/10, -1 %; 1536 4/10,
-# +6 %; 2048 6/10, -8 % and 9/10, -35 %; 3072 10/10, -43 %; 4096
-# 10/10, -38 %.  Main-process CPU fell 19-46 % at every size, but up
-# to 1536 cells the hand-off (pickling, the pipe, the fork, a second
-# busy core) costs the wall time it saves.
-_OFFLOAD_ROWS = 1536
 _CAN_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
@@ -98,10 +90,10 @@ def write_snapshot(path, state: State, params: PhysParams, run: str = "", writer
     The header carries what the rows cannot: the time, the left
     boundary position, the last edge velocity (rows hold the left edge
     of each cell only) and an echo of the physical constants.  The
-    header and the table are built here; a table of more than
-    `_OFFLOAD_ROWS` rows goes to `writer` (a SnapshotWriter), if one is
-    given, to be formatted and written in its helper process.  The
-    bytes are the same either way.
+    header and the table are built here.  Given `writer` (a
+    SnapshotWriter), the table goes to its helper process to be
+    formatted and written, where the platform can fork; otherwise it is
+    written inline.  The bytes are the same either way.
     """
     y_edges, _ = physical_coordinates(state)
     y_center = 0.5 * (y_edges[:-1] + y_edges[1:])
@@ -124,7 +116,7 @@ def write_snapshot(path, state: State, params: PhysParams, run: str = "", writer
         np.arange(n), state.grid.cell_centers, y_center,
         state.v, state.theta, state.z, state.u[:-1],
     ))
-    if writer is not None and n > _OFFLOAD_ROWS and _CAN_FORK:
+    if writer is not None and _CAN_FORK:
         writer.send(path, header, table)
     else:
         _write_table(path, header, table)

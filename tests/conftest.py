@@ -76,6 +76,20 @@ def mms_studies():
     return run
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The processes started through the fork context during the test."""
+    started = []
+    real_start = multiprocessing.context.ForkProcess.start
+
+    def start(self):
+        started.append(self)
+        real_start(self)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start)
+    return started
+
+
 @pytest.fixture(autouse=True)
 def no_leaked_child_processes():
     """Fails a test that leaves a child process running (a snapshot

@@ -13,7 +13,7 @@ import rrgas.output
 import rrgas.solver
 from rrgas.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SIMULATION, main
 from rrgas.config import load_config
-from rrgas.output import _OFFLOAD_ROWS, read_diagnostics, read_snapshot, run_id
+from rrgas.output import read_diagnostics, read_snapshot, run_id
 
 REST_INI = """\
 [run]
@@ -116,6 +116,10 @@ def test_run_reports_invariant_violation(rest_ini, tmp_path, capsys, monkeypatch
 
     records = read_diagnostics(out / "diagnostics.csv")
     assert len(records) == 3  # the initial row and two accepted steps
+    # the initial snapshot and the last accepted state's
+    assert sorted(p.name for p in out.glob("snapshot_*.csv")) == [
+        "snapshot_000000.csv", "snapshot_000002.csv"]
+    assert read_snapshot(out / "snapshot_000002.csv")[0].t == records[-1].t
     payload = json.loads((out / "failure.json").read_text())
     assert payload["status"] == "failed"
     assert payload["run_id"] == run_id(load_config(rest_ini))
@@ -198,67 +202,63 @@ def test_run_missing_file_is_io_error(tmp_path, capsys):
 
 # ------------------------------------------------------ snapshot writer
 
-LARGE = 4096  # cells: every snapshot goes to the helper process
-assert LARGE > _OFFLOAD_ROWS
+LARGE = 4096  # cells, as the golden large run
+T_END = {128: 0.05, LARGE: 0.0006}  # past snapshot 10, ending between output steps
 
 
-def reacting_ini(configs_dir, tmp_path, n_cells, t_end, extra=""):
-    """configs/reacting.ini at another size and end time, plus `extra` [run] keys."""
+def reacting_ini(configs_dir, tmp_path, n_cells, extra=""):
+    """configs/reacting.ini at n_cells to T_END[n_cells], plus `extra` [run] keys."""
     text = (configs_dir / "reacting.ini").read_text()
     text = text.replace("n_cells = 128", f"n_cells = {n_cells}")
-    text = text.replace("t_end = 0.2", f"t_end = {t_end}{extra}")
+    text = text.replace("t_end = 0.2", f"t_end = {T_END[n_cells]}{extra}")
     path = tmp_path / f"reacting_{n_cells}.ini"
     path.write_text(text)
     return path
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The processes started through the fork context during the test."""
-    started = []
-    real_start = multiprocessing.context.ForkProcess.start
-
-    def start(self):
-        started.append(self)
-        real_start(self)
-
-    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start)
-    return started
-
-
-def test_run_small_grid_starts_no_process(configs_dir, tmp_path, forks):
-    ini = reacting_ini(configs_dir, tmp_path, 128, 0.05)
-    assert main(["run", str(ini), "--out", str(tmp_path / "out")]) == EXIT_OK
-    assert forks == []
-
-
-@pytest.mark.parametrize("outcome", ["completed", "failed"])
-def test_run_large_grid_joins_its_writer(outcome, configs_dir, tmp_path, forks):
-    # 4096 cells, about 15 steps: snapshots 0, 10 and the last one go to
-    # one helper, which is joined, with every file complete, on return.
+def check_run_joins_one_writer(n_cells, outcome, configs_dir, tmp_path, forks):
+    """`rrgas run` of the reacting scenario at n_cells, completed or failed:
+    every snapshot (0, every 10th step, the last state) goes to one
+    helper, which is joined, with every file complete, on return."""
     extra = "\nv_floor = 2.0" if outcome == "failed" else ""
-    ini = reacting_ini(configs_dir, tmp_path, LARGE, 0.0006, extra)
+    ini = reacting_ini(configs_dir, tmp_path, n_cells, extra)
     out = tmp_path / "out"
     code = main(["run", str(ini), "--out", str(out)])
     assert code == (EXIT_OK if outcome == "completed" else EXIT_SIMULATION)
     assert len(forks) == 1
     assert multiprocessing.active_children() == []
     records = read_diagnostics(out / "diagnostics.csv")
+    n_steps = len(records) - 1
+    # a completed run ends between two output steps, so its last state
+    # has a snapshot of its own; a failed one stops at step 0
+    assert (n_steps % 10 != 0) == (outcome == "completed")
     snapshots = sorted(out.glob("snapshot_*.csv"))
-    assert len(snapshots) == (3 if outcome == "completed" else 1)
+    assert [path.name for path in snapshots] == [
+        f"snapshot_{i:06d}.csv" for i in sorted({*range(0, n_steps + 1, 10), n_steps})
+    ]
     for path in snapshots:
         state, _ = read_snapshot(path)
-        assert state.grid.n_cells == LARGE
+        assert state.grid.n_cells == n_cells
     assert state.t == records[-1].t
     assert (out / "failure.json").exists() == (outcome == "failed")
 
 
+@pytest.mark.parametrize("outcome", ["completed", "failed"])
+def test_run_small_grid_joins_its_writer(outcome, configs_dir, tmp_path, forks):
+    check_run_joins_one_writer(128, outcome, configs_dir, tmp_path, forks)
+
+
+@pytest.mark.parametrize("outcome", ["completed", "failed"])
+def test_run_large_grid_joins_its_writer(outcome, configs_dir, tmp_path, forks):
+    check_run_joins_one_writer(LARGE, outcome, configs_dir, tmp_path, forks)
+
+
 @pytest.mark.parametrize("n_cells", [128, LARGE])
 def test_run_snapshot_path_taken_is_io_error(n_cells, configs_dir, tmp_path, forks, capsys):
-    # Fault injection: a directory sits where snapshot 10 goes.  Inline
-    # and in the helper process alike, the run ends with exit 3 and an
-    # io error naming that file.
-    ini = reacting_ini(configs_dir, tmp_path, n_cells, 0.05 if n_cells == 128 else 0.0006)
+    # Fault injection: a directory sits where snapshot 10 goes.  The
+    # helper process fails to write it, and the run ends with exit 3 and
+    # an io error naming that file.
+    ini = reacting_ini(configs_dir, tmp_path, n_cells)
     out = tmp_path / "out"
     (out / "snapshot_000010.csv").mkdir(parents=True)
     code = main(["run", str(ini), "--out", str(out)])
@@ -266,15 +266,17 @@ def test_run_snapshot_path_taken_is_io_error(n_cells, configs_dir, tmp_path, for
     err = capsys.readouterr().err
     assert "io error:" in err
     assert str(out / "snapshot_000010.csv") in err
-    assert len(forks) == (n_cells > _OFFLOAD_ROWS)
+    assert len(forks) == 1
     assert multiprocessing.active_children() == []
 
 
-def test_run_writer_dying_unreported_is_io_error(configs_dir, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("n_cells", [128, LARGE])
+def test_run_writer_dying_unreported_is_io_error(n_cells, configs_dir, tmp_path, monkeypatch,
+                                                 capsys):
     # Fault injection: the helper process dies on its first table
     # without sending a status.  That is an io error, not an EOFError.
     monkeypatch.setattr(rrgas.output, "_write_table", lambda *args: os._exit(1))
-    ini = reacting_ini(configs_dir, tmp_path, LARGE, 0.0006)
+    ini = reacting_ini(configs_dir, tmp_path, n_cells)
     code = main(["run", str(ini), "--out", str(tmp_path / "out")])
     assert code == EXIT_IO
     err = capsys.readouterr().err

@@ -7,29 +7,33 @@ model A and no sources, so the final states of two small manufactured-
 solution runs (trig: model A; tanh: model B, reaction and gravity) are
 hashed too, and so is the `rrgas mms` table at two levels, formatted
 from the first two levels of the full-size studies, whose runs span
-several source blocks and the temporal study's longer step counts.  The full-size temporal study (three members stepped as
-one batch) is hashed to every digit of its errors and differences, and
-the explicit reference integrator's final state, which steps with the
-semi-discrete operator solver.rates, is hashed as the MMS final states
-are, unsourced and with each case's sources.  The shipped configs have
-at most 128 cells, so their snapshots are written inline; a 4096-cell reacting run pins the
-snapshots that `rrgas run` hands to its helper process.  A change that keeps every output bit (a
-speed-up, a refactor) leaves these hashes alone; a change that moves
-bits on purpose has to say which bits moved and why, and recapture the
-hashes.  They were captured with numpy 2.4 on x86-64; another numpy
-build or CPU can move the last bit of a transcendental function, which
-would show here first.
+several source blocks and the temporal study's longer step counts.  The
+full-size temporal study (three members stepped as one batch) is
+hashed to every digit of its errors and differences, and the explicit
+reference integrator's final state, which steps with the semi-discrete
+operator solver.rates, is hashed as the MMS final states are, unsourced
+and with each case's sources.  The shipped configs have power-of-two
+grids of at most 128 cells; the reacting scenario is also pinned at
+1000 cells, a grid whose dx is not exact in binary, and at 4096 cells.
+`rrgas run` hands every snapshot to its helper process; the reacting
+config is also run as on a platform that cannot fork, where every
+snapshot is written inline, against the same hashes.  A change that
+keeps every output bit (a speed-up, a refactor) leaves these hashes
+alone; a change that moves bits on purpose has to say which bits moved
+and why, and recapture the hashes.  They were captured with numpy 2.4
+on x86-64; another numpy build or CPU can move the last bit of a
+transcendental function, which would show here first.
 """
 
 import hashlib
 
 import pytest
 
+import rrgas.output
 from rrgas.cli import EXIT_OK, main, mms_table
 from rrgas.config import init_state, load_config
 from rrgas.explicit import run_explicit
 from rrgas.mms import CASES, FIELD_NAMES, run_mms
-from rrgas.output import _OFFLOAD_ROWS
 
 # config name -> (SHA-256 of diagnostics.csv, SHA-256 of the snapshots)
 GOLDEN = {
@@ -52,11 +56,21 @@ GOLDEN = {
 }
 
 # configs/reacting.ini at LARGE_RUN = (n_cells, t_end): 51 steps, seven
-# snapshots, each above output._OFFLOAD_ROWS rows
+# snapshots
 LARGE_RUN = (4096, 0.002)
 LARGE_GOLDEN = (
     "affdd92195dd7d8f73c990089759506e3bb2b34de146204cfb6aa44eb6f60a5e",
     "824c65e8f650288a8b7f0be574dd2c0343bb90d777143a885d81e4d1aba36ef1",
+)
+
+# configs/reacting.ini at MID_RUN = (n_cells, t_end): 25 steps, snapshots
+# 0, 10, 20 and the last one, 25.  Every other pinned grid is a power of
+# two; here dx = 0.001 is inexact, so a rewrite that reorders arithmetic
+# with dx (a division turned into a multiplication by 1/dx) shows.
+MID_RUN = (1000, 0.004)
+MID_GOLDEN = (
+    "12f5b4aaf1d5cd70be418dd083782bef6c1e61c6a5966c73bc990d1954a9496e",
+    "6e22920d44bc72eb46524ede8b2fcd67f4e2d5aef6a7d9b1e8d826e8125eefa0",
 )
 
 
@@ -120,28 +134,49 @@ def snapshots_digest(out):
     return h.hexdigest()
 
 
+def run_digests(ini, out):
+    """`rrgas run` on ini into out: (SHA-256 of diagnostics.csv, snapshots_digest)."""
+    assert main(["run", str(ini), "--out", str(out)]) == EXIT_OK
+    diagnostics = hashlib.sha256((out / "diagnostics.csv").read_bytes()).hexdigest()
+    return diagnostics, snapshots_digest(out)
+
+
+def resized_reacting(configs_dir, tmp_path, n_cells, t_end):
+    """configs/reacting.ini at another size and end time."""
+    text = (configs_dir / "reacting.ini").read_text()
+    ini = tmp_path / f"reacting_{n_cells}.ini"
+    ini.write_text(text.replace("n_cells = 128", f"n_cells = {n_cells}")
+                   .replace("t_end = 0.2", f"t_end = {t_end}"))
+    return ini
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_shipped_config_outputs_are_byte_identical(name, configs_dir, tmp_path):
-    out = tmp_path / name
-    assert main(["run", str(configs_dir / f"{name}.ini"), "--out", str(out)]) == EXIT_OK
-    diagnostics, snapshots = GOLDEN[name]
-    assert hashlib.sha256((out / "diagnostics.csv").read_bytes()).hexdigest() == diagnostics
-    assert snapshots_digest(out) == snapshots
+    assert run_digests(configs_dir / f"{name}.ini", tmp_path / name) == GOLDEN[name]
+
+
+def test_reacting_outputs_without_fork_are_byte_identical(configs_dir, tmp_path, monkeypatch,
+                                                          forks):
+    # Where the platform cannot fork, `rrgas run` writes every snapshot
+    # inline, with the bytes the helper process writes.
+    monkeypatch.setattr(rrgas.output, "_CAN_FORK", False)
+    out = tmp_path / "reacting"
+    assert run_digests(configs_dir / "reacting.ini", out) == GOLDEN["reacting"]
+    assert forks == []
 
 
 def test_large_reacting_outputs_are_byte_identical(configs_dir, tmp_path):
-    n_cells, t_end = LARGE_RUN
-    assert n_cells > _OFFLOAD_ROWS
-    text = (configs_dir / "reacting.ini").read_text()
-    ini = tmp_path / "large.ini"
-    ini.write_text(text.replace("n_cells = 128", f"n_cells = {n_cells}")
-                   .replace("t_end = 0.2", f"t_end = {t_end}"))
     out = tmp_path / "large"
-    assert main(["run", str(ini), "--out", str(out)]) == EXIT_OK
+    assert run_digests(resized_reacting(configs_dir, tmp_path, *LARGE_RUN), out) == LARGE_GOLDEN
     assert len(list(out.glob("snapshot_*.csv"))) == 7
-    diagnostics, snapshots = LARGE_GOLDEN
-    assert hashlib.sha256((out / "diagnostics.csv").read_bytes()).hexdigest() == diagnostics
-    assert snapshots_digest(out) == snapshots
+
+
+def test_mid_size_reacting_outputs_are_byte_identical(configs_dir, tmp_path):
+    out = tmp_path / "mid"
+    assert run_digests(resized_reacting(configs_dir, tmp_path, *MID_RUN), out) == MID_GOLDEN
+    assert [p.name for p in sorted(out.glob("snapshot_*.csv"))] == [
+        f"snapshot_{i:06d}.csv" for i in (0, 10, 20, 25)
+    ]
 
 
 @pytest.mark.parametrize("name", sorted(MMS_GOLDEN))

@@ -14,7 +14,6 @@ from rrgas.constitutive import PhysParams
 from rrgas.diagnostics import DiagnosticsRecord
 from rrgas.mesh import ConfigurationError, Grid, State, physical_coordinates
 from rrgas.output import (
-    _OFFLOAD_ROWS,
     _SNAPSHOT_BLOCK,
     DIAG_COLUMNS,
     SNAPSHOT_COLUMNS,
@@ -253,40 +252,44 @@ def test_write_failure_without_state(tmp_path):
 
 # ------------------------------------------------------- snapshot writer
 
+SENT_ROWS = 37  # a table of any size goes to the helper
+
+
 def test_snapshot_writer_bytes_match_inline(tmp_path):
-    # a table above the threshold goes to the helper; one at or below it
-    # is written inline and starts no process
+    # Every table given a writer goes to its one helper process, which
+    # writes the bytes of the inline path.
+    # one row, a shipped grid, one row past a formatting block, and
+    # several blocks with a partial last one
     params = PhysParams()
-    big, small = edge_state(_OFFLOAD_ROWS + 1), edge_state(_OFFLOAD_ROWS)
+    sizes = (1, 128, _SNAPSHOT_BLOCK + 1, 1537)
     with SnapshotWriter() as writer:
-        write_snapshot(tmp_path / "small.csv", small, params, "r", writer=writer)
-        assert multiprocessing.active_children() == []
-        write_snapshot(tmp_path / "big.csv", big, params, "r", writer=writer)
-        assert len(multiprocessing.active_children()) == 1
+        for n in sizes:
+            write_snapshot(tmp_path / f"sent_{n}.csv", edge_state(n), params, "r", writer=writer)
+            assert len(multiprocessing.active_children()) == 1
     assert multiprocessing.active_children() == []
-    write_snapshot(tmp_path / "big_inline.csv", big, params, "r")
-    write_snapshot(tmp_path / "small_inline.csv", small, params, "r")
-    for name in ("big", "small"):
-        assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}_inline.csv").read_bytes()
+    for n in sizes:
+        write_snapshot(tmp_path / f"inline_{n}.csv", edge_state(n), params, "r")
+        sent = (tmp_path / f"sent_{n}.csv").read_bytes()
+        assert sent == (tmp_path / f"inline_{n}.csv").read_bytes()
 
 
 def test_snapshot_writer_writes_in_order_and_reports_first_error(tmp_path):
     # The error of the second table ends the helper: the first file is
     # complete, the third is never written, and the block raises.
     params = PhysParams()
-    state = edge_state(_OFFLOAD_ROWS + 1)
+    state = edge_state(SENT_ROWS)
     (tmp_path / "taken.csv").mkdir()
     with pytest.raises(IsADirectoryError, match="taken.csv"):
         with SnapshotWriter() as writer:
             for name in ("first.csv", "taken.csv", "third.csv"):
                 write_snapshot(tmp_path / name, state, params, writer=writer)
-    assert len(data_rows(tmp_path / "first.csv")) == _OFFLOAD_ROWS + 1
+    assert len(data_rows(tmp_path / "first.csv")) == SENT_ROWS
     assert not (tmp_path / "third.csv").exists()
 
 
 def test_snapshot_writer_send_raises_a_reported_error(tmp_path):
     params = PhysParams()
-    state = edge_state(_OFFLOAD_ROWS + 1)
+    state = edge_state(SENT_ROWS)
     (tmp_path / "taken.csv").mkdir()
     with SnapshotWriter() as writer:
         write_snapshot(tmp_path / "taken.csv", state, params, writer=writer)
@@ -300,7 +303,7 @@ def test_snapshot_writer_send_raises_a_reported_error(tmp_path):
 
 def test_snapshot_writer_keeps_the_exception_in_flight(tmp_path):
     params = PhysParams()
-    state = edge_state(_OFFLOAD_ROWS + 1)
+    state = edge_state(SENT_ROWS)
     (tmp_path / "taken.csv").mkdir()
     with pytest.raises(KeyError, match="in flight"):
         with SnapshotWriter() as writer:
@@ -317,7 +320,7 @@ def test_snapshot_writer_survives_a_send_cut_short(tmp_path):
         raise TimeoutError("the writer did not stop")
 
     params = PhysParams()
-    state = edge_state(_OFFLOAD_ROWS + 1)
+    state = edge_state(SENT_ROWS)
     previous = signal.signal(signal.SIGALRM, timed_out)
     signal.alarm(30)
     try:
@@ -329,4 +332,4 @@ def test_snapshot_writer_survives_a_send_cut_short(tmp_path):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert len(data_rows(tmp_path / "whole.csv")) == _OFFLOAD_ROWS + 1
+    assert len(data_rows(tmp_path / "whole.csv")) == SENT_ROWS
