@@ -103,8 +103,13 @@ def internal_energy(v, theta, params: PhysParams):
     """Internal energy per unit mass, C_v*theta + a*v*theta^4."""
     v = np.asarray(v, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    e = params.cv * theta + params.a_rad * v * theta**4
+    e = _internal_energy(params.a_rad * v, theta, params)
     return e if e.ndim else float(e)
+
+
+def _internal_energy(av, theta, params: PhysParams):
+    """internal_energy from its volume factor av = a*v, for a fixed v."""
+    return params.cv * theta + av * theta**4
 
 
 def de_dtheta(v, theta, params: PhysParams):
@@ -115,8 +120,13 @@ def de_dtheta(v, theta, params: PhysParams):
     """
     v = np.asarray(v, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    et = params.cv + 4.0 * params.a_rad * v * theta**3
+    et = _de_dtheta(4.0 * params.a_rad * v, theta, params)
     return et if et.ndim else float(et)
+
+
+def _de_dtheta(av4, theta, params: PhysParams):
+    """de_dtheta from its volume factor av4 = 4*a*v, for a fixed v."""
+    return params.cv + av4 * theta**3
 
 
 def _arrhenius(v, theta, params: PhysParams):

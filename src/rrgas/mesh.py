@@ -23,8 +23,10 @@ class ConfigurationError(ValueError):
 class Grid:
     """Uniform mass mesh: n_cells cells of mass dx = 1/n_cells.
 
-    The sample arrays cell_centers and edges are read-only: every State
-    on the grid, and every source callable built on it, shares them.
+    The arrays cell_centers, edges, edge_weights (trapezoidal: 1/2 at the
+    two boundary edges) and edge_widths (dx*edge_weights, the mass of each
+    edge's control volume) are read-only: every State on the grid, and
+    every source callable built on it, shares them.
     """
 
     def __init__(self, n_cells: int):
@@ -34,8 +36,10 @@ class Grid:
         self.dx = 1.0 / self.n_cells
         self.cell_centers = (np.arange(self.n_cells) + 0.5) * self.dx
         self.edges = np.arange(self.n_cells + 1) * self.dx
-        self.cell_centers.setflags(write=False)
-        self.edges.setflags(write=False)
+        self.edge_weights = np.concatenate(([0.5], np.ones(self.n_cells - 1), [0.5]))
+        self.edge_widths = self.dx * self.edge_weights
+        for samples in (self.cell_centers, self.edges, self.edge_weights, self.edge_widths):
+            samples.setflags(write=False)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Grid) and other.n_cells == self.n_cells

@@ -8,9 +8,9 @@ Pressure work and reaction heat stay explicit in theta, which limits the
 splitting to first order in dt; diffusion stiffness never restricts dt.
 
 All linear systems are symmetric positive definite tridiagonal and go
-through one banded Cholesky routine.  A failed sub-update (volume or
-temperature at its floor, Newton stall) rejects the step; it is retried
-with half the dt from the untouched input state.
+through LAPACK `dptsv` (pivot-free L·D·Lᵀ).  A failed sub-update (volume
+or temperature at its floor, Newton stall) rejects the step; it is
+retried with half the dt from the untouched input state.
 
 Every stencil works along the last axis, so one code path advances a
 single run (fields of shape (n,)) or a batch of B runs on one grid
@@ -25,15 +25,15 @@ step_batch a batch.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dptsv
 
 from .constitutive import (
     PhysParams,
-    de_dtheta,
+    _de_dtheta,
+    _internal_energy,
     heat_conductivity,
     internal_energy,
     pressure,
@@ -43,12 +43,6 @@ from .mesh import State, advance_boundary
 
 DT_MIN = 1e-12
 MAX_REJECTIONS = 10
-
-# scipy wraps solveh_banded in a layer that loops over leading batch
-# dimensions; it costs several microseconds per call, and this module
-# stacks its own batches into one system, so it calls the banded solver
-# that layer wraps: the same routine, with the same bits.
-solveh_banded = inspect.unwrap(scipy.linalg.solveh_banded)
 
 
 class StepRejection(Exception):
@@ -93,22 +87,28 @@ class StepReport:
     z_react_increment: float = 0.0
 
 
-def _solve_spd_tridiag(diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def solveh_banded(diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve a symmetric positive definite tridiagonal system per member.
 
     Each row of diag (n) and upper (n - 1) along the last axis is one
-    system; a batch of them is one stacked banded system whose couplings
-    across the seams are zero, which gives each member the bits of its
-    own solve.  Banded Cholesky is pivot-free, so the operation order
-    (hence the result, bit for bit) is fixed by the inputs alone.
+    system; a batch is one stacked system with zero couplings across the
+    seams, which gives each member the bits of its own solve.  dptsv,
+    which scipy's solveh_banded calls for this band, is pivot-free, so
+    the inputs alone fix the operation order and the bits.  It leaves
+    the inputs unchanged; a non-positive pivot is an InvariantViolation.
     """
     if diag.shape[-1] == 1:
         return rhs / diag
-    ab = np.zeros((2,) + diag.shape)
-    ab[0, ..., 1:] = upper
-    ab[1] = diag
-    x = solveh_banded(ab.reshape(2, -1), rhs.ravel(), overwrite_ab=True, lower=False,
-                      check_finite=False)
+    if diag.ndim > 1:
+        seams = np.zeros(diag.shape)
+        seams[..., :-1] = upper
+        upper = seams.ravel()[:-1]
+    _, _, x, info = dptsv(diag.ravel(), upper, rhs.ravel())
+    if info > 0:
+        raise InvariantViolation(f"tridiagonal system of shape {diag.shape} is not positive "
+                                 f"definite (leading minor {info})")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dptsv")
     return x.reshape(rhs.shape)
 
 
@@ -118,13 +118,14 @@ def total_stress(v, theta, u, dx: float, params: PhysParams) -> np.ndarray:
     return -pressure(v, theta, params) + params.mu * du / (dx * v)
 
 
-def stress_divergence(sigma: np.ndarray, p_ext: float, dx: float) -> np.ndarray:
+def stress_divergence(sigma: np.ndarray, p_ext: float, grid) -> np.ndarray:
     """Edge accelerations from cell stresses, ghost stress -p_ext outside.
 
     The two boundary edges own half a cell of mass, so their control
-    volumes divide by dx/2.  With trapezoidal edge weights the weighted
-    sum of these accelerations telescopes to the boundary stresses
-    alone, which is what keeps the discrete momentum budget honest.
+    volumes divide by dx/2 (grid.edge_widths).  With trapezoidal edge
+    weights the weighted sum of these accelerations telescopes to the
+    boundary stresses alone, which is what keeps the discrete momentum
+    budget honest.
     """
     n = sigma.shape[-1]
     # Ghost stresses -p_ext: sigma[0] - (-p_ext) is sigma[0] + p_ext in
@@ -132,10 +133,7 @@ def stress_divergence(sigma: np.ndarray, p_ext: float, dx: float) -> np.ndarray:
     ghosted = np.empty(sigma.shape[:-1] + (n + 2,))
     ghosted[..., 0] = ghosted[..., -1] = -p_ext
     ghosted[..., 1:-1] = sigma
-    widths = np.empty(n + 1)
-    widths[1:-1] = dx
-    widths[0] = widths[-1] = 0.5 * dx
-    return (ghosted[..., 1:] - ghosted[..., :-1]) / widths
+    return (ghosted[..., 1:] - ghosted[..., :-1]) / grid.edge_widths
 
 
 def gravity_accel(edges: np.ndarray, params: PhysParams) -> np.ndarray:
@@ -173,7 +171,7 @@ def diffusion_apply(coeff: np.ndarray, f: np.ndarray, dx: float) -> np.ndarray:
 def _acceleration(v, theta, u, grid, params: PhysParams):
     """Cell total stresses and the edge accelerations they and gravity give."""
     sigma = total_stress(v, theta, u, grid.dx, params)
-    accel = stress_divergence(sigma, params.p_ext, grid.dx) + gravity_accel(grid.edges, params)
+    accel = stress_divergence(sigma, params.p_ext, grid) + gravity_accel(grid.edges, params)
     return sigma, accel
 
 
@@ -255,16 +253,14 @@ def cfl_dt(state: State, config) -> float:
     acoustic = np.where(c2 > 0.0, dx * v / np.sqrt(np.maximum(c2, 1e-300)), np.inf)
     dt = min(float(acoustic.min()), config.dt_max)
 
+    # A cell whose rate is 0 (cold, or no reaction) adds a growth of 0.
     phi = reaction_rate(v, theta, params)
-    hot = phi > 0.0
-    if hot.any():
-        th = theta[hot]
-        growth = params.lambda_heat * phi[hot] * np.power(z[hot], params.m_order) * (
-            params.beta / th + params.a_act / th**2
-        )
-        peak = float(growth.max())
-        if peak > 0.0:
-            dt = min(dt, 1.0 / peak)
+    growth = params.lambda_heat * phi * np.power(z, params.m_order) * (
+        params.beta / theta + params.a_act / theta**2
+    )
+    peak = float(growth.max())
+    if peak > 0.0:
+        dt = min(dt, 1.0 / peak)
 
     dt *= config.cfl_number
     # Land on t_end exactly; the relative slack absorbs the rounding of
@@ -285,9 +281,9 @@ def momentum_step(state: State, dt, params: PhysParams, s_u=None) -> np.ndarray:
     Solved in increment form: (W + c*L) du = W*dt*a(u^n), where a(u^n)
     is the full acceleration at the old velocity, L the 1/v-weighted
     edge Laplacian from the viscous flux, and W the trapezoidal edge
-    mass (1/2 at the boundary edges).  W symmetrizes the half-mass
-    boundary rows, so the matrix is SPD and u^{n+1} = u^n + du solves
-    the plain backward-Euler system exactly.
+    mass grid.edge_weights (1/2 at the boundary edges).  W symmetrizes
+    the half-mass boundary rows, so the matrix is SPD and u^{n+1} =
+    u^n + du solves the plain backward-Euler system exactly.
     """
     grid = state.grid
     dx = grid.dx
@@ -296,12 +292,10 @@ def momentum_step(state: State, dt, params: PhysParams, s_u=None) -> np.ndarray:
     if s_u is not None:
         accel = accel + s_u
 
-    w = np.ones(grid.n_cells + 1)
-    w[0] = 0.5
-    w[-1] = 0.5
+    w = grid.edge_weights
     diag, upper = _diffusion_system(1.0 / v, dt * params.mu / dx**2, w)
     rhs = w * (_per_cell(dt) * accel)
-    du = _solve_spd_tridiag(diag, upper, rhs)
+    du = solveh_banded(diag, upper, rhs)
     return state.u + du
 
 
@@ -350,7 +344,7 @@ def species_step(state: State, dt, params: PhysParams, *, s_z=None, phi=None):
     else:
         diag, upper = _diffusion_system(g, dt / dx**2, base)
         rhs = z if s_z is None else z + dtc * s_z
-        z_new = _solve_spd_tridiag(diag, upper, rhs)
+        z_new = solveh_banded(diag, upper, rhs)
         if _any(flat):
             z_new = np.where(flat[..., None], z / base, z_new)
 
@@ -414,12 +408,14 @@ def energy_step(
     if s_theta is not None:
         target = target + dtc * s_theta
 
+    # The volume factors of e and de/dtheta: v is fixed while theta iterates.
+    av, av4 = params.a_rad * v, 4.0 * params.a_rad * v
     theta = theta_n.copy()
     live = None  # once the members part: the rows still iterating
     iters = 0
     while True:
         k = heat_interface_coeff(v, theta, params)
-        e_cur = internal_energy(v, theta, params)
+        e_cur = _internal_energy(av, theta, params)
         resid = e_cur - target - dtc * diffusion_apply(k, theta, dx)
         res = np.abs(resid).max(axis=-1) / np.abs(e_cur).max(axis=-1, initial=1.0)
         done = res <= newton_tol
@@ -437,15 +433,15 @@ def energy_step(
             if _all(done):
                 return theta_out, iters_out, res_out
             going = ~done
-            live, theta, v, target, dt, dtc, k, resid = (
-                a[going] for a in (live, theta, v, target, dt, dtc, k, resid)
+            live, theta, v, av, av4, target, dt, dtc, k, resid = (
+                a[going] for a in (live, theta, v, av, av4, target, dt, dtc, k, resid)
             )
         if iters >= newton_max_iter:
             raise StepRejection("newton_stall",
                                 None if live is None else _members(live, len(theta_out)))
 
-        diag, upper = _diffusion_system(k, dt / dx**2, de_dtheta(v, theta, params))
-        delta = _solve_spd_tridiag(diag, upper, resid)
+        diag, upper = _diffusion_system(k, dt / dx**2, _de_dtheta(av4, theta, params))
+        delta = solveh_banded(diag, upper, resid)
         candidate = theta - delta
         if not (candidate > theta_floor).all():
             # Halve the step of each member whose candidate is not above

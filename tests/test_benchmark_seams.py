@@ -14,12 +14,21 @@ import pytest
 
 import rrgas.solver
 import rrgas.sweep
+from rrgas.config import load_config
+from rrgas.driver import run_simulation
 from rrgas.mms import CASES, MmsCase, run_mms
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
-# (module, attribute) the tracer wraps by name besides every public function
+# (module, attribute) the tracer wraps by name besides every public
+# function: solveh_banded is rrgas's own tridiagonal solve, counted as
+# solver.banded_solve
 WRAPPED = [(rrgas.solver, "solveh_banded"), (rrgas.solver, "step"), (rrgas.sweep, "run_one")]
+
+# configs/reacting.ini as shipped: (accepted steps, tridiagonal solves,
+# Newton iterations), the counts behind solver.banded_solves_per_step
+# and solver.newton_iters_per_step
+REACTING_COUNTS = (116, 632, 401)
 
 
 @pytest.fixture(scope="module")
@@ -55,3 +64,22 @@ def test_run_mms_reaches_every_source_the_tracer_wraps(tracer, monkeypatch):
         monkeypatch.setattr(MmsCase, attr, counted)
     run_mms(CASES["trig"](), 8, 0.01, [2, 3])
     assert all(calls.values()), calls
+
+
+def test_reacting_run_makes_the_pinned_solves_and_newton_iterations(configs_dir, monkeypatch):
+    # A change that keeps every output bit may still add or drop solves;
+    # these counts hold it to the work the benchmark's per-step rates read.
+    solve = rrgas.solver.solveh_banded
+    solves = []
+
+    def counted(*args):
+        solves.append(None)
+        return solve(*args)
+
+    monkeypatch.setattr(rrgas.solver, "solveh_banded", counted)
+    iterations = []
+    result = run_simulation(load_config(configs_dir / "reacting.ini"),
+                            on_step=lambda state, report, n: iterations.append(
+                                report.newton_iterations))
+    assert result.completed
+    assert (result.n_steps, len(solves), sum(iterations)) == REACTING_COUNTS

@@ -131,6 +131,22 @@ def test_run_reports_invariant_violation(rest_ini, tmp_path, capsys, monkeypatch
     assert state.t == records[-1].t
 
 
+def test_run_reports_a_non_positive_pivot(rest_ini, tmp_path, capsys, monkeypatch):
+    # Fault injection: LAPACK reports a non-positive pivot in the first
+    # tridiagonal solve.  That ends the run like any invariant violation,
+    # not with a traceback.
+    monkeypatch.setattr(rrgas.solver, "dptsv", lambda d, e, b: (d, e, b, 1))
+    out = tmp_path / "out"
+    code = main(["run", str(rest_ini), "--out", str(out)])
+    assert code == EXIT_SIMULATION
+    assert "scheme invariant violated" in capsys.readouterr().err
+    payload = json.loads((out / "failure.json").read_text())
+    assert payload["status"] == "failed"
+    assert payload["t_last"] == 0.0
+    assert "scheme invariant violated" in payload["error"]
+    assert "not positive definite (leading minor 1)" in payload["error"]
+
+
 def test_run_rejects_invalid_config(tmp_path, capsys):
     ini = tmp_path / "bad.ini"
     ini.write_text("[physics]\nkappa1 = 2.0\nkappa2 = 1.0\n")

@@ -14,7 +14,9 @@ reference integrator's final state, which steps with the semi-discrete
 operator solver.rates, is hashed as the MMS final states are, unsourced
 and with each case's sources.  The shipped configs have power-of-two
 grids of at most 128 cells; the reacting scenario is also pinned at
-1000 cells, a grid whose dx is not exact in binary, and at 4096 cells.
+1000 cells, a grid whose dx is not exact in binary, and at 4096 cells,
+and at q_cond = 0 (model A) and 1/2 (model B): every shipped config and
+MMS case has q_cond = 2.
 `rrgas run` hands every snapshot to its helper process; the reacting
 config is also run as on a platform that cannot fork, where every
 snapshot is written inline, against the same hashes.  A change that
@@ -72,6 +74,20 @@ MID_GOLDEN = (
     "12f5b4aaf1d5cd70be418dd083782bef6c1e61c6a5966c73bc990d1954a9496e",
     "6e22920d44bc72eb46524ede8b2fcd67f4e2d5aef6a7d9b1e8d826e8125eefa0",
 )
+
+# configs/reacting.ini to t_end = 0.05 (35 steps, five snapshots) at the
+# two ends of the paper's conductivity range that no shipped config uses:
+# (q_cond, cond_model) -> (diagnostics.csv, snapshots) SHA-256
+CONDUCTIVITY_GOLDEN = {
+    ("0.0", "A"): (
+        "e8a70b82aeddf38985526842db692b5f7f848e5c25e1f6f86bc2aee4e62bae3e",
+        "a4fb6612443c5cadb193516dca896fcd9c0f76698b015c8ef23f61b44be4201a",
+    ),
+    ("0.5", "B"): (
+        "2eeda03b4d29364008a7dc8bd7d30c946b94f388021bd1d634331b613e6b3dd3",
+        "9c0a633deeb82d83f78f375f55ffdf54dc032b731ee9d2dbf141e2ec3e96c57b",
+    ),
+}
 
 
 # MMS case -> SHA-256 of the final v, u, theta, z bytes of run_mms
@@ -177,6 +193,20 @@ def test_mid_size_reacting_outputs_are_byte_identical(configs_dir, tmp_path):
     assert [p.name for p in sorted(out.glob("snapshot_*.csv"))] == [
         f"snapshot_{i:06d}.csv" for i in (0, 10, 20, 25)
     ]
+
+
+@pytest.mark.parametrize("q_cond,cond_model", sorted(CONDUCTIVITY_GOLDEN))
+def test_conductivity_range_outputs_are_byte_identical(q_cond, cond_model, configs_dir, tmp_path):
+    # q = 0 is a constant kappa (model A); q = 1/2 under model B scales
+    # kappa2*theta^q by v.  Every shipped config and MMS case has q = 2.
+    ini = resized_reacting(configs_dir, tmp_path, 128, 0.05)
+    text = ini.read_text()
+    assert "q_cond = 2.0" in text and "cond_model = A" in text
+    ini.write_text(text.replace("q_cond = 2.0", f"q_cond = {q_cond}")
+                   .replace("cond_model = A", f"cond_model = {cond_model}"))
+    out = tmp_path / "out"
+    assert run_digests(ini, out) == CONDUCTIVITY_GOLDEN[q_cond, cond_model]
+    assert len(list(out.glob("snapshot_*.csv"))) == 5
 
 
 @pytest.mark.parametrize("name", sorted(MMS_GOLDEN))

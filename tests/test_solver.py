@@ -7,6 +7,7 @@ routine under test is called.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -19,14 +20,15 @@ from rrgas.constitutive import PhysParams, internal_energy, pressure, reaction_r
 from rrgas.explicit import explicit_reference_step
 from rrgas.mesh import Grid, State, stack, velocity_mean, width
 from rrgas.solver import (
+    InvariantViolation,
     SimulationError,
     StepRejection,
-    _solve_spd_tridiag,
     cfl_dt,
     energy_step,
     gravity_accel,
     momentum_step,
     rates,
+    solveh_banded,
     species_step,
     step,
     step_batch,
@@ -81,13 +83,50 @@ def test_tridiag_matches_dense_solve():
         rhs = rng.standard_normal(n)
         dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         expected = np.linalg.solve(dense, rhs)
-        got = _solve_spd_tridiag(diag, off, rhs)
+        got = solveh_banded(diag, off, rhs)
         np.testing.assert_allclose(got, expected, rtol=1e-12)
 
 
 def test_tridiag_single_cell():
-    out = _solve_spd_tridiag(np.array([4.0]), np.array([]), np.array([8.0]))
+    out = solveh_banded(np.array([4.0]), np.array([]), np.array([8.0]))
     np.testing.assert_allclose(out, [2.0])
+
+
+def spd_systems(lead, n, seed):
+    """Random diagonally dominant SPD tridiagonal systems, lead + (n,)."""
+    rng = np.random.default_rng(seed)
+    return (2.5 + rng.uniform(0.0, 1.0, lead + (n,)), -rng.uniform(0.1, 1.0, lead + (n - 1,)),
+            rng.standard_normal(lead + (n,)))
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_tridiag_leaves_its_inputs_unchanged(lead):
+    # species_step passes its state's z as the right-hand side.
+    system = spd_systems(lead, 9, 5)
+    before = [a.copy() for a in system]
+    solveh_banded(*system)
+    for a, b in zip(system, before):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_tridiag_batch_rows_equal_their_own_solves():
+    diag, upper, rhs = spd_systems((3,), 9, 7)
+    x = solveh_banded(diag, upper, rhs)
+    assert x.shape == (3, 9)
+    for b in range(3):
+        assert x[b].tobytes() == solveh_banded(diag[b], upper[b], rhs[b]).tobytes()
+
+
+def test_tridiag_indefinite_system_is_an_invariant_violation():
+    # [[1, 2], [2, 1]] has eigenvalues 3 and -1: the second pivot is -3.
+    with pytest.raises(InvariantViolation, match=r"not positive definite \(leading minor 2\)"):
+        solveh_banded(np.array([1.0, 1.0]), np.array([2.0]), np.array([1.0, 1.0]))
+
+
+def test_tridiag_illegal_argument_is_a_value_error(monkeypatch):
+    monkeypatch.setattr(rrgas.solver, "dptsv", lambda d, e, b: (d, e, b, -3))
+    with pytest.raises(ValueError, match="argument 3 of dptsv"):
+        solveh_banded(*spd_systems((), 4, 1))
 
 
 # ------------------------------------------------------------ stress terms
@@ -101,7 +140,7 @@ def test_total_stress_single_cell():
 
 def test_stress_divergence_interior_and_boundary():
     sigma = np.array([1.0, 3.0])
-    accel = stress_divergence(sigma, p_ext=0.5, dx=0.5)
+    accel = stress_divergence(sigma, p_ext=0.5, grid=Grid(2))
     # interior: (3-1)/0.5 = 4; left: (1+0.5)/0.25 = 6; right: (-0.5-3)/0.25 = -14
     np.testing.assert_allclose(accel, [6.0, 4.0, -14.0], rtol=1e-15)
 
@@ -111,7 +150,7 @@ def test_stress_divergence_momentum_budget():
     # boundary stresses enter with opposite signs.
     rng = np.random.default_rng(11)
     sigma = rng.standard_normal(16)
-    accel = stress_divergence(sigma, p_ext=0.7, dx=1.0 / 16)
+    accel = stress_divergence(sigma, p_ext=0.7, grid=Grid(16))
     assert abs(velocity_mean(accel, 1.0 / 16)) <= 1e-13 * np.max(np.abs(accel))
 
 
@@ -182,6 +221,35 @@ def test_cfl_dt_reaction_clamp():
     cfg.cfl_number = 0.5
     cfg.t_end = 100.0
     assert cfl_dt(s, cfg) == pytest.approx(0.5 / growth, rel=1e-12)
+
+
+def test_cfl_dt_with_cold_cells_equals_the_masked_bound():
+    # Where the Arrhenius rate underflows to 0, a cell adds a growth of
+    # 0 to the reaction bound.  Oracle: the bound over the hot cells
+    # alone, with the acoustic and dt_max bounds, as cfl_dt forms them.
+    p = ref_params(k_rate=1e4, a_act=4.0, beta=1.0, lambda_heat=1.0, m_order=1.5)
+    cfg = RunConfig(params=p)
+    cfg.dt_max = 1.0
+    cfg.cfl_number = 0.5
+    cfg.t_end = 100.0
+    s = uniform_state(8, z=0.7)
+    s.v = np.linspace(0.8, 1.2, 8)
+    s.theta = np.array([cfg.theta_floor, 1.5, 0.01, 2.0, cfg.theta_floor, 1.2, 0.02, 1.8])
+    phi = reaction_rate(s.v, s.theta, p)
+    hot = phi > 0.0
+    assert 0 < hot.sum() < 8
+    th = s.theta[hot]
+    growth = p.lambda_heat * phi[hot] * np.power(s.z[hot], p.m_order) * (
+        p.beta / th + p.a_act / th**2
+    )
+    c2 = s.theta * (p.r_gas + (4.0 * p.a_rad / 3.0) * s.theta**3 * s.v) * (p.r_gas / p.cv + 1.0)
+    acoustic = float((s.grid.dx * s.v / np.sqrt(c2)).min())
+    expected = min(acoustic, cfg.dt_max, 1.0 / float(growth.max())) * cfg.cfl_number
+    assert 1.0 / float(growth.max()) < acoustic  # the reaction bound binds
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dt = cfl_dt(s, cfg)
+    assert dt == expected
 
 
 def test_cfl_dt_lands_exactly_on_t_end():
@@ -278,7 +346,7 @@ def test_momentum_solves_backward_euler_exactly():
     w = np.ones(n + 1)
     w[0] = w[-1] = 0.5
     sigma = total_stress(s.v, s.theta, s.u, dx, p)
-    accel = stress_divergence(sigma, p.p_ext, dx) + gravity_accel(g.edges, p)
+    accel = stress_divergence(sigma, p.p_ext, g) + gravity_accel(g.edges, p)
     du = u_new - s.u
     inv = 1.0 / s.v
     lap = np.empty(n + 1)
