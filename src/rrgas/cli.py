@@ -13,7 +13,7 @@ from pathlib import Path
 from .config import init_state, load_config, serialize_config
 from .driver import check_scenario, run_simulation
 from .mesh import ConfigurationError
-from .mms import CASES, spatial_study, temporal_study
+from .mms import CASES, studies
 from .output import (
     SnapshotWriter,
     run_id,
@@ -21,7 +21,7 @@ from .output import (
     write_failure,
     write_snapshot,
 )
-from .solver import SimulationError
+from .solver import InvariantViolation, SimulationError
 from .sweep import run_sweep
 
 EXIT_OK = 0
@@ -128,8 +128,7 @@ def cmd_mms(args) -> int:
     if args.levels < 2:
         raise ConfigurationError("need at least 2 levels for a convergence table")
     case = CASES[args.case]()
-    spatial = spatial_study(case, levels=args.levels)
-    rows, _, orders = temporal_study(case, levels=args.levels)
+    spatial, (rows, _, orders) = studies(case, levels=args.levels)
     print(mms_table(case.name, spatial, (rows, orders)), end="")
     return EXIT_OK
 
@@ -161,6 +160,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except SimulationError as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
+        return EXIT_SIMULATION
+    except InvariantViolation as exc:  # the driver reports `run`'s; `mms` steps without it
+        print(f"simulation failed: scheme invariant violated: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -26,7 +26,8 @@ SimulationError.
 run_mms given several step counts advances the runs as one batch on one
 grid (solver.step_batch, a leading member axis), and each member leaves
 the batch after its last step; every member keeps the bits of its own
-run.  temporal_study runs its levels that way.
+run.  The studies run every level that shares a grid that way, and
+studies runs both studies with one batch per grid.
 """
 
 from __future__ import annotations
@@ -430,6 +431,52 @@ def _orders(l2s):
             for name in FIELD_NAMES}
 
 
+def _run_jobs(case: MmsCase, jobs):
+    """(errors, state) of each (n_cells, t_end, n_steps) job, in job order.
+
+    Every job on one grid to one t_end goes into one run_mms call, so
+    its counts advance as one batch.  The key is the int n_cells, not a
+    Grid, which defines __eq__ without __hash__.
+    """
+    grids = {}
+    for i, (n_cells, t_end, _) in enumerate(jobs):
+        grids.setdefault((n_cells, t_end), []).append(i)
+    runs = [None] * len(jobs)
+    for (n_cells, t_end), members in grids.items():
+        batch = run_mms(case, n_cells, t_end, [jobs[i][2] for i in members])
+        for i, run in zip(members, batch):
+            runs[i] = run
+    return runs
+
+
+def _rows(jobs, runs):
+    return [{"n_cells": n_cells, "n_steps": n_steps, "errors": errors}
+            for (n_cells, _, n_steps), (errors, _) in zip(jobs, runs)]
+
+
+def _spatial_jobs(levels: int, t_end: float = 0.4, base_cells: int = 64, base_steps: int = 160):
+    return [(base_cells * 2**i, t_end, base_steps * 4**i) for i in range(levels)]
+
+
+def _spatial_result(jobs, runs):
+    rows = _rows(jobs, runs)
+    return rows, _orders([{name: l2 for name, (l2, _) in row["errors"].items()} for row in rows])
+
+
+def _temporal_jobs(levels: int, t_end: float = 0.4, n_cells: int = 256, base_steps: int = 512):
+    return [(n_cells, t_end, base_steps * 2**i) for i in range(levels)]
+
+
+def _temporal_result(jobs, runs):
+    states = [state for _, state in runs]
+    diffs = [
+        {name: _field_norms(getattr(a, name) - getattr(b, name), a.grid.dx, name == "u")[0]
+         for name in FIELD_NAMES}
+        for a, b in zip(states[:-1], states[1:])
+    ]
+    return _rows(jobs, runs), diffs, _orders(diffs) if len(diffs) >= 2 else {}
+
+
 def spatial_study(case: MmsCase, levels: int = 3, t_end: float = 0.4,
                   base_cells: int = 64, base_steps: int = 160):
     """Mesh refinement with dt proportional to dx^2.
@@ -438,35 +485,35 @@ def spatial_study(case: MmsCase, levels: int = 3, t_end: float = 0.4,
     per-field norms; orders maps field -> list of observed L2 orders
     between consecutive levels.
     """
-    rows = []
-    for i in range(levels):
-        n = base_cells * 2**i
-        steps = base_steps * 4**i
-        errors, _ = run_mms(case, n, t_end, steps)
-        rows.append({"n_cells": n, "n_steps": steps, "errors": errors})
-    return rows, _orders([{name: l2 for name, (l2, _) in row["errors"].items()} for row in rows])
+    jobs = _spatial_jobs(levels, t_end, base_cells, base_steps)
+    return _spatial_result(jobs, _run_jobs(case, jobs))
 
 
 def temporal_study(case: MmsCase, levels: int = 3, t_end: float = 0.4,
                    n_cells: int = 256, base_steps: int = 512):
     """dt refinement on a fixed fine mesh.
 
-    Orders come from successive solution differences (S_dt - S_dt/2
-    against S_dt/2 - S_dt/4), which cancels the fixed spatial error
-    that would otherwise mask the first-order-in-dt signal.  The levels
-    run as one batch (run_mms with a sequence of step counts).
+    Returns (rows, diffs, orders).  Orders come from successive solution
+    differences (S_dt - S_dt/2 against S_dt/2 - S_dt/4), which cancels
+    the fixed spatial error that would otherwise mask the
+    first-order-in-dt signal.  The levels run as one batch (run_mms with
+    a sequence of step counts).
     """
-    counts = [base_steps * 2**i for i in range(levels)]
-    runs = run_mms(case, n_cells, t_end, counts)
-    states = [state for _, state in runs]
-    rows = [
-        {"n_cells": n_cells, "n_steps": steps, "errors": errors}
-        for steps, (errors, _) in zip(counts, runs)
-    ]
+    jobs = _temporal_jobs(levels, t_end, n_cells, base_steps)
+    return _temporal_result(jobs, _run_jobs(case, jobs))
 
-    diffs = [
-        {name: _field_norms(getattr(a, name) - getattr(b, name), a.grid.dx, name == "u")[0]
-         for name in FIELD_NAMES}
-        for a, b in zip(states[:-1], states[1:])
-    ]
-    return rows, diffs, _orders(diffs) if len(diffs) >= 2 else {}
+
+def studies(case: MmsCase, levels: int = 3):
+    """spatial_study and temporal_study at levels and their default
+    sizes, run together.
+
+    Returns ((rows, orders), (rows, diffs, orders)), each as its study
+    returns it, with the same bits.  Every run of either study on one
+    grid goes into one run_mms batch: at 3 levels the spatial study's
+    finest level, 256 cells x 2560 steps, steps with the temporal
+    study's 512, 1024 and 2048.
+    """
+    spatial_jobs, temporal_jobs = _spatial_jobs(levels), _temporal_jobs(levels)
+    runs = _run_jobs(case, spatial_jobs + temporal_jobs)
+    return (_spatial_result(spatial_jobs, runs[:len(spatial_jobs)]),
+            _temporal_result(temporal_jobs, runs[len(spatial_jobs):]))

@@ -12,7 +12,7 @@ from rrgas.diagnostics import (
     z_squared_norm,
 )
 from rrgas.mesh import velocity_mean, width
-from rrgas.mms import CASES, spatial_study, temporal_study
+from rrgas.mms import CASES, studies
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIGS_DIR = REPO_ROOT / "configs"
@@ -62,16 +62,16 @@ def per_state_row():
 @pytest.fixture(scope="session")
 def mms_studies():
     """((rows, orders), (rows, diffs, orders)) of a case's spatial and
-    temporal studies at 3 levels, computed once per case and session:
-    acceptance criterion 5, the golden temporal hash and the golden
-    `rrgas mms --levels 2` table share them."""
-    studies = {}
+    temporal studies at 3 levels, computed once per case and session by
+    mms.studies, as `rrgas mms` computes them: acceptance criterion 5,
+    the golden temporal hash and the golden `rrgas mms` tables at 2 and
+    3 levels share them."""
+    results = {}
 
     def run(name):
-        if name not in studies:
-            case = CASES[name]()
-            studies[name] = (spatial_study(case, levels=3), temporal_study(case, levels=3))
-        return studies[name]
+        if name not in results:
+            results[name] = studies(CASES[name](), levels=3)
+        return results[name]
 
     return run
 

@@ -409,6 +409,23 @@ def test_mms_with_a_rejected_step_exits_2(monkeypatch, capsys):
     assert captured.out == ""
 
 
+def test_mms_with_an_invariant_violation_exits_2(monkeypatch, capsys):
+    # Fault injection: every tridiagonal system loses its positive
+    # diagonal, so the first solve is not positive definite.  `mms`
+    # steps outside the driver, and still ends with exit 2, not a
+    # traceback.
+    solveh_banded = rrgas.solver.solveh_banded
+    monkeypatch.setattr(rrgas.solver, "solveh_banded",
+                        lambda diag, upper, rhs: solveh_banded(-abs(diag), upper, rhs))
+    code = main(["mms", "trig", "--levels", "2"])
+    captured = capsys.readouterr()
+    assert code == EXIT_SIMULATION
+    assert "simulation failed: scheme invariant violated" in captured.err
+    assert "not positive definite" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_mms_unknown_case(capsys):
     code = main(["mms", "cubic"])
     assert code == EXIT_CONFIG

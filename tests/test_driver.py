@@ -217,6 +217,19 @@ def test_check_passes_on_shipped_reacting(shipped_config):
     assert report.passed, [(r.name, r.detail) for r in report.rows if not r.passed]
 
 
+@pytest.mark.parametrize("cond_model", ["A", "B"])
+@pytest.mark.parametrize("q_cond", [0.0, 0.5])
+@pytest.mark.parametrize("name", ["equilibrium", "expansion", "reacting", "reference"])
+def test_check_passes_on_shipped_configs_across_the_conductivity_range(
+        name, q_cond, cond_model, shipped_config):
+    # The paper's existence result holds for every q >= 0, constant
+    # conductivity (q = 0) included; every shipped config has q = 2.
+    cfg = shipped_config(name)
+    cfg.params = dataclasses.replace(cfg.params, q_cond=q_cond, cond_model=cond_model)
+    report = check_scenario(cfg)
+    assert report.passed, [(r.name, r.detail) for r in report.rows if not r.passed]
+
+
 def test_check_reports_failed_run():
     cfg = bump_config()
     cfg.v_floor = 2.0

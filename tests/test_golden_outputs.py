@@ -7,7 +7,8 @@ model A and no sources, so the final states of two small manufactured-
 solution runs (trig: model A; tanh: model B, reaction and gravity) are
 hashed too, and so is the `rrgas mms` table at two levels, formatted
 from the first two levels of the full-size studies, whose runs span
-several source blocks and the temporal study's longer step counts.  The
+several source blocks and the temporal study's longer step counts, and
+at three levels, the table the benchmark prints.  The
 full-size temporal study (three members stepped as one batch) is
 hashed to every digit of its errors and differences, and the explicit
 reference integrator's final state, which steps with the semi-discrete
@@ -127,6 +128,14 @@ TEMPORAL_GOLDEN = {
 MMS_STDOUT_GOLDEN = {
     "tanh": "55fa719eb005cf996d75377b5450535ec175f0f2bd4633d0f4092f4e56edde22",
     "trig": "f760f921394304e55218c1073a330bf22c1cd17999083e545cca84840771deb6",
+}
+
+
+# MMS case -> SHA-256 of the stdout of `rrgas mms <case> --levels 3`,
+# the command the benchmark runs, formatted by cli.mms_table
+MMS_STDOUT_L3_GOLDEN = {
+    "tanh": "6ae22958d97faaf993b3991c49e4083304100f2405fa0fb4381837b7bac94bd6",
+    "trig": "62e70ac9165608f1e59e0e608f07933786c70a607075b70db192ac189c9afd9a",
 }
 
 
@@ -258,6 +267,15 @@ def test_mms_table_is_byte_identical(name, mms_studies):
     (rows, orders), (t_rows, _, t_orders) = mms_studies(name)
     out = mms_table(name, (rows[:2], orders), (t_rows[:2], t_orders))
     assert hashlib.sha256(out.encode()).hexdigest() == MMS_STDOUT_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(MMS_STDOUT_L3_GOLDEN))
+def test_mms_table_at_three_levels_is_byte_identical(name, mms_studies):
+    # The 256-cell spatial level (2560 steps) steps in one batch with
+    # the temporal study's 512, 1024 and 2048 on the same grid.
+    spatial, (rows, _, orders) = mms_studies(name)
+    out = mms_table(name, spatial, (rows, orders))
+    assert hashlib.sha256(out.encode()).hexdigest() == MMS_STDOUT_L3_GOLDEN[name]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

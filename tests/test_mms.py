@@ -2,6 +2,8 @@
 finite differences of the exact composite fluxes before anything is
 integrated, then the discrete stencils against grid refinement."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from rrgas.mms import (
     run_mms,
     spatial_study,
     state_errors,
+    studies,
     temporal_study,
 )
 from rrgas.solver import SimulationError, StepRejection
@@ -501,3 +504,39 @@ def test_study_row_shapes():
     assert [r["n_steps"] for r in rows] == [40, 80]
     assert len(diffs) == 1
     assert orders == {}  # two levels give one difference, no order yet
+
+
+def float_reprs(value):
+    """The repr of every float in a study result, in a fixed order."""
+    if isinstance(value, dict):
+        return [r for key in sorted(value) for r in float_reprs(value[key])]
+    if isinstance(value, (list, tuple)):
+        return [r for item in value for r in float_reprs(item)]
+    return [repr(value)]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_studies_run_each_grid_as_one_batch(name, monkeypatch):
+    # Reduced sizes where the spatial study's finest grid (64 cells) is
+    # the temporal study's grid, as 256 cells is at the default sizes
+    # and 3 levels.
+    case = CASES[name]()
+    spatial = {"t_end": 0.1, "base_cells": 32, "base_steps": 40}
+    temporal = {"t_end": 0.1, "n_cells": 64, "base_steps": 20}
+    separate = (spatial_study(case, levels=2, **spatial),
+                temporal_study(case, levels=2, **temporal))
+
+    calls = []
+
+    def recording_run_mms(case, n_cells, t_end, n_steps):
+        calls.append((n_cells, t_end, list(n_steps)))
+        return run_mms(case, n_cells, t_end, n_steps)
+
+    monkeypatch.setattr(rrgas.mms, "run_mms", recording_run_mms)
+    monkeypatch.setattr(rrgas.mms, "_spatial_jobs", partial(rrgas.mms._spatial_jobs, **spatial))
+    monkeypatch.setattr(rrgas.mms, "_temporal_jobs",
+                        partial(rrgas.mms._temporal_jobs, **temporal))
+    together = studies(case, levels=2)
+    assert calls == [(32, 0.1, [40]), (64, 0.1, [160, 20, 40])]
+    assert [[row["n_steps"] for row in result[0]] for result in together] == [[40, 160], [20, 40]]
+    assert float_reprs(together) == float_reprs(separate)
