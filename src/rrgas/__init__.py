@@ -21,7 +21,7 @@ from .diagnostics import (
     total_energy,
     z_balance_residual,
 )
-from .driver import CheckReport, RunResult, check_scenario, run_simulation
+from .driver import CheckReport, RunResult, check_scenario, run_fixed, run_simulation
 from .explicit import explicit_reference_step, run_explicit, stable_dt
 from .mesh import ConfigurationError, Grid, State, physical_coordinates, velocity_mean, width
 from .mms import MmsCase, convergence_order, run_mms, tanh_case, trig_case

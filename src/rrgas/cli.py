@@ -161,7 +161,7 @@ def main(argv=None) -> int:
     except SimulationError as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
-    except InvariantViolation as exc:  # the driver reports `run`'s; `mms` steps without it
+    except InvariantViolation as exc:  # run_simulation reports `run`'s; run_fixed raises `mms`'s
         print(f"simulation failed: scheme invariant violated: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
     except OSError as exc:

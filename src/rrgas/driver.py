@@ -1,11 +1,21 @@
-"""Simulation loop and the scenario-level invariant check.
+"""Time loops and the scenario-level invariant check.
 
-run_simulation owns the time loop: init, step, accumulate, record (the
-last, built a block of states at a time, can be switched off for
-callers that read only the final state).  It never raises for a failed
-integration, nor for a violated scheme invariant; the result says how
-far it got and why it stopped, so callers can still serialize the
-partial trajectory.
+run_simulation owns the adaptive time loop: init, step, accumulate,
+record (the last, built a block of states at a time, can be switched
+off for callers that read only the final state).  It never raises for
+a failed integration, nor for a violated scheme invariant; the result
+says how far it got and why it stopped, so callers can still serialize
+the partial trajectory.
+
+run_fixed owns the fixed-dt loop of refinement ladders: it advances
+the runs of several step counts as one batch on one grid
+(solver.step_batch), and each member leaves after its last step with
+the bits of its own run; the last member left steps on with
+solver.step.  Every time level is known before the first step, so the
+loop evaluates the sources, if any, a block of levels per call; a
+block ends where a member leaves, and none is kept after it.  A
+rejected step would end a run short of t_end, so run_fixed stops there
+with a SimulationError.
 
 check_scenario runs a configuration and grades every runtime-checkable
 bound on the recorded trajectory.
@@ -14,7 +24,11 @@ bound on the recorded trajectory.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
+from functools import partial
+
+import numpy as np
 
 from .config import RunConfig, init_state
 from .diagnostics import (
@@ -22,8 +36,8 @@ from .diagnostics import (
     record,
     z_balance_residual,
 )
-from .mesh import State
-from .solver import InvariantViolation, SimulationError, step
+from .mesh import ConfigurationError, State, stack
+from .solver import InvariantViolation, SimulationError, step, step_batch
 
 # Regression thresholds for check_scenario, chosen with margin against
 # the shipped scenarios at their default resolutions.
@@ -31,9 +45,11 @@ ENERGY_DRIFT_TOL = 2e-2
 Z_BALANCE_TOL = 1e-3
 UV_RUN_CAP = 1e3
 
-# run_simulation builds diagnostics rows for K = max(1, _RECORD_BLOCK //
-# n_cells) states per record call, as mms._SOURCE_BLOCK does for sources.
-_RECORD_BLOCK = 4096
+# Values per array in one block: run_simulation builds diagnostics rows
+# for max(1, _BLOCK_VALUES // n_cells) states per record call, and
+# run_fixed evaluates sources for max(1, _BLOCK_VALUES // (B * (n + 1)))
+# levels per call for B members on n cells.
+_BLOCK_VALUES = 4096
 
 
 @dataclass
@@ -72,7 +88,7 @@ def run_simulation(
     accum = BalanceAccumulators()
     records = []
     pending = []  # (state, dt, z_diff, z_react) awaiting their rows
-    block = max(1, _RECORD_BLOCK // state.grid.n_cells)
+    block = max(1, _BLOCK_VALUES // state.grid.n_cells)
 
     def keep(kept, dt):
         if diagnostics:
@@ -106,6 +122,92 @@ def run_simulation(
     if pending:
         records.extend(record(pending, params))
     return RunResult(state, records, completed, error, n_steps)
+
+
+def _serving(sources, levels, rows):
+    """sources, but rows for exactly the levels one step asks for."""
+
+    def at(t):
+        if np.shape(t) == np.shape(levels) and np.all(t == levels):
+            return rows
+        return sources(t)  # a retry at a shorter dt
+
+    return at
+
+
+def run_fixed(state: State, config: RunConfig, n_steps, sources=None) -> list:
+    """The final states of n steps of dt = config.t_end / n from state,
+    one for each count n in n_steps, in their order.
+
+    Each has the bits of its own serial run of step(..., dt=dt).
+    sources, if given, is the callable step takes.  A count that is not
+    an integer of at least 1, or no count, is a ConfigurationError.  A
+    rejected step raises SimulationError naming the member's step count
+    and t, with that member's state before the step as last_state; an
+    InvariantViolation is raised again naming the step and the counts.
+    """
+    counts = list(n_steps)
+    if not counts:
+        raise ConfigurationError("n_steps must hold at least one step count")
+    for count in counts:
+        if not isinstance(count, numbers.Integral) or count < 1:
+            raise ConfigurationError(f"n_steps must be integers >= 1, got {count}")
+    counts = np.array(counts)
+    dts = config.t_end / counts
+    # From state.t by the additions step makes, so each level is its
+    # t_new bit for bit.
+    levels = [np.add.accumulate(np.r_[state.t, np.full(count, dt)])[1:]
+              for dt, count in zip(dts, counts)]
+    width = state.grid.edges.size
+
+    finals = [None] * len(counts)
+    live = np.arange(len(counts))  # the members still stepping, in order
+    state, batched = stack([state] * len(counts)), True
+    taken, at = 0, None
+    while live.size:
+        if live.size == 1 and batched:
+            # The last member steps on as a single run: the same code
+            # without the member axis, which costs less per step.
+            state, batched = state[0], False
+        stop = counts[live].min()
+        if sources is not None:
+            # A block ends where a member leaves, so its rows are for
+            # one set of members: (k, b) levels, or (k,) for a single run.
+            stop = min(stop, taken + max(1, _BLOCK_VALUES // (live.size * width)))
+            times = np.array([levels[member][taken:stop] for member in live]).T
+            times = times if batched else times[:, 0]
+            at = block = ()  # dropped first, so two blocks are never held at once
+            block = sources(times)
+            for values in block:
+                values.setflags(write=False)
+        advance = (partial(step_batch, dt=dts[live]) if batched
+                   else partial(step, dt=dts[live[0]]))
+        for k in range(stop - taken):
+            if sources is not None:
+                at = _serving(sources, times[k], tuple(values[k] for values in block))
+            try:
+                new, report = advance(state, config, sources=at)
+            except InvariantViolation as exc:
+                runs = ", ".join(map(str, counts[live]))
+                raise InvariantViolation(
+                    f"{exc} (step {taken + k + 1} of the runs of {runs} steps)") from exc
+            rejected = np.flatnonzero(report.rejections)
+            if rejected.size:
+                last = state[rejected[0]] if batched else state
+                raise SimulationError(
+                    f"the run of {counts[live[rejected[0]]]} steps had a step rejected "
+                    f"at t={last.t:.6e}; a fixed-dt study cannot take a shorter one",
+                    last_state=last,
+                )
+            state = new
+        taken = stop
+        done = counts[live] == taken
+        for member, position in zip(live[done], np.flatnonzero(done)):
+            finals[member] = state[position] if batched else state
+        live = live[~done]
+        if batched:
+            state = state[~done]
+    return finals
 
 
 @dataclass

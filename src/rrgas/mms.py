@@ -15,33 +15,24 @@ boundary stress, heat-flux and species-flux conditions hold exactly.
 
 The source methods broadcast: called with a (k, 1) column of times
 against a grid array, they return (k, n) rows, each bit-identical to
-the call at its one time.  run_mms steps with a fixed dt, so it knows
-every time level before the first step: its loop evaluates the
-sources, and the shapes inside them, for a block of levels per call
-and hands each step the rows of its levels.  A block ends where a
-batch member leaves, and nothing is kept across blocks.  A rejected
-step would end a run short of t_end, so run_mms stops there with a
-SimulationError.
-
-run_mms given several step counts advances the runs as one batch on one
-grid (solver.step_batch, a leading member axis), and each member leaves
-the batch after its last step; every member keeps the bits of its own
-run.  The studies run every level that shares a grid that way, and
-studies runs both studies with one batch per grid.
+the call at its one time.  run_mms steps with driver.run_fixed, which
+uses this to evaluate the sources for a block of levels per call.
+run_mms given several step counts advances the runs as one batch on
+one grid; the studies run every level that shares a grid that way,
+and studies runs both studies with one batch per grid.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
-from functools import partial
 
 import numpy as np
 
 from .config import RunConfig
 from .constitutive import PhysParams, conductivity, de_dtheta, pressure, reaction_rate
-from .mesh import ConfigurationError, Grid, State, stack
-from .solver import SimulationError, rates, step, step_batch
+from .driver import run_fixed
+from .mesh import Grid, State
+from .solver import rates
 
 
 class Field:
@@ -301,93 +292,19 @@ def state_errors(case: MmsCase, state: State):
             for name in FIELD_NAMES}
 
 
-# Values per source array in one block of time levels: a run of B
-# members on n cells evaluates max(1, _SOURCE_BLOCK // (B * (n + 1)))
-# levels per source call.
-_SOURCE_BLOCK = 4096
-
-
-def _serving(sources, levels, rows):
-    """sources, but rows for exactly the levels one step asks for."""
-
-    def at(t):
-        if np.shape(t) == np.shape(levels) and np.all(t == levels):
-            return rows
-        return sources(t)  # a retry at a shorter dt
-
-    return at
-
-
 def run_mms(case: MmsCase, n_cells: int, t_end: float, n_steps):
-    """Integrate the sourced system and return (per-field errors, state).
+    """Integrate the sourced system at the fixed step t_end/n_steps and
+    return (per-field errors, state).
 
-    The step size t_end/n_steps is fixed, so every time level is known
-    before the first step: the sources are evaluated a block of levels
-    per call, into read-only rows with the bits of one level at a time.
     n_steps may also be a sequence of step counts: the runs then advance
-    as one batch (solver.step_batch), each member leaves it after its
-    last step, and one (errors, state) is returned per member, each with
-    the bits of its own run.  A single run, or the last member left,
-    steps with solver.step.
-
-    A rejected step would leave a member short of t_end, so it raises
-    SimulationError naming the member's step count and t, with that
-    member's state before the step as last_state.
+    as one batch, and one (errors, state) is returned per member, each
+    with the bits of its own run.  driver.run_fixed steps them and says
+    what it raises.
     """
-    counts = list(n_steps) if np.ndim(n_steps) else [n_steps]
-    if not counts:
-        raise ConfigurationError("n_steps must hold at least one step count")
-    for count in counts:
-        if not isinstance(count, numbers.Integral) or count < 1:
-            raise ConfigurationError(f"n_steps must be integers >= 1, got {count}")
     config = RunConfig(params=case.params, n_cells=n_cells, t_end=t_end)
     state = case.initial_state(n_cells)
-    sources, width = case.sources(state.grid), state.grid.edges.size
-    counts = np.array(counts)
-    dts = t_end / counts
-    # From t = 0 by the additions step makes, so each level is its t_new
-    # bit for bit.
-    levels = [np.add.accumulate(np.full(count, dt)) for dt, count in zip(dts, counts)]
-
-    finals = [None] * len(counts)
-    live = np.arange(len(counts))  # the members still stepping, in order
-    state, batched = stack([state] * len(counts)), True
-    taken = 0
-    while live.size:
-        if live.size == 1 and batched:
-            # The last member steps on as a single run: the same code
-            # without the member axis, which costs less per step.
-            state, batched = state[0], False
-        # A block ends where a member leaves, so its rows are for one
-        # set of members: (k, b) levels, or (k,) for a single run.
-        stop = min(taken + max(1, _SOURCE_BLOCK // (live.size * width)), counts[live].min())
-        times = np.array([levels[member][taken:stop] for member in live]).T
-        times = times if batched else times[:, 0]
-        at = block = ()  # dropped first, so two blocks are never held at once
-        block = sources(times)
-        for values in block:
-            values.setflags(write=False)
-        advance = (partial(step_batch, dt=dts[live]) if batched
-                   else partial(step, dt=dts[live[0]]))
-        for k, level in enumerate(times):
-            at = _serving(sources, level, tuple(values[k] for values in block))
-            new, report = advance(state, config, sources=at)
-            rejected = np.flatnonzero(report.rejections)
-            if rejected.size:
-                last = state[rejected[0]] if batched else state
-                raise SimulationError(
-                    f"the run of {counts[live[rejected[0]]]} steps had a step rejected "
-                    f"at t={last.t:.6e}; a fixed-dt study cannot take a shorter one",
-                    last_state=last,
-                )
-            state = new
-        taken = stop
-        done = counts[live] == taken
-        for member, position in zip(live[done], np.flatnonzero(done)):
-            finals[member] = state[position] if batched else state
-        live = live[~done]
-        if batched:
-            state = state[~done]
+    finals = run_fixed(state, config, n_steps if np.ndim(n_steps) else [n_steps],
+                       case.sources(state.grid))
     runs = [(state_errors(case, final), final) for final in finals]
     return runs if np.ndim(n_steps) else runs[0]
 

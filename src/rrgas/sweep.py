@@ -114,10 +114,6 @@ def run_one(index: int, values: dict, config: RunConfig) -> SweepRow:
     )
 
 
-def _worker(args):
-    return run_one(*args)
-
-
 def run_sweep(manifest_path, out_dir, jobs: int = 1):
     """Execute every combination; write out_dir/summary.csv; return rows.
 
@@ -136,7 +132,7 @@ def run_sweep(manifest_path, out_dir, jobs: int = 1):
         rows = [run_one(*task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_worker, tasks))
+            rows = list(pool.map(run_one, *zip(*tasks)))
 
     keys = [key for key, _ in items]
     path = out_dir / "summary.csv"

@@ -6,6 +6,7 @@ leave a metric that silently reads 0; perfbench's own self-test is not
 part of this suite, so the seams are checked here.
 """
 
+import importlib
 import importlib.util
 import inspect
 from pathlib import Path
@@ -64,6 +65,26 @@ def test_run_mms_reaches_every_source_the_tracer_wraps(tracer, monkeypatch):
         monkeypatch.setattr(MmsCase, attr, counted)
     run_mms(CASES["trig"](), 8, 0.01, [2, 3])
     assert all(calls.values()), calls
+
+
+def test_run_mms_calls_the_step_the_tracer_counts(tracer, monkeypatch):
+    # The tracer wraps solver.step wherever rrgas binds it, and every
+    # per-step figure divides by its calls; on mms-trig they must not
+    # read 0 when the loop runs as batches.
+    step = rrgas.solver.step
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return step(*args, **kwargs)
+
+    for layer in tracer.LAYERS:
+        module = importlib.import_module(f"rrgas.{layer}")
+        for attr, obj in list(vars(module).items()):
+            if obj is step:
+                monkeypatch.setattr(module, attr, counted)
+    run_mms(CASES["trig"](), 8, 0.01, [2, 3])
+    assert calls
 
 
 def test_reacting_run_makes_the_pinned_solves_and_newton_iterations(configs_dir, monkeypatch):

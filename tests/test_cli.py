@@ -412,8 +412,8 @@ def test_mms_with_a_rejected_step_exits_2(monkeypatch, capsys):
 def test_mms_with_an_invariant_violation_exits_2(monkeypatch, capsys):
     # Fault injection: every tridiagonal system loses its positive
     # diagonal, so the first solve is not positive definite.  `mms`
-    # steps outside the driver, and still ends with exit 2, not a
-    # traceback.
+    # steps outside run_simulation, and still ends with exit 2, not a
+    # traceback, naming the run.
     solveh_banded = rrgas.solver.solveh_banded
     monkeypatch.setattr(rrgas.solver, "solveh_banded",
                         lambda diag, upper, rhs: solveh_banded(-abs(diag), upper, rhs))
@@ -422,6 +422,7 @@ def test_mms_with_an_invariant_violation_exits_2(monkeypatch, capsys):
     assert code == EXIT_SIMULATION
     assert "simulation failed: scheme invariant violated" in captured.err
     assert "not positive definite" in captured.err
+    assert "160 steps" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
 

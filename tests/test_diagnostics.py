@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rrgas.constitutive import PhysParams
-from rrgas.driver import _RECORD_BLOCK
+from rrgas.driver import _BLOCK_VALUES
 from rrgas.diagnostics import (
     BalanceAccumulators,
     DiagnosticsRecord,
@@ -222,7 +222,7 @@ def test_block_rows_equal_per_state_rows(n, per_state_row):
     # state, while each other state alone takes the unmasked branch.
     p = params(k_rate=2.0, a_act=1.5, m_order=1.5, beta=2.0, q_cond=1.5,
                g_grav=0.7, p_ext=0.3, cond_model="B", kappa2=2.0)
-    k = max(1, _RECORD_BLOCK // n)
+    k = max(1, _BLOCK_VALUES // n)
     block = random_block(n, k + 1, seed=n)
     block[k][0].theta[n // 2] = 0.0
     with np.errstate(all="ignore"):

@@ -9,7 +9,7 @@ import rrgas.driver
 import rrgas.solver
 from rrgas.config import Profile, RunConfig, init_state, load_config
 from rrgas.constitutive import PhysParams
-from rrgas.driver import check_scenario, run_simulation
+from rrgas.driver import check_scenario, run_fixed, run_simulation
 
 
 def rest_config(t_end=0.05, n_cells=16):
@@ -134,6 +134,23 @@ def test_run_without_diagnostics_takes_the_same_path(case, monkeypatch):
     assert recorded.completed == (case in ("completed", "hook"))
 
 
+def test_run_fixed_gives_each_count_the_bits_of_its_serial_run_in_input_order():
+    # Unsorted and repeated counts, no sources: each final state is the
+    # serial loop of step at t_end / n, and the initial state is kept.
+    cfg = bump_config(n_cells=16)
+    s0 = init_state(cfg)
+    counts = [3, 1, 3, 2]
+    finals = run_fixed(s0, cfg, counts)
+    assert len(finals) == len(counts)
+    for n_steps, final in zip(counts, finals):
+        serial = s0
+        for _ in range(n_steps):
+            serial, _ = rrgas.solver.step(serial, cfg, dt=cfg.t_end / n_steps)
+        assert state_bits(final) == state_bits(serial)
+        assert final.a_pos == serial.a_pos
+    assert state_bits(s0) == state_bits(init_state(cfg))
+
+
 def bits(rec):
     return np.array(dataclasses.astuple(rec), dtype=float).tobytes()
 
@@ -143,7 +160,7 @@ def test_rows_come_in_blocks_and_are_complete_on_every_exit(case, monkeypatch, p
     # 4 states per record call on 32 cells.  Every run here ends with a
     # partly filled block, which the driver must still hand over.
     block = 4
-    monkeypatch.setattr(rrgas.driver, "_RECORD_BLOCK", block * 32)
+    monkeypatch.setattr(rrgas.driver, "_BLOCK_VALUES", block * 32)
     cfg = bump_config()
     kwargs = {}
     if case == "rejected":
