@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import init_state, load_config, serialize_config
+from .config import init_state, load_config, save_config
 from .driver import check_scenario, run_simulation
 from .mesh import ConfigurationError
 from .mms import CASES, studies
@@ -71,8 +71,7 @@ def cmd_run(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rid = run_id(config)
-    with open(out / "config.ini", "w", encoding="utf-8") as fh:
-        fh.write(serialize_config(config))
+    save_config(out / "config.ini", config)
 
     with SnapshotWriter() as writer:
 

@@ -170,7 +170,7 @@ def init_state(config: RunConfig) -> State:
     u = config.u_profile(grid.edges)
     state = State(grid, v, theta, z, u, t=0.0, a_pos=0.0)
     state.require_valid()  # before the shift, which would spread a non-finite u
-    state.u = u - velocity_mean(u, grid.dx)
+    state.u = u - velocity_mean(state)
     return state
 
 

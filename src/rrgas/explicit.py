@@ -17,8 +17,11 @@ from .mesh import State
 from .solver import InvariantViolation, rates
 
 
-def stable_dt(state: State, params: PhysParams, safety: float = 0.4) -> float:
-    """Forward-Euler diffusion stability bound.
+SAFETY = 0.4
+
+
+def stable_dt(state: State, params: PhysParams) -> float:
+    """Forward-Euler diffusion stability bound, times SAFETY.
 
     Covers heat conduction (v*e_theta/kappa), species diffusion
     (v^2/d) and the viscous velocity diffusion (v/mu); the caller still
@@ -33,7 +36,7 @@ def stable_dt(state: State, params: PhysParams, safety: float = 0.4) -> float:
     tightest = min(
         float(np.min(heat)), float(np.min(species)), float(np.min(viscous))
     )
-    return safety * dx**2 * tightest
+    return SAFETY * dx**2 * tightest
 
 
 def _recover_theta(v, theta_guess, e_target, params: PhysParams):

@@ -119,17 +119,13 @@ class State:
             raise ConfigurationError(f"z must lie in [0, 1]; violated at cell {bad[0]}")
 
 
-def velocity_mean(state_or_u, dx: float | None = None) -> float:
+def velocity_mean(state: State) -> float:
     """Discrete integral of the edge velocity over the mass interval.
 
     Trapezoidal weights (half mass at the two boundary edges), the same
     functional the momentum diagnostic reports.
     """
-    if dx is None:
-        u, dx = state_or_u.u, state_or_u.grid.dx
-    else:
-        u = state_or_u
-    return float(np.trapezoid(u, dx=dx))
+    return float(np.trapezoid(state.u, dx=state.grid.dx))
 
 
 def width(state: State) -> float:

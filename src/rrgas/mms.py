@@ -17,9 +17,8 @@ The source methods broadcast: called with a (k, 1) column of times
 against a grid array, they return (k, n) rows, each bit-identical to
 the call at its one time.  run_mms steps with driver.run_fixed, which
 uses this to evaluate the sources for a block of levels per call.
-run_mms given several step counts advances the runs as one batch on
-one grid; the studies run every level that shares a grid that way,
-and studies runs both studies with one batch per grid.
+run_mms advances its step counts as one batch on one grid; studies
+runs the spatial and temporal studies with one batch per grid.
 """
 
 from __future__ import annotations
@@ -273,40 +272,32 @@ CASES = {"trig": trig_case, "tanh": tanh_case}
 FIELD_NAMES = ("v", "u", "theta", "z")
 
 
-def _field_norms(err: np.ndarray, dx: float, edge_field: bool):
-    if edge_field:
-        w = np.ones(err.size)
-        w[0] = 0.5
-        w[-1] = 0.5
-        l2 = math.sqrt(float(np.sum(w * err**2) * dx))
-    else:
-        l2 = math.sqrt(float(np.sum(err**2) * dx))
-    return l2, float(np.max(np.abs(err)))
+def _field_norms(err: np.ndarray, grid: Grid, edge_field: bool):
+    """(L2, Linf) of err on grid: trapezoid weights on the edges."""
+    sq = grid.edge_weights * err**2 if edge_field else err**2
+    return math.sqrt(float(np.sum(sq) * grid.dx)), float(np.max(np.abs(err)))
 
 
 def state_errors(case: MmsCase, state: State):
     """Per-field (L2, Linf) of numerical minus manufactured at state.t."""
     exact = case.state(state.grid, state.t)
-    return {name: _field_norms(getattr(state, name) - getattr(exact, name), state.grid.dx,
+    return {name: _field_norms(getattr(state, name) - getattr(exact, name), state.grid,
                                name == "u")
             for name in FIELD_NAMES}
 
 
 def run_mms(case: MmsCase, n_cells: int, t_end: float, n_steps):
-    """Integrate the sourced system at the fixed step t_end/n_steps and
-    return (per-field errors, state).
+    """Integrate the sourced system at the fixed step t_end/n for each
+    step count n of the sequence n_steps.
 
-    n_steps may also be a sequence of step counts: the runs then advance
-    as one batch, and one (errors, state) is returned per member, each
-    with the bits of its own run.  driver.run_fixed steps them and says
-    what it raises.
+    The runs advance as one batch; one (per-field errors, final state)
+    is returned per count, in their order, each with the bits of its
+    own run.  driver.run_fixed steps them and says what it raises.
     """
     config = RunConfig(params=case.params, n_cells=n_cells, t_end=t_end)
     state = case.initial_state(n_cells)
-    finals = run_fixed(state, config, n_steps if np.ndim(n_steps) else [n_steps],
-                       case.sources(state.grid))
-    runs = [(state_errors(case, final), final) for final in finals]
-    return runs if np.ndim(n_steps) else runs[0]
+    return [(state_errors(case, final), final)
+            for final in run_fixed(state, config, n_steps, case.sources(state.grid))]
 
 
 def convergence_order(coarse_error: float, fine_error: float, refinement_ratio: float) -> float:
@@ -366,71 +357,42 @@ def _run_jobs(case: MmsCase, jobs):
     return runs
 
 
-def _rows(jobs, runs):
-    return [{"n_cells": n_cells, "n_steps": n_steps, "errors": errors}
-            for (n_cells, _, n_steps), (errors, _) in zip(jobs, runs)]
-
-
 def _spatial_jobs(levels: int, t_end: float = 0.4, base_cells: int = 64, base_steps: int = 160):
     return [(base_cells * 2**i, t_end, base_steps * 4**i) for i in range(levels)]
-
-
-def _spatial_result(jobs, runs):
-    rows = _rows(jobs, runs)
-    return rows, _orders([{name: l2 for name, (l2, _) in row["errors"].items()} for row in rows])
 
 
 def _temporal_jobs(levels: int, t_end: float = 0.4, n_cells: int = 256, base_steps: int = 512):
     return [(n_cells, t_end, base_steps * 2**i) for i in range(levels)]
 
 
-def _temporal_result(jobs, runs):
-    states = [state for _, state in runs]
+def studies(case: MmsCase, levels: int):
+    """The spatial and the temporal refinement study, each of levels levels.
+
+    The spatial study refines the mesh with dt proportional to dx^2;
+    the temporal study halves dt on a fixed fine mesh.  Returns
+    ((rows, orders), (rows, diffs, orders)): one row per level with
+    n_cells, n_steps and per-field (L2, Linf) errors, and orders as
+    field -> list of observed L2 orders between consecutive levels.
+    Temporal orders come from successive solution differences diffs
+    (S_dt - S_dt/2 against S_dt/2 - S_dt/4), which cancels the fixed
+    spatial error that would otherwise mask the first-order-in-dt
+    signal; two levels give one difference and no order.
+
+    Every run of either study on one grid goes into one run_mms batch:
+    at 3 levels the spatial study's finest level, 256 cells x 2560
+    steps, steps with the temporal study's 512, 1024 and 2048.
+    """
+    spatial_jobs = _spatial_jobs(levels)
+    jobs = spatial_jobs + _temporal_jobs(levels)
+    runs = _run_jobs(case, jobs)
+    rows = [{"n_cells": n_cells, "n_steps": n_steps, "errors": errors}
+            for (n_cells, _, n_steps), (errors, _) in zip(jobs, runs)]
+    k = len(spatial_jobs)
+    states = [state for _, state in runs[k:]]
     diffs = [
-        {name: _field_norms(getattr(a, name) - getattr(b, name), a.grid.dx, name == "u")[0]
+        {name: _field_norms(getattr(a, name) - getattr(b, name), a.grid, name == "u")[0]
          for name in FIELD_NAMES}
         for a, b in zip(states[:-1], states[1:])
     ]
-    return _rows(jobs, runs), diffs, _orders(diffs) if len(diffs) >= 2 else {}
-
-
-def spatial_study(case: MmsCase, levels: int = 3, t_end: float = 0.4,
-                  base_cells: int = 64, base_steps: int = 160):
-    """Mesh refinement with dt proportional to dx^2.
-
-    Returns (rows, orders): one row per level with n_cells, n_steps and
-    per-field norms; orders maps field -> list of observed L2 orders
-    between consecutive levels.
-    """
-    jobs = _spatial_jobs(levels, t_end, base_cells, base_steps)
-    return _spatial_result(jobs, _run_jobs(case, jobs))
-
-
-def temporal_study(case: MmsCase, levels: int = 3, t_end: float = 0.4,
-                   n_cells: int = 256, base_steps: int = 512):
-    """dt refinement on a fixed fine mesh.
-
-    Returns (rows, diffs, orders).  Orders come from successive solution
-    differences (S_dt - S_dt/2 against S_dt/2 - S_dt/4), which cancels
-    the fixed spatial error that would otherwise mask the
-    first-order-in-dt signal.  The levels run as one batch (run_mms with
-    a sequence of step counts).
-    """
-    jobs = _temporal_jobs(levels, t_end, n_cells, base_steps)
-    return _temporal_result(jobs, _run_jobs(case, jobs))
-
-
-def studies(case: MmsCase, levels: int = 3):
-    """spatial_study and temporal_study at levels and their default
-    sizes, run together.
-
-    Returns ((rows, orders), (rows, diffs, orders)), each as its study
-    returns it, with the same bits.  Every run of either study on one
-    grid goes into one run_mms batch: at 3 levels the spatial study's
-    finest level, 256 cells x 2560 steps, steps with the temporal
-    study's 512, 1024 and 2048.
-    """
-    spatial_jobs, temporal_jobs = _spatial_jobs(levels), _temporal_jobs(levels)
-    runs = _run_jobs(case, spatial_jobs + temporal_jobs)
-    return (_spatial_result(spatial_jobs, runs[:len(spatial_jobs)]),
-            _temporal_result(temporal_jobs, runs[len(spatial_jobs):]))
+    l2s = [{name: l2 for name, (l2, _) in row["errors"].items()} for row in rows[:k]]
+    return (rows[:k], _orders(l2s)), (rows[k:], diffs, _orders(diffs) if len(diffs) >= 2 else {})

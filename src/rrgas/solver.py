@@ -299,37 +299,36 @@ def momentum_step(state: State, dt, params: PhysParams, s_u=None) -> np.ndarray:
     return state.u + du
 
 
-def volume_step(state: State, dt, *, v_floor: float = 1e-8, s_v=None) -> np.ndarray:
+def volume_step(state: State, dt, config, s_v=None) -> np.ndarray:
     """v^{n+1} = v^n + dt*u_x^{n+1}; requires state.u already updated.
 
-    Rejects the members whose new volume is not finite or at the floor.
+    Rejects the members whose new volume is not finite or at
+    config.v_floor.
     """
     u = state.u
     rate = (u[..., 1:] - u[..., :-1]) / state.grid.dx
     if s_v is not None:
         rate = rate + s_v
     v_new = state.v + _per_cell(dt) * rate
-    bad = (~np.isfinite(v_new) | (v_new <= v_floor)).any(axis=-1)
+    bad = (~np.isfinite(v_new) | (v_new <= config.v_floor)).any(axis=-1)
     if _any(bad):
         raise StepRejection("volume_floor", bad)
     return v_new
 
 
-def species_step(state: State, dt, params: PhysParams, *, s_z=None, phi=None):
+def species_step(state: State, dt, params: PhysParams, phi, s_z=None):
     """Implicit species diffusion with semi-implicit reaction decay.
 
-    Requires state.v at the new level, state.theta and state.z at the
-    old one.  phi, if given, is reaction_rate(state.v, state.theta).
+    Requires state.v at the new level and state.z at the old one; phi
+    is reaction_rate(state.v, state.theta) with theta at the old level.
     Returns (z_new, diff_increment, react_increment) where the
     increments are this step's contributions to the accumulated
     gradient and reaction quadratures, evaluated with the same frozen
     coefficients the solve itself used; for a batch they are per member.
     """
     dx = state.grid.dx
-    v, theta, z = state.v, state.theta, state.z
+    v, z = state.v, state.z
     dtc = _per_cell(dt)
-    if phi is None:
-        phi = reaction_rate(v, theta, params)
     decay = phi * np.power(z, params.m_order - 1.0)
     g = species_interface_coeff(v, params)
     base = 1.0 + dtc * decay
@@ -363,22 +362,12 @@ def species_step(state: State, dt, params: PhysParams, *, s_z=None, phi=None):
     return z_new, diff_inc, react_inc
 
 
-def energy_step(
-    state: State,
-    dt,
-    params: PhysParams,
-    v_old: np.ndarray,
-    *,
-    newton_tol: float = 1e-10,
-    newton_max_iter: int = 50,
-    theta_floor: float = 1e-8,
-    s_theta=None,
-    phi=None,
-):
+def energy_step(state: State, dt, config, v_old: np.ndarray, phi, s_theta=None):
     """Newton solve for theta^{n+1} from the internal-energy balance.
 
     Requires state.u, state.v, state.z at the new level and state.theta
-    at the old one; phi, if given, is reaction_rate(state.v, state.theta).
+    at the old one; phi is reaction_rate(state.v, state.theta).  config
+    supplies the physics, newton_tol, newton_max_iter and theta_floor.
     The residual carries implicit conduction (kappa at the current
     iterate) against explicit compression work and reaction heat; the
     Jacobian freezes kappa, keeping it SPD tridiagonal.
@@ -394,12 +383,11 @@ def energy_step(
     Returns (theta_new, iterations, final_residual), the last two per
     member.
     """
+    params, theta_floor = config.params, config.theta_floor
     dx = state.grid.dx
     v, z, u = state.v, state.z, state.u
     theta_n = state.theta
 
-    if phi is None:
-        phi = reaction_rate(v, theta_n, params)
     dudx = (u[..., 1:] - u[..., :-1]) / dx
     work = (-pressure(v, theta_n, params) + params.mu * dudx / v) * dudx
     heating = params.lambda_heat * phi * np.power(z, params.m_order)
@@ -418,7 +406,7 @@ def energy_step(
         e_cur = _internal_energy(av, theta, params)
         resid = e_cur - target - dtc * diffusion_apply(k, theta, dx)
         res = np.abs(resid).max(axis=-1) / np.abs(e_cur).max(axis=-1, initial=1.0)
-        done = res <= newton_tol
+        done = res <= config.newton_tol
         if _any(done):
             if live is None:
                 if _all(done):
@@ -436,7 +424,7 @@ def energy_step(
             live, theta, v, av, av4, target, dt, dtc, k, resid = (
                 a[going] for a in (live, theta, v, av, av4, target, dt, dtc, k, resid)
             )
-        if iters >= newton_max_iter:
+        if iters >= config.newton_max_iter:
             raise StepRejection("newton_stall",
                                 None if live is None else _members(live, len(theta_out)))
 
@@ -479,23 +467,13 @@ def _attempt(state: State, config, dt, sources):
 
     v_old = state.v
     trial.u = momentum_step(trial, dt, params, s_u=s_u)
-    trial.v = volume_step(trial, dt, v_floor=config.v_floor, s_v=s_v)
+    trial.v = volume_step(trial, dt, config, s_v=s_v)
     advance_boundary(trial, dt)
     # Species and energy both take the rate at (v^{n+1}, theta^n).
     phi = reaction_rate(trial.v, trial.theta, params)
-    z_new, diff_inc, react_inc = species_step(trial, dt, params, s_z=s_z, phi=phi)
+    z_new, diff_inc, react_inc = species_step(trial, dt, params, phi, s_z=s_z)
     trial.z = z_new
-    trial.theta, iters, res = energy_step(
-        trial,
-        dt,
-        params,
-        v_old,
-        newton_tol=config.newton_tol,
-        newton_max_iter=config.newton_max_iter,
-        theta_floor=config.theta_floor,
-        s_theta=s_th,
-        phi=phi,
-    )
+    trial.theta, iters, res = energy_step(trial, dt, config, v_old, phi, s_theta=s_th)
     trial.t = t_new
     return trial, iters, res, diff_inc, react_inc
 

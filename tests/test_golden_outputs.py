@@ -220,7 +220,8 @@ def test_conductivity_range_outputs_are_byte_identical(q_cond, cond_model, confi
 
 @pytest.mark.parametrize("name", sorted(MMS_GOLDEN))
 def test_mms_final_state_is_byte_identical(name):
-    _, state = run_mms(CASES[name](), *MMS_RUN)
+    n_cells, t_end, n_steps = MMS_RUN
+    [(_, state)] = run_mms(CASES[name](), n_cells, t_end, [n_steps])
     assert state_digest(state) == MMS_GOLDEN[name]
 
 
@@ -245,7 +246,7 @@ def test_sourced_explicit_final_state_is_byte_identical(name):
 
 
 @pytest.mark.parametrize("name", sorted(TEMPORAL_GOLDEN))
-def test_mms_temporal_study_is_byte_identical(name, mms_studies):
+def test_mms_temporal_levels_are_byte_identical(name, mms_studies):
     _, (rows, diffs, _) = mms_studies(name)
     assert [row["n_steps"] for row in rows] == [512, 1024, 2048]
     h = hashlib.sha256()

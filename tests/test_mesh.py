@@ -155,9 +155,9 @@ def test_physical_coordinates_increasing(volumes):
 
 def test_velocity_mean_trapezoid():
     # Half weights at the end edges: (0.5*0 + 1 + 2 + 3 + 0.5*4) / 4 = 2.0
-    g = Grid(4)
     u = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-    assert velocity_mean(u, g.dx) == pytest.approx(2.0, rel=1e-15)
+    s = State(Grid(4), np.ones(4), np.ones(4), np.zeros(4), u)
+    assert velocity_mean(s) == pytest.approx(2.0, rel=1e-15)
 
 
 def test_velocity_mean_accepts_state():

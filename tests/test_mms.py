@@ -29,10 +29,8 @@ from rrgas.mms import (
     convergence_order,
     discrete_residual,
     run_mms,
-    spatial_study,
     state_errors,
     studies,
-    temporal_study,
 )
 from rrgas.solver import SimulationError, StepRejection
 
@@ -114,7 +112,7 @@ def accumulated_levels(t_end, n_steps):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_run_mms_evaluates_each_source_once_per_level(name, source_times):
-    run_mms(CASES[name](), 16, 0.05, 12)
+    run_mms(CASES[name](), 16, 0.05, [12])
     levels = set(accumulated_levels(0.05, 12))
     assert len(levels) == 12
     n_blocks = -(-12 // max(1, _BLOCK_VALUES // 17))
@@ -178,7 +176,7 @@ def test_block_sources_match_per_level_bits(name, n_cells, served, source_times)
     per_block = max(1, _BLOCK_VALUES // (n_cells + 1))
     n_steps = 2 * per_block + per_block // 3 + 1  # two full blocks, a partial one
     t_end = 1e-4 * n_steps
-    run_mms(case, n_cells, t_end, n_steps)
+    run_mms(case, n_cells, t_end, [n_steps])
     # each source was called once per block, with a column of its levels
     shapes = [np.shape(t) for t in source_times["source_theta"]]
     assert shapes == [(per_block, 1), (per_block, 1), (per_block // 3 + 1, 1)]
@@ -228,7 +226,7 @@ def test_block_sources_evaluate_other_levels_alone(served, source_times, monkeyp
     case = CASES["tanh"]()
     rejecting_once(monkeypatch, 5)
     with pytest.raises(SimulationError):
-        run_mms(case, 16, 0.1, 8)
+        run_mms(case, 16, 0.1, [8])
     levels = accumulated_levels(0.1, 8)
     assert [t for t, _ in served] == levels[:5] + [levels[3] + 0.1 / 8 / 2]
     assert [np.shape(t) for t in source_times["source_v"]] == [(8, 1), ()]
@@ -242,7 +240,7 @@ def test_run_mms_stops_a_run_that_has_a_step_rejected(name, monkeypatch):
     # A fixed-dt run cannot take a shorter step and still end at t_end.
     rejecting_once(monkeypatch, 10)  # the first attempt of step 10
     with pytest.raises(SimulationError, match=r"run of 40 steps.* at t=2\.25") as err:
-        run_mms(CASES[name](), 32, 0.1, 40)
+        run_mms(CASES[name](), 32, 0.1, [40])
     last = err.value.last_state
     assert last.t == accumulated_levels(0.1, 40)[8]
     assert last.v.shape == (32,)
@@ -258,7 +256,8 @@ def test_run_mms_stops_a_batch_when_a_member_has_a_step_rejected(monkeypatch):
     assert last.v.shape == (32,)
 
 
-@pytest.mark.parametrize("n_steps", [0, -3, [40, 0], [], 2.5])
+@pytest.mark.parametrize("n_steps", [pytest.param([0], id="0"), pytest.param([-3], id="-3"),
+                                     [40, 0], [], pytest.param([2.5], id="2.5")])
 def test_run_mms_rejects_step_counts_below_one(n_steps):
     # Also an empty sequence and a count that is not an integer.
     with pytest.raises(ConfigurationError, match="n_steps"):
@@ -272,7 +271,7 @@ def test_run_mms_batch_matches_serial_runs(name):
     batch = run_mms(case, 32, 0.1, counts)
     assert len(batch) == len(counts)
     for n_steps, (errors, state) in zip(counts, batch):
-        serial_errors, serial = run_mms(case, 32, 0.1, n_steps)
+        [(serial_errors, serial)] = run_mms(case, 32, 0.1, [n_steps])
         assert state.t == serial.t
         for field in ("v", "u", "theta", "z"):
             assert getattr(state, field).tobytes() == getattr(serial, field).tobytes()
@@ -400,7 +399,7 @@ def test_constant_fields_are_preserved_to_roundoff():
         theta=Field(1.0, 0.0, _trig_shape(), _cosine(1.0)),
         z=Field(0.4, 0.0, _trig_shape(), _cosine(1.0)),
     )
-    errors, state = run_mms(case, n_cells=8, t_end=0.05, n_steps=10)
+    [(errors, state)] = run_mms(case, n_cells=8, t_end=0.05, n_steps=[10])
     for name in ("v", "u", "theta", "z"):
         assert errors[name][1] <= 1e-12, name
     assert np.all(state.u == 0.0)
@@ -487,24 +486,32 @@ def test_run_mms_error_shrinks_with_resolution():
     # One cheap spot check; the full two-preset studies live in the
     # acceptance suite.
     case = CASES["trig"]()
-    coarse, _ = run_mms(case, 32, 0.1, 40)
-    fine, _ = run_mms(case, 64, 0.1, 160)
+    [(coarse, _)] = run_mms(case, 32, 0.1, [40])
+    [(fine, _)] = run_mms(case, 64, 0.1, [160])
     assert fine["theta"][0] < coarse["theta"][0]
     assert fine["u"][0] < coarse["u"][0]
 
 
-def test_study_row_shapes():
+def reduced_studies(monkeypatch, spatial, temporal):
+    """Make studies plan its jobs at the given smaller sizes."""
+    monkeypatch.setattr(rrgas.mms, "_spatial_jobs", partial(rrgas.mms._spatial_jobs, **spatial))
+    monkeypatch.setattr(rrgas.mms, "_temporal_jobs",
+                        partial(rrgas.mms._temporal_jobs, **temporal))
+
+
+def test_study_row_shapes(monkeypatch):
     case = CASES["trig"]()
-    rows, orders = spatial_study(case, levels=2, t_end=0.1, base_cells=32, base_steps=40)
+    reduced_studies(monkeypatch, {"t_end": 0.1, "base_cells": 32, "base_steps": 40},
+                    {"t_end": 0.1, "n_cells": 32, "base_steps": 40})
+    (rows, orders), (t_rows, diffs, t_orders) = studies(case, 2)
     assert [r["n_cells"] for r in rows] == [32, 64]
     assert [r["n_steps"] for r in rows] == [40, 160]
     assert set(orders) == {"v", "u", "theta", "z"}
     assert all(len(v) == 1 for v in orders.values())
 
-    rows, diffs, orders = temporal_study(case, levels=2, t_end=0.1, n_cells=32, base_steps=40)
-    assert [r["n_steps"] for r in rows] == [40, 80]
+    assert [r["n_steps"] for r in t_rows] == [40, 80]
     assert len(diffs) == 1
-    assert orders == {}  # two levels give one difference, no order yet
+    assert t_orders == {}  # two levels give one difference, no order yet
 
 
 def float_reprs(value):
@@ -522,10 +529,14 @@ def test_studies_run_each_grid_as_one_batch(name, monkeypatch):
     # the temporal study's grid, as 256 cells is at the default sizes
     # and 3 levels.
     case = CASES[name]()
-    spatial = {"t_end": 0.1, "base_cells": 32, "base_steps": 40}
-    temporal = {"t_end": 0.1, "n_cells": 64, "base_steps": 20}
-    separate = (spatial_study(case, levels=2, **spatial),
-                temporal_study(case, levels=2, **temporal))
+    reduced_studies(monkeypatch, {"t_end": 0.1, "base_cells": 32, "base_steps": 40},
+                    {"t_end": 0.1, "n_cells": 64, "base_steps": 20})
+
+    def serial_run_mms(case, n_cells, t_end, n_steps):
+        return [run for count in n_steps for run in run_mms(case, n_cells, t_end, [count])]
+
+    monkeypatch.setattr(rrgas.mms, "run_mms", serial_run_mms)
+    separate = studies(case, 2)
 
     calls = []
 
@@ -534,10 +545,7 @@ def test_studies_run_each_grid_as_one_batch(name, monkeypatch):
         return run_mms(case, n_cells, t_end, n_steps)
 
     monkeypatch.setattr(rrgas.mms, "run_mms", recording_run_mms)
-    monkeypatch.setattr(rrgas.mms, "_spatial_jobs", partial(rrgas.mms._spatial_jobs, **spatial))
-    monkeypatch.setattr(rrgas.mms, "_temporal_jobs",
-                        partial(rrgas.mms._temporal_jobs, **temporal))
-    together = studies(case, levels=2)
+    together = studies(case, 2)
     assert calls == [(32, 0.1, [40]), (64, 0.1, [160, 20, 40])]
     assert [[row["n_steps"] for row in result[0]] for result in together] == [[40, 160], [20, 40]]
     assert float_reprs(together) == float_reprs(separate)
