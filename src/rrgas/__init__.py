@@ -15,10 +15,7 @@ from .constitutive import (
 from .diagnostics import (
     BalanceAccumulators,
     DiagnosticsRecord,
-    dissipation_V,
-    entropy_U,
     record,
-    total_energy,
     z_balance_residual,
 )
 from .driver import CheckReport, RunResult, check_scenario, run_fixed, run_simulation

@@ -162,6 +162,8 @@ def init_state(config: RunConfig) -> State:
     Cell fields are profile values at cell centers, velocity at edges.
     The velocity is then shifted by its discrete mass average so the
     total momentum starts at zero; the left boundary starts at a_pos = 0.
+    A state that fails State.require_valid at config.v_floor and
+    config.theta_floor is a ConfigurationError.
     """
     grid = Grid(config.n_cells)
     v = config.v_profile(grid.cell_centers)
@@ -169,7 +171,8 @@ def init_state(config: RunConfig) -> State:
     z = config.z_profile(grid.cell_centers)
     u = config.u_profile(grid.edges)
     state = State(grid, v, theta, z, u, t=0.0, a_pos=0.0)
-    state.require_valid()  # before the shift, which would spread a non-finite u
+    # before the shift, which would spread a non-finite u
+    state.require_valid(config.v_floor, config.theta_floor)
     state.u = u - velocity_mean(state)
     return state
 

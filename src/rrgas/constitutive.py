@@ -5,8 +5,9 @@ Stefan-Boltzmann radiation part; the reaction rate is an Arrhenius law
 with a power-law density factor; the heat conductivity is a power law
 in temperature with an optional specific-volume factor (model B).
 
-All evaluations accept scalars or numpy arrays and broadcast
-elementwise.  Everything is dimensionless (code units).
+Every law takes float arrays v and theta of one shape and returns
+arrays of that shape (conductivity a tuple of three).  Everything is
+dimensionless (code units).
 
 Caller contract: the specific volume v is finite and > 0.  The laws do
 not check it; they run many times per step on states whose volume is
@@ -93,18 +94,12 @@ class PhysParams:
 
 def pressure(v, theta, params: PhysParams):
     """Total pressure R*theta/v + (a/3)*theta^4."""
-    v = np.asarray(v, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    p = params.r_gas * theta / v + (params.a_rad / 3.0) * theta**4
-    return p if p.ndim else float(p)
+    return params.r_gas * theta / v + (params.a_rad / 3.0) * theta**4
 
 
 def internal_energy(v, theta, params: PhysParams):
     """Internal energy per unit mass, C_v*theta + a*v*theta^4."""
-    v = np.asarray(v, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    e = _internal_energy(params.a_rad * v, theta, params)
-    return e if e.ndim else float(e)
+    return _internal_energy(params.a_rad * v, theta, params)
 
 
 def _internal_energy(av, theta, params: PhysParams):
@@ -118,10 +113,7 @@ def de_dtheta(v, theta, params: PhysParams):
     Bounded below by C_v > 0, so the energy Newton Jacobian is never
     singular.
     """
-    v = np.asarray(v, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    et = _de_dtheta(4.0 * params.a_rad * v, theta, params)
-    return et if et.ndim else float(et)
+    return _de_dtheta(4.0 * params.a_rad * v, theta, params)
 
 
 def _de_dtheta(av4, theta, params: PhysParams):
@@ -143,21 +135,16 @@ def reaction_rate(v, theta, params: PhysParams):
 
     The theta -> 0 limit is 0 for every beta >= 0 (the exponential
     dominates); it is returned as exactly 0.0 rather than evaluated, which
-    would produce 0*inf in floating point.  When v and theta have one
-    shape and theta > 0 everywhere, the solver's case, the rate is
-    evaluated without the mask: the same elementwise operations, so the
-    same bits.
+    would produce 0*inf in floating point.  When theta > 0 everywhere,
+    the solver's case, the rate is evaluated without the mask: the same
+    elementwise operations, so the same bits.
     """
-    v = np.asarray(v, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if v.shape == theta.shape and (theta > 0.0).all():
-        rate = _arrhenius(v, theta, params)
-    else:
-        v, theta = np.broadcast_arrays(v, theta)
-        rate = np.zeros(theta.shape)
-        hot = theta > 0.0
-        rate[hot] = _arrhenius(v[hot], theta[hot], params)
-    return rate if rate.ndim else float(rate)
+    hot = theta > 0.0
+    if hot.all():
+        return _arrhenius(v, theta, params)
+    rate = np.zeros(theta.shape)
+    rate[hot] = _arrhenius(v[hot], theta[hot], params)
+    return rate
 
 
 def heat_conductivity(v, theta, params: PhysParams):
@@ -166,23 +153,18 @@ def heat_conductivity(v, theta, params: PhysParams):
     Model A: kappa = kappa1 + kappa2 * theta^q       (volume-independent)
     Model B: kappa = kappa1 + kappa2 * v * theta^q
     """
-    v = np.asarray(v, dtype=float)
-    theta = np.asarray(theta, dtype=float)
     if params.cond_model == "A":
-        kappa = params.kappa1 + params.kappa2 * theta**params.q_cond
-    else:
-        kappa = params.kappa1 + params.kappa2 * v * theta**params.q_cond
-    return kappa if kappa.ndim else float(kappa)
+        return params.kappa1 + params.kappa2 * theta**params.q_cond
+    return params.kappa1 + params.kappa2 * v * theta**params.q_cond
 
 
 def conductivity(v, theta, params: PhysParams):
     """Heat conductivity and its partials (kappa, dkappa_dv, dkappa_dtheta).
 
     kappa is heat_conductivity's.  Derivatives are evaluated at
-    max(theta, THETA_DERIV_FLOOR); see the module docstring note on the
+    max(theta, THETA_DERIV_FLOOR); see the note there on the
     fractional-exponent limit.
     """
-    v, theta = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(theta, dtype=float))
     kappa = heat_conductivity(v, theta, params)
     q = params.q_cond
     if q == 0.0:
@@ -195,6 +177,4 @@ def conductivity(v, theta, params: PhysParams):
     else:
         dkappa_dv = params.kappa2 * theta**q
         dkappa_dtheta = v * dkappa_dtheta
-    if theta.ndim:
-        return kappa, dkappa_dv, dkappa_dtheta
-    return kappa, float(dkappa_dv), float(dkappa_dtheta)
+    return kappa, dkappa_dv, dkappa_dtheta

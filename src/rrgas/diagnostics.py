@@ -10,8 +10,7 @@ residuals measure splitting error only.
 record builds the rows for a block of states at once, over stacked
 (K, N) fields: below about 1000 cells a row is call overhead, not
 arithmetic.  Each functional is one private kernel over a trailing cell
-axis, shared by record and by the per-state public functions, so a row
-has the same bits whichever way it is built.
+axis; record is the one public entry point to them.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constitutive import PhysParams, heat_conductivity, internal_energy, reaction_rate
-from .mesh import State
 from .solver import StepReport
 
 
@@ -64,6 +62,13 @@ class DiagnosticsRecord:
 # leading index.
 
 def _total_energy(u, v, theta, z, grid, params: PhysParams):
+    """Energy functional: kinetic + internal + bound species heat
+    + gravitational potential + boundary compression work.
+
+    The kinetic share of cell i averages its two edge velocities,
+    (u_i^2 + u_{i+1}^2)/4; any consistent assignment shifts E by
+    O(dx^2), this one is the frozen regression choice.
+    """
     x = grid.cell_centers
     kinetic = 0.25 * (u[..., :-1] ** 2 + u[..., 1:] ** 2)
     density = (
@@ -77,6 +82,7 @@ def _total_energy(u, v, theta, z, grid, params: PhysParams):
 
 
 def _entropy_U(v, theta, dx, params: PhysParams):
+    """Nonnegative distance from the (v, theta) = (1, 1) rest state."""
     density = params.cv * (theta - 1.0 - np.log(theta)) + params.r_gas * (
         v - 1.0 - np.log(v)
     )
@@ -84,6 +90,11 @@ def _entropy_U(v, theta, dx, params: PhysParams):
 
 
 def _dissipation_V(u, v, theta, z, dx, params: PhysParams):
+    """Viscous + conductive + reactive entropy production, all terms >= 0.
+
+    Velocity gradients live on cells, temperature gradients at interior
+    interfaces with v, kappa, theta averaged arithmetically there.
+    """
     dudx = (u[..., 1:] - u[..., :-1]) / dx
     out = params.mu * dudx**2 / (v * theta)
     out = out + params.lambda_heat * reaction_rate(v, theta, params) * np.power(
@@ -102,37 +113,8 @@ def _dissipation_V(u, v, theta, z, dx, params: PhysParams):
 
 
 def _z_squared_norm(z, dx):
-    return 0.5 * ((z**2).sum(axis=-1) * dx)
-
-
-def total_energy(state: State, params: PhysParams) -> float:
-    """Energy functional: kinetic + internal + bound species heat
-    + gravitational potential + boundary compression work.
-
-    The kinetic share of cell i averages its two edge velocities,
-    (u_i^2 + u_{i+1}^2)/4; any consistent assignment shifts E by
-    O(dx^2), this one is the frozen regression choice.
-    """
-    return float(_total_energy(state.u, state.v, state.theta, state.z, state.grid, params))
-
-
-def entropy_U(state: State, params: PhysParams) -> float:
-    """Nonnegative distance from the (v, theta) = (1, 1) rest state."""
-    return float(_entropy_U(state.v, state.theta, state.grid.dx, params))
-
-
-def dissipation_V(state: State, params: PhysParams) -> float:
-    """Viscous + conductive + reactive entropy production, all terms >= 0.
-
-    Velocity gradients live on cells, temperature gradients at interior
-    interfaces with v, kappa, theta averaged arithmetically there.
-    """
-    return float(_dissipation_V(state.u, state.v, state.theta, state.z, state.grid.dx, params))
-
-
-def z_squared_norm(state: State) -> float:
     """Half the integral of z^2, the decaying part of the z balance."""
-    return float(_z_squared_norm(state.z, state.grid.dx))
+    return 0.5 * ((z**2).sum(axis=-1) * dx)
 
 
 def z_balance_residual(records) -> float:
@@ -159,9 +141,9 @@ def record(block, params: PhysParams) -> list[DiagnosticsRecord]:
     Each entry of block is (state, dt, z_diff, z_react): the state, the
     step that reached it and the balance accumulators after that step.
     The functionals are evaluated once over the stacked (K, N) fields.
-    A row is bitwise the one the per-state functions give: the
-    elementwise expressions are the same, and numpy sums each contiguous
-    row with the same pairwise sum as a 1-D array.
+    A row is bitwise the one the kernels give on its state's own 1-D
+    fields: the elementwise expressions are the same, and numpy sums
+    each contiguous row with the same pairwise sum as a 1-D array.
     """
     states, dts, z_diffs, z_reacts = zip(*block)
     # np.stack copies; one state, the large-grid case, is viewed as (1, N)

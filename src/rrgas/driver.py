@@ -45,6 +45,9 @@ ENERGY_DRIFT_TOL = 2e-2
 Z_BALANCE_TOL = 1e-3
 UV_RUN_CAP = 1e3
 
+# Accepted steps after which run_simulation stops a run as failed.
+MAX_STEPS = 5_000_000
+
 # Values per array in one block: run_simulation builds diagnostics rows
 # for max(1, _BLOCK_VALUES // n_cells) states per record call, and
 # run_fixed evaluates sources for max(1, _BLOCK_VALUES // (B * (n + 1)))
@@ -66,7 +69,6 @@ def run_simulation(
     *,
     state: State | None = None,
     on_step=None,
-    max_steps: int = 5_000_000,
     diagnostics: bool = True,
 ) -> RunResult:
     """Integrate from t=0 to t_end, recording diagnostics every step.
@@ -101,7 +103,7 @@ def run_simulation(
     n_steps = 0
     completed, error = True, None
     while state.t < config.t_end:
-        if n_steps >= max_steps:
+        if n_steps >= MAX_STEPS:
             completed, error = False, "step budget exhausted"
             break
         try:

@@ -100,9 +100,9 @@ class State:
         for name in ("v", "theta", "z", "u", "t", "a_pos"):
             getattr(self, name)[index] = getattr(other, name)
 
-    def require_valid(self, v_floor: float = 0.0, theta_floor: float = 0.0) -> None:
-        """Raise if a field is not finite, or positivity or the reactant
-        range is violated."""
+    def require_valid(self, v_floor: float, theta_floor: float) -> None:
+        """Raise if a field is not finite, v or theta is not above its
+        floor, or z leaves [0, 1]."""
         for name in ("v", "theta", "z", "u"):
             bad = np.flatnonzero(~np.isfinite(getattr(self, name)))
             if bad.size:

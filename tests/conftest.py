@@ -3,13 +3,14 @@ import pathlib
 
 import pytest
 
+import rrgas.solver
 from rrgas.config import load_config
 from rrgas.diagnostics import (
     DiagnosticsRecord,
-    dissipation_V,
-    entropy_U,
-    total_energy,
-    z_squared_norm,
+    _dissipation_V,
+    _entropy_U,
+    _total_energy,
+    _z_squared_norm,
 )
 from rrgas.mesh import velocity_mean, width
 from rrgas.mms import CASES, studies
@@ -35,17 +36,19 @@ def shipped_config():
 
 @pytest.fixture
 def per_state_row():
-    """Builds one state's diagnostics row from the per-state functionals:
-    the reference that rows built for a block of states must equal."""
+    """Builds one state's diagnostics row from the functional kernels on
+    its own 1-D fields: the reference that rows built by record over a
+    stacked (K, N) block must equal."""
 
     def build(state, params, dt, z_diff, z_react):
+        u, v, theta, z, dx = state.u, state.v, state.theta, state.z, state.grid.dx
         return DiagnosticsRecord(
             t=state.t,
             dt=dt,
-            e_total=total_energy(state, params),
-            u_entropy=entropy_U(state, params),
-            v_dissipation=dissipation_V(state, params),
-            z_l2=z_squared_norm(state),
+            e_total=float(_total_energy(u, v, theta, z, state.grid, params)),
+            u_entropy=float(_entropy_U(v, theta, dx, params)),
+            v_dissipation=float(_dissipation_V(u, v, theta, z, dx, params)),
+            z_l2=float(_z_squared_norm(z, dx)),
             z_diff_accum=z_diff,
             z_react_accum=z_react,
             width=width(state),
@@ -57,6 +60,20 @@ def per_state_row():
         )
 
     return build
+
+
+@pytest.fixture
+def reject_every_step(monkeypatch):
+    """Call it to have every volume update rejected at the volume floor,
+    so every step spends its retries and the run fails at t = 0.  It
+    stands in for an impossible v_floor, which init_state refuses as
+    a configuration error; a fork-based pool started after the call
+    inherits it."""
+
+    def volume_floor(state, dt, config, s_v=None):
+        raise rrgas.solver.StepRejection("volume_floor")
+
+    return lambda: monkeypatch.setattr(rrgas.solver, "volume_step", volume_floor)
 
 
 @pytest.fixture(scope="session")

@@ -203,31 +203,30 @@ def test_criterion_8_determinism(tmp_path):
 
 
 def test_criterion_9_constitutive_examples():
+    # The laws take fields; each example is one field of its cells.
     p = PhysParams(r_gas=1.0, a_rad=3.0)
-    assert pressure(1.0, 1.0, p) == 2.0
-    assert pressure(2.0, 0.0, p) == 0.0
-    assert pressure(0.5, 2.0, PhysParams(r_gas=0.8, a_rad=0.3)) == pytest.approx(4.8, rel=1e-15)
+    assert pressure(np.array([1.0, 2.0]), np.array([1.0, 0.0]), p).tolist() == [2.0, 0.0]
+    mixed = pressure(np.array([0.5]), np.array([2.0]), PhysParams(r_gas=0.8, a_rad=0.3))
+    assert mixed[0] == pytest.approx(4.8, rel=1e-15)
 
     q = PhysParams(cv=1.0, a_rad=1.0)
-    assert internal_energy(1.0, 1.0, q) == 2.0
-    assert internal_energy(3.0, 0.0, q) == 0.0
-    assert de_dtheta(1.0, 1.0, q) == 5.0
+    assert internal_energy(np.array([1.0, 3.0]), np.array([1.0, 0.0]), q).tolist() == [2.0, 0.0]
+    assert de_dtheta(np.array([1.0]), np.array([1.0]), q)[0] == 5.0
 
     r = PhysParams(k_rate=1.0, a_act=1.0, beta=0.0, m_order=1.0)
-    assert reaction_rate(1.0, 0.0, r) == 0.0
-    assert reaction_rate(1.0, 1.0, r) == pytest.approx(math.exp(-1.0), rel=1e-15)
+    rate = reaction_rate(np.array([1.0, 1.0]), np.array([0.0, 1.0]), r)
+    assert rate[0] == 0.0
+    assert rate[1] == pytest.approx(math.exp(-1.0), rel=1e-15)
 
     k = PhysParams(cond_model="A", kappa1=1.0, kappa2=3.0, q_cond=2.0)
-    assert conductivity(1.0, 1.0, k)[0] == 4.0
+    assert conductivity(np.array([1.0]), np.array([1.0]), k)[0][0] == 4.0
 
     h = 1e-6
-    worst = 0.0
     fd_params = PhysParams(cv=0.7, a_rad=0.4)
-    for v in (0.1, 1.0, 10.0):
-        for theta in (0.01, 0.5, 1.0, 4.0, 10.0):
-            fd = (internal_energy(v, theta + h, fd_params)
-                  - internal_energy(v, theta - h, fd_params)) / (2 * h)
-            rel = abs(de_dtheta(v, theta, fd_params) - fd) / max(1.0, abs(fd))
-            worst = max(worst, rel)
+    v, theta = np.meshgrid([0.1, 1.0, 10.0], [0.01, 0.5, 1.0, 4.0, 10.0])
+    fd = (internal_energy(v, theta + h, fd_params)
+          - internal_energy(v, theta - h, fd_params)) / (2 * h)
+    rel = np.abs(de_dtheta(v, theta, fd_params) - fd) / np.maximum(1.0, np.abs(fd))
+    worst = float(rel.max())
     print(f"criterion 9: worst de_dtheta FD deviation {worst:.2e}")
     assert worst <= 1e-6

@@ -81,13 +81,14 @@ def test_run_is_deterministic(rest_ini, tmp_path):
     assert (out1 / "snapshot_000000.csv").read_bytes() == (out2 / "snapshot_000000.csv").read_bytes()
 
 
-def test_run_reports_simulation_failure(tmp_path, capsys):
-    ini = tmp_path / "stuck.ini"
-    ini.write_text(REST_INI.replace("t_end = 0.05", "t_end = 0.05\nv_floor = 2.0"))
+def test_run_reports_simulation_failure(rest_ini, tmp_path, capsys, reject_every_step):
+    reject_every_step()
     out = tmp_path / "out"
-    code = main(["run", str(ini), "--out", str(out)])
+    code = main(["run", str(rest_ini), "--out", str(out)])
     assert code == EXIT_SIMULATION
-    assert "simulation failed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "simulation failed" in err
+    assert "(last reason: volume_floor)" in err
     payload = json.loads((out / "failure.json").read_text())
     assert payload["status"] == "failed"
     assert payload["t_last"] == 0.0
@@ -210,6 +211,21 @@ def test_bad_profile_parameter_is_config_error(command, field, profile, message,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("field", ["v", "theta"])
+def test_initial_field_at_its_floor_is_config_error(command, field, tmp_path, capsys):
+    # Initial data the first step would reject at once is a configuration
+    # error, not a failed run.
+    ini = tmp_path / "floor.ini"
+    ini.write_text(REST_INI.replace("t_end = 0.05", f"t_end = 0.05\n{field}_floor = 0.5")
+                   + f"\n[initial]\n{field} = constant value=0.4\n")
+    out = tmp_path / "out"
+    args = [command, str(ini)] + (["--out", str(out)] if command == "run" else [])
+    assert main(args) == EXIT_CONFIG
+    assert f"error: {field} must be > 0.5; violated at cell 0" in capsys.readouterr().err
+    assert not (out / "failure.json").exists()
+
+
 def test_run_missing_file_is_io_error(tmp_path, capsys):
     code = main(["run", str(tmp_path / "absent.ini"), "--out", str(tmp_path / "out")])
     assert code == EXIT_IO
@@ -222,22 +238,24 @@ LARGE = 4096  # cells, as the golden large run
 T_END = {128: 0.05, LARGE: 0.0006}  # past snapshot 10, ending between output steps
 
 
-def reacting_ini(configs_dir, tmp_path, n_cells, extra=""):
-    """configs/reacting.ini at n_cells to T_END[n_cells], plus `extra` [run] keys."""
+def reacting_ini(configs_dir, tmp_path, n_cells):
+    """configs/reacting.ini at n_cells to T_END[n_cells]."""
     text = (configs_dir / "reacting.ini").read_text()
     text = text.replace("n_cells = 128", f"n_cells = {n_cells}")
-    text = text.replace("t_end = 0.2", f"t_end = {T_END[n_cells]}{extra}")
+    text = text.replace("t_end = 0.2", f"t_end = {T_END[n_cells]}")
     path = tmp_path / f"reacting_{n_cells}.ini"
     path.write_text(text)
     return path
 
 
-def check_run_joins_one_writer(n_cells, outcome, configs_dir, tmp_path, forks):
+def check_run_joins_one_writer(n_cells, outcome, configs_dir, tmp_path, forks,
+                               reject_every_step):
     """`rrgas run` of the reacting scenario at n_cells, completed or failed:
     every snapshot (0, every 10th step, the last state) goes to one
     helper, which is joined, with every file complete, on return."""
-    extra = "\nv_floor = 2.0" if outcome == "failed" else ""
-    ini = reacting_ini(configs_dir, tmp_path, n_cells, extra)
+    if outcome == "failed":
+        reject_every_step()
+    ini = reacting_ini(configs_dir, tmp_path, n_cells)
     out = tmp_path / "out"
     code = main(["run", str(ini), "--out", str(out)])
     assert code == (EXIT_OK if outcome == "completed" else EXIT_SIMULATION)
@@ -260,13 +278,15 @@ def check_run_joins_one_writer(n_cells, outcome, configs_dir, tmp_path, forks):
 
 
 @pytest.mark.parametrize("outcome", ["completed", "failed"])
-def test_run_small_grid_joins_its_writer(outcome, configs_dir, tmp_path, forks):
-    check_run_joins_one_writer(128, outcome, configs_dir, tmp_path, forks)
+def test_run_small_grid_joins_its_writer(outcome, configs_dir, tmp_path, forks,
+                                        reject_every_step):
+    check_run_joins_one_writer(128, outcome, configs_dir, tmp_path, forks, reject_every_step)
 
 
 @pytest.mark.parametrize("outcome", ["completed", "failed"])
-def test_run_large_grid_joins_its_writer(outcome, configs_dir, tmp_path, forks):
-    check_run_joins_one_writer(LARGE, outcome, configs_dir, tmp_path, forks)
+def test_run_large_grid_joins_its_writer(outcome, configs_dir, tmp_path, forks,
+                                        reject_every_step):
+    check_run_joins_one_writer(LARGE, outcome, configs_dir, tmp_path, forks, reject_every_step)
 
 
 @pytest.mark.parametrize("n_cells", [128, LARGE])
@@ -326,10 +346,9 @@ def test_check_passes_rest_state(rest_ini, capsys):
     assert out.count("PASS") == 9
 
 
-def test_check_failing_run_exits_2(tmp_path, capsys):
-    ini = tmp_path / "stuck.ini"
-    ini.write_text(REST_INI.replace("t_end = 0.05", "t_end = 0.05\nv_floor = 2.0"))
-    code = main(["check", str(ini)])
+def test_check_failing_run_exits_2(rest_ini, capsys, reject_every_step):
+    reject_every_step()
+    code = main(["check", str(rest_ini)])
     out = capsys.readouterr().out
     assert code == EXIT_SIMULATION
     assert "FAIL  run completed" in out

@@ -24,24 +24,29 @@ def params(**kw):
     return dataclasses.replace(PhysParams(), **kw)
 
 
+def cells(*values):
+    """A field of the given cell values: the laws take arrays only."""
+    return np.array(values, dtype=float)
+
+
 # ---------------------------------------------------------------- pressure
 
 def test_pressure_unit_state():
     # R*1/1 + (3/3)*1^4 = 2
     p = params(r_gas=1.0, a_rad=3.0)
-    assert pressure(1.0, 1.0, p) == 2.0
+    assert pressure(cells(1.0), cells(1.0), p)[0] == 2.0
 
 
 def test_pressure_cold_gas():
     # theta = 0 kills both terms regardless of v.
     p = params(r_gas=1.0, a_rad=3.0)
-    assert pressure(2.0, 0.0, p) == 0.0
+    assert pressure(cells(2.0), cells(0.0), p)[0] == 0.0
 
 
 def test_pressure_mixed_state():
     # 0.8*2/0.5 + (0.3/3)*16 = 3.2 + 1.6 = 4.8
     p = params(r_gas=0.8, a_rad=0.3)
-    assert pressure(0.5, 2.0, p) == pytest.approx(4.8, rel=1e-15)
+    assert pressure(cells(0.5), cells(2.0), p)[0] == pytest.approx(4.8, rel=1e-15)
 
 
 def test_pressure_vectorizes():
@@ -56,40 +61,39 @@ def test_pressure_vectorizes():
 def test_energy_unit_state():
     # 1*1 + 1*1*1 = 2
     p = params(cv=1.0, a_rad=1.0)
-    assert internal_energy(1.0, 1.0, p) == 2.0
+    assert internal_energy(cells(1.0), cells(1.0), p)[0] == 2.0
 
 
 def test_energy_cold_state():
     p = params(cv=1.0, a_rad=1.0)
-    assert internal_energy(3.0, 0.0, p) == 0.0
+    assert internal_energy(cells(3.0), cells(0.0), p)[0] == 0.0
 
 
 def test_energy_radiation_dominated():
     # 2*2 + 0.25*0.5*16 = 4 + 2 = 6
     p = params(cv=2.0, a_rad=0.25)
-    assert internal_energy(0.5, 2.0, p) == pytest.approx(6.0, rel=1e-15)
+    assert internal_energy(cells(0.5), cells(2.0), p)[0] == pytest.approx(6.0, rel=1e-15)
 
 
 def test_de_dtheta_gas_only():
     # The radiation term carries theta^3, so it drops out at theta = 0.
     p = params(cv=2.0, a_rad=1.0)
-    assert de_dtheta(1.0, 0.0, p) == 2.0
+    assert de_dtheta(cells(1.0), cells(0.0), p)[0] == 2.0
 
 
 def test_de_dtheta_with_radiation():
     # 1 + 4*1*1*1 = 5
     p = params(cv=1.0, a_rad=1.0)
-    assert de_dtheta(1.0, 1.0, p) == 5.0
+    assert de_dtheta(cells(1.0), cells(1.0), p)[0] == 5.0
 
 
 def test_de_dtheta_matches_finite_difference():
     # Central difference of e in theta, swept over a broad state box.
     p = params(cv=0.7, a_rad=0.4)
     h = 1e-6
-    for v in (0.1, 1.0, 10.0):
-        for theta in (0.01, 0.5, 1.0, 4.0, 10.0):
-            fd = (internal_energy(v, theta + h, p) - internal_energy(v, theta - h, p)) / (2 * h)
-            assert de_dtheta(v, theta, p) == pytest.approx(fd, rel=1e-6)
+    v, theta = np.meshgrid(cells(0.1, 1.0, 10.0), cells(0.01, 0.5, 1.0, 4.0, 10.0))
+    fd = (internal_energy(v, theta + h, p) - internal_energy(v, theta - h, p)) / (2 * h)
+    assert de_dtheta(v, theta, p) == pytest.approx(fd, rel=1e-6)
 
 
 @pytest.mark.parametrize("q_cond", [0.0, 0.5, 2.0])
@@ -126,20 +130,21 @@ def test_energy_kernels_equal_the_laws_bit_for_bit(q_cond, cond_model, data, a_r
 
 def test_rate_vanishes_at_nonpositive_temperature():
     p = params(k_rate=1.0, a_act=1.0, beta=0.0, m_order=1.0)
-    assert reaction_rate(1.0, 0.0, p) == 0.0
-    assert reaction_rate(1.0, -0.5, p) == 0.0
+    assert reaction_rate(cells(1.0), cells(0.0), p)[0] == 0.0
+    assert reaction_rate(cells(1.0), cells(-0.5), p)[0] == 0.0
 
 
 def test_rate_unit_state():
     # K=1, m=1 -> v^0 = 1; beta=0; exp(-1/1) = e^-1
     p = params(k_rate=1.0, a_act=1.0, beta=0.0, m_order=1.0)
-    assert reaction_rate(1.0, 1.0, p) == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert reaction_rate(cells(1.0), cells(1.0), p)[0] == pytest.approx(math.exp(-1.0), rel=1e-15)
 
 
 def test_rate_general_state():
     # K=2, m=2 -> v^-1 = 2; theta^1 = 2; exp(-2/2) = e^-1; total 8e^-1
     p = params(k_rate=2.0, a_act=2.0, beta=1.0, m_order=2.0)
-    assert reaction_rate(0.5, 2.0, p) == pytest.approx(8.0 * math.exp(-1.0), rel=1e-14)
+    assert reaction_rate(cells(0.5), cells(2.0), p)[0] == pytest.approx(
+        8.0 * math.exp(-1.0), rel=1e-14)
 
 
 def test_rate_vector_mixes_hot_and_cold():
@@ -172,8 +177,8 @@ def test_rate_unmasked_branch_matches_masked_bitwise(beta, m_order):
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_rate_nonnegative_and_increasing_in_theta(v, theta):
     p = params(k_rate=2.0, a_act=3.0, beta=0.5, m_order=1.5)
-    lo = reaction_rate(v, theta, p)
-    hi = reaction_rate(v, theta * 1.01, p)
+    lo = reaction_rate(cells(v), cells(theta), p)[0]
+    hi = reaction_rate(cells(v), cells(theta * 1.01), p)[0]
     assert lo >= 0.0
     assert hi >= lo  # monotone: theta^beta and exp(-A/theta) both grow
 
@@ -183,7 +188,7 @@ def test_rate_nonnegative_and_increasing_in_theta(v, theta):
 def test_conductivity_model_a():
     # 1 + 3*1^2 = 4; no v dependence
     p = params(cond_model="A", kappa1=1.0, kappa2=3.0, q_cond=2.0)
-    k, dk_dv, dk_dth = conductivity(1.0, 1.0, p)
+    k, dk_dv, dk_dth = (x[0] for x in conductivity(cells(1.0), cells(1.0), p))
     assert k == 4.0
     assert dk_dv == 0.0
     assert dk_dth == pytest.approx(6.0, rel=1e-15)
@@ -192,7 +197,7 @@ def test_conductivity_model_a():
 def test_conductivity_model_b():
     # 0.5 + 0.5*2*1 = 1.5 at q=0; d/dv = kappa2*theta^q = 0.5
     p = params(cond_model="B", kappa1=0.5, kappa2=0.5, q_cond=0.0)
-    k, dk_dv, dk_dth = conductivity(2.0, 1.0, p)
+    k, dk_dv, dk_dth = (x[0] for x in conductivity(cells(2.0), cells(1.0), p))
     assert k == 1.5
     assert dk_dv == 0.5
     assert dk_dth == 0.0
@@ -202,43 +207,54 @@ def test_conductivity_lower_bound():
     # kappa1 is a hard floor in both models for theta >= 0.
     pa = params(cond_model="A", kappa1=0.3, kappa2=0.7, q_cond=1.5)
     pb = params(cond_model="B", kappa1=0.3, kappa2=0.7, q_cond=1.5)
-    for v in (0.1, 1.0, 5.0):
-        for theta in (0.0, 0.2, 3.0):
-            assert conductivity(v, theta, pa)[0] >= 0.3
-            assert conductivity(v, theta, pb)[0] >= 0.3
+    v, theta = np.meshgrid(cells(0.1, 1.0, 5.0), cells(0.0, 0.2, 3.0))
+    assert np.all(conductivity(v, theta, pa)[0] >= 0.3)
+    assert np.all(conductivity(v, theta, pb)[0] >= 0.3)
 
 
 def test_conductivity_theta_derivative_matches_fd():
     h = 1e-6
     for model in ("A", "B"):
         p = params(cond_model=model, kappa1=0.5, kappa2=0.8, q_cond=2.5)
-        for v, theta in ((0.5, 0.7), (2.0, 3.0)):
-            up = conductivity(v, theta + h, p)[0]
-            dn = conductivity(v, theta - h, p)[0]
-            assert conductivity(v, theta, p)[2] == pytest.approx((up - dn) / (2 * h), rel=1e-6)
+        v, theta = cells(0.5, 2.0), cells(0.7, 3.0)
+        up = conductivity(v, theta + h, p)[0]
+        dn = conductivity(v, theta - h, p)[0]
+        assert conductivity(v, theta, p)[2] == pytest.approx((up - dn) / (2 * h), rel=1e-6)
 
 
 def test_conductivity_v_derivative_matches_fd():
     h = 1e-6
     p = params(cond_model="B", kappa1=0.5, kappa2=0.8, q_cond=2.5)
-    for v, theta in ((0.5, 0.7), (2.0, 3.0)):
-        up = conductivity(v + h, theta, p)[0]
-        dn = conductivity(v - h, theta, p)[0]
-        assert conductivity(v, theta, p)[1] == pytest.approx((up - dn) / (2 * h), rel=1e-6)
+    v, theta = cells(0.5, 2.0), cells(0.7, 3.0)
+    up = conductivity(v + h, theta, p)[0]
+    dn = conductivity(v - h, theta, p)[0]
+    assert conductivity(v, theta, p)[1] == pytest.approx((up - dn) / (2 * h), rel=1e-6)
 
 
 @pytest.mark.parametrize("model", ["A", "B"])
 @pytest.mark.parametrize("q", [0.0, 0.5, 2.0, 3.7])
 def test_heat_conductivity_is_conductivity_kappa_bitwise(model, q):
-    p = params(cond_model=model, kappa1=0.3, kappa2=0.9, q_cond=q)
-    v = np.array([0.2, 0.9, 1.0, 1.7, 4.5])
-    theta = np.array([0.0, 0.3, 1.0, 1.9, 7.25])
+    p = params(cond_model=model, kappa1=0.3, kappa2=0.9, q_cond=q, m_order=1.5, beta=2.0)
+    v = cells(0.2, 0.9, 1.0, 1.7, 4.5)
+    theta = cells(0.0, 0.3, 1.0, 1.9, 7.25)
     kappa = heat_conductivity(v, theta, p)
     assert kappa.tobytes() == conductivity(v, theta, p)[0].tobytes()
-    for vi, ti in zip(v, theta):
-        k = heat_conductivity(float(vi), float(ti), p)
-        assert type(k) is float
-        assert k == conductivity(float(vi), float(ti), p)[0]
+    # A batch of runs evaluates every law on (B, n) fields; each row must
+    # have the bits of that row alone.  Row 0 has the cold cell, so the
+    # batch takes reaction_rate's masked branch while rows 1 and 2 alone
+    # take the unmasked one.
+    v_rows = np.stack([v, v[::-1], 2.0 * v])
+    theta_rows = np.stack([theta, theta[::-1] + 0.5, theta + 0.25])
+    for law in (pressure, internal_energy, de_dtheta, heat_conductivity, reaction_rate,
+                conductivity):
+        batch = law(v_rows, theta_rows, p)
+        for b in range(3):
+            alone = law(v_rows[b], theta_rows[b], p)
+            if law is conductivity:
+                assert [x[b].tobytes() for x in batch] == [x.tobytes() for x in alone]
+            else:
+                assert batch.shape == v_rows.shape
+                assert batch[b].tobytes() == alone.tobytes(), (law.__name__, b)
 
 
 # ---------------------------------------------------------- validation

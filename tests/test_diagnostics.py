@@ -12,12 +12,8 @@ from rrgas.driver import _BLOCK_VALUES
 from rrgas.diagnostics import (
     BalanceAccumulators,
     DiagnosticsRecord,
-    dissipation_V,
-    entropy_U,
     record,
-    total_energy,
     z_balance_residual,
-    z_squared_norm,
 )
 from rrgas.mesh import Grid, State
 from rrgas.solver import StepReport
@@ -38,54 +34,59 @@ def uniform_state(n, v=1.0, theta=1.0, z=0.0, u=0.0):
     return State(g, np.full(n, v), np.full(n, theta), np.full(n, z), np.full(n + 1, u))
 
 
+def row_of(state, p):
+    """The diagnostics row of one state, as record builds it."""
+    return record([(state, 0.0, 0.0, 0.0)], p)[0]
+
+
 # -------------------------------------------------------------- total energy
 
 def test_energy_internal_only():
     # e(1,1) = cv + a = 2 with every other share switched off.
     s = uniform_state(4)
-    assert total_energy(s, params()) == pytest.approx(2.0, rel=1e-15)
+    assert row_of(s, params()).e_total == pytest.approx(2.0, rel=1e-15)
 
 
 def test_energy_species_share_is_linear():
     s = uniform_state(4, z=1.0)
-    assert total_energy(s, params(lambda_heat=3.0)) == pytest.approx(5.0, rel=1e-15)
+    assert row_of(s, params(lambda_heat=3.0)).e_total == pytest.approx(5.0, rel=1e-15)
 
 
 def test_energy_kinetic_share():
     # Uniform u = 2: the edge-average kinetic density is u^2/2 = 2.
     s = uniform_state(4, u=2.0)
-    assert total_energy(s, params()) == pytest.approx(4.0, rel=1e-15)
+    assert row_of(s, params()).e_total == pytest.approx(4.0, rel=1e-15)
 
 
 def test_energy_compression_share():
     # p_ext*v adds 0.5*2 = 1; e(2,1) = 1 + 2 = 3.
     s = uniform_state(4, v=2.0)
-    assert total_energy(s, params(p_ext=0.5)) == pytest.approx(4.0, rel=1e-15)
+    assert row_of(s, params(p_ext=0.5)).e_total == pytest.approx(4.0, rel=1e-15)
 
 
 def test_energy_gravity_share():
     # n=2 midpoint rule: 0.5*G*sum(x(1-x))*dx = 0.5*0.8*(2*0.1875)*0.5
     s = uniform_state(2)
     expected = 2.0 + 0.5 * 0.8 * (2 * 0.1875) * 0.5
-    assert total_energy(s, params(g_grav=0.8)) == pytest.approx(expected, rel=1e-15)
+    assert row_of(s, params(g_grav=0.8)).e_total == pytest.approx(expected, rel=1e-15)
 
 
 # ------------------------------------------------------------------ entropy
 
 def test_entropy_zero_at_rest():
     s = uniform_state(8)
-    assert entropy_U(s, params()) == 0.0
+    assert row_of(s, params()).u_entropy == 0.0
 
 
 def test_entropy_hand_value():
     # theta = e: cv*(e - 1 - 1) per unit mass.
     s = uniform_state(4, theta=math.e)
-    assert entropy_U(s, params()) == pytest.approx(math.e - 2.0, rel=1e-12)
+    assert row_of(s, params()).u_entropy == pytest.approx(math.e - 2.0, rel=1e-12)
 
 
 def test_entropy_volume_part():
     s = uniform_state(4, v=2.0)
-    assert entropy_U(s, params(r_gas=1.5)) == pytest.approx(
+    assert row_of(s, params(r_gas=1.5)).u_entropy == pytest.approx(
         1.5 * (1.0 - math.log(2.0)), rel=1e-12
     )
 
@@ -97,28 +98,28 @@ def test_entropy_volume_part():
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_entropy_positive_away_from_rest(v, theta):
     s = uniform_state(3, v=v, theta=theta)
-    assert entropy_U(s, params()) > 0.0
+    assert row_of(s, params()).u_entropy > 0.0
 
 
 # --------------------------------------------------------------- dissipation
 
 def test_dissipation_zero_for_still_inert_state():
     s = uniform_state(8, theta=2.0)
-    assert dissipation_V(s, params()) == 0.0
+    assert row_of(s, params()).v_dissipation == 0.0
 
 
 def test_dissipation_viscous_share():
     # Single cell, du/dx = 1: mu*1/(v*theta) = 0.1.
     s = uniform_state(1)
     s.u = np.array([0.0, 1.0])
-    assert dissipation_V(s, params()) == pytest.approx(0.1, rel=1e-15)
+    assert row_of(s, params()).v_dissipation == pytest.approx(0.1, rel=1e-15)
 
 
 def test_dissipation_reactive_share():
     # lambda*phi*z/theta with phi = e^-1 at the unit state.
     p = params(k_rate=1.0, a_act=1.0, lambda_heat=2.0)
     s = uniform_state(1, z=1.0)
-    assert dissipation_V(s, p) == pytest.approx(2.0 * math.exp(-1.0), rel=1e-14)
+    assert row_of(s, p).v_dissipation == pytest.approx(2.0 * math.exp(-1.0), rel=1e-14)
 
 
 def test_dissipation_conductive_share():
@@ -128,7 +129,7 @@ def test_dissipation_conductive_share():
     s = uniform_state(2)
     s.theta = np.array([1.0, 2.0])
     expected = 2.0 * 4.0 / (1.0 * 1.5**2) * 0.5
-    assert dissipation_V(s, p) == pytest.approx(expected, rel=1e-14)
+    assert row_of(s, p).v_dissipation == pytest.approx(expected, rel=1e-14)
 
 
 def test_dissipation_nonnegative_for_random_states():
@@ -141,14 +142,14 @@ def test_dissipation_nonnegative_for_random_states():
         s.theta = rng.uniform(0.2, 3.0, n)
         s.z = rng.uniform(0.0, 1.0, n)
         s.u = rng.standard_normal(n + 1)
-        assert dissipation_V(s, p) >= 0.0
+        assert row_of(s, p).v_dissipation >= 0.0
 
 
 # ------------------------------------------------------------- species norm
 
 def test_z_squared_norm():
     s = uniform_state(4, z=0.5)
-    assert z_squared_norm(s) == pytest.approx(0.125, rel=1e-15)
+    assert row_of(s, params()).z_l2 == pytest.approx(0.125, rel=1e-15)
 
 
 def test_balance_residual_hand_rows():

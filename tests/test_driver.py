@@ -62,16 +62,18 @@ def test_record_times_are_strictly_increasing():
 
 def test_failed_run_returns_partial_result():
     cfg = bump_config()
+    initial = init_state(cfg)
     cfg.v_floor = 2.0  # impossible bound, every attempt is rejected
-    result = run_simulation(cfg)
+    result = run_simulation(cfg, state=initial)
     assert not result.completed
     assert "rejected" in (result.error or "")
     assert result.state.t == 0.0
     assert len(result.records) == 1
 
 
-def test_step_budget():
-    result = run_simulation(bump_config(t_end=10.0), max_steps=3)
+def test_step_budget(monkeypatch):
+    monkeypatch.setattr(rrgas.driver, "MAX_STEPS", 3)
+    result = run_simulation(bump_config(t_end=10.0))
     assert not result.completed
     assert result.error == "step budget exhausted"
     assert result.n_steps == 3
@@ -105,9 +107,10 @@ def test_run_without_diagnostics_takes_the_same_path(case, monkeypatch):
     cfg = bump_config()
     kwargs = {}
     if case == "rejected":
+        kwargs["state"] = init_state(cfg)
         cfg.v_floor = 2.0
     elif case == "budget":
-        kwargs["max_steps"] = 3
+        monkeypatch.setattr(rrgas.driver, "MAX_STEPS", 3)
 
     def run(diagnostics):
         calls = []
@@ -162,11 +165,11 @@ def test_rows_come_in_blocks_and_are_complete_on_every_exit(case, monkeypatch, p
     block = 4
     monkeypatch.setattr(rrgas.driver, "_BLOCK_VALUES", block * 32)
     cfg = bump_config()
-    kwargs = {}
+    initial = init_state(cfg)
     if case == "rejected":
         cfg.v_floor = 2.0
     elif case == "budget":
-        kwargs["max_steps"] = 5
+        monkeypatch.setattr(rrgas.driver, "MAX_STEPS", 5)
     elif case == "invariant":
         monkeypatch.setattr(
             rrgas.solver, "species_step",
@@ -189,8 +192,7 @@ def test_rows_come_in_blocks_and_are_complete_on_every_exit(case, monkeypatch, p
         z_react += report.z_react_increment
         seen.append((state, report.dt, z_diff, z_react))
 
-    initial = init_state(cfg)
-    result = run_simulation(cfg, state=initial, on_step=hook, **kwargs)
+    result = run_simulation(cfg, state=initial, on_step=hook)
     assert result.completed == (case == "completed")
     assert len(result.records) == result.n_steps + 1
     assert sizes[:-1] == [block] * (len(sizes) - 1)
@@ -247,10 +249,9 @@ def test_check_passes_on_shipped_configs_across_the_conductivity_range(
     assert report.passed, [(r.name, r.detail) for r in report.rows if not r.passed]
 
 
-def test_check_reports_failed_run():
-    cfg = bump_config()
-    cfg.v_floor = 2.0
-    report = check_scenario(cfg)
+def test_check_reports_failed_run(reject_every_step):
+    reject_every_step()
+    report = check_scenario(bump_config())
     assert not report.completed
     assert not report.passed
     assert report.rows[0].name == "run completed"

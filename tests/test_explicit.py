@@ -56,14 +56,14 @@ def test_single_cell_reaction_step_closed_form():
     #   z1 = z0 - dt*phi*z0,   e1 = e0 + dt*lambda*phi*z0.
     p = params(k_rate=2.0, a_act=2.0, lambda_heat=1.5, p_ext=0.0)
     v0, th0, z0, dt = 1.0, 1.2, 0.8, 1e-3
-    phi = reaction_rate(v0, th0, p)
-    z_expected = z0 - dt * phi * z0
-    e_expected = internal_energy(v0, th0, p) + dt * 1.5 * phi * z0
-
     s = uniform_state(1, v=v0, theta=th0, z=z0)
+    phi = reaction_rate(s.v, s.theta, p)[0]
+    z_expected = z0 - dt * phi * z0
+    e_expected = internal_energy(s.v, s.theta, p)[0] + dt * 1.5 * phi * z0
+
     s2 = explicit_reference_step(s, dt, p)
     assert s2.z[0] == pytest.approx(z_expected, rel=1e-15)
-    assert internal_energy(s2.v[0], s2.theta[0], p) == pytest.approx(e_expected, rel=1e-12)
+    assert internal_energy(s2.v, s2.theta, p)[0] == pytest.approx(e_expected, rel=1e-12)
 
 
 def test_boundary_moves_with_old_velocity():

@@ -1,8 +1,10 @@
 """Every name a module of the package imports is used in that module,
-and no function decides a run setting a second time.
+no function decides a run setting a second time, and every public
+function has a caller in the package.
 
 Stdlib-ast checks, so they need no linter.  __init__.py is left out of
-the import check: its imports are the package's public names.
+the import and caller checks: its imports are the package's public
+names, not uses of them.
 """
 
 import ast
@@ -82,3 +84,52 @@ def test_shadowed_settings_are_found():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_module_keeps_run_settings_in_run_config(path):
     assert shadowed_settings(path.read_text()) == []
+
+
+# Public functions the package keeps for verification, with no caller in
+# the package itself: the explicit reference integrator, the semi-discrete
+# residual check and the readers of the files a run writes.
+VERIFICATION_TOOLS = {
+    "explicit.run_explicit", "explicit.stable_dt", "mms.discrete_residual",
+    "output.read_snapshot", "output.read_diagnostics",
+}
+
+
+def unreferenced_functions(sources: dict) -> list[str]:
+    """The public module-level functions in sources (module name ->
+    source) that no code references by name: neither another module, nor
+    their own module outside their def."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+
+    def names(node):
+        return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))}
+
+    statements = {module: [names(top) for top in tree.body] for module, tree in trees.items()}
+    found = []
+    for module, tree in trees.items():
+        elsewhere = set().union(*(used for other, tops in statements.items() if other != module
+                                  for used in tops))
+        for i, node in enumerate(tree.body):
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            own = set().union(*(used for j, used in enumerate(statements[module]) if j != i))
+            if node.name not in elsewhere | own:
+                found.append(f"{module}.{node.name}")
+    return found
+
+
+def test_unreferenced_functions_are_found():
+    sources = {
+        "a": "def used():\n    pass\ndef own():\n    pass\ndef alone():\n    alone()\n"
+             "def _private():\n    pass\nown()\n",
+        "b": "from .a import used\ndef main():\n    used()\n"
+             "if __name__ == '__main__':\n    main()\n",
+        "c": "import b\ndef dead():\n    b.helper()\n",
+    }
+    assert unreferenced_functions(sources) == ["a.alone", "c.dead"]
+
+
+def test_every_public_function_has_a_caller_in_the_package():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert sorted(set(unreferenced_functions(sources)) - VERIFICATION_TOOLS) == []

@@ -95,11 +95,11 @@ def test_require_valid_names_first_bad_cell():
     s = make_state()
     s.theta[2] = -1.0
     with pytest.raises(ConfigurationError, match="cell 2"):
-        s.require_valid()
+        s.require_valid(0.0, 0.0)
     s = make_state()
     s.z[1] = 1.5
     with pytest.raises(ConfigurationError, match=r"z must lie"):
-        s.require_valid()
+        s.require_valid(0.0, 0.0)
 
 
 @pytest.mark.parametrize("field,index,value,where", [
@@ -110,16 +110,16 @@ def test_require_valid_rejects_nonfinite_values(field, index, value, where):
     s = make_state()
     getattr(s, field)[index] = value
     with pytest.raises(ConfigurationError, match=f"{field} must be finite; violated at {where}"):
-        s.require_valid()
+        s.require_valid(0.0, 0.0)
 
 
 def test_require_valid_honors_floors():
     s = make_state(v=1e-9, theta=1e-9)
-    s.require_valid()  # zero floors: fine
-    with pytest.raises(ConfigurationError):
-        s.require_valid(v_floor=1e-8)
-    with pytest.raises(ConfigurationError):
-        s.require_valid(theta_floor=1e-8)
+    s.require_valid(0.0, 0.0)  # zero floors: fine
+    with pytest.raises(ConfigurationError, match=r"v must be > 1e-08"):
+        s.require_valid(v_floor=1e-8, theta_floor=0.0)
+    with pytest.raises(ConfigurationError, match=r"theta must be > 1e-08"):
+        s.require_valid(v_floor=0.0, theta_floor=1e-8)
 
 
 def test_width_of_uniform_state():

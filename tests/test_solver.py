@@ -222,7 +222,7 @@ def test_cfl_dt_reaction_clamp():
     # the bound equals cfl/growth for the uniform state.
     p = ref_params(k_rate=1e6, a_act=1.0, beta=0.0, lambda_heat=1.0)
     s = uniform_state(8, z=1.0)
-    phi = reaction_rate(1.0, 1.0, p)
+    phi = reaction_rate(s.v, s.theta, p)[0]
     growth = p.lambda_heat * phi * (p.beta / 1.0 + p.a_act / 1.0)
     cfg = RunConfig(params=p)
     cfg.dt_max = 1.0
@@ -430,7 +430,7 @@ def test_species_single_cell_decay_closed_form():
     # n=1 has no diffusion; the linear-kinetics update is z/(1 + dt*phi).
     p = ref_params(k_rate=2.0, a_act=1.0, beta=0.5, m_order=1.0)
     s = uniform_state(1, v=0.8, theta=1.3, z=0.9)
-    phi = reaction_rate(0.8, 1.3, p)
+    phi = reaction_rate(s.v, s.theta, p)[0]
     expected = 0.9 / (1.0 + 0.05 * phi)
     z_new, _, _ = species_step(s, 0.05, p, stage_phi(s, p))
     assert z_new[0] == expected
@@ -501,15 +501,15 @@ def test_energy_single_cell_reaction_heating():
     # Oracle: brentq on the same scalar equation.
     p = ref_params(k_rate=3.0, a_act=2.0, lambda_heat=2.0)
     v0, th0, z0, dt = 0.9, 1.2, 0.8, 0.02
-    heating = p.lambda_heat * reaction_rate(v0, th0, p) * z0
-    target = internal_energy(v0, th0, p) + dt * heating
+    s = uniform_state(1, v=v0, theta=th0, z=z0)
+    heating = p.lambda_heat * reaction_rate(s.v, s.theta, p)[0] * z0
+    target = internal_energy(s.v, s.theta, p)[0] + dt * heating
 
     def balance(th):
-        return internal_energy(v0, th, p) - target
+        return internal_energy(s.v, np.array([th]), p)[0] - target
 
     oracle = brentq(balance, th0, th0 + 1.0, xtol=1e-14, rtol=8.9e-16)
 
-    s = uniform_state(1, v=v0, theta=th0, z=z0)
     cfg = RunConfig(params=p, newton_tol=1e-12)
     theta_new, iters, _ = energy_step(s, dt, cfg, s.v.copy(), stage_phi(s, p))
     assert iters >= 1
@@ -616,8 +616,8 @@ def test_step_halves_dt_on_rejection():
     # until the retry budget is spent; the error carries the last good
     # state untouched.
     cfg = bump_config(n_cells=16, t_end=0.05)
-    cfg.v_floor = 2.0
     s = init_state(cfg)
+    cfg.v_floor = 2.0
     v_before = s.v.copy()
     with pytest.raises(SimulationError) as err:
         step(s, cfg)

@@ -108,7 +108,7 @@ def assert_summary_is_last_record(row, direct):
     assert bits(row.final_t) == bits(last.t)
 
 
-def test_run_one_matches_direct_simulation(tmp_path):
+def test_run_one_matches_direct_simulation(tmp_path, reject_every_step):
     # bitwise: the same deterministic path, and the summary of the final
     # state equals the last record, for a completed and a failed member
     base, items = load_manifest(write_manifest(tmp_path, ""))
@@ -119,7 +119,7 @@ def test_run_one_matches_direct_simulation(tmp_path):
     assert row.error == ""
     assert_summary_is_last_record(row, direct)
 
-    base.v_floor = 2.0  # forces rejection of every step
+    reject_every_step()
     row = run_one(0, {}, base)
     direct = run_simulation(base)
     assert row.classification == "failed"
@@ -198,9 +198,9 @@ def test_run_one_flags_unsupported_exponent(tmp_path):
     assert rows[1].rate_exponent_supported is False
 
 
-def test_run_one_reports_failure_without_raising(tmp_path):
+def test_run_one_reports_failure_without_raising(tmp_path, reject_every_step):
     base, _ = load_manifest(write_manifest(tmp_path, ""))
-    base.v_floor = 2.0  # forces rejection of every step
+    reject_every_step()
     row = run_one(0, {}, base)
     assert row.classification == "failed"
     assert "rejected" in row.error
