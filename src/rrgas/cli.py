@@ -68,6 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_run(args) -> int:
     config = load_config(args.config)
+    initial = init_state(config)  # a bad initial state writes nothing
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rid = run_id(config)
@@ -83,7 +84,6 @@ def cmd_run(args) -> int:
             if index % config.output_every == 0:
                 snapshot(state, index)
 
-        initial = init_state(config)
         snapshot(initial, 0)
         result = run_simulation(config, state=initial, on_step=on_step)
         write_diagnostics(out / "diagnostics.csv", result.records)

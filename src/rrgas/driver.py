@@ -12,10 +12,11 @@ the runs of several step counts as one batch on one grid
 (solver.step_batch), and each member leaves after its last step with
 the bits of its own run; the last member left steps on with
 solver.step.  Every time level is known before the first step, so the
-loop evaluates the sources, if any, a block of levels per call; a
-block ends where a member leaves, and none is kept after it.  A
-rejected step would end a run short of t_end, so run_fixed stops there
-with a SimulationError.
+loop evaluates the sources, if any, a block of levels per call and
+hands each step the rows of its level; a block ends where a member
+leaves, and none is kept after it.  Each step is one attempt at its
+pinned dt: a rejected step would end a run short of t_end, so run_fixed
+stops there with a SimulationError.
 
 check_scenario runs a configuration and grades every runtime-checkable
 bound on the recorded trajectory.
@@ -37,7 +38,7 @@ from .diagnostics import (
     z_balance_residual,
 )
 from .mesh import ConfigurationError, State, stack
-from .solver import InvariantViolation, SimulationError, step, step_batch
+from .solver import InvariantViolation, SimulationError, StepRejection, step, step_batch
 
 # Regression thresholds for check_scenario, chosen with margin against
 # the shipped scenarios at their default resolutions.
@@ -126,27 +127,20 @@ def run_simulation(
     return RunResult(state, records, completed, error, n_steps)
 
 
-def _serving(sources, levels, rows):
-    """sources, but rows for exactly the levels one step asks for."""
-
-    def at(t):
-        if np.shape(t) == np.shape(levels) and np.all(t == levels):
-            return rows
-        return sources(t)  # a retry at a shorter dt
-
-    return at
-
-
 def run_fixed(state: State, config: RunConfig, n_steps, sources=None) -> list:
     """The final states of n steps of dt = config.t_end / n from state,
     one for each count n in n_steps, in their order.
 
     Each has the bits of its own serial run of step(..., dt=dt).
-    sources, if given, is the callable step takes.  A count that is not
-    an integer of at least 1, or no count, is a ConfigurationError.  A
-    rejected step raises SimulationError naming the member's step count
-    and t, with that member's state before the step as last_state; an
-    InvariantViolation is raised again naming the step and the counts.
+    sources, if given, is a callable t -> (s_v, s_u, s_theta, s_z) on
+    state's grid that broadcasts over an array of times, as
+    mms.MmsCase.sources(grid) does; each step is handed the read-only
+    rows of its new level.  A count that is not an integer of at least
+    1, or no count, is a ConfigurationError.  A step is one attempt at
+    its dt: a rejected step raises SimulationError naming the member's
+    step count and t, with that member's state before the step as
+    last_state; an InvariantViolation is raised again naming the step
+    and the counts.
     """
     counts = list(n_steps)
     if not counts:
@@ -165,7 +159,7 @@ def run_fixed(state: State, config: RunConfig, n_steps, sources=None) -> list:
     finals = [None] * len(counts)
     live = np.arange(len(counts))  # the members still stepping, in order
     state, batched = stack([state] * len(counts)), True
-    taken, at = 0, None
+    taken, rows = 0, None
     while live.size:
         if live.size == 1 and batched:
             # The last member steps on as a single run: the same code
@@ -177,31 +171,29 @@ def run_fixed(state: State, config: RunConfig, n_steps, sources=None) -> list:
             # one set of members: (k, b) levels, or (k,) for a single run.
             stop = min(stop, taken + max(1, _BLOCK_VALUES // (live.size * width)))
             times = np.array([levels[member][taken:stop] for member in live]).T
-            times = times if batched else times[:, 0]
-            at = block = ()  # dropped first, so two blocks are never held at once
-            block = sources(times)
+            rows = block = ()  # dropped first, so two blocks are never held at once
+            block = sources(times if batched else times[:, 0])
             for values in block:
                 values.setflags(write=False)
         advance = (partial(step_batch, dt=dts[live]) if batched
                    else partial(step, dt=dts[live[0]]))
         for k in range(stop - taken):
             if sources is not None:
-                at = _serving(sources, times[k], tuple(values[k] for values in block))
+                rows = tuple(values[k] for values in block)
             try:
-                new, report = advance(state, config, sources=at)
+                state, _ = advance(state, config, sources=rows)
             except InvariantViolation as exc:
                 runs = ", ".join(map(str, counts[live]))
                 raise InvariantViolation(
                     f"{exc} (step {taken + k + 1} of the runs of {runs} steps)") from exc
-            rejected = np.flatnonzero(report.rejections)
-            if rejected.size:
-                last = state[rejected[0]] if batched else state
+            except StepRejection as rej:
+                first = np.flatnonzero(True if rej.members is None else rej.members)[0]
+                last = state[first] if batched else state
                 raise SimulationError(
-                    f"the run of {counts[live[rejected[0]]]} steps had a step rejected "
+                    f"the run of {counts[live[first]]} steps had a step rejected "
                     f"at t={last.t:.6e}; a fixed-dt study cannot take a shorter one",
                     last_state=last,
-                )
-            state = new
+                ) from rej
         taken = stop
         done = counts[live] == taken
         for member, position in zip(live[done], np.flatnonzero(done)):

@@ -63,7 +63,7 @@ def explicit_reference_step(state: State, dt: float, params: PhysParams, sources
     """One forward-Euler step; dt must satisfy the stability bounds.
 
     sources, if given, is a callable t -> (s_v, s_u, s_theta, s_z) on
-    the state's grid, as step takes it.
+    the state's grid, as mms.MmsCase.sources(grid) returns it.
     """
     v, theta, z, u = state.v, state.theta, state.z, state.u
     t = state.t

@@ -44,6 +44,10 @@ class Grid:
     def __eq__(self, other) -> bool:
         return isinstance(other, Grid) and other.n_cells == self.n_cells
 
+    def __reduce__(self):
+        # Rebuilt from its size, so an unpickled grid's arrays are read-only too.
+        return Grid, (self.n_cells,)
+
     def __repr__(self) -> str:
         return f"Grid(n_cells={self.n_cells})"
 
@@ -81,7 +85,7 @@ class State:
                 )
             setattr(self, name, arr)
         if lead:
-            # Fresh arrays: a batch's times are updated per member.
+            # One time and one boundary position per member.
             self.t = np.full(lead, self.t, dtype=float)
             self.a_pos = np.full(lead, self.a_pos, dtype=float)
 
@@ -95,10 +99,6 @@ class State:
             t, a_pos = float(t), float(a_pos)
         return State(self.grid, self.v[index], self.theta[index], self.z[index],
                      self.u[index], t, a_pos)
-
-    def __setitem__(self, index, other: "State") -> None:
-        for name in ("v", "theta", "z", "u", "t", "a_pos"):
-            getattr(self, name)[index] = getattr(other, name)
 
     def require_valid(self, v_floor: float, theta_floor: float) -> None:
         """Raise if a field is not finite, v or theta is not above its

@@ -178,11 +178,12 @@ class MmsCase:
         return self.z.dt(x, t) - diffusion + sink
 
     def sources(self, grid: Grid):
-        """The sources on grid, as the callable step and step_batch take.
+        """The sources on grid, as the callable driver.run_fixed takes.
 
-        It maps t to (s_v, s_u, s_theta, s_z): s_u at the edges, the
-        other three at the cell centers.  An array of times gives one
-        row per time, of shape t.shape + (the grid's size,).
+        It maps t to (s_v, s_u, s_theta, s_z), the tuple solver.step and
+        solver.rates take: s_u at the edges, the other three at the cell
+        centers.  An array of times gives one row per time, of shape
+        t.shape + (the grid's size,).
         """
         x_cells, x_edges = grid.cell_centers, grid.edges
 

@@ -9,18 +9,19 @@ splitting to first order in dt; diffusion stiffness never restricts dt.
 
 All linear systems are symmetric positive definite tridiagonal and go
 through LAPACK `dptsv` (pivot-free L·D·Lᵀ).  A failed sub-update (volume
-or temperature at its floor, Newton stall) rejects the step; it is
-retried with half the dt from the untouched input state.
+or temperature at its floor, Newton stall) rejects the attempt.  step
+retries its own cfl_dt step with half the dt from the untouched input
+state; a dt the caller pinned is one attempt, and the rejection reaches
+the caller.
 
 Every stencil works along the last axis, so one code path advances a
 single run (fields of shape (n,)) or a batch of B runs on one grid
 (a leading member axis: (B, n) fields, (B,) t and dt).  Each member of
 a batch keeps the bits of its own run: reductions are per row, the
 tridiagonal systems of a batch are solved as one stacked banded system
-with zero couplings between members, Newton converges, line-searches
-and stalls per member (a converged member is frozen), and a rejection
-halves dt only for the members it rejected.  step advances one run and
-step_batch a batch.
+with zero couplings between members, and Newton converges, line-searches
+and stalls per member (a converged member is frozen).  step advances
+one run and step_batch a batch.
 """
 
 from __future__ import annotations
@@ -46,10 +47,11 @@ MAX_REJECTIONS = 10
 
 
 class StepRejection(Exception):
-    """Internal signal: this dt produced an invalid update, retry smaller.
+    """An attempt at this dt produced an invalid update.
 
-    members, for a batch, is a mask of the members that failed; None
-    means all of them.
+    step retries its own cfl_dt step at a smaller dt; at a dt the caller
+    pinned, the rejection reaches the caller.  members, for a batch, is
+    a mask of the members that failed; None means all of them.
     """
 
     def __init__(self, reason: str, members=None):
@@ -80,8 +82,6 @@ class StepReport:
     dt: float
     newton_iterations: int
     max_newton_residual: float
-    floor_hit: bool = False
-    nonconverged: bool = False
     rejections: int = 0
     z_diff_increment: float = 0.0
     z_react_increment: float = 0.0
@@ -456,121 +456,71 @@ def _members(rows, count: int) -> np.ndarray:
     return mask
 
 
-def _attempt(state: State, config, dt, sources):
-    params = config.params
-    trial = state.copy()
-    t_new = state.t + dt
-    s_v = s_u = s_th = s_z = None
-    if sources is not None:
-        # Implicit sub-updates see sources at the level they solve for.
-        s_v, s_u, s_th, s_z = sources(t_new)
+def step_batch(state: State, config, sources=None, *, dt):
+    """Advance every member of a batch one step at its own pinned dt.
 
-    v_old = state.v
+    state is a batch of B runs on one grid (a mesh.State with a leading
+    member axis) and dt a (B,) array; a single run's state with a float
+    dt is the batch of one, without the axis.  sources, if given, is the
+    tuple (s_v, s_u, s_theta, s_z) at the members' new level, each an
+    array or None: s_u of the state's edge shape, the others of its
+    cell shape.  Every row is computed on its own, so each member gets
+    the bits of its own run.  The step is one attempt: a rejection
+    raises StepRejection naming the rejected members.  Returns
+    (new_state, StepReport) with every report field per member.
+    """
+    params = config.params
+    # Implicit sub-updates see sources at the level they solve for.
+    s_v, s_u, s_th, s_z = (None,) * 4 if sources is None else sources
+    trial = state.copy()
     trial.u = momentum_step(trial, dt, params, s_u=s_u)
     trial.v = volume_step(trial, dt, config, s_v=s_v)
     advance_boundary(trial, dt)
     # Species and energy both take the rate at (v^{n+1}, theta^n).
     phi = reaction_rate(trial.v, trial.theta, params)
-    z_new, diff_inc, react_inc = species_step(trial, dt, params, phi, s_z=s_z)
-    trial.z = z_new
-    trial.theta, iters, res = energy_step(trial, dt, config, v_old, phi, s_theta=s_th)
-    trial.t = t_new
-    return trial, iters, res, diff_inc, react_inc
-
-
-# The StepReport fields that _attempt returns, in its order.
-_RESULTS = ("newton_iterations", "max_newton_residual", "z_diff_increment", "z_react_increment")
-
-
-def step_batch(state: State, config, sources=None, *, dt):
-    """Advance every member of a batch one accepted step at its own dt.
-
-    state is a batch of B runs on one grid (a mesh.State with a leading
-    member axis) and dt a (B,) array; a single run's state with a float
-    dt is the batch of one, without the axis.  sources, if given, is a
-    callable t -> (s_v, s_u, s_theta, s_z), called with the new level of
-    the members of each attempt ((b,) for a batch); each array
-    broadcasts against their fields, s_u on the edges and the others on
-    the cells.  Every row is computed on its own, so each member gets
-    the bits of its own run.
-
-    A rejected member halves its dt and attempts again; the others keep
-    the trial of the attempt they passed.  When a sub-update rejects some
-    members of an attempt, the attempt is rerun at the same dt for the
-    rest, which gives them the bits the first run would have given.
-    Returns (new_state, StepReport) with every report field per member.
-    """
-    dt = np.array(dt, dtype=float)
-    report = StepReport(dt, None, None, np.zeros(dt.shape, dtype=bool),
-                        np.zeros(dt.shape, dtype=bool), np.zeros(dt.shape, dtype=int))
-    new = None
-    todo = np.arange(dt.size)  # members without an accepted trial
-    while todo.size:
-        run, retry = todo, []  # the members of this attempt; the rejected ones
-        while run.size:
-            whole = run.size == dt.size
-            try:
-                trial, *result = _attempt(state if whole else state[run], config,
-                                          dt[()] if whole else dt[run], sources)
-                break
-            except StepRejection as rej:
-                failed = run if rej.members is None else run[np.reshape(rej.members, -1)]
-                _reject(report, failed, rej, state)
-                retry.append(failed)
-                run = run[~np.isin(run, failed)]
-        if run.size == dt.size:
-            new = trial
-            for name, value in zip(_RESULTS, result):
-                setattr(report, name, value)
-        elif run.size:
-            if new is None:
-                new = state.copy()
-                for name, dtype in zip(_RESULTS, (int, float, float, float)):
-                    setattr(report, name, np.zeros(dt.shape, dtype=dtype))
-            new[run] = trial
-            for name, value in zip(_RESULTS, result):
-                getattr(report, name)[run] = value
-        todo = np.sort(np.concatenate(retry)) if retry else run[:0]
-    return new, report
-
-
-def _reject(report: StepReport, failed, rej: StepRejection, state: State):
-    """Count a rejection of the failed members and halve their dt."""
-    rejections, dt = report.rejections.reshape(-1), report.dt.reshape(-1)
-    rejections[failed] += 1
-    report.floor_hit.reshape(-1)[failed] |= rej.reason in ("volume_floor", "theta_floor")
-    report.nonconverged.reshape(-1)[failed] |= rej.reason == "newton_stall"
-    t = np.reshape(state.t, -1)
-    spent = failed[rejections[failed] >= MAX_REJECTIONS]
-    if spent.size:
-        raise SimulationError(
-            f"step rejected {rejections[spent[0]]} times at t={t[spent[0]]:.6e} "
-            f"(last reason: {rej.reason})",
-            last_state=state,
-        ) from rej
-    dt[failed] *= 0.5
-    small = failed[dt[failed] <= DT_MIN]
-    if small.size:
-        raise SimulationError(
-            f"time step underflow during rejection retries at t={t[small[0]]:.6e}",
-            last_state=state,
-        ) from rej
+    trial.z, diff_inc, react_inc = species_step(trial, dt, params, phi, s_z=s_z)
+    trial.theta, iters, res = energy_step(trial, dt, config, state.v, phi, s_theta=s_th)
+    trial.t = state.t + dt
+    return trial, StepReport(dt, iters, res, np.zeros(np.shape(dt), dtype=int),
+                             diff_inc, react_inc)
 
 
 def step(state: State, config, sources=None, dt: float | None = None):
-    """Advance one accepted step, retrying with halved dt on rejection.
+    """Advance one run one accepted step: step_batch for a single run.
 
-    step_batch for a single run.  sources, if given, is a callable
-    t -> (s_v, s_u, s_theta, s_z) of manufactured right-hand sides on
-    the state's grid, each an array or None: s_u on the edges, the
-    others on the cells.  dt is normally taken from cfl_dt; passing it
-    explicitly pins the step size for convergence studies.  Returns
-    (new_state, StepReport).
+    sources, if given, is the tuple (s_v, s_u, s_theta, s_z) of
+    manufactured right-hand sides at the new level, each an array or
+    None: s_u on the edges, the others on the cells.  dt is normally
+    taken from cfl_dt, and a rejected attempt is retried from the input
+    state at half the dt, up to MAX_REJECTIONS attempts.  Passing dt
+    pins the step size for convergence studies; the step is then one
+    attempt, and a rejection raises StepRejection.  Returns (new_state,
+    StepReport).
     """
-    if dt is None:
+    pinned = dt is not None
+    if not pinned:
         dt = cfl_dt(state, config)
-    new, r = step_batch(state, config, sources, dt=dt)
+    rejections = 0
+    while True:
+        try:
+            new, r = step_batch(state, config, sources, dt=dt)
+            break
+        except StepRejection as rej:
+            if pinned:
+                raise
+            rejections += 1
+            if rejections >= MAX_REJECTIONS:
+                raise SimulationError(
+                    f"step rejected {rejections} times at t={state.t:.6e} "
+                    f"(last reason: {rej.reason})",
+                    last_state=state,
+                ) from rej
+            dt *= 0.5
+            if dt <= DT_MIN:
+                raise SimulationError(
+                    f"time step underflow during rejection retries at t={state.t:.6e}",
+                    last_state=state,
+                ) from rej
     new.t, new.a_pos = float(new.t), float(new.a_pos)
-    return new, StepReport(float(r.dt), int(r.newton_iterations), float(r.max_newton_residual),
-                           bool(r.floor_hit), bool(r.nonconverged), int(r.rejections),
-                           float(r.z_diff_increment), float(r.z_react_increment))
+    return new, StepReport(float(dt), int(r.newton_iterations), float(r.max_newton_residual),
+                           rejections, float(r.z_diff_increment), float(r.z_react_increment))

@@ -3,9 +3,12 @@
 A manifest is an ordinary run configuration plus one extra [sweep]
 section whose keys are physical-constant names and whose values are
 comma-separated lists.  The cartesian product is taken in the order
-the keys appear; each combination becomes an independent run.  Workers
-share nothing, and the summary CSV is written in manifest order after
-all runs finish, so the output is identical whatever the job count.
+the keys appear; each combination becomes an independent run.  The
+initial state is built once, before any run, so initial data that
+init_state refuses fails the sweep as a configuration error.  Workers
+share nothing else, and the summary CSV is written in manifest order
+after all runs finish, so the output is identical whatever the job
+count.
 A member builds no per-step diagnostics: its summary row reads the
 final state alone, so the extrema are those of the final state.
 """
@@ -21,7 +24,7 @@ import numpy as np
 
 from .config import PHYS_FLOAT_KEYS, RunConfig, build_config, init_state, read_ini
 from .driver import run_simulation
-from .mesh import ConfigurationError, width
+from .mesh import ConfigurationError, State, width
 from .output import fmt
 
 
@@ -81,17 +84,11 @@ def expand(base: RunConfig, items):
     return out
 
 
-def run_one(index: int, values: dict, config: RunConfig) -> SweepRow:
-    """Run one member and summarize its final state; never raises."""
+def run_one(index: int, values: dict, config: RunConfig, first: State) -> SweepRow:
+    """Run one member from the initial state first and summarize its final state."""
     supported = config.params.rate_exponent_supported
-    try:
-        first = init_state(config)
-        z_initial = float(np.sum(first.z)) * first.grid.dx
-        result = run_simulation(config, state=first, diagnostics=False)
-    except Exception as exc:  # a sweep never dies on one bad run
-        return SweepRow(index, values, supported, "failed",
-                        0.0, 0.0, 0.0, 0.0, 0.0, 0.0, error=str(exc))
-
+    z_initial = float(np.sum(first.z)) * first.grid.dx
+    result = run_simulation(config, state=first, diagnostics=False)
     state = result.state
     if not result.completed:
         classification = "failed"
@@ -124,7 +121,10 @@ def run_sweep(manifest_path, out_dir, jobs: int = 1):
         raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
     base, items = load_manifest(manifest_path)
     combos = expand(base, items)
-    tasks = [(i, values, cfg) for i, (values, cfg) in enumerate(combos)]
+    # init_state reads the profiles, n_cells and the floors, which no
+    # [sweep] key sets, so every member starts from the same state.
+    first = init_state(base)
+    tasks = [(i, values, cfg, first) for i, (values, cfg) in enumerate(combos)]
 
     # Both branches return the rows in task order.
     workers = min(jobs, len(tasks))

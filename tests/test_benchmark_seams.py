@@ -9,13 +9,14 @@ part of this suite, so the seams are checked here.
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import pytest
 
 import rrgas.solver
 import rrgas.sweep
-from rrgas.config import load_config
+from rrgas.config import init_state, load_config
 from rrgas.driver import run_simulation
 from rrgas.mms import CASES, MmsCase, run_mms
 
@@ -104,3 +105,15 @@ def test_reacting_run_makes_the_pinned_solves_and_newton_iterations(configs_dir,
                                 report.newton_iterations))
     assert result.completed
     assert (result.n_steps, len(solves), sum(iterations)) == REACTING_COUNTS
+
+
+@pytest.mark.parametrize("dt", [None, 1e-3], ids=["cfl", "pinned"])
+def test_step_reports_plain_python_numbers(configs_dir, dt):
+    # The tracer sums newton_iterations and rejections of solver.step's
+    # reports into its JSON summary, which a numpy scalar would break.
+    config = load_config(configs_dir / "reacting.ini")
+    _, report = rrgas.solver.step(init_state(config), config, dt=dt)
+    fields = vars(report)
+    assert {name: type(value) for name, value in fields.items()
+            if type(value) not in (int, float)} == {}
+    json.dumps(fields)

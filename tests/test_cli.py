@@ -223,7 +223,7 @@ def test_initial_field_at_its_floor_is_config_error(command, field, tmp_path, ca
     args = [command, str(ini)] + (["--out", str(out)] if command == "run" else [])
     assert main(args) == EXIT_CONFIG
     assert f"error: {field} must be > 0.5; violated at cell 0" in capsys.readouterr().err
-    assert not (out / "failure.json").exists()
+    assert not out.exists()  # checked before `run` writes anything
 
 
 def test_run_missing_file_is_io_error(tmp_path, capsys):

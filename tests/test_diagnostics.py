@@ -172,8 +172,8 @@ def test_balance_residual_needs_two_rows():
 def test_accumulators_absorb_reports():
     acc = BalanceAccumulators()
     rep = StepReport(
-        dt=0.1, newton_iterations=1, max_newton_residual=0.0, floor_hit=False,
-        nonconverged=False, rejections=0, z_diff_increment=0.25, z_react_increment=0.5,
+        dt=0.1, newton_iterations=1, max_newton_residual=0.0, rejections=0,
+        z_diff_increment=0.25, z_react_increment=0.5,
     )
     acc.absorb(rep)
     acc.absorb(rep)

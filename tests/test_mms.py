@@ -138,18 +138,14 @@ def test_case_sources_place_each_source_on_its_grid():
 
 @pytest.fixture
 def served(monkeypatch):
-    """(t, the arrays returned) of every call run_mms's steps make to
-    the sources they are handed, in order."""
+    """(new level, source rows) of every step run_mms's loop takes, in
+    order: the rows each step is handed."""
     calls = []
     for name in ("step", "step_batch"):
 
-        def recording(state, config, sources=None, *, fn=getattr(rrgas.driver, name), **kwargs):
-            def at(t):
-                values = sources(t)
-                calls.append((t, values))
-                return values
-
-            return fn(state, config, sources=at, **kwargs)
+        def recording(state, config, sources=None, *, dt, fn=getattr(rrgas.driver, name)):
+            calls.append((state.t + dt, sources))
+            return fn(state, config, sources, dt=dt)
 
         monkeypatch.setattr(rrgas.driver, name, recording)
     return calls
@@ -219,22 +215,6 @@ def test_batch_blocks_hold_source_block_values_over_the_members_left(source_time
     assert shapes == [(5, 3, 1), (2, 3, 1), (4, 2, 1), (7, 1)]
 
 
-def test_block_sources_evaluate_other_levels_alone(served, source_times, monkeypatch):
-    # The 5th step's first attempt is rejected; its retry at dt/2 asks
-    # for a level no block holds, and gets the bits of a per-level call
-    # before run_mms stops the run.
-    case = CASES["tanh"]()
-    rejecting_once(monkeypatch, 5)
-    with pytest.raises(SimulationError):
-        run_mms(case, 16, 0.1, [8])
-    levels = accumulated_levels(0.1, 8)
-    assert [t for t, _ in served] == levels[:5] + [levels[3] + 0.1 / 8 / 2]
-    assert [np.shape(t) for t in source_times["source_v"]] == [(8, 1), ()]
-    retry_t, retry = served[-1]
-    for g, w in zip(retry, case.sources(Grid(16))(retry_t)):
-        assert g.tobytes() == w.tobytes()
-
-
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_run_mms_stops_a_run_that_has_a_step_rejected(name, monkeypatch):
     # A fixed-dt run cannot take a shorter step and still end at t_end.
@@ -254,6 +234,34 @@ def test_run_mms_stops_a_batch_when_a_member_has_a_step_rejected(monkeypatch):
     last = err.value.last_state
     assert last.t == accumulated_levels(0.1, 80)[8]
     assert last.v.shape == (32,)
+
+
+@pytest.mark.parametrize("counts,rejected_dt,rejected_run,t", [
+    ([40], 0.003, 40, "2.250000e-02"),
+    ([40, 80], 0.002, 80, "1.125000e-02"),
+])
+def test_run_mms_makes_one_attempt_at_a_fixed_dt(counts, rejected_dt, rejected_run, t,
+                                                 monkeypatch):
+    # From the 10th energy_step call on, every attempt at a dt below
+    # rejected_dt is rejected: the first attempt of step 10 of that run.
+    # A shorter dt could not end the run at t_end, so nothing is retried.
+    energy_step = rrgas.solver.energy_step
+    calls = []
+
+    def rejects(state, dt, *args, **kwargs):
+        calls.append(None)
+        if len(calls) >= 10 and np.any(dt < rejected_dt):
+            raise StepRejection("newton_stall", dt < rejected_dt)
+        return energy_step(state, dt, *args, **kwargs)
+
+    monkeypatch.setattr(rrgas.solver, "energy_step", rejects)
+    with pytest.raises(SimulationError) as err:
+        run_mms(CASES["trig"](), 32, 0.1, counts)
+    assert str(err.value) == (f"the run of {rejected_run} steps had a step rejected at t={t}; "
+                              "a fixed-dt study cannot take a shorter one")
+    assert len(calls) == 10
+    assert err.value.last_state.v.shape == (32,)
+    assert err.value.last_state.t == accumulated_levels(0.1, rejected_run)[8]
 
 
 @pytest.mark.parametrize("n_steps", [pytest.param([0], id="0"), pytest.param([-3], id="-3"),

@@ -544,33 +544,44 @@ def test_energy_newton_stall_rejects():
 
 # ------------------------------------------------------------- full step
 
-@pytest.mark.parametrize("rejections", [0, 2])
-def test_step_samples_sources_at_each_attempts_new_level(rejections, monkeypatch):
-    # Each attempt asks for the sources at its own t + dt, the halved
-    # dt of a retry included.
+def test_step_hands_each_stage_its_source(monkeypatch):
+    # sources is the tuple of rows at the new level, as the caller
+    # evaluated them; each stage is handed its own row unchanged.
     cfg = bump_config(n_cells=16, t_end=1.0)
     s = init_state(cfg)
     s.t = 0.25
-    times = []
+    sources = (np.full(16, 0.3), np.zeros(17), np.full(16, -0.2), np.zeros(16))
+    seen = {}
+    for stage, key in (("volume_step", "s_v"), ("momentum_step", "s_u"),
+                       ("energy_step", "s_theta"), ("species_step", "s_z")):
 
-    def sources(t):
-        times.append(t)
-        return np.zeros(16), np.zeros(17), np.zeros(16), np.zeros(16)
+        def spy(*args, real=getattr(rrgas.solver, stage), key=key, **kwargs):
+            seen[key] = kwargs[key]
+            return real(*args, **kwargs)
 
-    energy_step = rrgas.solver.energy_step
-
-    def rejecting(*args, **kwargs):
-        if len(times) <= rejections:
-            raise StepRejection("newton_stall")
-        return energy_step(*args, **kwargs)
-
-    monkeypatch.setattr(rrgas.solver, "energy_step", rejecting)
+        monkeypatch.setattr(rrgas.solver, stage, spy)
     s2, report = step(s, cfg, sources=sources, dt=0.01)
-    dts = [0.01 * 0.5**k for k in range(rejections + 1)]
-    assert times == [0.25 + dt for dt in dts]
-    assert report.rejections == rejections
-    assert report.dt == dts[-1]
-    assert s2.t == times[-1]
+    assert all(seen[key] is row for key, row in zip(("s_v", "s_u", "s_theta", "s_z"), sources))
+    assert (s2.t, report.dt, report.rejections) == (0.25 + 0.01, 0.01, 0)
+
+
+def test_pinned_step_is_one_attempt(monkeypatch):
+    # A convergence study pins dt, so a rejection is not retried at a
+    # shorter one: it reaches the caller after one attempt.
+    cfg = bump_config(n_cells=16, t_end=0.05)
+    s = init_state(cfg)
+    cfg.v_floor = 2.0
+    volume_step = rrgas.solver.volume_step
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return volume_step(*args, **kwargs)
+
+    monkeypatch.setattr(rrgas.solver, "volume_step", counted)
+    with pytest.raises(StepRejection, match="volume_floor"):
+        step(s, cfg, dt=0.01)
+    assert len(calls) == 1
 
 
 def test_step_rest_state_is_exact_fixed_point():
@@ -625,15 +636,24 @@ def test_step_halves_dt_on_rejection():
     np.testing.assert_array_equal(err.value.last_state.v, v_before)
 
 
-def test_step_recovers_after_transient_rejection():
-    # Pin an oversized dt: the first attempt breaks the volume floor,
-    # the halved retry succeeds, and the report records the rejection.
+def test_step_recovers_after_transient_rejection(monkeypatch):
+    # The first attempt at the cfl_dt step is rejected; the retry at half
+    # of it passes, and the report records the one rejection.
     cfg = bump_config(n_cells=16, t_end=10.0)
-    cfg.params = dataclasses.replace(cfg.params, p_ext=5.0)  # hard squeeze
     s = init_state(cfg)
-    s2, report = step(s, cfg, dt=0.4)
-    assert report.rejections >= 1
-    assert report.dt < 0.4
+    volume_step = rrgas.solver.volume_step
+    calls = []
+
+    def rejecting_once(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise StepRejection("volume_floor")
+        return volume_step(*args, **kwargs)
+
+    monkeypatch.setattr(rrgas.solver, "volume_step", rejecting_once)
+    s2, report = step(s, cfg)
+    assert report.rejections == 1
+    assert report.dt == cfl_dt(s, cfg) / 2
     assert s2.t == report.dt
 
 
@@ -644,36 +664,46 @@ def state_bits(s):
 
 
 @pytest.mark.parametrize("max_iter,dts", [
-    # 0.01 is never rejected; 0.05 once; 0.4 several times, at the
-    # volume floor too.  The members converge in different numbers of
-    # Newton iterations, so converged members are frozen while others
-    # iterate.
-    (50, [0.01, 0.05, 0.4]),
-    # Every member stalls at 3 iterations and is rejected, some when
-    # others have converged.
-    (3, [0.01, 0.05, 0.1]),
+    # No member is rejected.  They converge in 3, 4 and 7 Newton
+    # iterations, so converged members are frozen while others iterate.
+    (50, [1e-4, 1e-3, 1e-2]),
+    # The first member converges in 3 iterations; the others stall there.
+    (3, [1e-4, 1e-3, 1e-2]),
 ])
 def test_step_batch_members_match_their_serial_runs(max_iter, dts):
+    # Each member gets the bits and the report of its own serial step at
+    # its pinned dt; a batch with rejected members raises StepRejection
+    # naming exactly the members whose own step is rejected.
     cfg = bump_config(n_cells=16, t_end=10.0, k_rate=5.0)
     cfg.params = dataclasses.replace(cfg.params, p_ext=5.0)  # hard squeeze
     cfg.newton_max_iter = max_iter
-    s0 = init_state(cfg)
-    batch = stack([s0] * len(dts))
-    totals = np.zeros((len(dts), 4), dtype=int)
+    serial = [init_state(cfg)] * len(dts)
+    batch = stack(serial)
+    iterations = []
     for _ in range(3):
+        reports = []
+        for member, dt in enumerate(dts):
+            try:
+                serial[member], r = step(serial[member], cfg, dt=dt)
+                reports.append(r)
+            except StepRejection:
+                reports.append(None)
+        rejected = [r is None for r in reports]
+        if any(rejected):
+            with pytest.raises(StepRejection) as err:
+                step_batch(batch, cfg, dt=np.array(dts))
+            assert err.value.members.tolist() == rejected
+            break
         batch, report = step_batch(batch, cfg, dt=np.array(dts))
-        totals += np.column_stack([report.newton_iterations, report.rejections,
-                                   report.floor_hit, report.nonconverged])
-    for member, dt in enumerate(dts):
-        serial, expected = s0, np.zeros(4, dtype=int)
-        for _ in range(3):
-            serial, r = step(serial, cfg, dt=dt)
-            expected += [r.newton_iterations, r.rejections, r.floor_hit, r.nonconverged]
-        got = batch[member]
-        assert state_bits(got) == state_bits(serial)
-        assert (got.t, got.a_pos) == (serial.t, serial.a_pos)
-        assert totals[member].tolist() == expected.tolist()
-    assert totals[:, 1].tolist() == ([0, 1, 9] if max_iter == 50 else [15, 24, 27])
+        for member, (s, r) in enumerate(zip(serial, reports)):
+            got = batch[member]
+            assert state_bits(got) == state_bits(s)
+            assert (got.t, got.a_pos) == (s.t, s.a_pos)
+            for name, value in vars(r).items():
+                assert getattr(report, name)[member] == value, name
+        iterations.append(report.newton_iterations.tolist())
+    assert rejected == ([False] * 3 if max_iter == 50 else [False, True, True])
+    assert iterations[:1] == ([[3, 4, 7]] if max_iter == 50 else [])
 
 
 def test_step_batch_keeps_a_constant_species_profile_per_member():
@@ -698,19 +728,3 @@ def test_step_batch_reports_every_field_per_member():
     for value in vars(report).values():
         assert np.shape(value) == (2,)
     assert report.newton_iterations[0] == report.newton_iterations[1] > 0
-
-
-def test_step_batch_raises_the_error_of_a_member_out_of_retries():
-    # Only the member below the volume floor is rejected; it spends its
-    # retry budget as its serial run does, and the batch stops with the
-    # serial run's error and the untouched batch as the last state.
-    cfg = RunConfig(params=rest_params(), n_cells=16, t_end=1.0, v_floor=2.0)
-    squeezed, roomy = uniform_state(16, v=1.0), uniform_state(16, v=3.0)
-    with pytest.raises(SimulationError) as err:
-        step(squeezed, cfg, dt=0.01)
-    batch = stack([roomy, squeezed])
-    with pytest.raises(SimulationError) as batch_err:
-        step_batch(batch, cfg, dt=np.array([0.01, 0.01]))
-    assert str(batch_err.value) == str(err.value)
-    assert batch_err.value.last_state is batch
-    assert step(roomy, cfg, dt=0.01)[1].rejections == 0

@@ -9,7 +9,7 @@ import pytest
 import rrgas.driver
 import rrgas.sweep
 from rrgas.cli import EXIT_CONFIG, main
-from rrgas.config import load_config
+from rrgas.config import init_state, load_config
 from rrgas.driver import run_simulation
 from rrgas.mesh import ConfigurationError
 from rrgas.sweep import expand, load_manifest, run_one, run_sweep
@@ -112,7 +112,7 @@ def test_run_one_matches_direct_simulation(tmp_path, reject_every_step):
     # bitwise: the same deterministic path, and the summary of the final
     # state equals the last record, for a completed and a failed member
     base, items = load_manifest(write_manifest(tmp_path, ""))
-    row = run_one(0, {}, base)
+    row = run_one(0, {}, base, init_state(base))
     direct = run_simulation(base)
     assert row.classification == "quiescent"
     assert row.final_t == base.t_end
@@ -120,7 +120,7 @@ def test_run_one_matches_direct_simulation(tmp_path, reject_every_step):
     assert_summary_is_last_record(row, direct)
 
     reject_every_step()
-    row = run_one(0, {}, base)
+    row = run_one(0, {}, base, init_state(base))
     direct = run_simulation(base)
     assert row.classification == "failed"
     assert row.final_t == 0.0
@@ -142,7 +142,7 @@ def test_run_one_builds_no_per_step_record(tmp_path, monkeypatch):
     direct = run_simulation(base)
     assert len(calls) == direct.n_steps + 1  # the counter sees the driver's rows
     calls.clear()
-    row = run_one(0, {}, base)
+    row = run_one(0, {}, base, init_state(base))
     assert row.classification == "quiescent"
     assert calls == []
 
@@ -159,7 +159,18 @@ def test_run_sweep_builds_each_initial_state_once(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "init_state", counting_init_state)
     rows, _ = run_sweep(write_manifest(tmp_path, "[sweep]\nbeta = 1.0, 12.0\n\n"), tmp_path)
     assert len(rows) == 2
-    assert len(calls) == 2
+    assert len(calls) == 1  # no [sweep] key reaches the initial state
+
+
+def test_sweep_cli_rejects_initial_data_at_its_floor(tmp_path, capsys):
+    # As `rrgas run` does: exit 1 with no summary, not two failed rows.
+    path = write_manifest(tmp_path, "[sweep]\nbeta = 1.0, 12.0\n\n")
+    path.write_text(path.read_text().replace("t_end = 0.02", "t_end = 0.02\nv_floor = 0.5")
+                    + "v = constant value=0.4\n")
+    out = tmp_path / "out"
+    assert main(["sweep", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert "error: v must be > 0.5; violated at cell 0" in capsys.readouterr().err
+    assert not (out / "summary.csv").exists()
 
 
 def test_expand_names_the_member_out_of_range(tmp_path):
@@ -193,7 +204,7 @@ def test_run_one_flags_unsupported_exponent(tmp_path):
     path = write_manifest(tmp_path, "[sweep]\nbeta = 1.0, 12.0\n\n")
     base, items = load_manifest(path)
     combos = expand(base, items)
-    rows = [run_one(i, values, cfg) for i, (values, cfg) in enumerate(combos)]
+    rows = [run_one(i, values, cfg, init_state(cfg)) for i, (values, cfg) in enumerate(combos)]
     assert rows[0].rate_exponent_supported is True
     assert rows[1].rate_exponent_supported is False
 
@@ -201,7 +212,7 @@ def test_run_one_flags_unsupported_exponent(tmp_path):
 def test_run_one_reports_failure_without_raising(tmp_path, reject_every_step):
     base, _ = load_manifest(write_manifest(tmp_path, ""))
     reject_every_step()
-    row = run_one(0, {}, base)
+    row = run_one(0, {}, base, init_state(base))
     assert row.classification == "failed"
     assert "rejected" in row.error
 
@@ -284,6 +295,6 @@ def test_burned_classification(tmp_path):
     path = tmp_path / "manifest.ini"
     path.write_text(text)
     base, _ = load_manifest(path)
-    row = run_one(0, {}, base)
+    row = run_one(0, {}, base, init_state(base))
     assert row.classification == "burned"
     assert row.min_z < 0.5
