@@ -18,9 +18,12 @@ solver.volume_step, the explicit reference step and read_snapshot.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, fields
 
 import numpy as np
+
+from .mesh import ConfigurationError
 
 # Temperature floor used only when evaluating conductivity derivatives:
 # d(kappa)/d(theta) ~ theta**(q-1) is unbounded at theta=0 for 0 < q < 1.
@@ -48,6 +51,9 @@ class PhysParams:
     kappa1: float = 1.0        # conductivity lower coefficient
     kappa2: float = 1.0        # conductivity upper coefficient
     cond_model: str = "A"      # "A": kappa1 + kappa2*theta^q; "B": kappa1 + kappa2*v*theta^q
+
+    # The names of the constants that are per-member columns (stack).
+    _columns = ()
 
     def __post_init__(self) -> None:
         self.validate()
@@ -81,6 +87,38 @@ class PhysParams:
             problems.append(f"cond_model must be 'A' or 'B', got {self.cond_model!r}")
         if problems:
             raise ValueError("invalid physical parameters: " + "; ".join(problems))
+
+    @classmethod
+    def stack(cls, members) -> "PhysParams":
+        """The constants of a batch of runs, one PhysParams per member.
+
+        A constant whose bits agree in every member stays that float; one
+        that differs becomes a (B, 1) column, member b's value in row b,
+        which broadcasts against the batch's (B, n) fields.  Each member
+        was validated on its own when it was built; the stack is not
+        validated again.  Members with different cond_model are a
+        ConfigurationError.
+        """
+        first = members[0]
+        if any(member.cond_model != first.cond_model for member in members):
+            raise ConfigurationError("the members of a batch must share cond_model")
+        stacked = copy.copy(first)
+        for f in fields(first):
+            values = [getattr(member, f.name) for member in members]
+            if f.name != "cond_model" and len({float(x).hex() for x in values}) > 1:
+                setattr(stacked, f.name, np.array(values)[:, None])
+                stacked._columns += (f.name,)
+        return stacked
+
+    def select(self, index) -> "PhysParams":
+        """The constants of the members at index (a mask or an index
+        array) of a stack; itself when no constant is per member."""
+        if not self._columns:
+            return self
+        chosen = copy.copy(self)
+        for name in self._columns:
+            setattr(chosen, name, getattr(self, name)[index])
+        return chosen
 
     @property
     def rate_exponent_supported(self) -> bool:
@@ -142,9 +180,9 @@ def reaction_rate(v, theta, params: PhysParams):
     hot = theta > 0.0
     if hot.all():
         return _arrhenius(v, theta, params)
-    rate = np.zeros(theta.shape)
-    rate[hot] = _arrhenius(v[hot], theta[hot], params)
-    return rate
+    # A cold cell is evaluated at theta = 1 and then dropped, so that
+    # per-member constants stay aligned with the rows.
+    return np.where(hot, _arrhenius(v, np.where(hot, theta, 1.0), params), 0.0)
 
 
 def heat_conductivity(v, theta, params: PhysParams):

@@ -7,6 +7,13 @@ a failed integration, nor for a violated scheme invariant; the result
 says how far it got and why it stopped, so callers can still serialize
 the partial trajectory.
 
+run_batch owns the adaptive loop of a batch of runs that differ in
+their physical constants only, as a sweep's members do: each member
+steps at its own cfl_dt through solver.step_batch, a rejection halves
+the rejected members' dt alone, and a member leaves at t_end.  Members
+that fail, and the last one left, step on alone through
+run_simulation's own loop, which maps every failure to its result.
+
 run_fixed owns the fixed-dt loop of refinement ladders: it advances
 the runs of several step counts as one batch on one grid
 (solver.step_batch), and each member leaves after its last step with
@@ -24,6 +31,7 @@ bound on the recorded trajectory.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -32,13 +40,23 @@ from functools import partial
 import numpy as np
 
 from .config import RunConfig, init_state
+from .constitutive import PhysParams
 from .diagnostics import (
     BalanceAccumulators,
     record,
     z_balance_residual,
 )
 from .mesh import ConfigurationError, State, stack
-from .solver import InvariantViolation, SimulationError, StepRejection, step, step_batch
+from .solver import (
+    DT_MIN,
+    MAX_REJECTIONS,
+    InvariantViolation,
+    SimulationError,
+    StepRejection,
+    cfl_dt,
+    step,
+    step_batch,
+)
 
 # Regression thresholds for check_scenario, chosen with margin against
 # the shipped scenarios at their default resolutions.
@@ -101,7 +119,27 @@ def run_simulation(
                 pending.clear()
 
     keep(state, 0.0)
-    n_steps = 0
+
+    def observe(state, report, n_steps):
+        accum.absorb(report)
+        if on_step is not None:
+            on_step(state, report, n_steps)
+        keep(state, report.dt)
+
+    result = _run_alone(config, state, 0, observe)
+    if pending:
+        records.extend(record(pending, params))
+    result.records = records
+    return result
+
+
+def _run_alone(config: RunConfig, state: State, n_steps: int, observe=None) -> RunResult:
+    """Step one run from state, after its first n_steps steps, to t_end.
+
+    observe(state, report, step_index), if given, sees each accepted
+    step.  A failure ends the run; the result says how far it got and
+    why it stopped, with no records.
+    """
     completed, error = True, None
     while state.t < config.t_end:
         if n_steps >= MAX_STEPS:
@@ -118,13 +156,66 @@ def run_simulation(
             completed, error = False, f"scheme invariant violated at t={state.t:.6e}: {exc}"
             break
         n_steps += 1
-        accum.absorb(report)
-        if on_step is not None:
-            on_step(state, report, n_steps)
-        keep(state, report.dt)
-    if pending:
-        records.extend(record(pending, params))
-    return RunResult(state, records, completed, error, n_steps)
+        if observe is not None:
+            observe(state, report, n_steps)
+    return RunResult(state, [], completed, error, n_steps)
+
+
+def run_batch(configs, state: State) -> list:
+    """run_simulation(config, state=state, diagnostics=False) for each of
+    configs, stepped as one batch; one RunResult per config, in order.
+
+    The configs may differ in their physical constants only, else it is
+    a ConfigurationError; those that differ become per-member columns
+    (PhysParams.stack).  Each member steps at its own cfl_dt.  A
+    rejection halves the dt of the rejected members alone and attempts
+    the batch again; the other members recompute the same bits.  A
+    member leaves at t_end.  The last member left, a member out of
+    retries or below DT_MIN, every member at the step budget and every
+    member after an InvariantViolation step on alone, the way
+    run_simulation steps, so each result has the bits of its serial run.
+    """
+    base = configs[0]
+    if any(dataclasses.replace(config, params=base.params) != base for config in configs):
+        raise ConfigurationError("the members of a batch may differ in their physical "
+                                 "constants only")
+    results = [None] * len(configs)
+    live = np.arange(len(configs))  # the members still in the batch, in order
+    batch = stack([state] * len(configs))
+    stacked = dataclasses.replace(base, params=PhysParams.stack([c.params for c in configs]))
+    n_steps, dt = 0, None
+    while True:
+        if dt is None:
+            # A new step.  Alone, a member at t_end is done at once, one
+            # below DT_MIN raises its serial run's underflow, and one at
+            # the step budget stops there.
+            dt = cfl_dt(batch, stacked)
+            halvings = np.zeros(live.size, dtype=int)
+            leaving = ~(batch.t < base.t_end) | ~(dt > DT_MIN) | (n_steps >= MAX_STEPS)
+        # The last member left steps on alone: the same code without the
+        # member axis, which costs less per step.
+        leaving |= np.count_nonzero(~leaving) < 2
+        for position in np.flatnonzero(leaving):
+            member = live[position]
+            results[member] = _run_alone(configs[member], batch[position], n_steps)
+        if leaving.all():
+            return results
+        if leaving.any():
+            staying = ~leaving
+            live, batch, dt, halvings = (a[staying] for a in (live, batch, dt, halvings))
+            stacked.params = stacked.params.select(staying)
+        try:
+            batch, _ = step_batch(batch, stacked, dt=dt)
+        except StepRejection as rej:
+            rejected = np.full(live.size, True) if rej.members is None else rej.members
+            halvings += rejected
+            dt = np.where(rejected, 0.5 * dt, dt)
+            leaving = rejected & ((halvings >= MAX_REJECTIONS) | (dt <= DT_MIN))
+            continue
+        except InvariantViolation:
+            leaving = np.full(live.size, True)
+            continue
+        n_steps, dt = n_steps + 1, None
 
 
 def run_fixed(state: State, config: RunConfig, n_steps, sources=None) -> list:

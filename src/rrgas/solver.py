@@ -16,12 +16,15 @@ the caller.
 
 Every stencil works along the last axis, so one code path advances a
 single run (fields of shape (n,)) or a batch of B runs on one grid
-(a leading member axis: (B, n) fields, (B,) t and dt).  Each member of
-a batch keeps the bits of its own run: reductions are per row, the
-tridiagonal systems of a batch are solved as one stacked banded system
-with zero couplings between members, and Newton converges, line-searches
-and stalls per member (a converged member is frozen).  step advances
-one run and step_batch a batch.
+(a leading member axis: (B, n) fields, (B,) t and dt).  The constants
+of a batch may differ per member (PhysParams.stack): such a constant is
+a (B, 1) column, and a per-member dt meets it as a (B, 1) column too.
+Each member of a batch keeps the bits of its own run: reductions,
+cfl_dt's among them, are per row, the tridiagonal systems of a batch
+are solved as one stacked banded system with zero couplings between
+members, and Newton converges, line-searches and stalls per member (a
+converged member is frozen).  step advances one run and step_batch a
+batch.
 """
 
 from __future__ import annotations
@@ -76,7 +79,8 @@ class InvariantViolation(AssertionError):
 class StepReport:
     """Bookkeeping for one accepted step.
 
-    step_batch reports each field per member, as a (B,) array.
+    step_batch reports each field per member, as a (B,) array, but
+    rejections: a batch step is one attempt, so it stays 0.
     """
 
     dt: float
@@ -130,8 +134,9 @@ def stress_divergence(sigma: np.ndarray, p_ext: float, grid) -> np.ndarray:
     n = sigma.shape[-1]
     # Ghost stresses -p_ext: sigma[0] - (-p_ext) is sigma[0] + p_ext in
     # IEEE arithmetic, so every edge is one difference over its width.
+    # p_ext is a float, or a (B, 1) column of per-member values.
     ghosted = np.empty(sigma.shape[:-1] + (n + 2,))
-    ghosted[..., 0] = ghosted[..., -1] = -p_ext
+    ghosted[..., :1] = ghosted[..., -1:] = -p_ext
     ghosted[..., 1:-1] = sigma
     return (ghosted[..., 1:] - ghosted[..., :-1]) / grid.edge_widths
 
@@ -225,9 +230,9 @@ def _all(mask) -> bool:
 def _diffusion_system(coeff: np.ndarray, scale, base_diag: np.ndarray):
     """base_diag + scale*L for the interface-weighted graph Laplacian L.
 
-    scale is per member: a float for one system, a (B,) array for a batch.
+    scale is per member: a float for one system, a (B, 1) column for a
+    batch.
     """
-    scale = _per_cell(scale)
     # Each cell's sum of the coefficients of its interfaces.
     links = np.zeros(coeff.shape[:-1] + (coeff.shape[-1] + 1,))
     links[..., :-1] = coeff
@@ -235,13 +240,18 @@ def _diffusion_system(coeff: np.ndarray, scale, base_diag: np.ndarray):
     return base_diag + scale * links, -scale * coeff
 
 
-def cfl_dt(state: State, config) -> float:
+def cfl_dt(state: State, config):
     """Accuracy/stability step bound for the explicitly treated terms.
 
     The acoustic bound uses a conservative sound-speed estimate that
     includes the radiation stiffening of the pressure; the reaction
     bound limits the explicit heat-release growth rate.  The result is
     clamped to dt_max and to the time remaining before t_end.
+
+    A single run gets a float, and a dt not above DT_MIN raises
+    SimulationError.  A batch gets a (B,) array reduced per row, each
+    row the bits of its member's own float (max and min are exact); it
+    does not raise, so the caller checks DT_MIN per member.
     """
     params = config.params
     v, theta, z = state.v, state.theta, state.z
@@ -251,21 +261,28 @@ def cfl_dt(state: State, config) -> float:
     )
     # The floor keeps the denominator positive, so nothing divides by zero.
     acoustic = np.where(c2 > 0.0, dx * v / np.sqrt(np.maximum(c2, 1e-300)), np.inf)
-    dt = min(float(acoustic.min()), config.dt_max)
-
     # A cell whose rate is 0 (cold, or no reaction) adds a growth of 0.
     phi = reaction_rate(v, theta, params)
     growth = params.lambda_heat * phi * np.power(z, params.m_order) * (
         params.beta / theta + params.a_act / theta**2
     )
-    peak = float(growth.max())
-    if peak > 0.0:
-        dt = min(dt, 1.0 / peak)
-
-    dt *= config.cfl_number
     # Land on t_end exactly; the relative slack absorbs the rounding of
     # accumulated t, else a last sliver of a few ulps would be left over.
     remaining = config.t_end - state.t
+    if v.ndim > 1:
+        dt = np.minimum(acoustic.min(axis=-1), config.dt_max)
+        peak = growth.max(axis=-1)
+        heating = peak > 0.0
+        # A row without heating divides by 1, not by its peak of 0.
+        dt = np.where(heating, np.minimum(dt, 1.0 / np.where(heating, peak, 1.0)), dt)
+        dt *= config.cfl_number
+        return np.where(remaining <= dt * (1.0 + 1e-6), remaining, dt)
+
+    dt = min(float(acoustic.min()), config.dt_max)
+    peak = float(growth.max())
+    if peak > 0.0:
+        dt = min(dt, 1.0 / peak)
+    dt *= config.cfl_number
     if remaining <= dt * (1.0 + 1e-6):
         dt = remaining
     if not dt > DT_MIN:
@@ -293,7 +310,7 @@ def momentum_step(state: State, dt, params: PhysParams, s_u=None) -> np.ndarray:
         accel = accel + s_u
 
     w = grid.edge_weights
-    diag, upper = _diffusion_system(1.0 / v, dt * params.mu / dx**2, w)
+    diag, upper = _diffusion_system(1.0 / v, _per_cell(dt) * params.mu / dx**2, w)
     rhs = w * (_per_cell(dt) * accel)
     du = solveh_banded(diag, upper, rhs)
     return state.u + du
@@ -341,7 +358,7 @@ def species_step(state: State, dt, params: PhysParams, phi, s_z=None):
     if _all(flat):
         z_new = z / base
     else:
-        diag, upper = _diffusion_system(g, dt / dx**2, base)
+        diag, upper = _diffusion_system(g, dtc / dx**2, base)
         rhs = z if s_z is None else z + dtc * s_z
         z_new = solveh_banded(diag, upper, rhs)
         if _any(flat):
@@ -421,14 +438,15 @@ def energy_step(state: State, dt, config, v_old: np.ndarray, phi, s_theta=None):
             if _all(done):
                 return theta_out, iters_out, res_out
             going = ~done
-            live, theta, v, av, av4, target, dt, dtc, k, resid = (
-                a[going] for a in (live, theta, v, av, av4, target, dt, dtc, k, resid)
+            live, theta, v, av, av4, target, dtc, k, resid = (
+                a[going] for a in (live, theta, v, av, av4, target, dtc, k, resid)
             )
+            params = params.select(going)
         if iters >= config.newton_max_iter:
             raise StepRejection("newton_stall",
                                 None if live is None else _members(live, len(theta_out)))
 
-        diag, upper = _diffusion_system(k, dt / dx**2, _de_dtheta(av4, theta, params))
+        diag, upper = _diffusion_system(k, dtc / dx**2, _de_dtheta(av4, theta, params))
         delta = solveh_banded(diag, upper, resid)
         candidate = theta - delta
         if not (candidate > theta_floor).all():
@@ -481,8 +499,8 @@ def step_batch(state: State, config, sources=None, *, dt):
     trial.z, diff_inc, react_inc = species_step(trial, dt, params, phi, s_z=s_z)
     trial.theta, iters, res = energy_step(trial, dt, config, state.v, phi, s_theta=s_th)
     trial.t = state.t + dt
-    return trial, StepReport(dt, iters, res, np.zeros(np.shape(dt), dtype=int),
-                             diff_inc, react_inc)
+    return trial, StepReport(dt, iters, res, z_diff_increment=diff_inc,
+                             z_react_increment=react_inc)
 
 
 def step(state: State, config, sources=None, dt: float | None = None):

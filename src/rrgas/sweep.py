@@ -5,10 +5,12 @@ section whose keys are physical-constant names and whose values are
 comma-separated lists.  The cartesian product is taken in the order
 the keys appear; each combination becomes an independent run.  The
 initial state is built once, before any run, so initial data that
-init_state refuses fails the sweep as a configuration error.  Workers
-share nothing else, and the summary CSV is written in manifest order
-after all runs finish, so the output is identical whatever the job
-count.
+init_state refuses fails the sweep as a configuration error.  The
+members are split into one contiguous chunk per worker, and each chunk
+runs as one batch (driver.run_batch) in which every member keeps the
+bits of its own serial run.  Workers share nothing else, and the
+summary CSV is written in manifest order after all runs finish, so the
+output is identical whatever the job count.
 A member builds no per-step diagnostics: its summary row reads the
 final state alone, so the extrema are those of the final state.
 """
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PHYS_FLOAT_KEYS, RunConfig, build_config, init_state, read_ini
-from .driver import run_simulation
+from .driver import run_batch
 from .mesh import ConfigurationError, State, width
 from .output import fmt
 
@@ -84,38 +86,43 @@ def expand(base: RunConfig, items):
     return out
 
 
-def run_one(index: int, values: dict, config: RunConfig, first: State) -> SweepRow:
-    """Run one member from the initial state first and summarize its final state."""
-    supported = config.params.rate_exponent_supported
+def run_one(chunk, first: State) -> list:
+    """Run a chunk of members, each (index, values, config), as one batch
+    from the initial state first (driver.run_batch); one SweepRow per
+    member, in the chunk's order, each summarizing its final state."""
+    results = run_batch([config for _, _, config in chunk], first)
     z_initial = float(np.sum(first.z)) * first.grid.dx
-    result = run_simulation(config, state=first, diagnostics=False)
-    state = result.state
-    if not result.completed:
-        classification = "failed"
-    else:
-        z_final = float(np.sum(state.z)) * state.grid.dx
-        burned = z_initial > 0.0 and z_final <= 0.5 * z_initial
-        classification = "burned" if burned else "quiescent"
-    return SweepRow(
-        index,
-        values,
-        supported,
-        classification,
-        final_t=state.t,
-        width=width(state),
-        min_v=float(state.v.min()),
-        min_theta=float(state.theta.min()),
-        min_z=float(state.z.min()),
-        max_z=float(state.z.max()),
-        error="" if result.completed else (result.error or ""),
-    )
+    rows = []
+    for (index, values, config), result in zip(chunk, results):
+        state = result.state
+        if not result.completed:
+            classification = "failed"
+        else:
+            z_final = float(np.sum(state.z)) * state.grid.dx
+            burned = z_initial > 0.0 and z_final <= 0.5 * z_initial
+            classification = "burned" if burned else "quiescent"
+        rows.append(SweepRow(
+            index,
+            values,
+            config.params.rate_exponent_supported,
+            classification,
+            final_t=state.t,
+            width=width(state),
+            min_v=float(state.v.min()),
+            min_theta=float(state.theta.min()),
+            min_z=float(state.z.min()),
+            max_z=float(state.z.max()),
+            error="" if result.completed else (result.error or ""),
+        ))
+    return rows
 
 
 def run_sweep(manifest_path, out_dir, jobs: int = 1):
     """Execute every combination; write out_dir/summary.csv; return rows.
 
-    At most `jobs` worker processes, and never more than there are runs:
-    a fork-based pool starts all of its workers up front.
+    The members are split into min(jobs, members) contiguous chunks in
+    manifest order, and run_one runs each chunk as one batch: in this
+    process for one chunk, else one chunk per worker process of a pool.
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
@@ -124,15 +131,20 @@ def run_sweep(manifest_path, out_dir, jobs: int = 1):
     # init_state reads the profiles, n_cells and the floors, which no
     # [sweep] key sets, so every member starts from the same state.
     first = init_state(base)
-    tasks = [(i, values, cfg, first) for i, (values, cfg) in enumerate(combos)]
-
-    # Both branches return the rows in task order.
+    tasks = [(i, values, cfg) for i, (values, cfg) in enumerate(combos)]
     workers = min(jobs, len(tasks))
+    chunks = [tasks[k * len(tasks) // workers:(k + 1) * len(tasks) // workers]
+              for k in range(workers)]
+
+    # run_one is looked up here, at the call, so a wrapper set on the
+    # module attribute runs for every chunk.  Both branches return the
+    # rows in task order.
     if workers == 1:
-        rows = [run_one(*task) for task in tasks]
+        rows = run_one(chunks[0], first)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_one, *zip(*tasks)))
+            rows = [row for part in pool.map(run_one, chunks, [first] * workers)
+                    for row in part]
 
     keys = [key for key, _ in items]
     path = out_dir / "summary.csv"

@@ -18,6 +18,7 @@ from rrgas.constitutive import (
     pressure,
     reaction_rate,
 )
+from rrgas.mesh import ConfigurationError
 
 
 def params(**kw):
@@ -255,6 +256,47 @@ def test_heat_conductivity_is_conductivity_kappa_bitwise(model, q):
             else:
                 assert batch.shape == v_rows.shape
                 assert batch[b].tobytes() == alone.tobytes(), (law.__name__, b)
+    # Per-member constants: each row is bitwise its 1-D evaluation under
+    # that member's own PhysParams, the cold cell of row 0 included.
+    # conductivity, which only the MMS sources call, is left out: it
+    # takes one q for all rows.
+    members = [p, params(cond_model=model, kappa1=0.2, kappa2=1.4, q_cond=q + 1.0,
+                         m_order=2.0, beta=0.5, k_rate=3.0, a_act=0.7, cv=1.5,
+                         r_gas=0.6, a_rad=2.0),
+               params(cond_model=model, kappa1=0.3, kappa2=0.9, q_cond=0.0, m_order=1.0,
+                      beta=0.0, k_rate=0.0)]
+    stacked = PhysParams.stack(members)
+    for law in (pressure, internal_energy, de_dtheta, heat_conductivity, reaction_rate):
+        batch = law(v_rows, theta_rows, stacked)
+        assert batch.shape == v_rows.shape
+        for b, member in enumerate(members):
+            alone = law(v_rows[b], theta_rows[b], member)
+            assert batch[b].tobytes() == alone.tobytes(), (law.__name__, b)
+
+
+def test_stack_keeps_shared_constants_as_floats_and_columns_the_rest():
+    members = [params(p_ext=0.0, beta=1.0), params(p_ext=-0.0, beta=1.0),
+               params(p_ext=0.0, beta=2.0)]
+    stacked = PhysParams.stack(members)
+    assert type(stacked.mu) is float and stacked.mu == 0.1
+    # -0.0 and 0.0 compare equal but differ in their bits, so p_ext is per member.
+    assert stacked.p_ext.shape == stacked.beta.shape == (3, 1)
+    assert [math.copysign(1.0, x) for x in stacked.p_ext[:, 0]] == [1.0, -1.0, 1.0]
+    assert stacked.beta[:, 0].tolist() == [1.0, 1.0, 2.0]
+    assert all(type(m.beta) is float for m in members)  # members untouched
+    chosen = stacked.select(np.array([True, False, True]))
+    assert chosen.beta[:, 0].tolist() == [1.0, 2.0]
+    assert chosen.p_ext.shape == (2, 1) and chosen.mu is stacked.mu
+    assert stacked.beta.shape == (3, 1)  # selecting does not change the stack
+    # Nothing per member: stacking keeps every float, and selecting is free.
+    shared = PhysParams.stack([params(beta=2.0), params(beta=2.0)])
+    assert shared == params(beta=2.0)
+    assert shared.select(np.array([False, True])) is shared
+
+
+def test_stack_refuses_members_of_different_conductivity_models():
+    with pytest.raises(ConfigurationError, match="cond_model"):
+        PhysParams.stack([params(cond_model="A"), params(cond_model="B")])
 
 
 # ---------------------------------------------------------- validation

@@ -9,7 +9,8 @@ import rrgas.driver
 import rrgas.solver
 from rrgas.config import Profile, RunConfig, init_state, load_config
 from rrgas.constitutive import PhysParams
-from rrgas.driver import check_scenario, run_fixed, run_simulation
+from rrgas.driver import check_scenario, run_batch, run_fixed, run_simulation
+from rrgas.mesh import ConfigurationError
 
 
 def rest_config(t_end=0.05, n_cells=16):
@@ -135,6 +136,77 @@ def test_run_without_diagnostics_takes_the_same_path(case, monkeypatch):
     # the returned state is the one the last record was built from
     assert recorded.records[-1].t == recorded.state.t
     assert recorded.completed == (case in ("completed", "hook"))
+
+
+def at_p_ext(config, state, value):
+    """Which members of state run at p_ext = value: a bool for a single
+    run, a (B,) mask for a batch, whether p_ext is shared or a column."""
+    return np.broadcast_to(config.params.p_ext, np.shape(state.t) + (1,))[..., 0] == value
+
+
+def patch_faults(monkeypatch):
+    """The p_ext = 2.0 member has a volume update rejected at every dt
+    above 1e-3; the p_ext = 3.0 member violates an invariant in its
+    energy update from t = 0.01 on.  The faults act per member, in a
+    batch as in a serial run."""
+    real_volume_step, real_energy_step = rrgas.solver.volume_step, rrgas.solver.energy_step
+
+    def volume_step(state, dt, config, s_v=None):
+        bad = at_p_ext(config, state, 2.0) & (dt > 1e-3)
+        if bad.any():
+            raise rrgas.solver.StepRejection("volume_floor", bad if bad.ndim else None)
+        return real_volume_step(state, dt, config, s_v)
+
+    def energy_step(state, dt, config, *args, **kwargs):
+        if (at_p_ext(config, state, 3.0) & (state.t >= 0.01)).any():
+            raise rrgas.solver.InvariantViolation("injected")
+        return real_energy_step(state, dt, config, *args, **kwargs)
+
+    monkeypatch.setattr(rrgas.solver, "volume_step", volume_step)
+    monkeypatch.setattr(rrgas.solver, "energy_step", energy_step)
+
+
+@pytest.mark.parametrize("dt_min", [None, 2e-3], ids=["retries", "dt-min"])
+def test_run_batch_gives_each_member_the_result_of_its_serial_run(monkeypatch, dt_min):
+    # A member rejected at its cfl_dt retries at half its own dt while
+    # the others keep theirs; a member that violates an invariant sends
+    # every member on alone; the last member left steps on alone.  With
+    # DT_MIN raised, the p_ext = 2.0 member halves below it and fails.
+    patch_faults(monkeypatch)
+    if dt_min is not None:
+        for module in (rrgas.solver, rrgas.driver):
+            monkeypatch.setattr(module, "DT_MIN", dt_min)
+    configs = []
+    for p_ext in (0.5, 2.0, 3.0, 1.0, 0.5):
+        config = bump_config(t_end=0.04, n_cells=16)
+        config.params = dataclasses.replace(config.params, p_ext=p_ext)
+        configs.append(config)
+    configs[-1].params = dataclasses.replace(configs[-1].params, beta=3.0)
+    first = init_state(configs[0])
+    results = run_batch(configs, first)
+    assert len(results) == len(configs)
+    for config, result in zip(configs, results):
+        serial = run_simulation(config, state=first, diagnostics=False)
+        assert state_bits(result.state) == state_bits(serial.state)
+        assert (result.completed, result.error, result.n_steps, result.records) == (
+            serial.completed, serial.error, serial.n_steps, [])
+    completed = [result.completed for result in results]
+    assert completed == [True, dt_min is None, False, True, True]
+    assert results[2].error.startswith("scheme invariant violated at t=")
+    if dt_min is not None:
+        assert results[1].error.startswith("time step underflow during rejection retries")
+    else:
+        assert results[1].n_steps > results[0].n_steps  # it stepped at a smaller dt
+
+
+def test_run_batch_takes_members_that_differ_in_physical_constants_only():
+    configs = [bump_config(), bump_config()]
+    configs[1].cfl_number = 0.25
+    with pytest.raises(ConfigurationError, match="physical constants only"):
+        run_batch(configs, init_state(configs[0]))
+    configs[1] = bump_config(cond_model="B")
+    with pytest.raises(ConfigurationError, match="cond_model"):
+        run_batch(configs, init_state(configs[0]))
 
 
 def test_run_fixed_gives_each_count_the_bits_of_its_serial_run_in_input_order():

@@ -700,7 +700,9 @@ def test_step_batch_members_match_their_serial_runs(max_iter, dts):
             assert state_bits(got) == state_bits(s)
             assert (got.t, got.a_pos) == (s.t, s.a_pos)
             for name, value in vars(r).items():
-                assert getattr(report, name)[member] == value, name
+                if name != "rejections":  # a batch step is one attempt
+                    assert getattr(report, name)[member] == value, name
+            assert report.rejections == r.rejections == 0
         iterations.append(report.newton_iterations.tolist())
     assert rejected == ([False] * 3 if max_iter == 50 else [False, True, True])
     assert iterations[:1] == ([[3, 4, 7]] if max_iter == 50 else [])
@@ -722,9 +724,97 @@ def test_step_batch_keeps_a_constant_species_profile_per_member():
 
 def test_step_batch_reports_every_field_per_member():
     # The members converge on the same Newton iteration here; the report
-    # still has one entry per member in every field.
+    # still has one entry per member in every field step_batch fills.
+    # rejections is not one of them: a batch step is one attempt, so it
+    # keeps its default of 0.
     cfg = bump_config(n_cells=16, t_end=1.0)
     batch, report = step_batch(stack([init_state(cfg)] * 2), cfg, dt=np.array([1e-3, 1e-3]))
-    for value in vars(report).values():
+    fields = vars(report)
+    assert fields.pop("rejections") == 0
+    for value in fields.values():
         assert np.shape(value) == (2,)
     assert report.newton_iterations[0] == report.newton_iterations[1] > 0
+
+
+# ------------------------------------------------ per-member constants
+
+def member_params():
+    """Three members that differ in every physical constant; the last
+    has no reaction, so its reaction bound has a peak of 0."""
+    return [
+        ref_params(k_rate=5.0),
+        ref_params(mu=0.2, d_diff=0.05, lambda_heat=2.0, cv=1.5, r_gas=0.7, a_rad=1.0,
+                   g_grav=0.3, p_ext=-0.1, k_rate=3.0, a_act=2.0, m_order=2.0, beta=0.5,
+                   q_cond=0.0, kappa1=0.3, kappa2=0.8),
+        ref_params(mu=0.05, d_diff=0.2, lambda_heat=0.5, cv=0.8, r_gas=1.3, a_rad=0.25,
+                   g_grav=0.0, p_ext=1.5, k_rate=0.0, a_act=6.0, m_order=3.0, beta=2.0,
+                   q_cond=0.5, kappa1=0.1, kappa2=2.0),
+    ]
+
+
+def test_momentum_step_with_per_member_constants():
+    # A (B,) dt against a (B, 1) mu must not broadcast to (B, B).
+    members = member_params()
+    states = [random_state(12, seed) for seed in (1, 2, 3)]
+    dts = np.array([1e-3, 2e-3, 5e-4])
+    u = momentum_step(stack(states), dts, PhysParams.stack(members))
+    assert u.shape == (3, 13)
+    for b, (state, params) in enumerate(zip(states, members)):
+        assert u[b].tobytes() == momentum_step(state, dts[b], params).tobytes()
+
+
+def test_stress_divergence_with_per_member_external_pressure():
+    # The ghost stress of each member is its own -p_ext.
+    members = member_params()
+    sigma = np.random.default_rng(2).standard_normal((3, 12))
+    grid = Grid(12)
+    accel = stress_divergence(sigma, PhysParams.stack(members).p_ext, grid)
+    assert accel.shape == (3, 13)
+    for b, params in enumerate(members):
+        assert accel[b].tobytes() == stress_divergence(sigma[b], params.p_ext, grid).tobytes()
+
+
+def test_cfl_dt_of_a_batch_is_each_members_dt():
+    # Per row and bitwise the member's own float dt; the member without
+    # reaction has a peak of 0, which must not be divided by (pyproject
+    # makes that RuntimeWarning an error).  A member at t_end gets a dt
+    # of 0 instead of the single run's underflow error: the caller of a
+    # batch checks DT_MIN.
+    members = member_params()
+    configs = [RunConfig(params=params, t_end=0.2, dt_max=1.0) for params in members]
+    states = [random_state(12, seed) for seed in (1, 2, 3)]
+    states[0].t = 0.2 - 1e-4  # this member's dt lands on t_end
+    batch_config = dataclasses.replace(configs[0], params=PhysParams.stack(members))
+    dt = cfl_dt(stack(states), batch_config)
+    assert dt.shape == (3,)
+    for b, (state, config) in enumerate(zip(states, configs)):
+        assert dt[b].tobytes() == np.float64(cfl_dt(state, config)).tobytes()
+    assert states[0].t + dt[0] == 0.2
+    states[2].t = 0.2
+    dt = cfl_dt(stack(states), batch_config)
+    assert dt[2] == 0.0
+    with pytest.raises(SimulationError, match="underflow"):
+        cfl_dt(states[2], configs[2])
+
+
+def test_step_batch_with_per_member_constants_matches_serial_steps():
+    # Every stage reads the constants of its own member, the Newton
+    # freeze included: the members converge on different iterations.
+    members = member_params()
+    configs = [bump_config(n_cells=16, t_end=10.0) for _ in members]
+    for config, params in zip(configs, members):
+        config.params = params
+    serial = [init_state(configs[0])] * 3
+    batch = stack(serial)
+    batch_config = dataclasses.replace(configs[0], params=PhysParams.stack(members))
+    dts = np.array([2e-3, 1e-3, 4e-3])
+    iterations = set()
+    for _ in range(3):
+        batch, report = step_batch(batch, batch_config, dt=dts)
+        for b, config in enumerate(configs):
+            serial[b], r = step(serial[b], config, dt=dts[b])
+            assert state_bits(batch[b]) == state_bits(serial[b])
+            assert (batch[b].t, batch[b].a_pos) == (serial[b].t, serial[b].a_pos)
+            assert report.newton_iterations[b] == r.newton_iterations
+        iterations.add(tuple(report.newton_iterations.tolist()))
+    assert any(len(set(its)) > 1 for its in iterations)

@@ -9,7 +9,7 @@ import pytest
 import rrgas.driver
 import rrgas.sweep
 from rrgas.cli import EXIT_CONFIG, main
-from rrgas.config import init_state, load_config
+from rrgas.config import PHYS_FLOAT_KEYS, init_state, load_config
 from rrgas.driver import run_simulation
 from rrgas.mesh import ConfigurationError
 from rrgas.sweep import expand, load_manifest, run_one, run_sweep
@@ -112,7 +112,7 @@ def test_run_one_matches_direct_simulation(tmp_path, reject_every_step):
     # bitwise: the same deterministic path, and the summary of the final
     # state equals the last record, for a completed and a failed member
     base, items = load_manifest(write_manifest(tmp_path, ""))
-    row = run_one(0, {}, base, init_state(base))
+    [row] = run_one([(0, {}, base)], init_state(base))
     direct = run_simulation(base)
     assert row.classification == "quiescent"
     assert row.final_t == base.t_end
@@ -120,7 +120,7 @@ def test_run_one_matches_direct_simulation(tmp_path, reject_every_step):
     assert_summary_is_last_record(row, direct)
 
     reject_every_step()
-    row = run_one(0, {}, base, init_state(base))
+    [row] = run_one([(0, {}, base)], init_state(base))
     direct = run_simulation(base)
     assert row.classification == "failed"
     assert row.final_t == 0.0
@@ -142,7 +142,7 @@ def test_run_one_builds_no_per_step_record(tmp_path, monkeypatch):
     direct = run_simulation(base)
     assert len(calls) == direct.n_steps + 1  # the counter sees the driver's rows
     calls.clear()
-    row = run_one(0, {}, base, init_state(base))
+    [row] = run_one([(0, {}, base)], init_state(base))
     assert row.classification == "quiescent"
     assert calls == []
 
@@ -204,7 +204,7 @@ def test_run_one_flags_unsupported_exponent(tmp_path):
     path = write_manifest(tmp_path, "[sweep]\nbeta = 1.0, 12.0\n\n")
     base, items = load_manifest(path)
     combos = expand(base, items)
-    rows = [run_one(i, values, cfg, init_state(cfg)) for i, (values, cfg) in enumerate(combos)]
+    rows = run_one([(i, values, cfg) for i, (values, cfg) in enumerate(combos)], init_state(base))
     assert rows[0].rate_exponent_supported is True
     assert rows[1].rate_exponent_supported is False
 
@@ -212,7 +212,7 @@ def test_run_one_flags_unsupported_exponent(tmp_path):
 def test_run_one_reports_failure_without_raising(tmp_path, reject_every_step):
     base, _ = load_manifest(write_manifest(tmp_path, ""))
     reject_every_step()
-    row = run_one(0, {}, base, init_state(base))
+    [row] = run_one([(0, {}, base)], init_state(base))
     assert row.classification == "failed"
     assert "rejected" in row.error
 
@@ -278,6 +278,94 @@ def test_run_sweep_pool_size(tmp_path, monkeypatch, sweep_block, jobs, expected_
     assert [row.index for row in rows] == list(range(len(rows)))
 
 
+@pytest.mark.parametrize("jobs, chunk_sizes", [(1, [6]), (2, [3, 3])], ids=["jobs1", "jobs2"])
+def test_run_sweep_reaches_run_one_through_the_module_once_per_chunk(
+        tmp_path, monkeypatch, jobs, chunk_sizes):
+    # perfbench probes sweep members by wrapping the module attribute
+    # rrgas.sweep.run_one; its samples are the only ones of a sweep.
+    monkeypatch.setattr(rrgas.sweep, "ProcessPoolExecutor", RecordingPool)
+    calls = []
+    real_run_one = rrgas.sweep.run_one
+
+    def counting_run_one(chunk, first):
+        calls.append(len(chunk))
+        return real_run_one(chunk, first)
+
+    monkeypatch.setattr(rrgas.sweep, "run_one", counting_run_one)
+    path = write_manifest(tmp_path, "[sweep]\np_ext = -0.1, 0.0, 0.5\nbeta = 1.0, 12.0\n\n")
+    rows, _ = run_sweep(path, tmp_path, jobs=jobs)
+    assert calls == chunk_sizes
+    assert [row.index for row in rows] == list(range(6))
+
+
+# Two valid values of every constant a manifest can sweep.
+SWEPT_VALUES = {
+    "mu": "0.1, 0.3", "d_diff": "0.1, 0.02", "lambda_heat": "1.0, 3.0", "cv": "1.0, 0.6",
+    "r_gas": "1.0, 1.8", "a_rad": "0.5, 0.1", "g_grav": "0.1, 0.0", "p_ext": "0.5, -0.1",
+    "k_rate": "5.0, 0.0", "a_act": "4.0, 1.5", "m_order": "1.0, 2.5", "beta": "1.0, 12.0",
+    "q_cond": "2.0, 0.0", "kappa1": "0.5, 0.2", "kappa2": "0.5, 1.5",
+}
+
+
+def test_every_sweepable_constant_has_swept_values():
+    assert sorted(SWEPT_VALUES) == sorted(PHYS_FLOAT_KEYS)
+
+
+def run_state_bits(state):
+    return (b"".join(getattr(state, name).tobytes() for name in ("v", "u", "theta", "z")),
+            bits(state.t), bits(state.a_pos))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("case", list(SWEPT_VALUES) + ["failing", "budget"])
+def test_sweep_members_match_their_serial_runs(tmp_path, monkeypatch, case, jobs):
+    # Each member's final state, completed, error and n_steps are bitwise
+    # its serial run's.  The swept key varies fastest, so it differs
+    # inside each chunk at both job counts.  "failing": at v_floor = 0.99
+    # the p_ext = 2.0 members are rejected, recover at half the dt, and
+    # run out of retries after a few steps, while the others complete.
+    # "budget": the p_ext = 20.0 members need 7 steps and the others 4,
+    # so at MAX_STEPS = 5 two members meet the budget inside the batch
+    # at --jobs 1, and at --jobs 2 each meets it alone, after the
+    # member of its chunk has left at t_end.
+    cross, key, values = "g_grav", case, SWEPT_VALUES.get(case)
+    if case == "g_grav":
+        cross = "p_ext"
+    elif case == "failing":
+        key, values = "p_ext", "0.5, 2.0"
+    elif case == "budget":
+        key, values = "p_ext", "0.5, 20.0"
+        monkeypatch.setattr(rrgas.driver, "MAX_STEPS", 5)
+    path = write_manifest(tmp_path, f"[sweep]\n{cross} = 0.1, 0.2\n{key} = {values}\n\n")
+    if case == "failing":
+        path.write_text(path.read_text().replace("t_end = 0.02", "t_end = 0.02\nv_floor = 0.99"))
+    batches = []
+    real_run_batch = rrgas.sweep.run_batch
+
+    def recording_run_batch(configs, state):
+        results = real_run_batch(configs, state)
+        batches.extend(zip(configs, results))
+        return results
+
+    monkeypatch.setattr(rrgas.sweep, "run_batch", recording_run_batch)
+    monkeypatch.setattr(rrgas.sweep, "ProcessPoolExecutor", RecordingPool)
+    rows, _ = run_sweep(path, tmp_path, jobs=jobs)
+    assert len(batches) == len(rows) == 4
+    base, _ = load_manifest(path)
+    for config, result in batches:
+        serial = run_simulation(config, state=init_state(base), diagnostics=False)
+        assert run_state_bits(result.state) == run_state_bits(serial.state)
+        assert (result.completed, result.error, result.n_steps) == (
+            serial.completed, serial.error, serial.n_steps)
+    completed = [result.completed for _, result in batches]
+    if case == "failing":
+        assert completed == [True, False] * 2
+        assert all("rejected 10 times" in result.error for _, result in batches[1::2])
+    elif case == "budget":
+        assert completed == [True, False] * 2
+        assert {result.error for _, result in batches[1::2]} == {"step budget exhausted"}
+
+
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_run_sweep_rejects_jobs_below_one(tmp_path, jobs):
     path = write_manifest(tmp_path, "[sweep]\np_ext = -0.1, 0.5\n\n")
@@ -295,6 +383,6 @@ def test_burned_classification(tmp_path):
     path = tmp_path / "manifest.ini"
     path.write_text(text)
     base, _ = load_manifest(path)
-    row = run_one(0, {}, base, init_state(base))
+    [row] = run_one([(0, {}, base)], init_state(base))
     assert row.classification == "burned"
     assert row.min_z < 0.5
