@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -137,12 +138,14 @@ def run_sweep(manifest_path, out_dir, jobs: int = 1):
               for k in range(workers)]
 
     # run_one is looked up here, at the call, so a wrapper set on the
-    # module attribute runs for every chunk.  Both branches return the
-    # rows in task order.
+    # module attribute runs for every chunk; the workers are forked, so
+    # they see it too (a forkserver or spawned worker would import the
+    # module afresh).  Both branches return the rows in task order.
     if workers == 1:
         rows = run_one(chunks[0], first)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
             rows = [row for part in pool.map(run_one, chunks, [first] * workers)
                     for row in part]
 

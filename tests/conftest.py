@@ -80,9 +80,10 @@ def reject_every_step(monkeypatch):
 def mms_studies():
     """((rows, orders), (rows, diffs, orders)) of a case's spatial and
     temporal studies at 3 levels, computed once per case and session by
-    mms.studies, as `rrgas mms` computes them: acceptance criterion 5,
-    the golden temporal hash and the golden `rrgas mms` tables at 2 and
-    3 levels share them."""
+    mms.studies, as `rrgas mms` computes them: on two CPUs, the temporal
+    study in a forked worker beside the spatial study.  Acceptance
+    criterion 5, the golden temporal hash and the golden `rrgas mms`
+    tables at 2 and 3 levels share them."""
     results = {}
 
     def run(name):

@@ -10,15 +10,17 @@ import importlib
 import importlib.util
 import inspect
 import json
+import os
 from pathlib import Path
 
 import pytest
 
+import rrgas.mms
 import rrgas.solver
 import rrgas.sweep
 from rrgas.config import init_state, load_config
 from rrgas.driver import run_simulation
-from rrgas.mms import CASES, MmsCase, run_mms
+from rrgas.mms import CASES, MmsCase, run_mms, studies
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -68,10 +70,9 @@ def test_run_mms_reaches_every_source_the_tracer_wraps(tracer, monkeypatch):
     assert all(calls.values()), calls
 
 
-def test_run_mms_calls_the_step_the_tracer_counts(tracer, monkeypatch):
-    # The tracer wraps solver.step wherever rrgas binds it, and every
-    # per-step figure divides by its calls; on mms-trig they must not
-    # read 0 when the loop runs as batches.
+def step_calls(tracer, monkeypatch):
+    """The calls of solver.step in this process, wrapped wherever rrgas
+    binds it, as the tracer wraps it."""
     step = rrgas.solver.step
     calls = []
 
@@ -84,8 +85,30 @@ def test_run_mms_calls_the_step_the_tracer_counts(tracer, monkeypatch):
         for attr, obj in list(vars(module).items()):
             if obj is step:
                 monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_run_mms_calls_the_step_the_tracer_counts(tracer, monkeypatch):
+    # The tracer wraps solver.step wherever rrgas binds it, and every
+    # per-step figure divides by its calls; on mms-trig they must not
+    # read 0 when the loop runs as batches.
+    calls = step_calls(tracer, monkeypatch)
     run_mms(CASES["trig"](), 8, 0.01, [2, 3])
     assert calls
+
+
+def test_studies_steps_in_the_calling_process(tracer, monkeypatch, forks):
+    # The tracer sees only the process it runs in, and studies runs the
+    # temporal study in a forked worker: the spatial study's steps, in
+    # the calling process, are the solver.step calls a traced mms-trig
+    # counts.
+    calls = step_calls(tracer, monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(rrgas.mms, "_spatial_jobs", lambda levels: [(8, 0.01, 2), (16, 0.01, 8)])
+    monkeypatch.setattr(rrgas.mms, "_temporal_jobs", lambda levels: [(16, 0.01, 4), (16, 0.01, 8)])
+    studies(CASES["trig"](), 2)
+    assert len(forks) == 1
+    assert len(calls) == 2 + 8  # every spatial step, none of the worker's
 
 
 def test_reacting_run_makes_the_pinned_solves_and_newton_iterations(configs_dir, monkeypatch):

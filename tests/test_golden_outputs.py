@@ -272,8 +272,9 @@ def test_mms_table_is_byte_identical(name, mms_studies):
 
 @pytest.mark.parametrize("name", sorted(MMS_STDOUT_L3_GOLDEN))
 def test_mms_table_at_three_levels_is_byte_identical(name, mms_studies):
-    # The 256-cell spatial level (2560 steps) steps in one batch with
-    # the temporal study's 512, 1024 and 2048 on the same grid.
+    # The 256-cell spatial level (2560 steps) steps alone in the calling
+    # process, the temporal study's 512, 1024 and 2048 as one batch on
+    # the same grid in the worker.
     spatial, (rows, _, orders) = mms_studies(name)
     out = mms_table(name, spatial, (rows, orders))
     assert hashlib.sha256(out.encode()).hexdigest() == MMS_STDOUT_L3_GOLDEN[name]

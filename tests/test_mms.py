@@ -2,11 +2,18 @@
 finite differences of the exact composite fluxes before anything is
 integrated, then the discrete stencils against grid refinement."""
 
+import contextlib
+import hashlib
+import os
+import signal
+import time
 from functools import partial
 
 import numpy as np
 import pytest
+from test_golden_outputs import MMS_STDOUT_GOLDEN
 
+import rrgas.cli as cli
 import rrgas.driver
 import rrgas.mms
 import rrgas.solver
@@ -32,7 +39,7 @@ from rrgas.mms import (
     state_errors,
     studies,
 )
-from rrgas.solver import SimulationError, StepRejection
+from rrgas.solver import InvariantViolation, SimulationError, StepRejection
 
 H = 1e-5  # central-difference step for the oracle derivatives
 X_SAMPLES = (0.13, 0.41, 0.77)
@@ -531,11 +538,32 @@ def float_reprs(value):
     return [repr(value)]
 
 
+def cpus(monkeypatch, n):
+    """Make os.sched_getaffinity give this process n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@contextlib.contextmanager
+def within(seconds):
+    """Raises TimeoutError in the block if it runs longer than seconds."""
+
+    def timeout(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_studies_run_each_grid_as_one_batch(name, monkeypatch):
     # Reduced sizes where the spatial study's finest grid (64 cells) is
     # the temporal study's grid, as 256 cells is at the default sizes
-    # and 3 levels.
+    # and 3 levels: each study batches only its own runs.
     case = CASES[name]()
     reduced_studies(monkeypatch, {"t_end": 0.1, "base_cells": 32, "base_steps": 40},
                     {"t_end": 0.1, "n_cells": 64, "base_steps": 20})
@@ -544,7 +572,7 @@ def test_studies_run_each_grid_as_one_batch(name, monkeypatch):
         return [run for count in n_steps for run in run_mms(case, n_cells, t_end, [count])]
 
     monkeypatch.setattr(rrgas.mms, "run_mms", serial_run_mms)
-    separate = studies(case, 2)
+    separate = studies(case, 2)  # the temporal study in the worker, where there is one
 
     calls = []
 
@@ -553,7 +581,104 @@ def test_studies_run_each_grid_as_one_batch(name, monkeypatch):
         return run_mms(case, n_cells, t_end, n_steps)
 
     monkeypatch.setattr(rrgas.mms, "run_mms", recording_run_mms)
+    cpus(monkeypatch, 1)  # in process, where the calls can be recorded
     together = studies(case, 2)
-    assert calls == [(32, 0.1, [40]), (64, 0.1, [160, 20, 40])]
+    assert calls == [(32, 0.1, [40]), (64, 0.1, [160]), (64, 0.1, [20, 40])]
     assert [[row["n_steps"] for row in result[0]] for result in together] == [[40, 160], [20, 40]]
     assert float_reprs(together) == float_reprs(separate)
+
+
+@pytest.mark.parametrize("n_cpus, n_forks", [(2, 1), (1, 0)])
+def test_studies_fork_one_worker_where_there_are_two_cpus(n_cpus, n_forks, monkeypatch, capsys,
+                                                          forks):
+    cpus(monkeypatch, n_cpus)
+    assert cli.main(["mms", "trig", "--levels", "2"]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert len(forks) == n_forks
+    assert all(worker.exitcode is not None for worker in forks)  # joined
+    assert hashlib.sha256(out.encode()).hexdigest() == MMS_STDOUT_GOLDEN["trig"]
+
+
+@pytest.mark.parametrize("fault, message", [
+    (StepRejection("newton_stall"), "simulation failed: the run of 40 steps had a step rejected"),
+    (InvariantViolation("injected"),
+     "simulation failed: scheme invariant violated: injected (step 1 of the runs of 40, 80"),
+], ids=["rejected", "invariant"])
+def test_a_failure_in_the_worker_exits_2_as_in_process(fault, message, monkeypatch, capsys,
+                                                       forks):
+    # Only the temporal study steps a batch, so only it meets the fault.
+    reduced_studies(monkeypatch, {"t_end": 0.1, "base_cells": 32, "base_steps": 40},
+                    {"t_end": 0.1, "n_cells": 32, "base_steps": 40})
+    energy_step = rrgas.solver.energy_step
+
+    def fails_in_a_batch(state, *args, **kwargs):
+        if state.v.ndim == 2:
+            raise fault
+        return energy_step(state, *args, **kwargs)
+
+    monkeypatch.setattr(rrgas.solver, "energy_step", fails_in_a_batch)
+    stderr = []
+    for n_cpus in (1, 2):
+        cpus(monkeypatch, n_cpus)
+        assert cli.main(["mms", "trig", "--levels", "2"]) == cli.EXIT_SIMULATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        stderr.append(captured.err)
+    assert len(forks) == 1
+    assert stderr[0] == stderr[1]
+    assert stderr[1].startswith(message)
+
+
+def test_a_worker_that_dies_without_reporting_is_an_os_error(monkeypatch, forks):
+    reduced_studies(monkeypatch, {"t_end": 0.1, "base_cells": 16, "base_steps": 10},
+                    {"t_end": 0.1, "n_cells": 16, "base_steps": 10})
+    cpus(monkeypatch, 2)
+    caller = os.getpid()
+
+    def dies_in_the_worker(*args):
+        if os.getpid() != caller:
+            os._exit(7)
+        return run_mms(*args)
+
+    monkeypatch.setattr(rrgas.mms, "run_mms", dies_in_the_worker)
+    with within(20), pytest.raises(OSError,
+                                   match="MMS worker exited with code 7 before reporting"):
+        studies(CASES["trig"](), 2)
+    assert [worker.exitcode for worker in forks] == [7]
+
+
+def test_the_worker_ignores_sigint(monkeypatch, forks):
+    # ^C reaches the whole process group; the worker goes on, and the
+    # caller, which gets the KeyboardInterrupt, ends it.
+    reduced_studies(monkeypatch, {"t_end": 0.1, "base_cells": 16, "base_steps": 10},
+                    {"t_end": 0.1, "n_cells": 16, "base_steps": 10})
+    cpus(monkeypatch, 2)
+    caller = os.getpid()
+
+    def interrupted_in_the_worker(*args):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGINT)
+        return run_mms(*args)
+
+    monkeypatch.setattr(rrgas.mms, "run_mms", interrupted_in_the_worker)
+    with within(20):
+        _, (rows, _, _) = studies(CASES["trig"](), 2)
+    assert [row["n_steps"] for row in rows] == [10, 20]
+    assert len(forks) == 1
+
+
+def test_an_interrupt_in_the_caller_ends_the_worker(monkeypatch, forks):
+    # The worker would sleep for a minute; the caller ends it at once.
+    # no_leaked_child_processes checks that none is left.
+    cpus(monkeypatch, 2)
+    caller = os.getpid()
+
+    def interrupted(*args):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    monkeypatch.setattr(rrgas.mms, "run_mms", interrupted)
+    with within(20), pytest.raises(KeyboardInterrupt):
+        studies(CASES["trig"](), 2)
+    assert [worker.exitcode for worker in forks] == [-signal.SIGTERM]

@@ -241,12 +241,15 @@ def test_run_sweep_parallel_output_identical(tmp_path):
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+    """Stands in for ProcessPoolExecutor: records max_workers and the start
+    method of mp_context, maps serially."""
 
     sizes = []
+    start_methods = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context):
         self.sizes.append(max_workers)
+        self.start_methods.append(mp_context.get_start_method())
 
     def __enter__(self):
         return self
@@ -269,12 +272,15 @@ class RecordingPool:
 )
 def test_run_sweep_pool_size(tmp_path, monkeypatch, sweep_block, jobs, expected_sizes):
     monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(RecordingPool, "start_methods", [])
     monkeypatch.setattr(rrgas.sweep, "ProcessPoolExecutor", RecordingPool)
     path = write_manifest(tmp_path, sweep_block)
     out = tmp_path / "out"
     out.mkdir()
     rows, _ = run_sweep(path, out, jobs=jobs)
     assert RecordingPool.sizes == expected_sizes
+    # forked, so workers inherit a wrapper set on rrgas.sweep.run_one
+    assert RecordingPool.start_methods == ["fork"] * len(expected_sizes)
     assert [row.index for row in rows] == list(range(len(rows)))
 
 
