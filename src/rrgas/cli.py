@@ -57,8 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default="out", help="output directory (default: out)")
     p_sweep.add_argument("--jobs", type=int, default=1,
                          help="split the runs into JOBS chunks, each stepped as one batch, "
-                              "and run each chunk in its own worker process when JOBS > 1; "
-                              "at most one chunk per run (default: 1)")
+                              "the first here and each other one in a forked worker where "
+                              "there are two CPUs; at most one chunk per run (default: 1)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_mms = sub.add_parser("mms", help="print a manufactured-solution convergence table")

@@ -1,11 +1,10 @@
 """Time loops and the scenario-level invariant check.
 
 run_simulation owns the adaptive time loop: init, step, accumulate,
-record (the last, built a block of states at a time, can be switched
-off for callers that read only the final state).  It never raises for
-a failed integration, nor for a violated scheme invariant; the result
-says how far it got and why it stopped, so callers can still serialize
-the partial trajectory.
+record (the last built a block of states at a time).  It never raises
+for a failed integration, nor for a violated scheme invariant; the
+result says how far it got and why it stopped, so callers can still
+serialize the partial trajectory.
 
 run_batch owns the adaptive loop of a batch of runs that differ in
 their physical constants only, as a sweep's members do: each member
@@ -88,7 +87,6 @@ def run_simulation(
     *,
     state: State | None = None,
     on_step=None,
-    diagnostics: bool = True,
 ) -> RunResult:
     """Integrate from t=0 to t_end, recording diagnostics every step.
 
@@ -98,10 +96,7 @@ def run_simulation(
     Rows are built a block of states at a time, so a hook must not
     change a state in place; every return path hands over the last,
     partial block, so `records` holds n_steps + 1 rows whenever
-    run_simulation returns.  With diagnostics=False no record is built
-    and `records` stays empty; the steps, the balance accumulators, the
-    hook and the failure results are the same, and `state` is always the
-    state the last record would have been built from.
+    run_simulation returns, the last built from the returned `state`.
     """
     params = config.params
     if state is None:
@@ -112,11 +107,10 @@ def run_simulation(
     block = max(1, _BLOCK_VALUES // state.grid.n_cells)
 
     def keep(kept, dt):
-        if diagnostics:
-            pending.append((kept, dt, accum.z_diff, accum.z_react))
-            if len(pending) == block:
-                records.extend(record(pending, params))
-                pending.clear()
+        pending.append((kept, dt, accum.z_diff, accum.z_react))
+        if len(pending) == block:
+            records.extend(record(pending, params))
+            pending.clear()
 
     keep(state, 0.0)
 
@@ -162,8 +156,9 @@ def _run_alone(config: RunConfig, state: State, n_steps: int, observe=None) -> R
 
 
 def run_batch(configs, state: State) -> list:
-    """run_simulation(config, state=state, diagnostics=False) for each of
-    configs, stepped as one batch; one RunResult per config, in order.
+    """run_simulation(config, state=state) for each of configs, stepped
+    as one batch, but with no records; one RunResult per config, in
+    order.
 
     The configs may differ in their physical constants only, else it is
     a ConfigurationError; those that differ become per-member columns

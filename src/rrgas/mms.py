@@ -18,22 +18,14 @@ against a grid array, they return (k, n) rows, each bit-identical to
 the call at its one time.  run_mms steps with driver.run_fixed, which
 uses this to evaluate the sources for a block of levels per call.
 run_mms advances its step counts as one batch on one grid.  studies
-runs the temporal study in one forked worker process while the calling
-process runs the spatial study, where the platform forks and the
-process may run on two CPUs; else the two in turn, with the same
-output.  The worker is forked because an MmsCase holds closures, which
-cannot be pickled.  The fork is safe as it is for the sweep's pool
-workers, forked too and calling the same LAPACK dptsv: rrgas starts no
-thread, and OpenBLAS shuts its thread pool down at a fork (a
-pthread_atfork handler) and starts it again when next called.
+runs the temporal study beside the spatial study (workers.in_parallel):
+in a forked worker where the platform forks and the process may run on
+two CPUs, else the two in turn, with the same output.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
-import signal
 
 import numpy as np
 
@@ -42,6 +34,7 @@ from .constitutive import PhysParams, conductivity, de_dtheta, pressure, reactio
 from .driver import run_fixed
 from .mesh import Grid, State
 from .solver import rates
+from .workers import in_parallel
 
 
 class Field:
@@ -282,8 +275,6 @@ CASES = {"trig": trig_case, "tanh": tanh_case}
 
 FIELD_NAMES = ("v", "u", "theta", "z")
 
-_CAN_FORK = "fork" in multiprocessing.get_all_start_methods()
-
 
 def _field_norms(err: np.ndarray, grid: Grid, edge_field: bool):
     """(L2, Linf) of err on grid: trapezoid weights on the edges."""
@@ -375,8 +366,9 @@ def studies(case: MmsCase, levels: int):
 
     Each spatial level is one run_mms call on its own grid; the
     temporal levels share one grid and are one run_mms batch, run in a
-    forked worker beside the spatial study where there are two CPUs.
-    Every run has the bits of its own serial run, wherever it runs.
+    forked worker beside the spatial study where there are two CPUs
+    (workers.in_parallel).  Every run has the bits of its own serial
+    run, wherever it runs.
     """
     spatial_jobs, temporal_jobs = _spatial_jobs(levels), _temporal_jobs(levels)
 
@@ -388,7 +380,7 @@ def studies(case: MmsCase, levels: int):
         n_cells, t_end, _ = temporal_jobs[0]  # the grid of every level
         return run_mms(case, n_cells, t_end, [n_steps for _, _, n_steps in temporal_jobs])
 
-    spatial_runs, temporal_runs = _beside(spatial, temporal)
+    spatial_runs, temporal_runs = in_parallel([spatial, temporal], "MMS worker")
     spatial_rows, temporal_rows = (
         [{"n_cells": n_cells, "n_steps": n_steps, "errors": errors}
          for (n_cells, _, n_steps), (errors, _) in zip(jobs, runs)]
@@ -402,53 +394,3 @@ def studies(case: MmsCase, levels: int):
     l2s = [{name: l2 for name, (l2, _) in row["errors"].items()} for row in spatial_rows]
     return ((spatial_rows, _orders(l2s)),
             (temporal_rows, diffs, _orders(diffs) if len(diffs) >= 2 else {}))
-
-
-def _beside(here, there):
-    """(here(), there()): there() in a forked worker while this process
-    runs here(), where the platform forks and this process may run on
-    more than one CPU; else both in this process, here() first.
-
-    An exception of here() comes first, as in process; then the one
-    there() raised, which the worker sends back.  A worker that dies
-    without reporting is an OSError naming its exit code.  The worker
-    is ended and joined before this returns or raises.
-    """
-    if not (_CAN_FORK and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1):
-        return here(), there()
-    ctx = multiprocessing.get_context("fork")
-    ours, theirs = ctx.Pipe(duplex=False)
-    worker = ctx.Process(target=_report, args=(theirs, there), daemon=True)
-    try:
-        worker.start()
-    finally:
-        theirs.close()  # the worker's end; EOF on ours if it dies
-    try:
-        mine = here()
-        try:
-            result = ours.recv()
-        except EOFError:
-            worker.join()
-            raise OSError(f"MMS worker exited with code {worker.exitcode} "
-                          "before reporting") from None
-    finally:
-        ours.close()
-        worker.terminate()  # one that has reported is exiting anyway
-        worker.join()
-    if isinstance(result, Exception):
-        raise result
-    return mine, result
-
-
-def _report(conn, run) -> None:
-    """The worker's body: sends run()'s result, or the exception it raised.
-
-    It ignores SIGINT, which reaches the whole process group on ^C; the
-    caller gets the KeyboardInterrupt and ends the worker.
-    """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    try:
-        result = run()
-    except Exception as exc:
-        result = exc
-    conn.send(result)

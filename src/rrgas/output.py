@@ -17,12 +17,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import multiprocessing
 import operator
-import signal
 
 import numpy as np
 
+from . import workers
 from .config import NUM_FORMAT, RunConfig, serialize_config
 from .constitutive import PhysParams
 from .diagnostics import DiagnosticsRecord
@@ -40,8 +39,6 @@ _diag_values = operator.attrgetter(*DIAG_COLUMNS)
 # 256-row blocks at about 0.4 MB, at the same speed.
 _SNAPSHOT_BLOCK = 256
 _SNAPSHOT_ROW = "%d" + ("," + NUM_FORMAT) * (len(SNAPSHOT_COLUMNS) - 1) + "\n"
-
-_CAN_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 def fmt(x: float) -> str:
@@ -116,7 +113,7 @@ def write_snapshot(path, state: State, params: PhysParams, run: str = "", writer
         np.arange(n), state.grid.cell_centers, y_center,
         state.v, state.theta, state.z, state.u[:-1],
     ))
-    if writer is not None and _CAN_FORK:
+    if writer is not None and workers.CAN_FORK:
         writer.send(path, header, table)
     else:
         _write_table(path, header, table)
@@ -134,15 +131,15 @@ def _write_table(path, header: str, table) -> None:
 class SnapshotWriter:
     """Formats and writes snapshot tables in one forked helper process.
 
-    The helper is forked on the first `send` and gets each (path,
-    header, table) over a pipe; the caller goes on while the helper
-    formats.  Files are written in the order they are sent.  The first
-    error the helper meets (an OSError from `open`, say) ends it; the
-    next `send`, or the exit of the `with` block, raises that error.
-    On exit the helper has written every file it was sent, or has
-    failed, and has been joined.  A helper that dies without reporting
-    is an OSError naming its exit code.  An exception already leaving
-    the `with` block is not replaced by the helper's.
+    The helper, a workers.Worker, is forked on the first `send` and
+    gets each (path, header, table) over its pipe; the caller goes on
+    while the helper formats.  Files are written in the order they are
+    sent.  The first error the helper meets (an OSError from `open`,
+    say) ends it; the next `send`, or the exit of the `with` block,
+    raises that error.  On exit the helper has written every file it
+    was sent, or has failed, and has been joined.  A helper that dies
+    without reporting is an OSError naming its exit code.  An exception
+    already leaving the `with` block is not replaced by the helper's.
 
     The helper only formats strings and writes files; it calls no BLAS
     or other threaded library, so forking a process whose BLAS has
@@ -151,91 +148,47 @@ class SnapshotWriter:
     """
 
     def __init__(self):
-        self._conn = None
-        self._child = None
+        self._worker = self._conn = None
 
     def __enter__(self):
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if self._conn is None:
+        if self._worker is None or self._conn.closed:  # none, or it has reported
             return False
         if exc is not None:
             # A send cut short by the exception may have left part of a
             # message in the pipe, so close it rather than send the
             # sentinel: the helper writes every whole table it got,
             # then sees EOF.
-            self._conn.close()
-            self._conn = None
-            self._child.join()
+            self._worker.close()
             return False
         try:
             self._conn.send(None)
         except OSError:
-            pass  # the helper is gone; _stop reads why
-        error = self._stop()
-        if error is not None:
-            raise error
+            pass  # the helper is gone; result reads why
+        self._worker.result()
         return False
 
     def send(self, path, header: str, table) -> None:
-        if self._child is None:
-            self._start()
-        elif self._conn.poll():
-            raise self._stop()
+        if self._worker is None:
+            self._worker = workers.Worker(_write_tables, "snapshot writer")
+            self._conn = self._worker.conn
+        elif self._conn.poll():  # the helper has failed: raise why
+            self._worker.result()
         try:
             self._conn.send((path, header, table))
-        except OSError:
-            raise self._stop() from None
-
-    def _start(self) -> None:
-        ctx = multiprocessing.get_context("fork")
-        ours, theirs = ctx.Pipe()
-        child = ctx.Process(target=_serve, args=(theirs, ours), daemon=True)
-        try:
-            child.start()
-        finally:
-            theirs.close()  # the helper's end; the parent keeps only its own
-        self._conn, self._child = ours, child
-
-    def _stop(self) -> BaseException | None:
-        """Reads the helper's status and joins it; returns its error, if any."""
-        conn, self._conn = self._conn, None
-        died = False
-        try:
-            error = conn.recv()
-        except (EOFError, OSError):  # it died without reporting
-            died = True
-        finally:
-            conn.close()
-            self._child.join()
-        if died:
-            return OSError(
-                f"snapshot writer exited with code {self._child.exitcode} "
-                "before reporting"
-            )
-        return error
+        except OSError:  # the helper is gone: raise why
+            self._worker.result()
 
 
-def _serve(conn, other) -> None:
-    """The helper's loop: write each table until the sentinel, then report.
+def _write_tables(conn) -> None:
+    """The helper's body: write each table it is sent until the sentinel.
 
-    It ignores SIGINT, which reaches the whole process group on ^C, so
-    it still writes what it was sent while the parent unwinds; it sees
-    EOF, and stops, if the parent dies.
+    An error ends it, EOFError too, if the parent closed the pipe.
     """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    other.close()
-    error = None
-    try:
-        for item in iter(conn.recv, None):
-            _write_table(*item)
-    except Exception as exc:  # EOFError too, if the parent closed the pipe
-        error = exc
-    try:
-        conn.send(error)
-    except OSError:
-        pass  # the parent closed the pipe: no one reads a status
+    for item in iter(conn.recv, None):
+        _write_table(*item)
 
 
 def read_snapshot(path):

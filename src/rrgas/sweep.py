@@ -6,9 +6,9 @@ comma-separated lists.  The cartesian product is taken in the order
 the keys appear; each combination becomes an independent run.  The
 initial state is built once, before any run, so initial data that
 init_state refuses fails the sweep as a configuration error.  The
-members are split into one contiguous chunk per worker, and each chunk
+members are split into one contiguous chunk per job, and each chunk
 runs as one batch (driver.run_batch) in which every member keeps the
-bits of its own serial run.  Workers share nothing else, and the
+bits of its own serial run.  The chunks share nothing else, and the
 summary CSV is written in manifest order after all runs finish, so the
 output is identical whatever the job count.
 A member builds no per-step diagnostics: its summary row reads the
@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from .config import PHYS_FLOAT_KEYS, RunConfig, build_config, init_state, read_i
 from .driver import run_batch
 from .mesh import ConfigurationError, State, width
 from .output import fmt
+from .workers import in_parallel
 
 
 @dataclass
@@ -122,8 +122,11 @@ def run_sweep(manifest_path, out_dir, jobs: int = 1):
     """Execute every combination; write out_dir/summary.csv; return rows.
 
     The members are split into min(jobs, members) contiguous chunks in
-    manifest order, and run_one runs each chunk as one batch: in this
-    process for one chunk, else one chunk per worker process of a pool.
+    manifest order, and run_one runs each chunk as one batch: the first
+    in this process and each other one in a forked worker beside it,
+    where there are two CPUs (workers.in_parallel), else all in turn.
+    A worker that dies without reporting is an OSError naming its exit
+    code, and no summary is written.
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
@@ -133,21 +136,14 @@ def run_sweep(manifest_path, out_dir, jobs: int = 1):
     # [sweep] key sets, so every member starts from the same state.
     first = init_state(base)
     tasks = [(i, values, cfg) for i, (values, cfg) in enumerate(combos)]
-    workers = min(jobs, len(tasks))
-    chunks = [tasks[k * len(tasks) // workers:(k + 1) * len(tasks) // workers]
-              for k in range(workers)]
-
+    n_chunks = min(jobs, len(tasks))
+    chunks = [tasks[k * len(tasks) // n_chunks:(k + 1) * len(tasks) // n_chunks]
+              for k in range(n_chunks)]
     # run_one is looked up here, at the call, so a wrapper set on the
     # module attribute runs for every chunk; the workers are forked, so
-    # they see it too (a forkserver or spawned worker would import the
-    # module afresh).  Both branches return the rows in task order.
-    if workers == 1:
-        rows = run_one(chunks[0], first)
-    else:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=multiprocessing.get_context("fork")) as pool:
-            rows = [row for part in pool.map(run_one, chunks, [first] * workers)
-                    for row in part]
+    # they see it too.  The rows come back in task order.
+    parts = in_parallel([partial(run_one, chunk, first) for chunk in chunks], "sweep worker")
+    rows = [row for part in parts for row in part]
 
     keys = [key for key, _ in items]
     path = out_dir / "summary.csv"

@@ -1,5 +1,8 @@
+import contextlib
 import multiprocessing
+import os
 import pathlib
+import signal
 
 import pytest
 
@@ -67,8 +70,8 @@ def reject_every_step(monkeypatch):
     """Call it to have every volume update rejected at the volume floor,
     so every step spends its retries and the run fails at t = 0.  It
     stands in for an impossible v_floor, which init_state refuses as
-    a configuration error; a fork-based pool started after the call
-    inherits it."""
+    a configuration error; a worker forked after the call inherits
+    it."""
 
     def volume_floor(state, dt, config, s_v=None):
         raise rrgas.solver.StepRejection("volume_floor")
@@ -118,3 +121,24 @@ def no_leaked_child_processes():
         child.terminate()
         child.join()
     assert not leaked, f"child processes left running: {leaked}"
+
+
+def cpus(monkeypatch, n):
+    """Make os.sched_getaffinity give this process n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@contextlib.contextmanager
+def within(seconds):
+    """Raises TimeoutError in the block if it runs longer than seconds."""
+
+    def timeout(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

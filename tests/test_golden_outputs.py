@@ -20,7 +20,8 @@ and at q_cond = 0 (model A) and 1/2 (model B): every shipped config and
 MMS case has q_cond = 2.
 `rrgas run` hands every snapshot to its helper process; the reacting
 config is also run as on a platform that cannot fork, where every
-snapshot is written inline, against the same hashes.  A change that
+snapshot is written inline, against the same hashes, and so is the
+shipped sweep at two jobs, whose chunks then run in turn.  A change that
 keeps every output bit (a speed-up, a refactor) leaves these hashes
 alone; a change that moves bits on purpose has to say which bits moved
 and why, and recapture the hashes.  They were captured with numpy 2.4
@@ -32,7 +33,7 @@ import hashlib
 
 import pytest
 
-import rrgas.output
+import rrgas.workers
 from rrgas.cli import EXIT_OK, main, mms_table
 from rrgas.config import init_state, load_config
 from rrgas.explicit import run_explicit
@@ -184,7 +185,7 @@ def test_reacting_outputs_without_fork_are_byte_identical(configs_dir, tmp_path,
                                                           forks):
     # Where the platform cannot fork, `rrgas run` writes every snapshot
     # inline, with the bytes the helper process writes.
-    monkeypatch.setattr(rrgas.output, "_CAN_FORK", False)
+    monkeypatch.setattr(rrgas.workers, "CAN_FORK", False)
     out = tmp_path / "reacting"
     assert run_digests(configs_dir / "reacting.ini", out) == GOLDEN["reacting"]
     assert forks == []
@@ -287,3 +288,14 @@ def test_sweep_summary_is_byte_identical(jobs, configs_dir, tmp_path):
             "--jobs", str(jobs)]
     assert main(argv) == EXIT_OK
     assert hashlib.sha256((out / "summary.csv").read_bytes()).hexdigest() == SWEEP_GOLDEN
+
+
+def test_sweep_summary_without_fork_is_byte_identical(configs_dir, tmp_path, monkeypatch, forks):
+    # Where the platform cannot fork, `--jobs 2` runs its chunks in turn
+    # in the calling process.
+    monkeypatch.setattr(rrgas.workers, "CAN_FORK", False)
+    out = tmp_path / "sweep"
+    argv = ["sweep", str(configs_dir / "sweep_example.ini"), "--out", str(out), "--jobs", "2"]
+    assert main(argv) == EXIT_OK
+    assert hashlib.sha256((out / "summary.csv").read_bytes()).hexdigest() == SWEEP_GOLDEN
+    assert forks == []

@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module,
-no function decides a run setting a second time, and every public
-function has a caller in the package.
+no function decides a run setting a second time, every public
+function has a caller in the package, and only workers.py starts
+processes.
 
 Stdlib-ast checks, so they need no linter.  __init__.py is left out of
 the import and caller checks: its imports are the package's public
@@ -133,3 +134,37 @@ def test_unreferenced_functions_are_found():
 def test_every_public_function_has_a_caller_in_the_package():
     sources = {path.stem: path.read_text() for path in MODULES}
     assert sorted(set(unreferenced_functions(sources)) - VERIFICATION_TOOLS) == []
+
+
+PROCESS_MODULES = ("multiprocessing", "concurrent.futures")
+
+
+def process_imports(source: str) -> list[str]:
+    """The imports in source of a module of PROCESS_MODULES, or of one
+    inside them."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(module == name or module.startswith(name + ".")
+               for module in modules for name in PROCESS_MODULES):
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_process_imports_are_found():
+    source = ("import os\nimport multiprocessing\nfrom concurrent.futures import Executor\n"
+              "import concurrent.futures.process as p\nfrom concurrent import futures\n"
+              "from . import workers\nimport multiprocessing_extra\n")
+    assert process_imports(source) == ["line 2", "line 3", "line 4", "line 5"]
+
+
+# workers.py holds the one fork policy; no other module starts a process.
+@pytest.mark.parametrize("path", [path for path in sorted(PACKAGE.glob("*.py"))
+                                  if path.name != "workers.py"], ids=lambda path: path.name)
+def test_only_workers_starts_processes(path):
+    assert process_imports(path.read_text()) == []

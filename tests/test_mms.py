@@ -2,7 +2,6 @@
 finite differences of the exact composite fluxes before anything is
 integrated, then the discrete stencils against grid refinement."""
 
-import contextlib
 import hashlib
 import os
 import signal
@@ -11,6 +10,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from conftest import cpus, within
 from test_golden_outputs import MMS_STDOUT_GOLDEN
 
 import rrgas.cli as cli
@@ -536,27 +536,6 @@ def float_reprs(value):
     if isinstance(value, (list, tuple)):
         return [r for item in value for r in float_reprs(item)]
     return [repr(value)]
-
-
-def cpus(monkeypatch, n):
-    """Make os.sched_getaffinity give this process n CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
-@contextlib.contextmanager
-def within(seconds):
-    """Raises TimeoutError in the block if it runs longer than seconds."""
-
-    def timeout(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -1,14 +1,19 @@
 """Sweep manifests: expansion order, execution, summary format."""
 
+import multiprocessing
+import os
 import pathlib
+import pickle
 import struct
+from functools import partial
 
 import numpy as np
 import pytest
+from conftest import cpus, within
 
 import rrgas.driver
 import rrgas.sweep
-from rrgas.cli import EXIT_CONFIG, main
+from rrgas.cli import EXIT_CONFIG, EXIT_IO, main
 from rrgas.config import PHYS_FLOAT_KEYS, init_state, load_config
 from rrgas.driver import run_simulation
 from rrgas.mesh import ConfigurationError
@@ -240,57 +245,61 @@ def test_run_sweep_parallel_output_identical(tmp_path):
     assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
 
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and the start
-    method of mp_context, maps serially."""
+class ProcessLog:
+    """Items appended in the calling process or in a forked worker, read
+    back in the calling process: its own first, then the workers', each
+    in the order appended."""
 
-    sizes = []
-    start_methods = []
+    def __init__(self, directory):
+        directory.mkdir()
+        self.directory, self.caller = directory, os.getpid()
 
-    def __init__(self, max_workers, mp_context):
-        self.sizes.append(max_workers)
-        self.start_methods.append(mp_context.get_start_method())
+    def append(self, item):
+        with open(self.directory / f"{os.getpid()}.pickle", "ab") as fh:
+            pickle.dump(item, fh)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+    def items(self):
+        pids = sorted((int(path.stem) for path in self.directory.iterdir()),
+                      key=lambda pid: (pid != self.caller, pid))
+        out = []
+        for pid in pids:
+            with open(self.directory / f"{pid}.pickle", "rb") as fh:
+                while fh.peek(1):
+                    out.append(pickle.load(fh))
+        return out
 
 
 @pytest.mark.parametrize(
-    "sweep_block, jobs, expected_sizes",
+    "sweep_block, jobs, n_chunks",
     [
-        ("[sweep]\np_ext = -0.1, 0.5\n\n", 500, [2]),  # capped at the run count
-        ("[sweep]\np_ext = -0.1, 0.0, 0.5\nbeta = 1.0, 12.0\n\n", 2, [2]),
-        ("", 4, []),  # a single run never starts a pool
+        ("[sweep]\np_ext = -0.1, 0.5\n\n", 500, 2),  # capped at the run count
+        ("[sweep]\np_ext = -0.1, 0.0, 0.5\nbeta = 1.0, 12.0\n\n", 2, 2),
+        ("[sweep]\np_ext = -0.1, 0.0, 0.5\nbeta = 1.0, 12.0\n\n", 3, 3),
+        ("", 4, 1),  # a single run never forks
     ],
-    ids=["capped", "jobs2", "single-run"],
+    ids=["capped", "jobs2", "jobs3", "single-run"],
 )
-def test_run_sweep_pool_size(tmp_path, monkeypatch, sweep_block, jobs, expected_sizes):
-    monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(RecordingPool, "start_methods", [])
-    monkeypatch.setattr(rrgas.sweep, "ProcessPoolExecutor", RecordingPool)
+def test_run_sweep_pool_size(tmp_path, monkeypatch, forks, sweep_block, jobs, n_chunks):
+    # The first chunk runs in this process, each other one in a worker.
+    cpus(monkeypatch, 2)
     path = write_manifest(tmp_path, sweep_block)
     out = tmp_path / "out"
     out.mkdir()
-    rows, _ = run_sweep(path, out, jobs=jobs)
-    assert RecordingPool.sizes == expected_sizes
-    # forked, so workers inherit a wrapper set on rrgas.sweep.run_one
-    assert RecordingPool.start_methods == ["fork"] * len(expected_sizes)
+    with within(60):
+        rows, _ = run_sweep(path, out, jobs=jobs)
+    assert len(forks) == n_chunks - 1
+    assert all(worker.exitcode is not None for worker in forks)  # joined
     assert [row.index for row in rows] == list(range(len(rows)))
 
 
 @pytest.mark.parametrize("jobs, chunk_sizes", [(1, [6]), (2, [3, 3])], ids=["jobs1", "jobs2"])
 def test_run_sweep_reaches_run_one_through_the_module_once_per_chunk(
-        tmp_path, monkeypatch, jobs, chunk_sizes):
+        tmp_path, monkeypatch, forks, jobs, chunk_sizes):
     # perfbench probes sweep members by wrapping the module attribute
     # rrgas.sweep.run_one; its samples are the only ones of a sweep.
-    monkeypatch.setattr(rrgas.sweep, "ProcessPoolExecutor", RecordingPool)
-    calls = []
+    # The worker is forked, so it runs the wrapper too.
+    cpus(monkeypatch, 2)
+    calls = ProcessLog(tmp_path / "calls")
     real_run_one = rrgas.sweep.run_one
 
     def counting_run_one(chunk, first):
@@ -299,9 +308,36 @@ def test_run_sweep_reaches_run_one_through_the_module_once_per_chunk(
 
     monkeypatch.setattr(rrgas.sweep, "run_one", counting_run_one)
     path = write_manifest(tmp_path, "[sweep]\np_ext = -0.1, 0.0, 0.5\nbeta = 1.0, 12.0\n\n")
-    rows, _ = run_sweep(path, tmp_path, jobs=jobs)
-    assert calls == chunk_sizes
+    with within(60):
+        rows, _ = run_sweep(path, tmp_path, jobs=jobs)
+    assert calls.items() == chunk_sizes
+    assert len(forks) == len(chunk_sizes) - 1
     assert [row.index for row in rows] == list(range(6))
+
+
+def run_one_dying_outside(caller, chunk, first):
+    """run_one in the process caller; elsewhere the process exits at once
+    with code 7, reporting nothing.  Module-level, so it pickles."""
+    if os.getpid() != caller:
+        os._exit(7)
+    return run_one(chunk, first)
+
+
+def test_a_sweep_worker_that_dies_without_reporting_is_an_io_error(tmp_path, monkeypatch,
+                                                                   capsys, forks):
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(rrgas.sweep, "run_one", partial(run_one_dying_outside, os.getpid()))
+    path = write_manifest(tmp_path, "[sweep]\np_ext = -0.1, 0.5\n\n")
+    out = tmp_path / "out"
+    with within(60):
+        code = main(["sweep", str(path), "--out", str(out), "--jobs", "2"])
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert err == "io error: sweep worker exited with code 7 before reporting\n"
+    assert "Traceback" not in err
+    assert not (out / "summary.csv").exists()
+    assert [worker.exitcode for worker in forks] == [7]
+    assert multiprocessing.active_children() == []
 
 
 # Two valid values of every constant a manifest can sweep.
@@ -324,7 +360,7 @@ def run_state_bits(state):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("case", list(SWEPT_VALUES) + ["failing", "budget"])
-def test_sweep_members_match_their_serial_runs(tmp_path, monkeypatch, case, jobs):
+def test_sweep_members_match_their_serial_runs(tmp_path, monkeypatch, forks, case, jobs):
     # Each member's final state, completed, error and n_steps are bitwise
     # its serial run's.  The swept key varies fastest, so it differs
     # inside each chunk at both job counts.  "failing": at v_floor = 0.99
@@ -345,21 +381,25 @@ def test_sweep_members_match_their_serial_runs(tmp_path, monkeypatch, case, jobs
     path = write_manifest(tmp_path, f"[sweep]\n{cross} = 0.1, 0.2\n{key} = {values}\n\n")
     if case == "failing":
         path.write_text(path.read_text().replace("t_end = 0.02", "t_end = 0.02\nv_floor = 0.99"))
-    batches = []
+    log = ProcessLog(tmp_path / "batches")
     real_run_batch = rrgas.sweep.run_batch
 
     def recording_run_batch(configs, state):
         results = real_run_batch(configs, state)
-        batches.extend(zip(configs, results))
+        for pair in zip(configs, results):
+            log.append(pair)
         return results
 
     monkeypatch.setattr(rrgas.sweep, "run_batch", recording_run_batch)
-    monkeypatch.setattr(rrgas.sweep, "ProcessPoolExecutor", RecordingPool)
-    rows, _ = run_sweep(path, tmp_path, jobs=jobs)
+    cpus(monkeypatch, 2)
+    with within(60):
+        rows, _ = run_sweep(path, tmp_path, jobs=jobs)
+    batches = log.items()
+    assert len(forks) == jobs - 1
     assert len(batches) == len(rows) == 4
     base, _ = load_manifest(path)
     for config, result in batches:
-        serial = run_simulation(config, state=init_state(base), diagnostics=False)
+        serial = run_simulation(config, state=init_state(base))
         assert run_state_bits(result.state) == run_state_bits(serial.state)
         assert (result.completed, result.error, result.n_steps) == (
             serial.completed, serial.error, serial.n_steps)
