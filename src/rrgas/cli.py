@@ -113,9 +113,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rows, path = run_sweep(args.manifest, out, jobs=args.jobs)
+    rows, path = run_sweep(args.manifest, Path(args.out), jobs=args.jobs)
     failed = sum(1 for row in rows if row.classification == "failed")
     print(f"{len(rows)} runs ({failed} failed), summary in {path}")
     return EXIT_OK

@@ -8,10 +8,11 @@ serialize the partial trajectory.
 
 run_batch owns the adaptive loop of a batch of runs that differ in
 their physical constants only, as a sweep's members do: each member
-steps at its own cfl_dt through solver.step_batch, a rejection halves
-the rejected members' dt alone, and a member leaves at t_end.  Members
-that fail, and the last one left, step on alone through
-run_simulation's own loop, which maps every failure to its result.
+steps at its own cfl_dt through solver.step_batch, one attempt per
+step, and a member leaves at t_end.  A member the step rejects, every
+member after an invariant violation, and the last one left step on
+alone through run_simulation's own loop, where solver.step makes the
+retries and every failure maps to its result.
 
 run_fixed owns the fixed-dt loop of refinement ladders: it advances
 the runs of several step counts as one batch on one grid
@@ -48,7 +49,6 @@ from .diagnostics import (
 from .mesh import ConfigurationError, State, stack
 from .solver import (
     DT_MIN,
-    MAX_REJECTIONS,
     InvariantViolation,
     SimulationError,
     StepRejection,
@@ -162,13 +162,13 @@ def run_batch(configs, state: State) -> list:
 
     The configs may differ in their physical constants only, else it is
     a ConfigurationError; those that differ become per-member columns
-    (PhysParams.stack).  Each member steps at its own cfl_dt.  A
-    rejection halves the dt of the rejected members alone and attempts
-    the batch again; the other members recompute the same bits.  A
-    member leaves at t_end.  The last member left, a member out of
-    retries or below DT_MIN, every member at the step budget and every
-    member after an InvariantViolation step on alone, the way
-    run_simulation steps, so each result has the bits of its serial run.
+    (PhysParams.stack).  Each member steps at its own cfl_dt; a batch
+    step is one attempt.  A member leaves at t_end.  The last member
+    left, one below DT_MIN, every member at the step budget, the members
+    a step rejects and every member after an InvariantViolation step on
+    alone from their state before the step, the way run_simulation
+    steps: solver.step makes any retries, and each result has the bits
+    of its serial run.
     """
     base = configs[0]
     if any(dataclasses.replace(config, params=base.params) != base for config in configs):
@@ -178,15 +178,15 @@ def run_batch(configs, state: State) -> list:
     live = np.arange(len(configs))  # the members still in the batch, in order
     batch = stack([state] * len(configs))
     stacked = dataclasses.replace(base, params=PhysParams.stack([c.params for c in configs]))
-    n_steps, dt = 0, None
+    n_steps, failed = 0, False  # failed: the members the last attempt failed
     while True:
-        if dt is None:
-            # A new step.  Alone, a member at t_end is done at once, one
-            # below DT_MIN raises its serial run's underflow, and one at
-            # the step budget stops there.
-            dt = cfl_dt(batch, stacked)
-            halvings = np.zeros(live.size, dtype=int)
-            leaving = ~(batch.t < base.t_end) | ~(dt > DT_MIN) | (n_steps >= MAX_STEPS)
+        # Alone, a member at t_end is done at once, one below DT_MIN
+        # raises its serial run's underflow, one at the step budget stops
+        # there, and a failed one makes its step again, with retries.
+        # After a failure the others recompute the same dt bits: cfl_dt
+        # reduces per row.
+        dt = cfl_dt(batch, stacked)
+        leaving = failed | ~(batch.t < base.t_end) | ~(dt > DT_MIN) | (n_steps >= MAX_STEPS)
         # The last member left steps on alone: the same code without the
         # member axis, which costs less per step.
         leaving |= np.count_nonzero(~leaving) < 2
@@ -197,20 +197,15 @@ def run_batch(configs, state: State) -> list:
             return results
         if leaving.any():
             staying = ~leaving
-            live, batch, dt, halvings = (a[staying] for a in (live, batch, dt, halvings))
+            live, batch, dt = (a[staying] for a in (live, batch, dt))
             stacked.params = stacked.params.select(staying)
         try:
             batch, _ = step_batch(batch, stacked, dt=dt)
+            n_steps, failed = n_steps + 1, False
         except StepRejection as rej:
-            rejected = np.full(live.size, True) if rej.members is None else rej.members
-            halvings += rejected
-            dt = np.where(rejected, 0.5 * dt, dt)
-            leaving = rejected & ((halvings >= MAX_REJECTIONS) | (dt <= DT_MIN))
-            continue
+            failed = True if rej.members is None else rej.members
         except InvariantViolation:
-            leaving = np.full(live.size, True)
-            continue
-        n_steps, dt = n_steps + 1, None
+            failed = True
 
 
 def run_fixed(state: State, config: RunConfig, n_steps, sources=None) -> list:

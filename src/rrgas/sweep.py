@@ -121,6 +121,9 @@ def run_one(chunk, first: State) -> list:
 def run_sweep(manifest_path, out_dir, jobs: int = 1):
     """Execute every combination; write out_dir/summary.csv; return rows.
 
+    out_dir is created once the job count, the manifest and the initial
+    state have passed their checks, before any member runs.
+
     The members are split into min(jobs, members) contiguous chunks in
     manifest order, and run_one runs each chunk as one batch: the first
     in this process and each other one in a forked worker beside it,
@@ -135,6 +138,7 @@ def run_sweep(manifest_path, out_dir, jobs: int = 1):
     # init_state reads the profiles, n_cells and the floors, which no
     # [sweep] key sets, so every member starts from the same state.
     first = init_state(base)
+    out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [(i, values, cfg) for i, (values, cfg) in enumerate(combos)]
     n_chunks = min(jobs, len(tasks))
     chunks = [tasks[k * len(tasks) // n_chunks:(k + 1) * len(tasks) // n_chunks]

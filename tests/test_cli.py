@@ -11,6 +11,7 @@ import rrgas.cli
 import rrgas.driver
 import rrgas.output
 import rrgas.solver
+import rrgas.sweep
 from rrgas.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SIMULATION, main
 from rrgas.config import load_config
 from rrgas.output import read_diagnostics, read_snapshot, run_id
@@ -372,16 +373,31 @@ def test_sweep_runs_shipped_example(configs_dir, tmp_path, capsys):
 def test_sweep_rejects_bad_manifest(tmp_path, capsys):
     ini = tmp_path / "manifest.ini"
     ini.write_text("[sweep]\nn_cells = 8, 16\n" + REST_INI)
-    code = main(["sweep", str(ini), "--out", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    code = main(["sweep", str(ini), "--out", str(out)])
     assert code == EXIT_CONFIG
     assert "cannot sweep" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any file was created
 
 
 def test_sweep_rejects_zero_jobs(configs_dir, tmp_path, capsys):
+    out = tmp_path / "out"
     code = main(["sweep", str(configs_dir / "sweep_example.ini"),
-                 "--out", str(tmp_path / "out"), "--jobs", "0"])
+                 "--out", str(out), "--jobs", "0"])
     assert code == EXIT_CONFIG
     assert "jobs must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_into_an_unwritable_out_fails_before_any_member_runs(configs_dir, tmp_path,
+                                                                   capsys, monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setattr(rrgas.sweep, "run_one", None)  # a member run would fail on the call
+    code = main(["sweep", str(configs_dir / "sweep_example.ini"),
+                 "--out", str(blocker / "out")])
+    assert code == EXIT_IO
+    assert capsys.readouterr().err.startswith("io error: ")
 
 
 # ------------------------------------------------------------------ mms

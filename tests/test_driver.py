@@ -140,7 +140,8 @@ def patch_faults(monkeypatch):
     """The p_ext = 2.0 member has a volume update rejected at every dt
     above 1e-3; the p_ext = 3.0 member violates an invariant in its
     energy update from t = 0.01 on.  The faults act per member, in a
-    batch as in a serial run."""
+    batch as in a serial run: a batch's rejection names the p_ext = 2.0
+    rows alone."""
     real_volume_step, real_energy_step = rrgas.solver.volume_step, rrgas.solver.energy_step
 
     def volume_step(state, dt, config, s_v=None):
@@ -160,10 +161,11 @@ def patch_faults(monkeypatch):
 
 @pytest.mark.parametrize("dt_min", [None, 2e-3], ids=["retries", "dt-min"])
 def test_run_batch_gives_each_member_the_result_of_its_serial_run(monkeypatch, dt_min):
-    # A member rejected at its cfl_dt retries at half its own dt while
-    # the others keep theirs; a member that violates an invariant sends
-    # every member on alone; the last member left steps on alone.  With
-    # DT_MIN raised, the p_ext = 2.0 member halves below it and fails.
+    # A member rejected at its cfl_dt leaves the batch and retries alone,
+    # at half its dt, while the others step on as a batch; a member that
+    # violates an invariant sends every member on alone; the last member
+    # left steps on alone.  With DT_MIN raised, the p_ext = 2.0 member
+    # halves below it in its own retries and fails.
     patch_faults(monkeypatch)
     if dt_min is not None:
         for module in (rrgas.solver, rrgas.driver):
@@ -189,6 +191,55 @@ def test_run_batch_gives_each_member_the_result_of_its_serial_run(monkeypatch, d
         assert results[1].error.startswith("time step underflow during rejection retries")
     else:
         assert results[1].n_steps > results[0].n_steps  # it stepped at a smaller dt
+
+
+def test_a_rejected_member_leaves_the_batch_and_retries_alone(monkeypatch):
+    # From its second step on, the p_ext = 2.0 member is rejected at
+    # every dt.  The batch makes one attempt for it; the other three step
+    # on as one batch of three rows, and the rejected member makes its
+    # retries alone in solver.step, none of them first in the batch.
+    real_volume_step, real_step_batch = rrgas.solver.volume_step, rrgas.solver.step_batch
+
+    def volume_step(state, dt, config, s_v=None):
+        bad = at_p_ext(config, state, 2.0) & (state.t > 0.0)
+        if bad.any():
+            raise rrgas.solver.StepRejection("volume_floor", bad if bad.ndim else None)
+        return real_volume_step(state, dt, config, s_v)
+
+    attempts = []  # (where, p_ext, t, dt) per member and attempt
+
+    def recording(where):
+        def step_batch(state, config, sources=None, *, dt):
+            shape = np.shape(state.t)
+            p_ext = np.broadcast_to(config.params.p_ext, shape + (1,))[..., 0]
+            attempts.append([(where, *row) for row in zip(
+                np.atleast_1d(p_ext), np.atleast_1d(state.t), np.broadcast_to(dt, shape).flat)])
+            return real_step_batch(state, config, sources, dt=dt)
+
+        return step_batch
+
+    monkeypatch.setattr(rrgas.solver, "volume_step", volume_step)
+    monkeypatch.setattr(rrgas.driver, "step_batch", recording("batch"))
+    monkeypatch.setattr(rrgas.solver, "step_batch", recording("alone"))
+    configs = []
+    for p_ext in (0.5, 2.0, 1.0, 0.7):
+        config = bump_config(t_end=0.04, n_cells=16)
+        config.params = dataclasses.replace(config.params, p_ext=p_ext)
+        configs.append(config)
+    results = run_batch(configs, init_state(configs[0]))
+    assert [result.completed for result in results] == [True, False, True, True]
+    assert results[1].error.startswith("step rejected 10 times")
+
+    batches = [[p_ext for _, p_ext, _, _ in call] for call in attempts if call[0][0] == "batch"]
+    assert batches[:3] == [[0.5, 2.0, 1.0, 0.7], [0.5, 2.0, 1.0, 0.7], [0.5, 1.0, 0.7]]
+    assert all(2.0 not in members for members in batches[2:])
+    rejected = [row for call in attempts for row in call if row[1] == 2.0]
+    in_batch = [row for row in rejected if row[0] == "batch" and row[2] > 0.0]
+    assert len(in_batch) == 1  # the batch made one attempt and no retry
+    _, _, t, dt = in_batch[0]
+    # alone, the member makes its step again: the one attempt the batch
+    # made, then its retries, each made once
+    assert rejected[2:] == [("alone", 2.0, t, dt * 0.5**k) for k in range(10)]
 
 
 def test_run_batch_takes_members_that_differ_in_physical_constants_only():

@@ -1,7 +1,7 @@
 """Every name a module of the package imports is used in that module,
 no function decides a run setting a second time, every public
-function has a caller in the package, and only workers.py starts
-processes.
+function has a caller in the package, only workers.py starts
+processes, and only solver.py decides how often a step is retried.
 
 Stdlib-ast checks, so they need no linter.  __init__.py is left out of
 the import and caller checks: its imports are the package's public
@@ -168,3 +168,34 @@ def test_process_imports_are_found():
                                   if path.name != "workers.py"], ids=lambda path: path.name)
 def test_only_workers_starts_processes(path):
     assert process_imports(path.read_text()) == []
+
+
+def references(source: str, name: str) -> list[str]:
+    """The lines of source that name `name`: as a variable, an attribute
+    or an imported name."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            named = any(name in (alias.name.rpartition(".")[2], alias.asname)
+                        for alias in node.names)
+        else:
+            named = (isinstance(node, ast.Name) and node.id == name
+                     or isinstance(node, ast.Attribute) and node.attr == name)
+        if named:
+            lines.add(node.lineno)
+    return [f"line {line}" for line in sorted(lines)]
+
+
+def test_references_are_found():
+    source = ("from .solver import DT_MIN, MAX_REJECTIONS\nimport solver as s\n"
+              "x = s.MAX_REJECTIONS\nfrom a import b as MAX_REJECTIONS\n"
+              "MAX_REJECTIONS_SEEN = 1\nprint('MAX_REJECTIONS')\n")
+    assert references(source, "MAX_REJECTIONS") == ["line 1", "line 3", "line 4"]
+
+
+# solver.step holds the one retry policy: a rejected attempt is retried
+# at half the dt up to MAX_REJECTIONS times; a batch step is one attempt.
+@pytest.mark.parametrize("path", [path for path in sorted(PACKAGE.glob("*.py"))
+                                  if path.name != "solver.py"], ids=lambda path: path.name)
+def test_only_solver_names_the_retry_limit(path):
+    assert references(path.read_text(), "MAX_REJECTIONS") == []

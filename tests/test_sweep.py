@@ -175,7 +175,7 @@ def test_sweep_cli_rejects_initial_data_at_its_floor(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["sweep", str(path), "--out", str(out)]) == EXIT_CONFIG
     assert "error: v must be > 0.5; violated at cell 0" in capsys.readouterr().err
-    assert not (out / "summary.csv").exists()
+    assert not out.exists()  # rejected before any file was created
 
 
 def test_expand_names_the_member_out_of_range(tmp_path):
@@ -202,7 +202,7 @@ def test_sweep_cli_rejects_member_out_of_range(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["sweep", str(path), "--out", str(out)]) == EXIT_CONFIG
     assert "sweep member 1 (p_ext=0.5, kappa1=2.0)" in capsys.readouterr().err
-    assert not (out / "summary.csv").exists()
+    assert not out.exists()
 
 
 def test_run_one_flags_unsupported_exponent(tmp_path):
