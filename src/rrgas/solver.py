@@ -8,11 +8,14 @@ Pressure work and reaction heat stay explicit in theta, which limits the
 splitting to first order in dt; diffusion stiffness never restricts dt.
 
 All linear systems are symmetric positive definite tridiagonal and go
-through LAPACK `dptsv` (pivot-free L·D·Lᵀ).  A failed sub-update (volume
-or temperature at its floor, Newton stall) rejects the attempt.  step
-retries its own cfl_dt step with half the dt from the untouched input
-state; a dt the caller pinned is one attempt, and the rejection reaches
-the caller.
+through LAPACK `dptsv` (pivot-free L·D·Lᵀ).  It is called through
+ctypes from the OpenBLAS that numpy's wheel bundles and has already
+loaded, so importing the solver loads no scipy; where numpy was built
+without that library (conda, distro and Accelerate builds), scipy's
+dptsv stands in.  A failed sub-update (volume or temperature at its
+floor, Newton stall) rejects the attempt.  step retries its own cfl_dt
+step with half the dt from the untouched input state; a dt the caller
+pinned is one attempt, and the rejection reaches the caller.
 
 Every stencil works along the last axis, so one code path advances a
 single run (fields of shape (n,)) or a batch of B runs on one grid
@@ -29,10 +32,11 @@ batch.
 
 from __future__ import annotations
 
+import ctypes
+import pathlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dptsv
 
 from .constitutive import (
     PhysParams,
@@ -91,15 +95,66 @@ class StepReport:
     z_react_increment: float = 0.0
 
 
+def _openblas_dptsv():
+    """LAPACK dptsv from the OpenBLAS in numpy's wheel, with the call
+    shape of scipy's: (d, e, b) -> (d, e, x, info); None where numpy
+    has no such library.
+
+    The library's name, its scipy_ prefix and its 64_ suffix (64-bit
+    integers) are details of numpy's wheel, not numpy API.  Fortran
+    takes every argument by reference, so each system size gets its
+    work buffers and argument pointers once; a step solves at two sizes
+    (edges and cells), a batch at its member count times those.  d and
+    e come back as the factors in the buffers that the next solve of
+    that size overwrites; x is a fresh array.
+    """
+    libs = pathlib.Path(np.__file__).parent.parent / "numpy.libs"
+    try:
+        # PyDLL keeps the interpreter lock over the call: a solve is too
+        # short for releasing it to pay.
+        routine = ctypes.PyDLL(str(next(libs.glob("libscipy_openblas64_*")))).scipy_dptsv_64_
+    except (StopIteration, OSError, AttributeError):
+        return None
+    routine.argtypes = [ctypes.c_void_p] * 7
+    routine.restype = None
+    sizes = {}
+
+    def dptsv(d, e, b):
+        n = len(d)
+        size = sizes.get(n)
+        if size is None:
+            # dptsv(N, NRHS, D, E, B, LDB, INFO): one right-hand side, N = LDB = n
+            ints = np.array([n, 1, n, 0], dtype=np.int64)  # N, NRHS, LDB, INFO
+            work = (np.empty(n), np.empty(n - 1), np.empty(n))
+            n_at, nrhs_at, ldb_at, info_at = (ints[i:].ctypes.data for i in range(4))
+            addresses = (n_at, nrhs_at, *(a.ctypes.data for a in work), ldb_at, info_at)
+            size = sizes[n] = (*work, ints, [ctypes.c_void_p(at) for at in addresses])
+        work_d, work_e, work_b, ints, args = size
+        work_d[...] = d  # [...] copies in faster than [:]
+        work_e[...] = e
+        work_b[...] = b
+        routine(*args)
+        return work_d, work_e, work_b.copy(), ints.item(3)
+
+    return dptsv
+
+
+dptsv = _openblas_dptsv()
+if dptsv is None:
+    from scipy.linalg.lapack import dptsv
+
+
 def solveh_banded(diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve a symmetric positive definite tridiagonal system per member.
 
     Each row of diag (n) and upper (n - 1) along the last axis is one
     system; a batch is one stacked system with zero couplings across the
-    seams, which gives each member the bits of its own solve.  dptsv,
-    which scipy's solveh_banded calls for this band, is pivot-free, so
-    the inputs alone fix the operation order and the bits.  It leaves
-    the inputs unchanged; a non-positive pivot is an InvariantViolation.
+    seams, which gives each member the bits of its own solve.  LAPACK
+    dptsv is pivot-free, so the inputs alone fix the operation order and
+    the bits, whichever library provides it.  It leaves the inputs
+    unchanged.  A non-positive pivot is an InvariantViolation, and so is
+    an illegal argument: rrgas passes dptsv's arguments itself, so that
+    is a fault in rrgas.
     """
     if diag.shape[-1] == 1:
         return rhs / diag
@@ -112,7 +167,7 @@ def solveh_banded(diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> np.nd
         raise InvariantViolation(f"tridiagonal system of shape {diag.shape} is not positive "
                                  f"definite (leading minor {info})")
     if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dptsv")
+        raise InvariantViolation(f"illegal value in argument {-info} of dptsv")
     return x.reshape(rhs.shape)
 
 

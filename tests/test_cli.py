@@ -149,6 +149,21 @@ def test_run_reports_a_non_positive_pivot(rest_ini, tmp_path, capsys, monkeypatc
     assert "not positive definite (leading minor 1)" in payload["error"]
 
 
+def test_run_reports_an_illegal_lapack_argument(rest_ini, tmp_path, capsys, monkeypatch):
+    # Fault injection: LAPACK rejects an argument of the first tridiagonal
+    # solve.  rrgas passes those arguments itself, so this is a scheme
+    # fault (exit 2 and a failure manifest), not a configuration error.
+    monkeypatch.setattr(rrgas.solver, "dptsv", lambda d, e, b: (d, e, b, -3))
+    out = tmp_path / "out"
+    code = main(["run", str(rest_ini), "--out", str(out)])
+    assert code == EXIT_SIMULATION
+    assert "scheme invariant violated" in capsys.readouterr().err
+    payload = json.loads((out / "failure.json").read_text())
+    assert payload["status"] == "failed"
+    assert payload["error"].startswith("scheme invariant violated")
+    assert "illegal value in argument 3 of dptsv" in payload["error"]
+
+
 def test_run_rejects_invalid_config(tmp_path, capsys):
     ini = tmp_path / "bad.ini"
     ini.write_text("[physics]\nkappa1 = 2.0\nkappa2 = 1.0\n")

@@ -1,16 +1,21 @@
 """Every name a module of the package imports is used in that module,
 no function decides a run setting a second time, every public
 function has a caller in the package, only workers.py starts
-processes, and only solver.py decides how often a step is retried.
+processes, only solver.py decides how often a step is retried, and
+only solver.py loads native code, so the CLI starts without scipy.
 
-Stdlib-ast checks, so they need no linter.  __init__.py is left out of
-the import and caller checks: its imports are the package's public
-names, not uses of them.
+Stdlib-ast checks, so they need no linter, and one start-up check in a
+fresh interpreter.  __init__.py is left out of the import and caller
+checks: its imports are the package's public names, not uses of them.
 """
 
 import ast
 import dataclasses
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -137,11 +142,12 @@ def test_every_public_function_has_a_caller_in_the_package():
 
 
 PROCESS_MODULES = ("multiprocessing", "concurrent.futures")
+NATIVE_MODULES = ("scipy", "ctypes")
 
 
-def process_imports(source: str) -> list[str]:
-    """The imports in source of a module of PROCESS_MODULES, or of one
-    inside them."""
+def imports_of(source: str, packages) -> list[str]:
+    """The imports in source of a module of packages, or of one inside
+    them."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -151,7 +157,7 @@ def process_imports(source: str) -> list[str]:
         else:
             continue
         if any(module == name or module.startswith(name + ".")
-               for module in modules for name in PROCESS_MODULES):
+               for module in modules for name in packages):
             found.append(f"line {node.lineno}")
     return found
 
@@ -160,14 +166,50 @@ def test_process_imports_are_found():
     source = ("import os\nimport multiprocessing\nfrom concurrent.futures import Executor\n"
               "import concurrent.futures.process as p\nfrom concurrent import futures\n"
               "from . import workers\nimport multiprocessing_extra\n")
-    assert process_imports(source) == ["line 2", "line 3", "line 4", "line 5"]
+    assert imports_of(source, PROCESS_MODULES) == ["line 2", "line 3", "line 4", "line 5"]
 
 
 # workers.py holds the one fork policy; no other module starts a process.
 @pytest.mark.parametrize("path", [path for path in sorted(PACKAGE.glob("*.py"))
                                   if path.name != "workers.py"], ids=lambda path: path.name)
 def test_only_workers_starts_processes(path):
-    assert process_imports(path.read_text()) == []
+    assert imports_of(path.read_text(), PROCESS_MODULES) == []
+
+
+def test_native_imports_are_found():
+    source = ("import numpy as np\nimport ctypes\nfrom scipy.linalg.lapack import dptsv\n"
+              "import scipy.optimize\nfrom ctypes import c_void_p\nfrom . import solver\n"
+              "import scipyx\n")
+    assert imports_of(source, NATIVE_MODULES) == ["line 2", "line 3", "line 4", "line 5"]
+
+
+# solver.py holds the one LAPACK binding, numpy's OpenBLAS through
+# ctypes or scipy's where numpy has none; no other module loads either.
+@pytest.mark.parametrize("path", [path for path in sorted(PACKAGE.glob("*.py"))
+                                  if path.name != "solver.py"], ids=lambda path: path.name)
+def test_only_solver_loads_native_code(path):
+    assert imports_of(path.read_text(), NATIVE_MODULES) == []
+
+
+START_UP = """\
+import json, sys
+scipy_modules = lambda: sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+from rrgas.cli import main
+imported = scipy_modules()
+code = main(["run", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps([imported, code, scipy_modules()]))
+"""
+
+
+def test_cli_starts_and_runs_without_scipy(configs_dir, tmp_path):
+    # A fresh interpreter: this test session has imported scipy itself.
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    result = subprocess.run([sys.executable, "-c", START_UP, str(configs_dir / "equilibrium.ini"),
+                             str(tmp_path / "out")], env=env, capture_output=True, text=True,
+                            check=True)
+    summary, modules = result.stdout.splitlines()
+    assert summary.startswith("run ")
+    assert json.loads(modules) == [[], 0, []]
 
 
 def references(source: str, name: str) -> list[str]:

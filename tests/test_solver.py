@@ -2,17 +2,22 @@
 
 Each oracle is either a hand-evaluated closed form, a scalar root found
 with brentq on the same balance the substep discretizes, or a bisection
-on the explicit reference integrator.  Oracles are computed before the
-routine under test is called.
+on the explicit reference integrator; scipy's dptsv is the oracle of the
+solver's own LAPACK binding.  Oracles are computed before the routine
+under test is called.
 """
 
 import dataclasses
+import importlib.util
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import lapack
 from scipy.optimize import brentq
+from test_golden_outputs import GOLDEN, run_digests
 
 import rrgas.solver
 from rrgas.config import Profile, RunConfig, init_state
@@ -129,10 +134,62 @@ def test_tridiag_indefinite_system_is_an_invariant_violation():
         solveh_banded(np.array([1.0, 1.0]), np.array([2.0]), np.array([1.0, 1.0]))
 
 
-def test_tridiag_illegal_argument_is_a_value_error(monkeypatch):
+def test_tridiag_illegal_argument_is_an_invariant_violation(monkeypatch):
+    # rrgas passes dptsv's arguments itself, so an illegal one is a fault
+    # in rrgas, not in the configuration.
     monkeypatch.setattr(rrgas.solver, "dptsv", lambda d, e, b: (d, e, b, -3))
-    with pytest.raises(ValueError, match="argument 3 of dptsv"):
+    with pytest.raises(InvariantViolation, match="argument 3 of dptsv"):
         solveh_banded(*spd_systems((), 4, 1))
+
+
+# ------------------------------------- dptsv: numpy's OpenBLAS or scipy's
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 128, 129, 1000, 4096])
+def test_openblas_solve_equals_scipys_bit_for_bit(lead, n):
+    # One cell is solved without LAPACK, by either library.
+    system = spd_systems(lead, n, n)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rrgas.solver, "dptsv", lapack.dptsv)
+        expected = solveh_banded(*system)
+    assert solveh_banded(*system).tobytes() == expected.tobytes()
+
+
+def test_openblas_dptsv_reports_the_pivot_scipys_does():
+    # [[1, 2], [2, 1]] has eigenvalues 3 and -1: the second pivot is -3.
+    system = np.array([1.0, 1.0]), np.array([2.0]), np.array([1.0, 1.0])
+    assert rrgas.solver.dptsv(*system)[3] == lapack.dptsv(*system)[3] == 2
+
+
+def test_consecutive_solves_of_one_size_leave_the_first_result_alone():
+    first_system, second_system = spd_systems((), 64, 1), spd_systems((), 64, 2)
+    first = rrgas.solver.dptsv(*first_system)[2]
+    kept = first.copy()
+    second = rrgas.solver.dptsv(*second_system)[2]
+    assert first.tobytes() == kept.tobytes()
+    assert not np.shares_memory(first, second)
+
+
+def without_openblas(tmp_path):
+    """The dptsv a second import of rrgas.solver binds where numpy has no
+    numpy.libs beside it, as a conda or distro numpy has not."""
+    spec = importlib.util.spec_from_file_location("rrgas.solver_without_openblas",
+                                                  rrgas.solver.__file__)
+    module = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+        patch.setitem(sys.modules, spec.name, module)
+        spec.loader.exec_module(module)
+    return module.dptsv
+
+
+def test_solver_falls_back_to_scipy_without_numpys_openblas(tmp_path):
+    assert without_openblas(tmp_path) is lapack.dptsv
+
+
+def test_reacting_outputs_through_scipy_are_byte_identical(configs_dir, tmp_path, monkeypatch):
+    monkeypatch.setattr(rrgas.solver, "dptsv", without_openblas(tmp_path))
+    assert run_digests(configs_dir / "reacting.ini", tmp_path / "reacting") == GOLDEN["reacting"]
 
 
 # ------------------------------------------------------------ stress terms
