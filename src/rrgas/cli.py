@@ -58,7 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--jobs", type=int, default=1,
                          help="split the runs into JOBS chunks, each stepped as one batch, "
                               "the first here and each other one in a forked worker where "
-                              "there are two CPUs; at most one chunk per run (default: 1)")
+                              "rrgas may fork (rrgas.workers.may_fork); at most one chunk "
+                              "per run (default: 1)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_mms = sub.add_parser("mms", help="print a manufactured-solution convergence table")

@@ -244,11 +244,7 @@ def build_config(cp: configparser.ConfigParser) -> RunConfig:
             except ConfigurationError as exc:
                 raise ConfigurationError(f"[initial] {key}: {exc}") from exc
 
-    try:
-        params = PhysParams(**phys_kwargs)
-    except ValueError as exc:
-        raise ConfigurationError(str(exc)) from exc
-    return RunConfig(params=params, **run_kwargs)
+    return RunConfig(params=PhysParams(**phys_kwargs), **run_kwargs)
 
 
 def parse_config(text: str) -> RunConfig:

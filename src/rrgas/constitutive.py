@@ -59,7 +59,8 @@ class PhysParams:
         self.validate()
 
     def validate(self) -> None:
-        """Check every bound and raise one error listing all violations.
+        """Check every bound and raise one ConfigurationError listing
+        all violations.
 
         Every constant but cond_model must be finite.
         """
@@ -86,7 +87,7 @@ class PhysParams:
         if self.cond_model not in ("A", "B"):
             problems.append(f"cond_model must be 'A' or 'B', got {self.cond_model!r}")
         if problems:
-            raise ValueError("invalid physical parameters: " + "; ".join(problems))
+            raise ConfigurationError("invalid physical parameters: " + "; ".join(problems))
 
     @classmethod
     def stack(cls, members) -> "PhysParams":

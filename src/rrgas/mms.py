@@ -18,9 +18,9 @@ against a grid array, they return (k, n) rows, each bit-identical to
 the call at its one time.  run_mms steps with driver.run_fixed, which
 uses this to evaluate the sources for a block of levels per call.
 run_mms advances its step counts as one batch on one grid.  studies
-runs the temporal study beside the spatial study (workers.in_parallel):
-in a forked worker where the platform forks and the process may run on
-two CPUs, else the two in turn, with the same output.
+runs the temporal study beside the spatial study, in a forked worker
+where workers.may_fork, else the two in turn, with the same output
+(workers.in_parallel).
 """
 
 from __future__ import annotations
@@ -366,7 +366,7 @@ def studies(case: MmsCase, levels: int):
 
     Each spatial level is one run_mms call on its own grid; the
     temporal levels share one grid and are one run_mms batch, run in a
-    forked worker beside the spatial study where there are two CPUs
+    forked worker beside the spatial study where workers.may_fork
     (workers.in_parallel).  Every run has the bits of its own serial
     run, wherever it runs.
     """

@@ -6,10 +6,10 @@ rereading a snapshot reproduces the state bit for bit.  The table
 writers format a whole row, or a block of rows, with one `%`-template;
 the bytes are those of `fmt`.  `rrgas run` hands every snapshot table
 to a SnapshotWriter, whose forked helper process formats and writes it
-while the run steps on; where the platform cannot fork, the tables are
-written inline.  A run is identified by a short hash of its fully
-serialized configuration, so the id is stable across processes and
-machines.
+while the run steps on, where `workers.may_fork`; else the writer
+writes the tables inline.  A run is identified by a short hash of its
+fully serialized configuration, so the id is stable across processes
+and machines.
 """
 
 from __future__ import annotations
@@ -50,10 +50,16 @@ def run_id(config: RunConfig) -> str:
     return digest[:12]
 
 
-def write_diagnostics(path, records) -> None:
+def write_rows(path, columns, template: str, rows) -> None:
+    """A CSV file: the header line of columns, then template % row for
+    each row, a tuple; template ends the line."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(DIAG_COLUMNS) + "\n")
-        fh.writelines(_DIAG_ROW % _diag_values(rec) for rec in records)
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(template % row for row in rows)
+
+
+def write_diagnostics(path, records) -> None:
+    write_rows(path, DIAG_COLUMNS, _DIAG_ROW, map(_diag_values, records))
 
 
 def read_diagnostics(path):
@@ -88,9 +94,8 @@ def write_snapshot(path, state: State, params: PhysParams, run: str = "", writer
     boundary position, the last edge velocity (rows hold the left edge
     of each cell only) and an echo of the physical constants.  The
     header and the table are built here.  Given `writer` (a
-    SnapshotWriter), the table goes to its helper process to be
-    formatted and written, where the platform can fork; otherwise it is
-    written inline.  The bytes are the same either way.
+    SnapshotWriter), the table goes to it; otherwise it is written
+    inline.  The bytes are the same either way.
     """
     y_edges, _ = physical_coordinates(state)
     y_center = 0.5 * (y_edges[:-1] + y_edges[1:])
@@ -113,10 +118,10 @@ def write_snapshot(path, state: State, params: PhysParams, run: str = "", writer
         np.arange(n), state.grid.cell_centers, y_center,
         state.v, state.theta, state.z, state.u[:-1],
     ))
-    if writer is not None and workers.CAN_FORK:
-        writer.send(path, header, table)
-    else:
+    if writer is None:
         _write_table(path, header, table)
+    else:
+        writer.send(path, header, table)
 
 
 def _write_table(path, header: str, table) -> None:
@@ -129,7 +134,9 @@ def _write_table(path, header: str, table) -> None:
 
 
 class SnapshotWriter:
-    """Formats and writes snapshot tables in one forked helper process.
+    """Formats and writes snapshot tables in one forked helper process,
+    where workers.may_fork at the first `send`; else each table inline,
+    in `send`, with the same bytes.
 
     The helper, a workers.Worker, is forked on the first `send` and
     gets each (path, header, table) over its pipe; the caller goes on
@@ -148,7 +155,7 @@ class SnapshotWriter:
     """
 
     def __init__(self):
-        self._worker = self._conn = None
+        self._worker = self._conn = self._write = None
 
     def __enter__(self):
         return self
@@ -171,10 +178,17 @@ class SnapshotWriter:
         return False
 
     def send(self, path, header: str, table) -> None:
-        if self._worker is None:
-            self._worker = workers.Worker(_write_tables, "snapshot writer")
-            self._conn = self._worker.conn
-        elif self._conn.poll():  # the helper has failed: raise why
+        if self._write is None:  # the first table: fork the helper, or write inline
+            if workers.may_fork():
+                self._worker = workers.Worker(_write_tables, "snapshot writer")
+                self._conn = self._worker.conn
+                self._write = self._send
+            else:
+                self._write = _write_table
+        self._write(path, header, table)
+
+    def _send(self, path, header: str, table) -> None:
+        if self._conn.poll():  # the helper has failed: raise why
             self._worker.result()
         try:
             self._conn.send((path, header, table))

@@ -24,10 +24,10 @@ from functools import partial
 
 import numpy as np
 
-from .config import PHYS_FLOAT_KEYS, RunConfig, build_config, init_state, read_ini
+from .config import NUM_FORMAT, PHYS_FLOAT_KEYS, RunConfig, build_config, init_state, read_ini
 from .driver import run_batch
 from .mesh import ConfigurationError, State, width
-from .output import fmt
+from .output import write_rows
 from .workers import in_parallel
 
 
@@ -127,7 +127,7 @@ def run_sweep(manifest_path, out_dir, jobs: int = 1):
     The members are split into min(jobs, members) contiguous chunks in
     manifest order, and run_one runs each chunk as one batch: the first
     in this process and each other one in a forked worker beside it,
-    where there are two CPUs (workers.in_parallel), else all in turn.
+    where workers.may_fork, else all in turn (workers.in_parallel).
     A worker that dies without reporting is an OSError naming its exit
     code, and no summary is written.
     """
@@ -150,37 +150,12 @@ def run_sweep(manifest_path, out_dir, jobs: int = 1):
     rows = [row for part in parts for row in part]
 
     keys = [key for key, _ in items]
+    columns = [f.name for f in dataclasses.fields(SweepRow)][2:]  # after index and values
+    template = ",".join(["%d"] + [NUM_FORMAT] * len(keys) + ["%s,%s"] + [NUM_FORMAT] * 6
+                        + ["%s"]) + "\n"
     path = out_dir / "summary.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        header = (
-            ["index"]
-            + keys
-            + [
-                "rate_exponent_supported",
-                "classification",
-                "final_t",
-                "width",
-                "min_v",
-                "min_theta",
-                "min_z",
-                "max_z",
-                "error",
-            ]
-        )
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = [str(row.index)]
-            cells += [fmt(row.values[k]) for k in keys]
-            cells += [
-                str(row.rate_exponent_supported),
-                row.classification,
-                fmt(row.final_t),
-                fmt(row.width),
-                fmt(row.min_v),
-                fmt(row.min_theta),
-                fmt(row.min_z),
-                fmt(row.max_z),
-                row.error.replace(",", ";"),
-            ]
-            fh.write(",".join(cells) + "\n")
+    write_rows(path, ["index", *keys, *columns], template, [
+        (row.index, *(row.values[key] for key in keys),
+         *(getattr(row, name) for name in columns[:-1]), row.error.replace(",", ";"))
+        for row in rows])
     return rows, path

@@ -2,13 +2,14 @@
 
 rrgas runs work beside the calling process in forked workers: the
 snapshot writer of `rrgas run`, the temporal study of `rrgas mms` and
-all but the first chunk of `rrgas sweep --jobs N`.  A forked worker
-needs nothing pickled to start (an MmsCase holds closures, which could
-not be) and sees every module as the caller left it, wrappers set on
-module attributes included.  The fork is safe: rrgas starts no thread,
-and OpenBLAS shuts its thread pool down at a fork (a pthread_atfork
-handler) and starts it again when next called.  Where the platform
-cannot fork, the callers do the work in process, with the same output.
+all but the first chunk of `rrgas sweep --jobs N`.  Each of them forks
+where `may_fork` says so, and does the same work in process, with the
+same output, where it does not.  A forked worker needs nothing pickled
+to start (an MmsCase holds closures, which could not be) and sees every
+module as the caller left it, wrappers set on module attributes
+included.  The fork is safe: rrgas starts no thread, and OpenBLAS shuts
+its thread pool down at a fork (a pthread_atfork handler) and starts it
+again when next called.
 """
 
 from __future__ import annotations
@@ -18,6 +19,14 @@ import os
 import signal
 
 CAN_FORK = "fork" in multiprocessing.get_all_start_methods()
+
+
+def may_fork() -> bool:
+    """Whether work may run in a forked worker beside this process: where
+    the platform forks and this process may run on more than one CPU.
+    Where `os.sched_getaffinity` is missing (macOS, say), it may not.
+    Read at each call, so it follows the CPUs the process is given."""
+    return CAN_FORK and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
 
 
 class Worker:
@@ -86,15 +95,14 @@ def _run(body, conn, other) -> None:
 
 def in_parallel(calls, label: str) -> list:
     """[call() for call in calls], the first call in this process and
-    each other one in a Worker named label, where the platform forks and
-    this process may run on more than one CPU; else every call here, in
-    turn.
+    each other one in a Worker named label, where may_fork; else every
+    call here, in turn.
 
     The first call's exception comes first, then the workers', in
     order.  Every worker is ended and joined before this returns or
     raises, a KeyboardInterrupt included.
     """
-    if not (CAN_FORK and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1):
+    if not may_fork():
         return [call() for call in calls]
     workers = []
     try:

@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 import pytest
+from conftest import cpus
 
 import rrgas.cli
 import rrgas.driver
@@ -295,21 +296,25 @@ def check_run_joins_one_writer(n_cells, outcome, configs_dir, tmp_path, forks,
 
 @pytest.mark.parametrize("outcome", ["completed", "failed"])
 def test_run_small_grid_joins_its_writer(outcome, configs_dir, tmp_path, forks,
-                                        reject_every_step):
+                                        reject_every_step, monkeypatch):
+    cpus(monkeypatch, 2)
     check_run_joins_one_writer(128, outcome, configs_dir, tmp_path, forks, reject_every_step)
 
 
 @pytest.mark.parametrize("outcome", ["completed", "failed"])
 def test_run_large_grid_joins_its_writer(outcome, configs_dir, tmp_path, forks,
-                                        reject_every_step):
+                                        reject_every_step, monkeypatch):
+    cpus(monkeypatch, 2)
     check_run_joins_one_writer(LARGE, outcome, configs_dir, tmp_path, forks, reject_every_step)
 
 
 @pytest.mark.parametrize("n_cells", [128, LARGE])
-def test_run_snapshot_path_taken_is_io_error(n_cells, configs_dir, tmp_path, forks, capsys):
+def test_run_snapshot_path_taken_is_io_error(n_cells, configs_dir, tmp_path, forks, capsys,
+                                             monkeypatch):
     # Fault injection: a directory sits where snapshot 10 goes.  The
     # helper process fails to write it, and the run ends with exit 3 and
     # an io error naming that file.
+    cpus(monkeypatch, 2)
     ini = reacting_ini(configs_dir, tmp_path, n_cells)
     out = tmp_path / "out"
     (out / "snapshot_000010.csv").mkdir(parents=True)
@@ -327,6 +332,7 @@ def test_run_writer_dying_unreported_is_io_error(n_cells, configs_dir, tmp_path,
                                                  capsys):
     # Fault injection: the helper process dies on its first table
     # without sending a status.  That is an io error, not an EOFError.
+    cpus(monkeypatch, 2)
     monkeypatch.setattr(rrgas.output, "_write_table", lambda *args: os._exit(1))
     ini = reacting_ini(configs_dir, tmp_path, n_cells)
     code = main(["run", str(ini), "--out", str(tmp_path / "out")])

@@ -18,20 +18,23 @@ grids of at most 128 cells; the reacting scenario is also pinned at
 1000 cells, a grid whose dx is not exact in binary, and at 4096 cells,
 and at q_cond = 0 (model A) and 1/2 (model B): every shipped config and
 MMS case has q_cond = 2.
-`rrgas run` hands every snapshot to its helper process; the reacting
-config is also run as on a platform that cannot fork, where every
+`rrgas run` hands every snapshot to its helper process where
+workers.may_fork; the reacting config is also run as on a platform that
+cannot fork, on one CPU and without os.sched_getaffinity, where every
 snapshot is written inline, against the same hashes, and so is the
-shipped sweep at two jobs, whose chunks then run in turn.  A change that
-keeps every output bit (a speed-up, a refactor) leaves these hashes
-alone; a change that moves bits on purpose has to say which bits moved
-and why, and recapture the hashes.  They were captured with numpy 2.4
+shipped sweep at two jobs without fork, whose chunks then run in turn.
+A change that keeps every output bit (a speed-up, a refactor) leaves
+these hashes alone; a change that moves bits on purpose has to say
+which bits moved and why, and recapture the hashes.  They were captured with numpy 2.4
 on x86-64; another numpy build or CPU can move the last bit of a
 transcendental function, which would show here first.
 """
 
 import hashlib
+import os
 
 import pytest
+from conftest import cpus
 
 import rrgas.workers
 from rrgas.cli import EXIT_OK, main, mms_table
@@ -186,6 +189,21 @@ def test_reacting_outputs_without_fork_are_byte_identical(configs_dir, tmp_path,
     # Where the platform cannot fork, `rrgas run` writes every snapshot
     # inline, with the bytes the helper process writes.
     monkeypatch.setattr(rrgas.workers, "CAN_FORK", False)
+    out = tmp_path / "reacting"
+    assert run_digests(configs_dir / "reacting.ini", out) == GOLDEN["reacting"]
+    assert forks == []
+
+
+@pytest.mark.parametrize("host", ["one CPU", "no sched_getaffinity"])
+def test_reacting_outputs_on_one_cpu_are_byte_identical(host, configs_dir, tmp_path, monkeypatch,
+                                                        forks):
+    # On one CPU, or where the process cannot tell how many it has (as
+    # on macOS), `rrgas run` starts no helper and writes every snapshot
+    # inline, with the bytes the helper writes.
+    if host == "one CPU":
+        cpus(monkeypatch, 1)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity")
     out = tmp_path / "reacting"
     assert run_digests(configs_dir / "reacting.ini", out) == GOLDEN["reacting"]
     assert forks == []

@@ -1,12 +1,14 @@
 """Every name a module of the package imports is used in that module,
 no function decides a run setting a second time, every public
 function has a caller in the package, only workers.py starts
-processes, only solver.py decides how often a step is retried, and
-only solver.py loads native code, so the CLI starts without scipy.
+processes or decides where they may run, only solver.py decides how
+often a step is retried, and only solver.py loads native code, so the
+CLI starts without scipy.
 
 Stdlib-ast checks, so they need no linter, and one start-up check in a
-fresh interpreter.  __init__.py is left out of the import and caller
-checks: its imports are the package's public names, not uses of them.
+fresh interpreter.  __init__.py is checked like every module: it
+re-exports nothing, since each public name is imported from its own
+module, so a re-export would be an unused import.
 """
 
 import ast
@@ -23,7 +25,7 @@ import rrgas
 from rrgas.config import RunConfig
 
 PACKAGE = pathlib.Path(rrgas.__file__).resolve().parent
-MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -241,3 +243,21 @@ def test_references_are_found():
                                   if path.name != "solver.py"], ids=lambda path: path.name)
 def test_only_solver_names_the_retry_limit(path):
     assert references(path.read_text(), "MAX_REJECTIONS") == []
+
+
+FORK_RULE_NAMES = ("CAN_FORK", "sched_getaffinity")
+
+
+def test_fork_rule_names_are_found():
+    source = ("import os\nfrom .workers import CAN_FORK\nn = len(os.sched_getaffinity(0))\n"
+              "if workers.CAN_FORK:\n    pass\nCAN_FORK_SEEN = 1\nprint('sched_getaffinity')\n")
+    assert [references(source, name) for name in FORK_RULE_NAMES] == [["line 2", "line 4"],
+                                                                      ["line 3"]]
+
+
+# workers.may_fork holds the one fork rule: the platform forks and the
+# process may run on more than one CPU; no other module reads either.
+@pytest.mark.parametrize("path", [path for path in sorted(PACKAGE.glob("*.py"))
+                                  if path.name != "workers.py"], ids=lambda path: path.name)
+def test_only_workers_names_the_fork_rule(path):
+    assert [references(path.read_text(), name) for name in FORK_RULE_NAMES] == [[], []]

@@ -8,6 +8,7 @@ import struct
 
 import numpy as np
 import pytest
+from conftest import cpus
 
 from rrgas.config import RunConfig
 from rrgas.constitutive import PhysParams
@@ -255,11 +256,12 @@ def test_write_failure_without_state(tmp_path):
 SENT_ROWS = 37  # a table of any size goes to the helper
 
 
-def test_snapshot_writer_bytes_match_inline(tmp_path):
+def test_snapshot_writer_bytes_match_inline(tmp_path, monkeypatch):
     # Every table given a writer goes to its one helper process, which
     # writes the bytes of the inline path.
     # one row, a shipped grid, one row past a formatting block, and
     # several blocks with a partial last one
+    cpus(monkeypatch, 2)
     params = PhysParams()
     sizes = (1, 128, _SNAPSHOT_BLOCK + 1, 1537)
     with SnapshotWriter() as writer:
@@ -273,9 +275,31 @@ def test_snapshot_writer_bytes_match_inline(tmp_path):
         assert sent == (tmp_path / f"inline_{n}.csv").read_bytes()
 
 
-def test_snapshot_writer_writes_in_order_and_reports_first_error(tmp_path):
+def test_snapshot_writer_on_one_cpu_writes_inline(tmp_path, monkeypatch, forks):
+    # On one CPU the writer starts no process: each send writes its
+    # table before it returns, with the bytes of the inline path, and
+    # raises the error it meets.
+    cpus(monkeypatch, 1)
+    params = PhysParams()
+    sizes = (1, _SNAPSHOT_BLOCK + 1)
+    (tmp_path / "taken.csv").mkdir()
+    with SnapshotWriter() as writer:
+        for n in sizes:
+            write_snapshot(tmp_path / f"sent_{n}.csv", edge_state(n), params, "r", writer=writer)
+            assert (tmp_path / f"sent_{n}.csv").exists()
+        with pytest.raises(IsADirectoryError, match="taken.csv"):
+            write_snapshot(tmp_path / "taken.csv", edge_state(1), params, writer=writer)
+    assert forks == []
+    for n in sizes:
+        write_snapshot(tmp_path / f"inline_{n}.csv", edge_state(n), params, "r")
+        sent = (tmp_path / f"sent_{n}.csv").read_bytes()
+        assert sent == (tmp_path / f"inline_{n}.csv").read_bytes()
+
+
+def test_snapshot_writer_writes_in_order_and_reports_first_error(tmp_path, monkeypatch):
     # The error of the second table ends the helper: the first file is
     # complete, the third is never written, and the block raises.
+    cpus(monkeypatch, 2)
     params = PhysParams()
     state = edge_state(SENT_ROWS)
     (tmp_path / "taken.csv").mkdir()
@@ -287,7 +311,8 @@ def test_snapshot_writer_writes_in_order_and_reports_first_error(tmp_path):
     assert not (tmp_path / "third.csv").exists()
 
 
-def test_snapshot_writer_send_raises_a_reported_error(tmp_path):
+def test_snapshot_writer_send_raises_a_reported_error(tmp_path, monkeypatch):
+    cpus(monkeypatch, 2)
     params = PhysParams()
     state = edge_state(SENT_ROWS)
     (tmp_path / "taken.csv").mkdir()
@@ -301,7 +326,8 @@ def test_snapshot_writer_send_raises_a_reported_error(tmp_path):
     assert not (tmp_path / "next.csv").exists()
 
 
-def test_snapshot_writer_keeps_the_exception_in_flight(tmp_path):
+def test_snapshot_writer_keeps_the_exception_in_flight(tmp_path, monkeypatch):
+    cpus(monkeypatch, 2)
     params = PhysParams()
     state = edge_state(SENT_ROWS)
     (tmp_path / "taken.csv").mkdir()
@@ -312,10 +338,12 @@ def test_snapshot_writer_keeps_the_exception_in_flight(tmp_path):
     assert multiprocessing.active_children() == []
 
 
-def test_snapshot_writer_survives_a_send_cut_short(tmp_path):
+def test_snapshot_writer_survives_a_send_cut_short(tmp_path, monkeypatch):
     # An exception (say ^C) that cuts a send short leaves part of a
     # message in the pipe; leaving the block must neither hang on it
     # nor lose the tables sent whole before it.
+    cpus(monkeypatch, 2)
+
     def timed_out(signum, frame):
         raise TimeoutError("the writer did not stop")
 
