@@ -203,7 +203,7 @@ def run_batch(configs, state: State) -> list:
             batch, _ = step_batch(batch, stacked, dt=dt)
             n_steps, failed = n_steps + 1, False
         except StepRejection as rej:
-            failed = True if rej.members is None else rej.members
+            failed = rej.members
         except InvariantViolation:
             failed = True
 
@@ -268,7 +268,7 @@ def run_fixed(state: State, config: RunConfig, n_steps, sources=None) -> list:
                 raise InvariantViolation(
                     f"{exc} (step {taken + k + 1} of the runs of {runs} steps)") from exc
             except StepRejection as rej:
-                first = np.flatnonzero(True if rej.members is None else rej.members)[0]
+                first = np.flatnonzero(rej.members)[0]
                 last = state[first] if batched else state
                 raise SimulationError(
                     f"the run of {counts[live[first]]} steps had a step rejected "

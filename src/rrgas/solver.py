@@ -26,8 +26,8 @@ Each member of a batch keeps the bits of its own run: reductions,
 cfl_dt's among them, are per row, the tridiagonal systems of a batch
 are solved as one stacked banded system with zero couplings between
 members, and Newton converges, line-searches and stalls per member (a
-converged member is frozen).  step advances one run and step_batch a
-batch.
+converged member's update is zero, so it stays put).  step advances one
+run and step_batch a batch.
 """
 
 from __future__ import annotations
@@ -57,11 +57,11 @@ class StepRejection(Exception):
     """An attempt at this dt produced an invalid update.
 
     step retries its own cfl_dt step at a smaller dt; at a dt the caller
-    pinned, the rejection reaches the caller.  members, for a batch, is
-    a mask of the members that failed; None means all of them.
+    pinned, the rejection reaches the caller.  members is a mask of the
+    members that failed: (B,) for a batch, True for all of them.
     """
 
-    def __init__(self, reason: str, members=None):
+    def __init__(self, reason: str, members=True):
         super().__init__(reason)
         self.reason = reason
         self.members = members
@@ -446,11 +446,12 @@ def energy_step(state: State, dt, config, v_old: np.ndarray, phi, s_theta=None):
     Convergence is checked before the first iteration, so an exact
     fixed point returns theta unchanged with zero iterations.
 
-    Each member of a batch converges on its own: once converged it is
-    frozen and iterates no further, so it gets the bits, the iterations
-    and the residual of its own solve.  The line search, the floor and
-    the newton_max_iter stall act per member; a member that fails is
-    rejected with StepRejection, which names the failed members.
+    Each member of a batch converges on its own.  A converged member's
+    update is zeroed, so its theta stays put and stays converged, and
+    the stacked solve's zero couplings keep the others' bits: each
+    member gets the bits, the iterations and the residual of its own
+    solve.  The line search, the floor and the stall act per member; the
+    StepRejection's mask names the failed members.
 
     Returns (theta_new, iterations, final_residual), the last two per
     member.
@@ -471,38 +472,22 @@ def energy_step(state: State, dt, config, v_old: np.ndarray, phi, s_theta=None):
     # The volume factors of e and de/dtheta: v is fixed while theta iterates.
     av, av4 = params.a_rad * v, 4.0 * params.a_rad * v
     theta = theta_n.copy()
-    live = None  # once the members part: the rows still iterating
-    iters = 0
+    iters = count = 0  # iters: per member; count: the iterations made
     while True:
         k = heat_interface_coeff(v, theta, params)
         e_cur = _internal_energy(av, theta, params)
         resid = e_cur - target - dtc * diffusion_apply(k, theta, dx)
         res = np.abs(resid).max(axis=-1) / np.abs(e_cur).max(axis=-1, initial=1.0)
         done = res <= config.newton_tol
-        if _any(done):
-            if live is None:
-                if _all(done):
-                    return theta, iters * done, res  # done is all True: iters per member
-                live = np.arange(len(theta))
-                theta_out, iters_out, res_out = (
-                    np.empty(theta.shape), np.empty(len(live), dtype=int), np.empty(len(live))
-                )
-            # Freeze the converged members and go on with the rest.
-            rows = live[done]
-            theta_out[rows], iters_out[rows], res_out[rows] = theta[done], iters, res[done]
-            if _all(done):
-                return theta_out, iters_out, res_out
-            going = ~done
-            live, theta, v, av, av4, target, dtc, k, resid = (
-                a[going] for a in (live, theta, v, av, av4, target, dtc, k, resid)
-            )
-            params = params.select(going)
-        if iters >= config.newton_max_iter:
-            raise StepRejection("newton_stall",
-                                None if live is None else _members(live, len(theta_out)))
+        if _all(done):
+            return theta, iters * done, res  # done is all True: iters per member
+        if count >= config.newton_max_iter:
+            raise StepRejection("newton_stall", ~done)
 
         diag, upper = _diffusion_system(k, dtc / dx**2, _de_dtheta(av4, theta, params))
         delta = solveh_banded(diag, upper, resid)
+        if _any(done):
+            delta[done] = 0.0  # a converged member stays put
         candidate = theta - delta
         if not (candidate > theta_floor).all():
             # Halve the step of each member whose candidate is not above
@@ -516,17 +501,9 @@ def energy_step(state: State, dt, config, v_old: np.ndarray, phi, s_theta=None):
                 if ok.all():
                     break
             else:
-                raise StepRejection("theta_floor",
-                                    ~ok if live is None else _members(live[~ok], len(theta_out)))
+                raise StepRejection("theta_floor", ~ok)
         theta = candidate
-        iters += 1
-
-
-def _members(rows, count: int) -> np.ndarray:
-    """Mask over count members, True at rows."""
-    mask = np.zeros(count, dtype=bool)
-    mask[rows] = True
-    return mask
+        iters, count = iters + ~done, count + 1
 
 
 def step_batch(state: State, config, sources=None, *, dt):
@@ -537,9 +514,9 @@ def step_batch(state: State, config, sources=None, *, dt):
     dt is the batch of one, without the axis.  sources, if given, is the
     tuple (s_v, s_u, s_theta, s_z) at the members' new level, each an
     array or None: s_u of the state's edge shape, the others of its
-    cell shape.  Every row is computed on its own, so each member gets
-    the bits of its own run.  The step is one attempt: a rejection
-    raises StepRejection naming the rejected members.  Returns
+    cell shape.  Every row is computed on its own, a converged Newton
+    member staying put, so each member gets the bits of its own run.
+    The step is one attempt: a rejection's mask names its members.  Returns
     (new_state, StepReport) with every report field per member.
     """
     params = config.params

@@ -147,7 +147,7 @@ def patch_faults(monkeypatch):
     def volume_step(state, dt, config, s_v=None):
         bad = at_p_ext(config, state, 2.0) & (dt > 1e-3)
         if bad.any():
-            raise rrgas.solver.StepRejection("volume_floor", bad if bad.ndim else None)
+            raise rrgas.solver.StepRejection("volume_floor", bad)
         return real_volume_step(state, dt, config, s_v)
 
     def energy_step(state, dt, config, *args, **kwargs):
@@ -203,7 +203,7 @@ def test_a_rejected_member_leaves_the_batch_and_retries_alone(monkeypatch):
     def volume_step(state, dt, config, s_v=None):
         bad = at_p_ext(config, state, 2.0) & (state.t > 0.0)
         if bad.any():
-            raise rrgas.solver.StepRejection("volume_floor", bad if bad.ndim else None)
+            raise rrgas.solver.StepRejection("volume_floor", bad)
         return real_volume_step(state, dt, config, s_v)
 
     attempts = []  # (where, p_ext, t, dt) per member and attempt

@@ -261,3 +261,17 @@ def test_fork_rule_names_are_found():
                                   if path.name != "workers.py"], ids=lambda path: path.name)
 def test_only_workers_names_the_fork_rule(path):
     assert [references(path.read_text(), name) for name in FORK_RULE_NAMES] == [[], []]
+
+
+def test_select_calls_are_found():
+    source = ("params = params.select(going)\nfrom .constitutive import select\n"
+              "def select(self, index):\n    pass\nselected = 1\nprint('select')\n")
+    assert references(source, "select") == ["line 1", "line 2"]
+
+
+# The solver steps whatever members it is given; only the driver picks
+# which members a batch holds (PhysParams.select).
+@pytest.mark.parametrize("path", [path for path in sorted(PACKAGE.glob("*.py"))
+                                  if path.name != "driver.py"], ids=lambda path: path.name)
+def test_only_driver_selects_batch_members(path):
+    assert references(path.read_text(), "select") == []

@@ -158,7 +158,7 @@ def served(monkeypatch):
     return calls
 
 
-def rejecting_once(monkeypatch, at_call, members=None):
+def rejecting_once(monkeypatch, at_call, members=True):
     """Make the at_call-th energy_step call reject (members, for a batch)."""
     energy_step = rrgas.solver.energy_step
     calls = []

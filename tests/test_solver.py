@@ -722,7 +722,7 @@ def state_bits(s):
 
 @pytest.mark.parametrize("max_iter,dts", [
     # No member is rejected.  They converge in 3, 4 and 7 Newton
-    # iterations, so converged members are frozen while others iterate.
+    # iterations, so converged members stay put while others iterate.
     (50, [1e-4, 1e-3, 1e-2]),
     # The first member converges in 3 iterations; the others stall there.
     (3, [1e-4, 1e-3, 1e-2]),
@@ -763,6 +763,54 @@ def test_step_batch_members_match_their_serial_runs(max_iter, dts):
         iterations.append(report.newton_iterations.tolist())
     assert rejected == ([False] * 3 if max_iter == 50 else [False, True, True])
     assert iterations[:1] == ([[3, 4, 7]] if max_iter == 50 else [])
+
+
+def test_step_batch_line_search_halves_one_members_step(monkeypatch):
+    # Member 0 converges in 3 Newton iterations; member 1 iterates on.
+    # Member 1's fourth update is pushed by 1.5 times its iterate, so its
+    # full step falls below the floor and the line search halves it while
+    # member 0 has converged.  Each member gets the bits and the report
+    # of its own serial step, made with the same push.
+    cfg = bump_config(n_cells=16, t_end=10.0, k_rate=5.0)
+    cfg.params = dataclasses.replace(cfg.params, p_ext=5.0)  # hard squeeze
+    coeff, solve = rrgas.solver.heat_interface_coeff, rrgas.solver.solveh_banded
+    iterates, updates, pushed = [], [], []  # per Newton iteration; the row pushed
+
+    def recording_coeff(v, theta, params):
+        iterates.append(theta)
+        return coeff(v, theta, params)
+
+    def pushing_solve(diag, upper, rhs):
+        delta = solve(diag, upper, rhs)
+        if iterates:  # an energy solve
+            if len(iterates) == 4 and pushed:
+                delta[pushed[0]] += 1.5 * iterates[-1][pushed[0]]
+            updates.append(delta)
+        return delta
+
+    monkeypatch.setattr(rrgas.solver, "heat_interface_coeff", recording_coeff)
+    monkeypatch.setattr(rrgas.solver, "solveh_banded", pushing_solve)
+
+    def run(advance, state, dt, row):
+        iterates.clear()
+        updates.clear()
+        pushed[:] = [] if row is None else [row]
+        return advance(state, cfg, dt=dt)
+
+    first, dts = init_state(cfg), np.array([1e-4, 1e-2])
+    # The last row is member 1's, also where the converged member has
+    # left the rows that iterate.
+    batch, report = run(step_batch, stack([first] * 2), dts, -1)
+    before, delta, after = iterates[3][-1], updates[3][-1], iterates[4][-1]
+    assert (before - delta <= cfg.theta_floor).any()
+    assert any(np.array_equal(after, before - 0.5**j * delta) for j in range(1, 40))
+    assert report.newton_iterations[0] <= 3 < report.newton_iterations[1]
+    for member, row in enumerate((None, ...)):
+        s, r = run(step, first, dts[member], row)
+        assert state_bits(batch[member]) == state_bits(s)
+        for name, value in vars(r).items():
+            if name != "rejections":  # a batch step is one attempt
+                assert getattr(report, name)[member] == value, name
 
 
 def test_step_batch_keeps_a_constant_species_profile_per_member():
@@ -856,7 +904,8 @@ def test_cfl_dt_of_a_batch_is_each_members_dt():
 
 def test_step_batch_with_per_member_constants_matches_serial_steps():
     # Every stage reads the constants of its own member, the Newton
-    # freeze included: the members converge on different iterations.
+    # solve included: the members converge on different iterations, and
+    # a converged member's residual is recomputed while it stays put.
     members = member_params()
     configs = [bump_config(n_cells=16, t_end=10.0) for _ in members]
     for config, params in zip(configs, members):
@@ -872,6 +921,8 @@ def test_step_batch_with_per_member_constants_matches_serial_steps():
             serial[b], r = step(serial[b], config, dt=dts[b])
             assert state_bits(batch[b]) == state_bits(serial[b])
             assert (batch[b].t, batch[b].a_pos) == (serial[b].t, serial[b].a_pos)
-            assert report.newton_iterations[b] == r.newton_iterations
+            for name, value in vars(r).items():
+                if name != "rejections":  # a batch step is one attempt
+                    assert getattr(report, name)[b] == value, name
         iterations.add(tuple(report.newton_iterations.tolist()))
     assert any(len(set(its)) > 1 for its in iterations)
