@@ -1,5 +1,11 @@
 """Time loops and the scenario-level invariant check.
 
+Every time loop keeps the last two accepted states before the one it
+steps from, most recent first, and hands them to solver.step or
+solver.step_batch as history, from which the temperature Newton solve
+extrapolates its start point; where members leave a batch, the history
+is cut with the batch, so each member keeps its own levels.
+
 run_simulation owns the adaptive time loop: init, step, accumulate,
 record (the last built a block of states at a time).  It never raises
 for a failed integration, nor for a violated scheme invariant; the
@@ -127,12 +133,15 @@ def run_simulation(
     return result
 
 
-def _run_alone(config: RunConfig, state: State, n_steps: int, observe=None) -> RunResult:
+def _run_alone(config: RunConfig, state: State, n_steps: int, observe=None,
+               history=()) -> RunResult:
     """Step one run from state, after its first n_steps steps, to t_end.
 
-    observe(state, report, step_index), if given, sees each accepted
-    step.  A failure ends the run; the result says how far it got and
-    why it stopped, with no records.
+    history holds the run's accepted states before state, most recent
+    first, at most two (solver.step's history).  observe(state, report,
+    step_index), if given, sees each accepted step.  A failure ends the
+    run; the result says how far it got and why it stopped, with no
+    records.
     """
     completed, error = True, None
     while state.t < config.t_end:
@@ -140,7 +149,7 @@ def _run_alone(config: RunConfig, state: State, n_steps: int, observe=None) -> R
             completed, error = False, "step budget exhausted"
             break
         try:
-            state, report = step(state, config)
+            new, report = step(state, config, history=history)
         except SimulationError as exc:
             if exc.last_state is not None:
                 state = exc.last_state
@@ -149,6 +158,7 @@ def _run_alone(config: RunConfig, state: State, n_steps: int, observe=None) -> R
         except InvariantViolation as exc:
             completed, error = False, f"scheme invariant violated at t={state.t:.6e}: {exc}"
             break
+        history, state = (state, *history)[:2], new
         n_steps += 1
         if observe is not None:
             observe(state, report, n_steps)
@@ -166,9 +176,9 @@ def run_batch(configs, state: State) -> list:
     step is one attempt.  A member leaves at t_end.  The last member
     left, one below DT_MIN, every member at the step budget, the members
     a step rejects and every member after an InvariantViolation step on
-    alone from their state before the step, the way run_simulation
-    steps: solver.step makes any retries, and each result has the bits
-    of its serial run.
+    alone from their state before the step and their rows of the
+    history, the way run_simulation steps: solver.step makes any
+    retries, and each result has the bits of its serial run.
     """
     base = configs[0]
     if any(dataclasses.replace(config, params=base.params) != base for config in configs):
@@ -179,6 +189,7 @@ def run_batch(configs, state: State) -> list:
     batch = stack([state] * len(configs))
     stacked = dataclasses.replace(base, params=PhysParams.stack([c.params for c in configs]))
     n_steps, failed = 0, False  # failed: the members the last attempt failed
+    history = ()  # the accepted batches before batch, most recent first
     while True:
         # Alone, a member at t_end is done at once, one below DT_MIN
         # raises its serial run's underflow, one at the step budget stops
@@ -192,15 +203,18 @@ def run_batch(configs, state: State) -> list:
         leaving |= np.count_nonzero(~leaving) < 2
         for position in np.flatnonzero(leaving):
             member = live[position]
-            results[member] = _run_alone(configs[member], batch[position], n_steps)
+            results[member] = _run_alone(configs[member], batch[position], n_steps,
+                                         history=tuple(h[position] for h in history))
         if leaving.all():
             return results
         if leaving.any():
             staying = ~leaving
             live, batch, dt = (a[staying] for a in (live, batch, dt))
+            history = tuple(h[staying] for h in history)
             stacked.params = stacked.params.select(staying)
         try:
-            batch, _ = step_batch(batch, stacked, dt=dt)
+            new, _ = step_batch(batch, stacked, dt=dt, history=history)
+            history, batch = (batch, *history)[:2], new
             n_steps, failed = n_steps + 1, False
         except StepRejection as rej:
             failed = rej.members
@@ -212,7 +226,9 @@ def run_fixed(state: State, config: RunConfig, n_steps, sources=None) -> list:
     """The final states of n steps of dt = config.t_end / n from state,
     one for each count n in n_steps, in their order.
 
-    Each has the bits of its own serial run of step(..., dt=dt).
+    Each has the bits of its own serial run of step(..., dt=dt,
+    history=history), history the run's last two states before the
+    step, most recent first.
     sources, if given, is a callable t -> (s_v, s_u, s_theta, s_z) on
     state's grid that broadcasts over an array of times, as
     mms.MmsCase.sources(grid) does; each step is handed the read-only
@@ -240,12 +256,14 @@ def run_fixed(state: State, config: RunConfig, n_steps, sources=None) -> list:
     finals = [None] * len(counts)
     live = np.arange(len(counts))  # the members still stepping, in order
     state, batched = stack([state] * len(counts)), True
+    history = ()  # the accepted states before state, most recent first
     taken, rows = 0, None
     while live.size:
         if live.size == 1 and batched:
             # The last member steps on as a single run: the same code
             # without the member axis, which costs less per step.
             state, batched = state[0], False
+            history = tuple(h[0] for h in history)
         stop = counts[live].min()
         if sources is not None:
             # A block ends where a member leaves, so its rows are for
@@ -262,7 +280,7 @@ def run_fixed(state: State, config: RunConfig, n_steps, sources=None) -> list:
             if sources is not None:
                 rows = tuple(values[k] for values in block)
             try:
-                state, _ = advance(state, config, sources=rows)
+                new, _ = advance(state, config, sources=rows, history=history)
             except InvariantViolation as exc:
                 runs = ", ".join(map(str, counts[live]))
                 raise InvariantViolation(
@@ -275,6 +293,7 @@ def run_fixed(state: State, config: RunConfig, n_steps, sources=None) -> list:
                     f"at t={last.t:.6e}; a fixed-dt study cannot take a shorter one",
                     last_state=last,
                 ) from rej
+            history, state = (state, *history)[:2], new
         taken = stop
         done = counts[live] == taken
         for member, position in zip(live[done], np.flatnonzero(done)):
@@ -282,6 +301,7 @@ def run_fixed(state: State, config: RunConfig, n_steps, sources=None) -> list:
         live = live[~done]
         if batched:
             state = state[~done]
+            history = tuple(h[~done] for h in history)
     return finals
 
 

@@ -28,6 +28,14 @@ are solved as one stacked banded system with zero couplings between
 members, and Newton converges, line-searches and stalls per member (a
 converged member's update is zero, so it stays put).  step advances one
 run and step_batch a batch.
+
+The temperature Newton solve starts from the extrapolation in time of
+theta through the run's last accepted levels, up to two of them before
+the input state, which the caller passes as history; without history it
+starts from theta^n.  A member whose start point is not finite or not
+above theta_floor in every cell starts from theta^n.  The start point
+moves only the route to the root of the same discrete equations; a
+start point that already meets newton_tol takes no linear solve.
 """
 
 from __future__ import annotations
@@ -434,7 +442,7 @@ def species_step(state: State, dt, params: PhysParams, phi, s_z=None):
     return z_new, diff_inc, react_inc
 
 
-def energy_step(state: State, dt, config, v_old: np.ndarray, phi, s_theta=None):
+def energy_step(state: State, dt, config, v_old: np.ndarray, phi, s_theta=None, guess=None):
     """Newton solve for theta^{n+1} from the internal-energy balance.
 
     Requires state.u, state.v, state.z at the new level and state.theta
@@ -443,8 +451,11 @@ def energy_step(state: State, dt, config, v_old: np.ndarray, phi, s_theta=None):
     The residual carries implicit conduction (kappa at the current
     iterate) against explicit compression work and reaction heat; the
     Jacobian freezes kappa, keeping it SPD tridiagonal.
-    Convergence is checked before the first iteration, so an exact
-    fixed point returns theta unchanged with zero iterations.
+    Newton starts from guess, a start point above theta_floor of the
+    shape of theta (step_batch's extrapolation), or from state.theta if
+    guess is None.  Convergence is checked before the first iteration,
+    so a start point that already meets newton_tol is returned with
+    zero iterations, as an exact fixed point is.
 
     Each member of a batch converges on its own.  A converged member's
     update is zeroed, so its theta stays put and stays converged, and
@@ -462,7 +473,7 @@ def energy_step(state: State, dt, config, v_old: np.ndarray, phi, s_theta=None):
     theta_n = state.theta
 
     dudx = (u[..., 1:] - u[..., :-1]) / dx
-    work = (-pressure(v, theta_n, params) + params.mu * dudx / v) * dudx
+    work = total_stress(v, theta_n, u, dx, params) * dudx
     heating = params.lambda_heat * phi * np.power(z, params.m_order)
     dtc = _per_cell(dt)
     target = internal_energy(v_old, theta_n, params) + dtc * (work + heating)
@@ -471,7 +482,7 @@ def energy_step(state: State, dt, config, v_old: np.ndarray, phi, s_theta=None):
 
     # The volume factors of e and de/dtheta: v is fixed while theta iterates.
     av, av4 = params.a_rad * v, 4.0 * params.a_rad * v
-    theta = theta_n.copy()
+    theta = theta_n.copy() if guess is None else guess
     iters = count = 0  # iters: per member; count: the iterations made
     while True:
         k = heat_interface_coeff(v, theta, params)
@@ -506,7 +517,33 @@ def energy_step(state: State, dt, config, v_old: np.ndarray, phi, s_theta=None):
         iters, count = iters + ~done, count + 1
 
 
-def step_batch(state: State, config, sources=None, *, dt):
+def _start_point(state: State, history, dt, theta_floor: float):
+    """theta at t + dt extrapolated through state and history, the last
+    accepted levels before it (most recent first, at most two), in
+    divided differences; None, for energy_step's own start at theta,
+    without history.
+
+    The divided-difference form extrapolates a constant field to itself
+    bit for bit.  A member whose start point is not finite or not above
+    theta_floor in every cell gets its own theta.
+    """
+    if not history:
+        return None
+    theta = state.theta
+    s1 = state.t - history[0].t
+    slope = d1 = (theta - history[0].theta) / _per_cell(s1)
+    if len(history) > 1:
+        s2 = history[0].t - history[1].t
+        d2 = (history[0].theta - history[1].theta) / _per_cell(s2)
+        slope = d1 + _per_cell(dt + s1) * (d1 - d2) / _per_cell(s1 + s2)
+    guess = theta + _per_cell(dt) * slope
+    bad = ~(np.isfinite(guess) & (guess > theta_floor)).all(axis=-1)
+    if _any(bad):
+        return np.where(_per_cell(bad), theta, guess) if bad.ndim else None
+    return guess
+
+
+def step_batch(state: State, config, sources=None, *, dt, history=()):
     """Advance every member of a batch one step at its own pinned dt.
 
     state is a batch of B runs on one grid (a mesh.State with a leading
@@ -514,10 +551,15 @@ def step_batch(state: State, config, sources=None, *, dt):
     dt is the batch of one, without the axis.  sources, if given, is the
     tuple (s_v, s_u, s_theta, s_z) at the members' new level, each an
     array or None: s_u of the state's edge shape, the others of its
-    cell shape.  Every row is computed on its own, a converged Newton
-    member staying put, so each member gets the bits of its own run.
-    The step is one attempt: a rejection's mask names its members.  Returns
-    (new_state, StepReport) with every report field per member.
+    cell shape.  history holds up to two earlier accepted states of the
+    same members, most recent first; the temperature Newton solve starts
+    from theta extrapolated through them to this attempt's t + dt, per
+    member (theta^n where that is not finite or not above theta_floor,
+    and theta^n without history).  Every row is computed on its own, a
+    converged Newton member staying put, so each member gets the bits of
+    its own run.  The step is one attempt: a rejection's mask names its
+    members.  Returns (new_state, StepReport) with every report field
+    per member.
     """
     params = config.params
     # Implicit sub-updates see sources at the level they solve for.
@@ -529,23 +571,28 @@ def step_batch(state: State, config, sources=None, *, dt):
     # Species and energy both take the rate at (v^{n+1}, theta^n).
     phi = reaction_rate(trial.v, trial.theta, params)
     trial.z, diff_inc, react_inc = species_step(trial, dt, params, phi, s_z=s_z)
-    trial.theta, iters, res = energy_step(trial, dt, config, state.v, phi, s_theta=s_th)
+    guess = _start_point(state, history, dt, config.theta_floor)
+    trial.theta, iters, res = energy_step(trial, dt, config, state.v, phi, s_theta=s_th,
+                                          guess=guess)
     trial.t = state.t + dt
     return trial, StepReport(dt, iters, res, z_diff_increment=diff_inc,
                              z_react_increment=react_inc)
 
 
-def step(state: State, config, sources=None, dt: float | None = None):
+def step(state: State, config, sources=None, dt: float | None = None, history=()):
     """Advance one run one accepted step: step_batch for a single run.
 
     sources, if given, is the tuple (s_v, s_u, s_theta, s_z) of
     manufactured right-hand sides at the new level, each an array or
-    None: s_u on the edges, the others on the cells.  dt is normally
-    taken from cfl_dt, and a rejected attempt is retried from the input
-    state at half the dt, up to MAX_REJECTIONS attempts.  Passing dt
-    pins the step size for convergence studies; the step is then one
-    attempt, and a rejection raises StepRejection.  Returns (new_state,
-    StepReport).
+    None: s_u on the edges, the others on the cells.  history holds up
+    to two earlier accepted states of the run, most recent first, from
+    which step_batch extrapolates Newton's start point; the first step
+    has none and starts from theta^n, the second has one level.  dt is
+    normally taken from cfl_dt, and a rejected attempt is retried from
+    the input state and the same history at half the dt, up to
+    MAX_REJECTIONS attempts.  Passing dt pins the step size for
+    convergence studies; the step is then one attempt, and a rejection
+    raises StepRejection.  Returns (new_state, StepReport).
     """
     pinned = dt is not None
     if not pinned:
@@ -553,7 +600,7 @@ def step(state: State, config, sources=None, dt: float | None = None):
     rejections = 0
     while True:
         try:
-            new, r = step_batch(state, config, sources, dt=dt)
+            new, r = step_batch(state, config, sources, dt=dt, history=history)
             break
         except StepRejection as rej:
             if pinned:

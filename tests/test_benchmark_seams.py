@@ -32,7 +32,7 @@ WRAPPED = [(rrgas.solver, "solveh_banded"), (rrgas.solver, "step"), (rrgas.sweep
 # configs/reacting.ini as shipped: (accepted steps, tridiagonal solves,
 # Newton iterations), the counts behind solver.banded_solves_per_step
 # and solver.newton_iters_per_step
-REACTING_COUNTS = (116, 632, 401)
+REACTING_COUNTS = (116, 526, 295)
 
 
 @pytest.fixture(scope="module")

@@ -209,12 +209,12 @@ def test_a_rejected_member_leaves_the_batch_and_retries_alone(monkeypatch):
     attempts = []  # (where, p_ext, t, dt) per member and attempt
 
     def recording(where):
-        def step_batch(state, config, sources=None, *, dt):
+        def step_batch(state, config, sources=None, *, dt, history=()):
             shape = np.shape(state.t)
             p_ext = np.broadcast_to(config.params.p_ext, shape + (1,))[..., 0]
             attempts.append([(where, *row) for row in zip(
                 np.atleast_1d(p_ext), np.atleast_1d(state.t), np.broadcast_to(dt, shape).flat)])
-            return real_step_batch(state, config, sources, dt=dt)
+            return real_step_batch(state, config, sources, dt=dt, history=history)
 
         return step_batch
 
@@ -261,12 +261,65 @@ def test_run_fixed_gives_each_count_the_bits_of_its_serial_run_in_input_order():
     finals = run_fixed(s0, cfg, counts)
     assert len(finals) == len(counts)
     for n_steps, final in zip(counts, finals):
-        serial = s0
+        serial, history = s0, ()
         for _ in range(n_steps):
-            serial, _ = rrgas.solver.step(serial, cfg, dt=cfg.t_end / n_steps)
+            new, _ = rrgas.solver.step(serial, cfg, dt=cfg.t_end / n_steps, history=history)
+            serial, history = new, (serial, *history)[:2]
         assert state_bits(final) == state_bits(serial)
         assert final.a_pos == serial.a_pos
     assert state_bits(s0) == state_bits(init_state(cfg))
+
+
+def test_each_step_is_handed_the_two_accepted_states_before_it(monkeypatch):
+    real = rrgas.driver.step
+    calls = []  # (input state, history, new state) per step
+
+    def recording(state, config, history=()):
+        new, report = real(state, config, history=history)
+        calls.append((state, history, new))
+        return new, report
+
+    monkeypatch.setattr(rrgas.driver, "step", recording)
+    result = run_simulation(bump_config(t_end=0.05))
+    assert len(calls) == result.n_steps >= 4
+    for k, (state, history, _) in enumerate(calls):
+        assert k == 0 or state is calls[k - 1][2]
+        assert len(history) == min(k, 2)
+        assert all(h is calls[k - 1 - j][0] for j, h in enumerate(history))
+
+
+def test_run_fixed_hands_each_member_the_levels_of_its_own_run(monkeypatch):
+    # The members leave after 1, 2 and 3 steps, the last one stepping on
+    # alone for two more; at every step each member's history holds its own last two
+    # levels, most recent first, the t of its own serial run.
+    counts = [5, 1, 3, 2]
+    cfg = bump_config(n_cells=16)
+    seen = []  # (t of the state, t of each history level) per step
+
+    def recording(real):
+        def advance(state, config, sources=None, *, dt, history=()):
+            seen.append((np.atleast_1d(state.t), [np.atleast_1d(h.t) for h in history]))
+            return real(state, config, sources, dt=dt, history=history)
+
+        return advance
+
+    for name in ("step", "step_batch"):
+        monkeypatch.setattr(rrgas.driver, name, recording(getattr(rrgas.driver, name)))
+    run_fixed(init_state(cfg), cfg, counts)
+
+    def level(count, k):  # t after k steps of the run of count steps
+        t = 0.0
+        for _ in range(k):
+            t = t + cfg.t_end / count
+        return t
+
+    assert len(seen) == max(counts)
+    for k, (t, history) in enumerate(seen):
+        live = [count for count in counts if count > k]
+        assert t.tolist() == [level(count, k) for count in live]
+        assert len(history) == min(k, 2)
+        for j, levels in enumerate(history):
+            assert levels.tolist() == [level(count, k - 1 - j) for count in live]
 
 
 def bits(rec):
@@ -378,8 +431,8 @@ def corrupting_step(corrupt, monkeypatch):
     # sees it, and the next step starts from the corrupted state.
     real = rrgas.driver.step
 
-    def step(state, config):
-        new, report = real(state, config)
+    def step(state, config, history=()):
+        new, report = real(state, config, history=history)
         return corrupt(new), report
 
     monkeypatch.setattr(rrgas.driver, "step", step)

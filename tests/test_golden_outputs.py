@@ -49,16 +49,16 @@ GOLDEN = {
         "0ae49f3ebc3064d43df7f67699ed7c652853df370794da1ff7bdd38af6312b86",
     ),
     "expansion": (
-        "117a914ac9bbae4ded8a17b10b872b33fb6f85f7f3a6a8cf45a7644646bc87f3",
-        "44835a7acc80a13c5cfb3b3dcda61b7b2959b7355c475ed7ecd3a64c66aa20cc",
+        "63df402334d7c49d889366fa0b839e661f62c94e7458c224bd792413f1284575",
+        "3cd225383f2a7620b84f6cf9efd80c717db8fd3561f93cfd71582cb2751d041b",
     ),
     "reacting": (
-        "266274ac30415f73ef40499a98c195d6bd92025f741c013f2547b7eee19bb060",
-        "c8e5ce6ffeb84ed9a2f96d55889a327fc83cb5192393e3d16484d62e0c5768cc",
+        "758095a36a9f4ca5801868e8627fe1f5c3126e38f2d0bf993f33d79d1fc89ae0",
+        "11d7ede9e52ea859b815788cb2f70ce034a4a821faed42131aed4a1043af01bd",
     ),
     "reference": (
-        "36f123e1def5d7e39973a53b3d49b3c4f7f42cbc7afd45032caf9879188e7943",
-        "a6ba7056671f40ba60417b9f83d604459027d4205cf8714786567a95b20569da",
+        "f7c8fd16c9edaa67b81db460d7bf85b2e50390dd42ab725922afd73b67936098",
+        "2b39f72078e3edb7c11beb415cee803509d9a19dc604a9d89b514291cfd15d39",
     ),
 }
 
@@ -66,8 +66,8 @@ GOLDEN = {
 # snapshots
 LARGE_RUN = (4096, 0.002)
 LARGE_GOLDEN = (
-    "affdd92195dd7d8f73c990089759506e3bb2b34de146204cfb6aa44eb6f60a5e",
-    "824c65e8f650288a8b7f0be574dd2c0343bb90d777143a885d81e4d1aba36ef1",
+    "e999b3d50e5bb34203be74a28382dcf70974aea5b1aca032084b59335caad1e1",
+    "0ca75038d4af3e7b6ce8e789eaa47116c6bb584a165a30187580569fa44271eb",
 )
 
 # configs/reacting.ini at MID_RUN = (n_cells, t_end): 25 steps, snapshots
@@ -76,8 +76,8 @@ LARGE_GOLDEN = (
 # with dx (a division turned into a multiplication by 1/dx) shows.
 MID_RUN = (1000, 0.004)
 MID_GOLDEN = (
-    "12f5b4aaf1d5cd70be418dd083782bef6c1e61c6a5966c73bc990d1954a9496e",
-    "6e22920d44bc72eb46524ede8b2fcd67f4e2d5aef6a7d9b1e8d826e8125eefa0",
+    "49570f6d752d6554eebb41b254836173436821b469462f91b99e47b1293a148a",
+    "d1d6e3fae48b614fec84cfcd30b4c1bbcb3284cc28d1e7ed02d53e07e71ad634",
 )
 
 # configs/reacting.ini to t_end = 0.05 (35 steps, five snapshots) at the
@@ -85,12 +85,12 @@ MID_GOLDEN = (
 # (q_cond, cond_model) -> (diagnostics.csv, snapshots) SHA-256
 CONDUCTIVITY_GOLDEN = {
     ("0.0", "A"): (
-        "e8a70b82aeddf38985526842db692b5f7f848e5c25e1f6f86bc2aee4e62bae3e",
-        "a4fb6612443c5cadb193516dca896fcd9c0f76698b015c8ef23f61b44be4201a",
+        "e03ed3942e963216ab55dab65037ebada4208c5b6735a3be00f3967c0914d481",
+        "8a45af93951864654d3ec285ff104b3a9881a219e14418dbe39278609867deca",
     ),
     ("0.5", "B"): (
-        "2eeda03b4d29364008a7dc8bd7d30c946b94f388021bd1d634331b613e6b3dd3",
-        "9c0a633deeb82d83f78f375f55ffdf54dc032b731ee9d2dbf141e2ec3e96c57b",
+        "5f9d5c5dee46fae0369fac8ffe080d6e8edcd185e5eeaabd5ddc6533568c73e2",
+        "eb3409982d7c60255ae48816a000095933b5b769c0d90928aa177afb1e8db1b4",
     ),
 }
 
@@ -99,8 +99,8 @@ CONDUCTIVITY_GOLDEN = {
 # at MMS_RUN = (n_cells, t_end, n_steps)
 MMS_RUN = (32, 0.1, 40)
 MMS_GOLDEN = {
-    "tanh": "15f78f9e2bbcbac466d842902bf265196922eb04566e522a26f5f91860f15275",
-    "trig": "ff2d53b1609b61cfda5836014f693129eecb570c6e6718f8f41133378abd2b96",
+    "tanh": "12bf286a095a9fadbe94e57447fdb98819927946e019512095d4907d822982cc",
+    "trig": "ea50ec32fe131399976833efca6db3572a5874a4d8cf66a12115477361785cbb",
 }
 
 
@@ -122,29 +122,29 @@ SOURCED_EXPLICIT_GOLDEN = {
 # MMS case -> SHA-256 of the repr of every float of its temporal study
 # at 3 levels: the errors of each row, then the successive differences
 TEMPORAL_GOLDEN = {
-    "tanh": "75134eec6c2d33f4b92088626ef13942d21a964775142968ef188623b97cba42",
-    "trig": "91f86f5f923193afef61be08d6abb97e56f83ef3f17c81dc4b8362237c08eb1f",
+    "tanh": "c2febb9849f0ccac1638b23f095ed14a1e5c2107cd0147f9c714481f451e9348",
+    "trig": "e7f7f393cb259843482b0724ba6106491134ab86a606fe9978c7d5a6f180db25",
 }
 
 
 # MMS case -> SHA-256 of the stdout of `rrgas mms <case> --levels 2`,
 # formatted by cli.mms_table
 MMS_STDOUT_GOLDEN = {
-    "tanh": "55fa719eb005cf996d75377b5450535ec175f0f2bd4633d0f4092f4e56edde22",
-    "trig": "f760f921394304e55218c1073a330bf22c1cd17999083e545cca84840771deb6",
+    "tanh": "18098ae3dd97ca193787cb95e2acdc4d754957e06cbb589e305dcbfbcc38b12b",
+    "trig": "507287a94c353763a92a3019221da488e74bacdb6138810702b02ab1d787a634",
 }
 
 
 # MMS case -> SHA-256 of the stdout of `rrgas mms <case> --levels 3`,
 # the command the benchmark runs, formatted by cli.mms_table
 MMS_STDOUT_L3_GOLDEN = {
-    "tanh": "6ae22958d97faaf993b3991c49e4083304100f2405fa0fb4381837b7bac94bd6",
-    "trig": "62e70ac9165608f1e59e0e608f07933786c70a607075b70db192ac189c9afd9a",
+    "tanh": "133d6e86a7ad8d6cf50f90382ba4df0d8603107f61937480a1d6219a72007390",
+    "trig": "e790c737c3e77fa4d9af1fbe7d8bf155ce58da11a16f7b73794ce42b38bdb4a8",
 }
 
 
 # SHA-256 of summary.csv for configs/sweep_example.ini, any --jobs
-SWEEP_GOLDEN = "19a2abb5949e8cb8f852aaaf5d1171812206e0d21181826aa09a1d09f676cb10"
+SWEEP_GOLDEN = "46b19d43f1ba4b2f2e06ad002fa26346841677924569b414fadf61dfa85f6939"
 
 
 def state_digest(state):

@@ -2,8 +2,8 @@
 no function decides a run setting a second time, every public
 function has a caller in the package, only workers.py starts
 processes or decides where they may run, only solver.py decides how
-often a step is retried, and only solver.py loads native code, so the
-CLI starts without scipy.
+often a step is retried, only driver.py and solver.py step a run, and
+only solver.py loads native code, so the CLI starts without scipy.
 
 Stdlib-ast checks, so they need no linter, and one start-up check in a
 fresh interpreter.  __init__.py is checked like every module: it
@@ -275,3 +275,24 @@ def test_select_calls_are_found():
                                   if path.name != "driver.py"], ids=lambda path: path.name)
 def test_only_driver_selects_batch_members(path):
     assert references(path.read_text(), "select") == []
+
+
+STEP_NAMES = ("step", "step_batch")
+
+
+def test_step_names_are_found():
+    source = ("from .solver import step, step_batch as advance\nimport solver\n"
+              "new, _ = solver.step(state, config, history=history)\nsteps = 1\n"
+              "advance(batch, config, dt=dt)\nprint('step_batch')\n")
+    assert [references(source, name) for name in STEP_NAMES] == [["line 1", "line 3"],
+                                                                  ["line 1"]]
+
+
+# Every time loop lives in driver.py, which hands solver.step and
+# solver.step_batch the history Newton's start point is extrapolated
+# from; no other module steps a run.
+@pytest.mark.parametrize("path", [path for path in sorted(PACKAGE.glob("*.py"))
+                                  if path.name not in ("driver.py", "solver.py")],
+                         ids=lambda path: path.name)
+def test_only_driver_and_solver_name_the_step(path):
+    assert [references(path.read_text(), name) for name in STEP_NAMES] == [[], []]

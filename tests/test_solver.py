@@ -17,10 +17,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import lapack
 from scipy.optimize import brentq
-from test_golden_outputs import GOLDEN, run_digests
+from test_golden_outputs import GOLDEN, run_digests, state_digest
 
 import rrgas.solver
-from rrgas.config import Profile, RunConfig, init_state
+from rrgas.config import Profile, RunConfig, init_state, load_config
 from rrgas.constitutive import PhysParams, internal_energy, pressure, reaction_rate
 from rrgas.driver import run_fixed
 from rrgas.explicit import explicit_reference_step
@@ -926,3 +926,114 @@ def test_step_batch_with_per_member_constants_matches_serial_steps():
                     assert getattr(report, name)[b] == value, name
         iterations.add(tuple(report.newton_iterations.tolist()))
     assert any(len(set(its)) > 1 for its in iterations)
+
+
+# ------------------------------------------------- Newton's start point
+
+def two_steps(cfg, dt):
+    """(state, history) after two steps of dt from cfg's initial state:
+    the third step's input and its two earlier levels."""
+    s0 = init_state(cfg)
+    s1, _ = step(s0, cfg, dt=dt)
+    s2, _ = step(s1, cfg, dt=dt, history=(s0,))
+    return s2, (s1, s0)
+
+
+def test_start_point_below_the_floor_falls_back_per_member(monkeypatch):
+    # Member 1's older level is 10 hotter, so its extrapolation lands
+    # far below theta_floor: that member starts from theta^n, member 0
+    # from its extrapolation.  Each gets the bits and the report of its
+    # own serial step with its own history.
+    cfg = bump_config(n_cells=16, t_end=10.0, k_rate=5.0)
+    dt = 1e-3
+    state, (s1, s0) = two_steps(cfg, dt)
+    hot = s1.copy()
+    hot.theta = state.theta + 10.0
+    histories = [(s1, s0), (hot, s0)]
+    guesses = []  # of every energy_step call, in order
+
+    def recording(*args, guess=None, **kwargs):
+        guesses.append(guess)
+        return energy_step(*args, guess=guess, **kwargs)
+
+    monkeypatch.setattr(rrgas.solver, "energy_step", recording)
+    batch, report = step_batch(stack([state] * 2), cfg, dt=np.array([dt, dt]),
+                               history=tuple(stack(levels) for levels in zip(*histories)))
+    [guess] = guesses
+    assert guess[1].tobytes() == state.theta.tobytes()
+    assert (guess[0] != state.theta).any() and (guess[0] > cfg.theta_floor).all()
+    for member, history in enumerate(histories):
+        s, r = step(state, cfg, dt=dt, history=history)
+        assert state_bits(batch[member]) == state_bits(s)
+        assert (batch[member].t, batch[member].a_pos) == (s.t, s.a_pos)
+        for name, value in vars(r).items():
+            if name != "rejections":  # a batch step is one attempt
+                assert getattr(report, name)[member] == value, name
+    assert guesses[1] is not None and guesses[2] is None  # alone, member 1 starts from theta^n
+    assert report.newton_iterations[0] < report.newton_iterations[1]
+
+
+def test_a_retry_keeps_the_history(monkeypatch):
+    # The first attempt at the cfl_dt step is rejected; the retry at half
+    # of it starts from the same state and the same history, and gives
+    # the bits of a step pinned at that dt with that history.
+    cfg = bump_config(n_cells=16, t_end=10.0, k_rate=5.0)
+    state, history = two_steps(cfg, 1e-3)
+    pinned_dt = cfl_dt(state, cfg) / 2
+    pinned, pinned_report = step(state, cfg, dt=pinned_dt, history=history)
+    unstarted, _ = step(state, cfg, dt=pinned_dt)
+    assert state_bits(unstarted) != state_bits(pinned)
+
+    real_volume_step, real_step_batch = rrgas.solver.volume_step, rrgas.solver.step_batch
+    attempts = []
+
+    def rejecting_once(*args, **kwargs):
+        if len(attempts) == 1:
+            raise StepRejection("volume_floor")
+        return real_volume_step(*args, **kwargs)
+
+    def recording(state, config, sources=None, *, dt, history=()):
+        attempts.append((state, dt, history))
+        return real_step_batch(state, config, sources, dt=dt, history=history)
+
+    monkeypatch.setattr(rrgas.solver, "volume_step", rejecting_once)
+    monkeypatch.setattr(rrgas.solver, "step_batch", recording)
+    new, report = step(state, cfg, history=history)
+    assert all(s is state and h is history for s, _, h in attempts)
+    assert [dt for _, dt, _ in attempts] == [pinned_dt * 2, pinned_dt]
+    assert (report.rejections, report.dt) == (1, pinned_dt)
+    assert state_bits(new) == state_bits(pinned)
+    assert report.newton_iterations == pinned_report.newton_iterations
+
+
+# configs/reacting.ini: SHA-256 of the state after its first step (no
+# history, so Newton starts from theta^n) and that step's newton
+# iterations, as before Newton started from an extrapolation
+REACTING_FIRST_STEP = ("c258fb898bfc6296f2e941b99dc12eea4b87b62cbe69d5d75be0561e09007498", 5)
+
+
+def test_the_first_step_has_no_history_and_keeps_its_bits(configs_dir):
+    config = load_config(configs_dir / "reacting.ini")
+    first, report = step(init_state(config), config)
+    assert (state_digest(first), report.newton_iterations) == REACTING_FIRST_STEP
+
+
+def test_constant_temperature_extrapolates_to_itself():
+    # Two exact rest states, uniform theta = 1 and theta = 2, each
+    # against its own p_ext.  With two levels of history and unequal
+    # steps, the divided differences are exactly 0, so each start point
+    # is theta^n and meets newton_tol at once: every field stays bitwise
+    # constant, with no Newton iteration.
+    members = [rest_params(), rest_params(p_ext=18.0)]  # p = 1 + 1 and 2 + 16
+    cfg = RunConfig(params=PhysParams.stack(members), t_end=1.0)
+    batch = stack([uniform_state(16), uniform_state(16, theta=2.0)])
+    dts = np.array([1e-3, 3e-3])
+    history = ()
+    for _ in range(4):
+        new, report = step_batch(batch, cfg, dt=dts, history=history)
+        assert report.newton_iterations.tolist() == [0, 0]
+        history, batch = (batch, *history)[:2], new
+        dts = dts * 1.5
+    assert len(history) == 2
+    assert np.all(batch.theta == np.array([[1.0], [2.0]]))
+    assert np.all(batch.v == 1.0) and np.all(batch.u == 0.0) and np.all(batch.z == 0.0)
