@@ -138,12 +138,7 @@ def pressure(v, theta, params: PhysParams):
 
 def internal_energy(v, theta, params: PhysParams):
     """Internal energy per unit mass, C_v*theta + a*v*theta^4."""
-    return _internal_energy(params.a_rad * v, theta, params)
-
-
-def _internal_energy(av, theta, params: PhysParams):
-    """internal_energy from its volume factor av = a*v, for a fixed v."""
-    return params.cv * theta + av * theta**4
+    return params.cv * theta + params.a_rad * v * theta**4
 
 
 def de_dtheta(v, theta, params: PhysParams):
@@ -152,12 +147,7 @@ def de_dtheta(v, theta, params: PhysParams):
     Bounded below by C_v > 0, so the energy Newton Jacobian is never
     singular.
     """
-    return _de_dtheta(4.0 * params.a_rad * v, theta, params)
-
-
-def _de_dtheta(av4, theta, params: PhysParams):
-    """de_dtheta from its volume factor av4 = 4*a*v, for a fixed v."""
-    return params.cv + av4 * theta**3
+    return params.cv + 4.0 * params.a_rad * v * theta**3
 
 
 def _arrhenius(v, theta, params: PhysParams):
@@ -178,9 +168,9 @@ def reaction_rate(v, theta, params: PhysParams):
     the solver's case, the rate is evaluated without the mask: the same
     elementwise operations, so the same bits.
     """
-    hot = theta > 0.0
-    if hot.all():
+    if theta.min() > 0.0:
         return _arrhenius(v, theta, params)
+    hot = theta > 0.0
     # A cold cell is evaluated at theta = 1 and then dropped, so that
     # per-member constants stay aligned with the rows.
     return np.where(hot, _arrhenius(v, np.where(hot, theta, 1.0), params), 0.0)
@@ -195,6 +185,12 @@ def heat_conductivity(v, theta, params: PhysParams):
     if params.cond_model == "A":
         return params.kappa1 + params.kappa2 * theta**params.q_cond
     return params.kappa1 + params.kappa2 * v * theta**params.q_cond
+
+
+def _energy_laws(theta, av, v, params: PhysParams):
+    """internal_energy and heat_conductivity at theta in one call, from
+    av = a*v for a fixed v; each has the bits of its law."""
+    return params.cv * theta + av * theta**4, heat_conductivity(v, theta, params)
 
 
 def conductivity(v, theta, params: PhysParams):

@@ -10,34 +10,19 @@ residuals measure splitting error only.
 record builds the rows for a block of states at once, over stacked
 (K, N) fields: below about 1000 cells a row is call overhead, not
 arithmetic.  Each functional is one private kernel over a trailing cell
-axis; record is the one public entry point to them.
+axis; record is the one public entry point to them.  The species
+balance sums are formed here, so only a run that records rows pays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .constitutive import PhysParams, heat_conductivity, internal_energy, reaction_rate
-from .solver import StepReport
-
-
-@dataclass
-class BalanceAccumulators:
-    """Running time integrals of the species gradient and reaction terms.
-
-    Updated once per accepted step with the increments the solver
-    computed from its own frozen coefficients, so the z-balance
-    residual is a pure measure of operator-splitting imbalance.
-    """
-
-    z_diff: float = 0.0
-    z_react: float = 0.0
-
-    def absorb(self, report: StepReport) -> None:
-        self.z_diff += report.z_diff_increment
-        self.z_react += report.z_react_increment
+from .solver import species_interface_coeff
 
 
 @dataclass
@@ -117,6 +102,17 @@ def _z_squared_norm(z, dx):
     return 0.5 * ((z**2).sum(axis=-1) * dx)
 
 
+def _species_quadratures(v, theta_old, z_old, z, dt, dx, params: PhysParams):
+    """The gradient and reaction quadratures of the steps of sizes dt
+    from (theta_old, z_old) to (v, z), with the coefficients
+    solver.species_step froze, so the z-balance residual measures
+    operator-splitting imbalance only."""
+    grad = (z[..., 1:] - z[..., :-1]) / dx
+    diff = dt * (species_interface_coeff(v, params) * grad * grad).sum(axis=-1) * dx
+    decay = reaction_rate(v, theta_old, params) * np.power(z_old, params.m_order - 1.0)
+    return diff, dt * (decay * z * z).sum(axis=-1) * dx
+
+
 def z_balance_residual(records) -> float:
     """Defect of the species energy identity over a recorded trajectory.
 
@@ -135,17 +131,20 @@ def z_balance_residual(records) -> float:
     )
 
 
-def record(block, params: PhysParams) -> list[DiagnosticsRecord]:
-    """Diagnostics rows for a block of states on one grid, in order.
+def record(block, params: PhysParams, previous=None) -> list[DiagnosticsRecord]:
+    """Diagnostics rows for a block of consecutive states of one run.
 
-    Each entry of block is (state, dt, z_diff, z_react): the state, the
-    step that reached it and the balance accumulators after that step.
-    The functionals are evaluated once over the stacked (K, N) fields.
+    Each entry of block is (state, dt): the state and the step that
+    reached it.  previous is (state, z_diff, z_react), the state before
+    the block and its accumulators, or None where the block starts the
+    run (accumulators 0); each step's quadratures are added in step
+    order, bit for bit the step-wise sums.  The functionals are
+    evaluated once over the stacked (K, N) fields.
     A row is bitwise the one the kernels give on its state's own 1-D
     fields: the elementwise expressions are the same, and numpy sums
     each contiguous row with the same pairwise sum as a 1-D array.
     """
-    states, dts, z_diffs, z_reacts = zip(*block)
+    states, dts = zip(*block)
     # np.stack copies; one state, the large-grid case, is viewed as (1, N)
     stack = np.stack if len(states) > 1 else (lambda arrays: arrays[0][None])
     v = stack([s.v for s in states])
@@ -154,6 +153,16 @@ def record(block, params: PhysParams) -> list[DiagnosticsRecord]:
     u = stack([s.u for s in states])
     grid = states[0].grid
     dx = grid.dx
+    # each step from the state before it; the run's first state has none
+    olds = states[:-1] if previous is None else (previous[0], *states[:-1])
+    quadratures = ((), ())
+    if olds:
+        new = slice(len(states) - len(olds), None)
+        quadratures = (q.tolist() for q in _species_quadratures(
+            v[new], stack([s.theta for s in olds]), stack([s.z for s in olds]), z[new],
+            np.array(dts[new]), dx, params))
+    z_diffs, z_reacts = (list(accumulate(q, initial=start))[-len(states):] for q, start in
+                         zip(quadratures, previous[1:] if previous else (0.0, 0.0)))
     columns = (
         [s.t for s in states],
         dts,

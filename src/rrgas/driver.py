@@ -6,11 +6,11 @@ solver.step_batch as history, from which the temperature Newton solve
 extrapolates its start point; where members leave a batch, the history
 is cut with the batch, so each member keeps its own levels.
 
-run_simulation owns the adaptive time loop: init, step, accumulate,
-record (the last built a block of states at a time).  It never raises
-for a failed integration, nor for a violated scheme invariant; the
-result says how far it got and why it stopped, so callers can still
-serialize the partial trajectory.
+run_simulation owns the adaptive time loop: init, step, record (a
+block of states at a time, the species balance sums included).  It
+never raises for a failed integration, nor for a violated scheme
+invariant; the result says how far it got and why it stopped, so
+callers can still serialize the partial trajectory.
 
 run_batch owns the adaptive loop of a batch of runs that differ in
 their physical constants only, as a sweep's members do: each member
@@ -42,16 +42,13 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import repeat
 
 import numpy as np
 
 from .config import RunConfig, init_state
 from .constitutive import PhysParams
-from .diagnostics import (
-    BalanceAccumulators,
-    record,
-    z_balance_residual,
-)
+from .diagnostics import record, z_balance_residual
 from .mesh import ConfigurationError, State, stack
 from .solver import (
     DT_MIN,
@@ -103,32 +100,37 @@ def run_simulation(
     change a state in place; every return path hands over the last,
     partial block, so `records` holds n_steps + 1 rows whenever
     run_simulation returns, the last built from the returned `state`.
+    Each block's last state and its balance sums carry into the next.
     """
     params = config.params
     if state is None:
         state = init_state(config)
-    accum = BalanceAccumulators()
     records = []
-    pending = []  # (state, dt, z_diff, z_react) awaiting their rows
+    pending = []  # (state, dt) awaiting their rows
+    previous = None  # (state, z_diff, z_react) before pending's first
     block = max(1, _BLOCK_VALUES // state.grid.n_cells)
 
+    def flush():
+        nonlocal previous
+        records.extend(record(pending, params, previous))
+        previous = (pending[-1][0], records[-1].z_diff_accum, records[-1].z_react_accum)
+        pending.clear()
+
     def keep(kept, dt):
-        pending.append((kept, dt, accum.z_diff, accum.z_react))
+        pending.append((kept, dt))
         if len(pending) == block:
-            records.extend(record(pending, params))
-            pending.clear()
+            flush()
 
     keep(state, 0.0)
 
     def observe(state, report, n_steps):
-        accum.absorb(report)
         if on_step is not None:
             on_step(state, report, n_steps)
         keep(state, report.dt)
 
     result = _run_alone(config, state, 0, observe)
     if pending:
-        records.extend(record(pending, params))
+        flush()
     result.records = records
     return result
 
@@ -257,7 +259,7 @@ def run_fixed(state: State, config: RunConfig, n_steps, sources=None) -> list:
     live = np.arange(len(counts))  # the members still stepping, in order
     state, batched = stack([state] * len(counts)), True
     history = ()  # the accepted states before state, most recent first
-    taken, rows = 0, None
+    taken = 0
     while live.size:
         if live.size == 1 and batched:
             # The last member steps on as a single run: the same code
@@ -265,6 +267,7 @@ def run_fixed(state: State, config: RunConfig, n_steps, sources=None) -> list:
             state, batched = state[0], False
             history = tuple(h[0] for h in history)
         stop = counts[live].min()
+        level_rows = repeat(None)  # each level's (s_v, s_u, s_theta, s_z)
         if sources is not None:
             # A block ends where a member leaves, so its rows are for
             # one set of members: (k, b) levels, or (k,) for a single run.
@@ -274,11 +277,10 @@ def run_fixed(state: State, config: RunConfig, n_steps, sources=None) -> list:
             block = sources(times if batched else times[:, 0])
             for values in block:
                 values.setflags(write=False)
+            level_rows = zip(*block)
         advance = (partial(step_batch, dt=dts[live]) if batched
                    else partial(step, dt=dts[live[0]]))
-        for k in range(stop - taken):
-            if sources is not None:
-                rows = tuple(values[k] for values in block)
+        for k, rows in zip(range(stop - taken), level_rows):
             try:
                 new, _ = advance(state, config, sources=rows, history=history)
             except InvariantViolation as exc:

@@ -6,6 +6,8 @@ left boundary advance, implicit species diffusion with semi-implicit
 reaction, and a Newton solve for temperature with implicit conduction.
 Pressure work and reaction heat stay explicit in theta, which limits the
 splitting to first order in dt; diffusion stiffness never restricts dt.
+Each Newton residual takes e and kappa in one pass; the species balance
+sums are diagnostics.record's, formed only where a run records rows.
 
 All linear systems are symmetric positive definite tridiagonal and go
 through LAPACK `dptsv` (pivot-free L·D·Lᵀ).  It is called through
@@ -48,8 +50,8 @@ import numpy as np
 
 from .constitutive import (
     PhysParams,
-    _de_dtheta,
-    _internal_energy,
+    _energy_laws,
+    de_dtheta,
     heat_conductivity,
     internal_energy,
     pressure,
@@ -59,6 +61,8 @@ from .mesh import State, advance_boundary
 
 DT_MIN = 1e-12
 MAX_REJECTIONS = 10
+# ndarray.max and .min reach these through a Python-level numpy wrapper
+_max, _min = np.maximum.reduce, np.minimum.reduce
 
 
 class StepRejection(Exception):
@@ -91,16 +95,15 @@ class InvariantViolation(AssertionError):
 class StepReport:
     """Bookkeeping for one accepted step.
 
-    step_batch reports each field per member, as a (B,) array, but
-    rejections: a batch step is one attempt, so it stays 0.
+    step reports plain Python numbers, step_batch each field per member,
+    as a (B,) array, but rejections: a batch step is one attempt, so it
+    stays 0.  The species balance sums are diagnostics.record's.
     """
 
     dt: float
     newton_iterations: int
     max_newton_residual: float
     rejections: int = 0
-    z_diff_increment: float = 0.0
-    z_react_increment: float = 0.0
 
 
 def _openblas_dptsv():
@@ -290,6 +293,11 @@ def _all(mask) -> bool:
     return mask.all() if mask.ndim else bool(mask)
 
 
+def _not_above(x: np.ndarray, floor: float):
+    """Per member: some cell of x is not finite or not above floor."""
+    return ~((_min(x, axis=-1) > floor) & (_max(x, axis=-1) < np.inf))
+
+
 def _diffusion_system(coeff: np.ndarray, scale, base_diag: np.ndarray):
     """base_diag + scale*L for the interface-weighted graph Laplacian L.
 
@@ -333,16 +341,16 @@ def cfl_dt(state: State, config):
     # accumulated t, else a last sliver of a few ulps would be left over.
     remaining = config.t_end - state.t
     if v.ndim > 1:
-        dt = np.minimum(acoustic.min(axis=-1), config.dt_max)
-        peak = growth.max(axis=-1)
+        dt = np.minimum(_min(acoustic, axis=-1), config.dt_max)
+        peak = _max(growth, axis=-1)
         heating = peak > 0.0
         # A row without heating divides by 1, not by its peak of 0.
         dt = np.where(heating, np.minimum(dt, 1.0 / np.where(heating, peak, 1.0)), dt)
         dt *= config.cfl_number
         return np.where(remaining <= dt * (1.0 + 1e-6), remaining, dt)
 
-    dt = min(float(acoustic.min()), config.dt_max)
-    peak = float(growth.max())
+    dt = min(float(_min(acoustic)), config.dt_max)
+    peak = float(_max(growth))
     if peak > 0.0:
         dt = min(dt, 1.0 / peak)
     dt *= config.cfl_number
@@ -372,9 +380,9 @@ def momentum_step(state: State, dt, params: PhysParams, s_u=None) -> np.ndarray:
     if s_u is not None:
         accel = accel + s_u
 
-    w = grid.edge_weights
-    diag, upper = _diffusion_system(1.0 / v, _per_cell(dt) * params.mu / dx**2, w)
-    rhs = w * (_per_cell(dt) * accel)
+    w, dtc = grid.edge_weights, _per_cell(dt)
+    diag, upper = _diffusion_system(1.0 / v, dtc * params.mu / dx**2, w)
+    rhs = w * (dtc * accel)
     du = solveh_banded(diag, upper, rhs)
     return state.u + du
 
@@ -390,7 +398,7 @@ def volume_step(state: State, dt, config, s_v=None) -> np.ndarray:
     if s_v is not None:
         rate = rate + s_v
     v_new = state.v + _per_cell(dt) * rate
-    bad = (~np.isfinite(v_new) | (v_new <= config.v_floor)).any(axis=-1)
+    bad = _not_above(v_new, config.v_floor)
     if _any(bad):
         raise StepRejection("volume_floor", bad)
     return v_new
@@ -401,10 +409,9 @@ def species_step(state: State, dt, params: PhysParams, phi, s_z=None):
 
     Requires state.v at the new level and state.z at the old one; phi
     is reaction_rate(state.v, state.theta) with theta at the old level.
-    Returns (z_new, diff_increment, react_increment) where the
-    increments are this step's contributions to the accumulated
-    gradient and reaction quadratures, evaluated with the same frozen
-    coefficients the solve itself used; for a batch they are per member.
+    Returns z_new.  The step's gradient and reaction quadratures, with
+    the coefficients the solve froze, are diagnostics.record's, from the
+    states before and after the step.
     """
     dx = state.grid.dx
     v, z = state.v, state.z
@@ -414,10 +421,11 @@ def species_step(state: State, dt, params: PhysParams, phi, s_z=None):
     base = 1.0 + dtc * decay
 
     # Diffusion of a constant vanishes identically, so for a member
-    # whose profile is constant the solve degenerates to per-cell
-    # implicit decay.  Taking that path keeps the profile exactly
-    # constant in floats.
-    flat = (z == z[..., :1]).all(axis=-1) if s_z is None else np.False_
+    # whose profile is constant (its min is its max) the solve
+    # degenerates to per-cell implicit decay.  Taking that path keeps
+    # the profile exactly constant in floats.
+    top = _max(z, axis=-1) if s_z is None else None
+    flat = _min(z, axis=-1) == top if s_z is None else np.False_
     if _all(flat):
         z_new = z / base
     else:
@@ -430,16 +438,11 @@ def species_step(state: State, dt, params: PhysParams, phi, s_z=None):
     if s_z is None:
         # M-matrix solve of nonnegative data: exact nonnegativity, and
         # the maximum principle up to roundoff in the factorization.
-        if (z_new < 0.0).any():
+        if _min(z_new, axis=None) < 0.0:
             raise InvariantViolation("species went negative")
-        bound = z.max(axis=-1) * (1.0 + 1e-13)
-        if _any(z_new.max(axis=-1) > bound):
+        if _any(_max(z_new, axis=-1) > top * (1.0 + 1e-13)):
             raise InvariantViolation("species exceeded its initial maximum")
-
-    grad = (z_new[..., 1:] - z_new[..., :-1]) / dx
-    diff_inc = dt * (g * grad * grad).sum(axis=-1) * dx
-    react_inc = dt * (decay * z_new * z_new).sum(axis=-1) * dx
-    return z_new, diff_inc, react_inc
+    return z_new
 
 
 def energy_step(state: State, dt, config, v_old: np.ndarray, phi, s_theta=None, guess=None):
@@ -450,7 +453,9 @@ def energy_step(state: State, dt, config, v_old: np.ndarray, phi, s_theta=None, 
     supplies the physics, newton_tol, newton_max_iter and theta_floor.
     The residual carries implicit conduction (kappa at the current
     iterate) against explicit compression work and reaction heat; the
-    Jacobian freezes kappa, keeping it SPD tridiagonal.
+    Jacobian freezes kappa, keeping it SPD tridiagonal.  Each residual
+    takes e and kappa in one pass (constitutive._energy_laws, the laws'
+    bits), each update de/dtheta; the converged residual takes none.
     Newton starts from guess, a start point above theta_floor of the
     shape of theta (step_batch's extrapolation), or from state.theta if
     guess is None.  Convergence is checked before the first iteration,
@@ -480,27 +485,33 @@ def energy_step(state: State, dt, config, v_old: np.ndarray, phi, s_theta=None, 
     if s_theta is not None:
         target = target + dtc * s_theta
 
-    # The volume factors of e and de/dtheta: v is fixed while theta iterates.
-    av, av4 = params.a_rad * v, 4.0 * params.a_rad * v
+    # What v fixes while theta iterates: a*v, and each cell's half of the
+    # interface coefficients k = dt/dx^2*kappa/v.  The fluxes k*dtheta sit
+    # between zero boundary fluxes; conduction is their difference.
+    av, half = params.a_rad * v, dtc / dx**2 * (0.5 / v)
+    flux = np.zeros(theta_n.shape[:-1] + (theta_n.shape[-1] + 1,))
+    inner, right, left = flux[..., 1:-1], flux[..., 1:], flux[..., :-1]
     theta = theta_n.copy() if guess is None else guess
     iters = count = 0  # iters: per member; count: the iterations made
     while True:
-        k = heat_interface_coeff(v, theta, params)
-        e_cur = _internal_energy(av, theta, params)
-        resid = e_cur - target - dtc * diffusion_apply(k, theta, dx)
-        res = np.abs(resid).max(axis=-1) / np.abs(e_cur).max(axis=-1, initial=1.0)
+        e_cur, kappa = _energy_laws(theta, av, v, params)
+        kc = kappa * half
+        k = kc[..., :-1] + kc[..., 1:]
+        np.multiply(k, theta[..., 1:] - theta[..., :-1], out=inner)
+        resid = e_cur - target - (right - left)
+        res = _max(np.abs(resid), axis=-1) / _max(e_cur, axis=-1, initial=1.0)  # e > 0
         done = res <= config.newton_tol
         if _all(done):
             return theta, iters * done, res  # done is all True: iters per member
         if count >= config.newton_max_iter:
             raise StepRejection("newton_stall", ~done)
 
-        diag, upper = _diffusion_system(k, dtc / dx**2, _de_dtheta(av4, theta, params))
+        diag, upper = _diffusion_system(k, 1.0, de_dtheta(v, theta, params))
         delta = solveh_banded(diag, upper, resid)
         if _any(done):
             delta[done] = 0.0  # a converged member stays put
         candidate = theta - delta
-        if not (candidate > theta_floor).all():
+        if not _min(candidate, axis=None) > theta_floor:
             # Halve the step of each member whose candidate is not above
             # the floor, up to 40 tries.
             ok = (candidate > theta_floor).all(axis=-1)
@@ -530,14 +541,14 @@ def _start_point(state: State, history, dt, theta_floor: float):
     if not history:
         return None
     theta = state.theta
-    s1 = state.t - history[0].t
-    slope = d1 = (theta - history[0].theta) / _per_cell(s1)
+    dt, s1 = _per_cell(dt), _per_cell(state.t - history[0].t)
+    slope = d1 = (theta - history[0].theta) / s1
     if len(history) > 1:
-        s2 = history[0].t - history[1].t
-        d2 = (history[0].theta - history[1].theta) / _per_cell(s2)
-        slope = d1 + _per_cell(dt + s1) * (d1 - d2) / _per_cell(s1 + s2)
-    guess = theta + _per_cell(dt) * slope
-    bad = ~(np.isfinite(guess) & (guess > theta_floor)).all(axis=-1)
+        s2 = _per_cell(history[0].t - history[1].t)
+        d2 = (history[0].theta - history[1].theta) / s2
+        slope = d1 + (d1 - d2) * ((dt + s1) / (s1 + s2))
+    guess = theta + dt * slope
+    bad = _not_above(guess, theta_floor)
     if _any(bad):
         return np.where(_per_cell(bad), theta, guess) if bad.ndim else None
     return guess
@@ -564,19 +575,19 @@ def step_batch(state: State, config, sources=None, *, dt, history=()):
     params = config.params
     # Implicit sub-updates see sources at the level they solve for.
     s_v, s_u, s_th, s_z = (None,) * 4 if sources is None else sources
-    trial = state.copy()
+    trial = State.__new__(State)  # a shallow copy: each field gets a new array
+    vars(trial).update(vars(state))
     trial.u = momentum_step(trial, dt, params, s_u=s_u)
     trial.v = volume_step(trial, dt, config, s_v=s_v)
     advance_boundary(trial, dt)
     # Species and energy both take the rate at (v^{n+1}, theta^n).
     phi = reaction_rate(trial.v, trial.theta, params)
-    trial.z, diff_inc, react_inc = species_step(trial, dt, params, phi, s_z=s_z)
+    trial.z = species_step(trial, dt, params, phi, s_z=s_z)
     guess = _start_point(state, history, dt, config.theta_floor)
     trial.theta, iters, res = energy_step(trial, dt, config, state.v, phi, s_theta=s_th,
                                           guess=guess)
     trial.t = state.t + dt
-    return trial, StepReport(dt, iters, res, z_diff_increment=diff_inc,
-                             z_react_increment=react_inc)
+    return trial, StepReport(dt, iters, res)
 
 
 def step(state: State, config, sources=None, dt: float | None = None, history=()):
@@ -620,4 +631,4 @@ def step(state: State, config, sources=None, dt: float | None = None, history=()
                 ) from rej
     new.t, new.a_pos = float(new.t), float(new.a_pos)
     return new, StepReport(float(dt), int(r.newton_iterations), float(r.max_newton_residual),
-                           rejections, float(r.z_diff_increment), float(r.z_react_increment))
+                           rejections)

@@ -4,10 +4,12 @@ import os
 import pathlib
 import signal
 
+import numpy as np
 import pytest
 
 import rrgas.solver
 from rrgas.config import load_config
+from rrgas.constitutive import reaction_rate
 from rrgas.diagnostics import (
     DiagnosticsRecord,
     _dissipation_V,
@@ -17,6 +19,7 @@ from rrgas.diagnostics import (
 )
 from rrgas.mesh import velocity_mean, width
 from rrgas.mms import CASES, studies
+from rrgas.solver import species_interface_coeff
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIGS_DIR = REPO_ROOT / "configs"
@@ -63,6 +66,27 @@ def per_state_row():
         )
 
     return build
+
+
+@pytest.fixture
+def step_quadratures():
+    """The species gradient and reaction quadratures of one step, from
+    the state before it to the state after it, as floats: the per-step
+    formula on 1-D fields, with the coefficients species_step freezes
+    (the interface coefficient at the new v, the decay
+    phi(v_new, theta_old)*z_old^(m-1)).  Their running sums are the
+    reference for the accumulators of record's rows."""
+
+    def quadratures(before, after, dt, params):
+        dx = after.grid.dx
+        g = species_interface_coeff(after.v, params)
+        grad = (after.z[1:] - after.z[:-1]) / dx
+        decay = reaction_rate(after.v, before.theta, params) * np.power(
+            before.z, params.m_order - 1.0)
+        return (float(dt * (g * grad * grad).sum(axis=-1) * dx),
+                float(dt * (decay * after.z * after.z).sum(axis=-1) * dx))
+
+    return quadratures
 
 
 @pytest.fixture

@@ -11,10 +11,12 @@ import importlib.util
 import inspect
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
 
+import rrgas.diagnostics
 import rrgas.mms
 import rrgas.solver
 import rrgas.sweep
@@ -33,6 +35,14 @@ WRAPPED = [(rrgas.solver, "solveh_banded"), (rrgas.solver, "step"), (rrgas.sweep
 # Newton iterations), the counts behind solver.banded_solves_per_step
 # and solver.newton_iters_per_step
 REACTING_COUNTS = (116, 526, 295)
+
+# Python function calls per accepted step (sys.setprofile "call"
+# events, numpy's Python-level wrappers included), upper bounds:
+# configs/reacting.ini to t = 0.05, and run_mms(trig, 64 cells,
+# t_end 0.1, 40 steps).  Unlike a time, a count does not move with the
+# host, so it shows added per-step work at once; a rise needs a
+# measured reason in CHANGES.md.
+CALLS_PER_STEP = {"reacting": 84.6, "mms": 59.375}
 
 
 @pytest.fixture(scope="module")
@@ -140,3 +150,60 @@ def test_step_reports_plain_python_numbers(configs_dir, dt):
     assert {name: type(value) for name, value in fields.items()
             if type(value) not in (int, float)} == {}
     json.dumps(fields)
+
+
+def calls_per_step(run):
+    """Python function calls per accepted step of run(), which returns
+    its step count; a first, uncounted run fills every cache."""
+    run()
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        steps = run()
+    finally:
+        sys.setprofile(None)
+    return calls / steps
+
+
+def test_a_step_makes_no_more_python_calls_than_pinned(configs_dir):
+    config = load_config(configs_dir / "reacting.ini")
+    config.t_end = 0.05
+    state = init_state(config)
+    case = CASES["trig"]()
+    counted = {
+        "reacting": calls_per_step(lambda: run_simulation(config, state=state).n_steps),
+        "mms": calls_per_step(lambda: len(run_mms(case, 64, 0.1, [40])) * 40),
+    }
+    for name, count in counted.items():
+        assert count <= CALLS_PER_STEP[name], (name, count)
+
+
+def test_only_a_recorded_run_forms_balance_sums(configs_dir, tmp_path, monkeypatch):
+    # The species balance sums are formed by diagnostics.record, so the
+    # fixed-dt studies and the sweep, which record no rows, never pay
+    # for them.
+    quadratures = rrgas.diagnostics._species_quadratures
+    formed = []
+
+    def counted(*args):
+        formed.append(None)
+        return quadratures(*args)
+
+    monkeypatch.setattr(rrgas.diagnostics, "_species_quadratures", counted)
+    run_mms(CASES["trig"](), 8, 0.01, [2, 3])
+    manifest = tmp_path / "sweep.ini"
+    text = (configs_dir / "sweep_example.ini").read_text()
+    manifest.write_text(text.replace("n_cells = 64", "n_cells = 16")
+                        .replace("t_end = 0.1", "t_end = 0.01"))
+    rows, _ = rrgas.sweep.run_sweep(manifest, tmp_path / "sweep", jobs=1)
+    assert len(rows) == 6 and all(row.error == "" for row in rows)
+    assert formed == []
+    config = load_config(configs_dir / "reacting.ini")
+    config.t_end = 0.01
+    run_simulation(config)
+    assert formed  # the counter sees record's sums

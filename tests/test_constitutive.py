@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from rrgas.constitutive import (
     PhysParams,
-    _de_dtheta,
-    _internal_energy,
+    _energy_laws,
     conductivity,
     de_dtheta,
     heat_conductivity,
@@ -106,21 +105,22 @@ def test_de_dtheta_matches_finite_difference():
 )
 @settings(max_examples=30, deadline=None, derandomize=True)
 def test_energy_kernels_equal_the_laws_bit_for_bit(q_cond, cond_model, data, a_rad, cv):
-    # energy_step forms the volume factors a*v and 4*a*v once per step,
-    # keeps the rows of the members still iterating, and evaluates the
-    # kernels at each iterate; the laws evaluate the same products.
+    # energy_step forms the volume factor a*v once per solve, over the
+    # whole batch, and evaluates the kernel at each iterate; the laws
+    # evaluate the same products on any rows of it.
     p = params(a_rad=a_rad, cv=cv, q_cond=q_cond, cond_model=cond_model)
     n = data.draw(st.integers(1, 6))
     cells = st.lists(st.floats(0.05, 20.0), min_size=n, max_size=n)
     v = np.array([data.draw(cells) for _ in range(3)])
     theta = np.array([data.draw(cells) for _ in range(3)])
     live = np.array(data.draw(st.lists(st.booleans(), min_size=3, max_size=3)))
-    av, av4 = (p.a_rad * v)[live], (4.0 * p.a_rad * v)[live]
+    av = (p.a_rad * v)[live]
     v, theta = v[live], theta[live]
-    e = _internal_energy(av, theta, p)
-    et = _de_dtheta(av4, theta, p)
+    e, kappa = _energy_laws(theta, av, v, p)
+    et = de_dtheta(v, theta, p)
     np.testing.assert_array_equal(e, internal_energy(v, theta, p))
-    np.testing.assert_array_equal(et, de_dtheta(v, theta, p))
+    np.testing.assert_array_equal(et, de_dtheta(v, theta, p))  # the update takes the law
+    np.testing.assert_array_equal(kappa, heat_conductivity(v, theta, p))
     # the laws as written before the split, C_v*theta + a*v*theta^4 and
     # C_v + 4*a*v*theta^3, to the bit
     np.testing.assert_array_equal(e, p.cv * theta + p.a_rad * v * theta**4)

@@ -10,13 +10,11 @@ from hypothesis import given, settings, strategies as st
 from rrgas.constitutive import PhysParams
 from rrgas.driver import _BLOCK_VALUES
 from rrgas.diagnostics import (
-    BalanceAccumulators,
     DiagnosticsRecord,
     record,
     z_balance_residual,
 )
 from rrgas.mesh import Grid, State
-from rrgas.solver import StepReport
 
 
 def params(**kw):
@@ -36,7 +34,7 @@ def uniform_state(n, v=1.0, theta=1.0, z=0.0, u=0.0):
 
 def row_of(state, p):
     """The diagnostics row of one state, as record builds it."""
-    return record([(state, 0.0, 0.0, 0.0)], p)[0]
+    return record([(state, 0.0)], p)[0]
 
 
 # -------------------------------------------------------------- total energy
@@ -169,16 +167,27 @@ def test_balance_residual_needs_two_rows():
         z_balance_residual([])
 
 
-def test_accumulators_absorb_reports():
-    acc = BalanceAccumulators()
-    rep = StepReport(
-        dt=0.1, newton_iterations=1, max_newton_residual=0.0, rejections=0,
-        z_diff_increment=0.25, z_react_increment=0.5,
-    )
-    acc.absorb(rep)
-    acc.absorb(rep)
-    assert acc.z_diff == 0.5
-    assert acc.z_react == 1.0
+@pytest.mark.parametrize("split", [1, 3, 5])
+def test_record_adds_each_steps_quadratures_to_the_sums_before(split, step_quadratures,
+                                                                per_state_row):
+    # A run's rows built in two blocks, the second handed the state
+    # before it and the accumulators there, are the rows of one block;
+    # each adds its step's quadratures to the sums before it, in order.
+    p = params(k_rate=2.0, a_act=1.5, m_order=2.0, beta=1.0)
+    block = random_block(8, 6, seed=4)
+    first = record(block[:split], p)
+    carried = (block[split - 1][0], first[-1].z_diff_accum, first[-1].z_react_accum)
+    rows = first + record(block[split:], p, carried)
+    assert [bits(r) for r in rows] == [bits(r) for r in record(block, p)]
+    z_diff = z_react = 0.0
+    expected = [per_state_row(block[0][0], p, 0.0, 0.0, 0.0)]
+    for (before, _), (after, dt) in zip(block, block[1:]):
+        diff, react = step_quadratures(before, after, dt, p)
+        z_diff, z_react = z_diff + diff, z_react + react
+        expected.append(per_state_row(after, p, dt, z_diff, z_react))
+    assert [bits(r) for r in rows] == [bits(r) for r in expected]
+    assert 0.0 < rows[1].z_diff_accum < rows[-1].z_diff_accum
+    assert 0.0 < rows[1].z_react_accum < rows[-1].z_react_accum
 
 
 # ------------------------------------------------------------------ record
@@ -188,13 +197,16 @@ def test_record_collects_extrema():
     s.v[2] = 0.3
     s.theta[1] = 4.0
     s.z[0] = 0.9
-    [r] = record([(s, 0.01, 1.0, 2.0)], params())
+    # the step from s to itself adds dt*g*grad^2*dx at the one interface
+    # with a jump, g = 2*d/(1 + 1) = 0.1 and grad = -0.4/0.25, and no
+    # reaction (k_rate = 0)
+    [r] = record([(s, 0.01)], params(), previous=(s, 1.0, 2.0))
     assert r.min_v == 0.3
     assert r.min_theta == 1.0
     assert r.min_z == 0.5
     assert r.max_z == 0.9
     assert r.dt == 0.01
-    assert r.z_diff_accum == 1.0
+    assert r.z_diff_accum == pytest.approx(1.0 + 0.01 * 0.1 * 1.6**2 * 0.25, rel=1e-15)
     assert r.z_react_accum == 2.0
     assert r.width == pytest.approx(0.825, rel=1e-15)
 
@@ -209,14 +221,12 @@ def random_block(n, length, seed):
     v, theta = rng.uniform(0.2, 3.0, (2, length, n))
     z = rng.uniform(0.0, 1.0, (length, n))
     u = rng.standard_normal((length, n + 1))
-    return [
-        (State(grid, v[k], theta[k], z[k], u[k], t=0.1 * k), 1e-3 * k, 0.5 * k, 0.25 * k)
-        for k in range(length)
-    ]
+    return [(State(grid, v[k], theta[k], z[k], u[k], t=0.1 * k), 1e-3 * k)
+            for k in range(length)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 100, 128, 4096])
-def test_block_rows_equal_per_state_rows(n, per_state_row):
+def test_block_rows_equal_per_state_rows(n, per_state_row, step_quadratures):
     # Blocks of length 1, K - 1, K and K + 1, K being the driver's block
     # at n cells, are prefixes of one block.  Its last state has a cell
     # at theta <= 0, so the longest block makes reaction_rate mask every
@@ -227,7 +237,12 @@ def test_block_rows_equal_per_state_rows(n, per_state_row):
     block = random_block(n, k + 1, seed=n)
     block[k][0].theta[n // 2] = 0.0
     with np.errstate(all="ignore"):
-        expected = [bits(per_state_row(s, p, *rest)) for s, *rest in block]
+        # the accumulators: running sums of each step's quadratures
+        sums = [(0.0, 0.0)]
+        for (before, _), (after, dt) in zip(block, block[1:]):
+            diff, react = step_quadratures(before, after, dt, p)
+            sums.append((sums[-1][0] + diff, sums[-1][1] + react))
+        expected = [bits(per_state_row(s, p, dt, *acc)) for (s, dt), acc in zip(block, sums)]
         for length in sorted({1, max(1, k - 1), k, k + 1}):
             rows = record(block[:length], p)
             assert [bits(r) for r in rows] == expected[:length], (n, length)

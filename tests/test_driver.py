@@ -327,7 +327,8 @@ def bits(rec):
 
 
 @pytest.mark.parametrize("case", ["completed", "budget", "rejected", "invariant"])
-def test_rows_come_in_blocks_and_are_complete_on_every_exit(case, monkeypatch, per_state_row):
+def test_rows_come_in_blocks_and_are_complete_on_every_exit(case, monkeypatch, per_state_row,
+                                                            step_quadratures):
     # 4 states per record call on 32 cells.  Every run here ends with a
     # partly filled block, which the driver must still hand over.
     block = 4
@@ -346,9 +347,9 @@ def test_rows_come_in_blocks_and_are_complete_on_every_exit(case, monkeypatch, p
     sizes = []
     real_record = rrgas.driver.record
 
-    def sized_record(pending, params):
+    def sized_record(pending, params, previous):
         sizes.append(len(pending))
-        return real_record(pending, params)
+        return real_record(pending, params, previous)
 
     monkeypatch.setattr(rrgas.driver, "record", sized_record)
     seen = []
@@ -356,8 +357,10 @@ def test_rows_come_in_blocks_and_are_complete_on_every_exit(case, monkeypatch, p
 
     def hook(state, report, index):
         nonlocal z_diff, z_react
-        z_diff += report.z_diff_increment
-        z_react += report.z_react_increment
+        before = seen[-1][0] if seen else initial
+        diff, react = step_quadratures(before, state, report.dt, cfg.params)
+        z_diff += diff
+        z_react += react
         seen.append((state, report.dt, z_diff, z_react))
 
     result = run_simulation(cfg, state=initial, on_step=hook)
@@ -370,6 +373,44 @@ def test_rows_come_in_blocks_and_are_complete_on_every_exit(case, monkeypatch, p
         per_state_row(state, cfg.params, *rest) for state, *rest in seen
     ]
     assert [bits(r) for r in result.records] == [bits(r) for r in expected]
+
+
+@pytest.mark.parametrize("case", ["completed", "failed"])
+@pytest.mark.parametrize("m_order", [1.0, 2.0])
+def test_balance_sums_are_the_step_wise_sums(configs_dir, monkeypatch, step_quadratures,
+                                            m_order, case):
+    # configs/reacting.ini: 32 states per record call on its 128 cells,
+    # so the rows cross block boundaries.  In the failed run, step 40 is
+    # rejected twice before it is accepted, and every attempt from step
+    # 50 on is rejected, so the run fails part-way into its second block.
+    # Each row's accumulators are, bit for bit, the running sums of the
+    # per-step formula applied to each pair of accepted states.
+    cfg = load_config(configs_dir / "reacting.ini")
+    cfg.params = dataclasses.replace(cfg.params, m_order=m_order)
+    if case == "failed":
+        real_volume_step, calls = rrgas.solver.volume_step, []
+
+        def rejecting(state, dt, config, s_v=None):
+            calls.append(None)
+            if len(calls) in (40, 41) or len(calls) >= 52:
+                raise rrgas.solver.StepRejection("volume_floor")
+            return real_volume_step(state, dt, config, s_v=s_v)
+
+        monkeypatch.setattr(rrgas.solver, "volume_step", rejecting)
+    states = [init_state(cfg)]
+    rejections = []
+    result = run_simulation(cfg, state=states[0], on_step=lambda state, report, n: (
+        states.append(state), rejections.append(report.rejections)))
+    assert result.completed == (case == "completed")
+    assert len(result.records) == len(states) > 32
+    if case == "failed":
+        assert len(states) == 50 and rejections[39] == 2
+    sums = [(0.0, 0.0)]
+    for before, after, row in zip(states, states[1:], result.records[1:]):
+        diff, react = step_quadratures(before, after, row.dt, cfg.params)
+        sums.append((sums[-1][0] + diff, sums[-1][1] + react))
+    assert [(r.z_diff_accum, r.z_react_accum) for r in result.records] == sums
+    assert sums[-1][0] > 0.0 and sums[-1][1] > 0.0
 
 
 # ------------------------------------------------------------- check rows

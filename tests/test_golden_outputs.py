@@ -49,16 +49,16 @@ GOLDEN = {
         "0ae49f3ebc3064d43df7f67699ed7c652853df370794da1ff7bdd38af6312b86",
     ),
     "expansion": (
-        "63df402334d7c49d889366fa0b839e661f62c94e7458c224bd792413f1284575",
-        "3cd225383f2a7620b84f6cf9efd80c717db8fd3561f93cfd71582cb2751d041b",
+        "c6a1d40da194bb44006b97b13d14c9945ac7cc96a044dab0fbffd6d9ce3d922b",
+        "422ce4a1716e346c74da0c9cbd4c7836ebe385a8ed757a40845b3b8111c72953",
     ),
     "reacting": (
-        "758095a36a9f4ca5801868e8627fe1f5c3126e38f2d0bf993f33d79d1fc89ae0",
-        "11d7ede9e52ea859b815788cb2f70ce034a4a821faed42131aed4a1043af01bd",
+        "6e7326523f7d5abb6358661220ecc8f1d592200b22df6acf289a12302eab0922",
+        "28242d81ffefe27841b4f8f0c2d1de09f7cb9d062ad0d7cf4bc8e1c5a37765f8",
     ),
     "reference": (
-        "f7c8fd16c9edaa67b81db460d7bf85b2e50390dd42ab725922afd73b67936098",
-        "2b39f72078e3edb7c11beb415cee803509d9a19dc604a9d89b514291cfd15d39",
+        "94186c76202f3d2792233b9ac045f7a6bff8d3ec7e5de02b39bd909d76284130",
+        "fc29cc9302088f3b71fc8e979b744e80775d8efacb03804aafa17ddfc1acc9eb",
     ),
 }
 
@@ -66,8 +66,8 @@ GOLDEN = {
 # snapshots
 LARGE_RUN = (4096, 0.002)
 LARGE_GOLDEN = (
-    "e999b3d50e5bb34203be74a28382dcf70974aea5b1aca032084b59335caad1e1",
-    "0ca75038d4af3e7b6ce8e789eaa47116c6bb584a165a30187580569fa44271eb",
+    "ccec5418ff7cbb7b14e9970e6204d875007eb3841e131c27a02be5907a0893a0",
+    "b9fa16b2ec0f74197edc9c9dd3b41582bae172a58a0061dc3e14aff06fbc5c45",
 )
 
 # configs/reacting.ini at MID_RUN = (n_cells, t_end): 25 steps, snapshots
@@ -76,8 +76,8 @@ LARGE_GOLDEN = (
 # with dx (a division turned into a multiplication by 1/dx) shows.
 MID_RUN = (1000, 0.004)
 MID_GOLDEN = (
-    "49570f6d752d6554eebb41b254836173436821b469462f91b99e47b1293a148a",
-    "d1d6e3fae48b614fec84cfcd30b4c1bbcb3284cc28d1e7ed02d53e07e71ad634",
+    "195ebe89f3620c1d51033d8b80b49d2d75d6ee83fcd6466125a1171ef2e1e85c",
+    "5aa0bd3b9c8afd39cd87f2ef8fc1961bbd1f7b0069b7428d682f5df97e381c10",
 )
 
 # configs/reacting.ini to t_end = 0.05 (35 steps, five snapshots) at the
@@ -85,12 +85,12 @@ MID_GOLDEN = (
 # (q_cond, cond_model) -> (diagnostics.csv, snapshots) SHA-256
 CONDUCTIVITY_GOLDEN = {
     ("0.0", "A"): (
-        "e03ed3942e963216ab55dab65037ebada4208c5b6735a3be00f3967c0914d481",
-        "8a45af93951864654d3ec285ff104b3a9881a219e14418dbe39278609867deca",
+        "d62238a6345750f56052b5ec79bb61bc7b6c04d5b1790a6c814557a3b30e4f6d",
+        "f6c3291c5a87870eb689e673a15d55361976a17782f6804af745b3ff4a1678eb",
     ),
     ("0.5", "B"): (
-        "5f9d5c5dee46fae0369fac8ffe080d6e8edcd185e5eeaabd5ddc6533568c73e2",
-        "eb3409982d7c60255ae48816a000095933b5b769c0d90928aa177afb1e8db1b4",
+        "806ca629b1395cfac996b84e14af68764f599d722f83947ecb7285bc927076f0",
+        "6e7af7e87d1fe0a91875326e0b9e87902f24de21f40d3de7efd0afd7fff4fc60",
     ),
 }
 
@@ -99,7 +99,7 @@ CONDUCTIVITY_GOLDEN = {
 # at MMS_RUN = (n_cells, t_end, n_steps)
 MMS_RUN = (32, 0.1, 40)
 MMS_GOLDEN = {
-    "tanh": "12bf286a095a9fadbe94e57447fdb98819927946e019512095d4907d822982cc",
+    "tanh": "7137c3d0c93ca33b660713aba7784966ca6323766fa141d1e1e2a96b344b0894",
     "trig": "ea50ec32fe131399976833efca6db3572a5874a4d8cf66a12115477361785cbb",
 }
 
@@ -122,15 +122,15 @@ SOURCED_EXPLICIT_GOLDEN = {
 # MMS case -> SHA-256 of the repr of every float of its temporal study
 # at 3 levels: the errors of each row, then the successive differences
 TEMPORAL_GOLDEN = {
-    "tanh": "c2febb9849f0ccac1638b23f095ed14a1e5c2107cd0147f9c714481f451e9348",
-    "trig": "e7f7f393cb259843482b0724ba6106491134ab86a606fe9978c7d5a6f180db25",
+    "tanh": "64cd7964fb054e26e5d578a6472e091a2974efd1b17c89e2d336980fe5f9cae1",
+    "trig": "80f306bd16d857f312d8affa1116c10c09545f5787824005fe5720da5a10c0d3",
 }
 
 
 # MMS case -> SHA-256 of the stdout of `rrgas mms <case> --levels 2`,
 # formatted by cli.mms_table
 MMS_STDOUT_GOLDEN = {
-    "tanh": "18098ae3dd97ca193787cb95e2acdc4d754957e06cbb589e305dcbfbcc38b12b",
+    "tanh": "472c3860db819041cb0a6c807343f1e59329790b89d9fecac936033ab9f380d2",
     "trig": "507287a94c353763a92a3019221da488e74bacdb6138810702b02ab1d787a634",
 }
 
@@ -138,13 +138,13 @@ MMS_STDOUT_GOLDEN = {
 # MMS case -> SHA-256 of the stdout of `rrgas mms <case> --levels 3`,
 # the command the benchmark runs, formatted by cli.mms_table
 MMS_STDOUT_L3_GOLDEN = {
-    "tanh": "133d6e86a7ad8d6cf50f90382ba4df0d8603107f61937480a1d6219a72007390",
-    "trig": "e790c737c3e77fa4d9af1fbe7d8bf155ce58da11a16f7b73794ce42b38bdb4a8",
+    "tanh": "267887a8d1413d8a2fde0c6e9e620b8b0724d7687a4912a61d972e749e883e82",
+    "trig": "dbf0d188cdfa8a4733c0cfbb1b68efa08284c67b8b930ef99fab97acedca24b6",
 }
 
 
 # SHA-256 of summary.csv for configs/sweep_example.ini, any --jobs
-SWEEP_GOLDEN = "46b19d43f1ba4b2f2e06ad002fa26346841677924569b414fadf61dfa85f6939"
+SWEEP_GOLDEN = "671df92ef531e841136df64770e04eff727491fff171ba426b47a55935a8228e"
 
 
 def state_digest(state):

@@ -22,6 +22,7 @@ from test_golden_outputs import GOLDEN, run_digests, state_digest
 import rrgas.solver
 from rrgas.config import Profile, RunConfig, init_state, load_config
 from rrgas.constitutive import PhysParams, internal_energy, pressure, reaction_rate
+from rrgas.diagnostics import record
 from rrgas.driver import run_fixed
 from rrgas.explicit import explicit_reference_step
 from rrgas.mesh import Grid, State, stack, velocity_mean, width
@@ -29,6 +30,7 @@ from rrgas.solver import (
     InvariantViolation,
     SimulationError,
     StepRejection,
+    _start_point,
     cfl_dt,
     energy_step,
     gravity_accel,
@@ -70,6 +72,15 @@ def uniform_state(n, v=1.0, theta=1.0, z=0.0, u=0.0):
 def stage_phi(state, params):
     """The reaction rate species_step and energy_step take."""
     return reaction_rate(state.v, state.theta, params)
+
+
+def species_quadratures(state, z_new, dt, params):
+    """The gradient and reaction quadratures of a species_step from state
+    (v at the new level) to z_new, from their home: the rows
+    diagnostics.record builds for the states before and after it."""
+    after = State(state.grid, state.v, state.theta, z_new, state.u, state.t + dt)
+    _, row = record([(state, 0.0), (after, dt)], params)
+    return row.z_diff_accum, row.z_react_accum
 
 
 def bump_config(n_cells=32, t_end=0.05, **params):
@@ -465,12 +476,33 @@ def test_volume_nonfinite_rejects():
         volume_step(s, 0.01, RunConfig())
 
 
+# one cell of one member: not finite, or landing exactly on the floor
+BAD_CELLS = [np.nan, np.inf, -np.inf, "floor"]
+BAD_IDS = ["nan", "+inf", "-inf", "floor"]
+
+
+@pytest.mark.parametrize("bad", BAD_CELLS, ids=BAD_IDS)
+def test_volume_rejects_exactly_the_member_with_a_bad_cell(bad):
+    # v_new = 1 + 1*(0 + s_v): s_v = -0.5 puts a cell on v_floor = 0.5.
+    cfg = RunConfig(v_floor=0.5)
+    s_v = np.zeros((3, 4))
+    s_v[1, 2] = -0.5 if bad == "floor" else bad
+    batch = stack([uniform_state(4)] * 3)
+    with pytest.raises(StepRejection) as rejected:
+        volume_step(batch, np.ones(3), cfg, s_v=s_v)
+    assert rejected.value.members.tolist() == [False, True, False]
+    with pytest.raises(StepRejection):
+        volume_step(batch[1], 1.0, cfg, s_v=s_v[1])
+    assert (volume_step(batch[0], 1.0, cfg, s_v=s_v[0]) == 1.0).all()
+
+
 # ----------------------------------------------------------------- species
 
 def test_species_zero_stays_zero():
     s = uniform_state(8, z=0.0, theta=2.0)
     p = ref_params(k_rate=3.0)
-    z_new, diff_inc, react_inc = species_step(s, 0.1, p, stage_phi(s, p))
+    z_new = species_step(s, 0.1, p, stage_phi(s, p))
+    diff_inc, react_inc = species_quadratures(s, z_new, 0.1, p)
     assert np.all(z_new == 0.0)
     assert diff_inc == 0.0
     assert react_inc == 0.0
@@ -479,7 +511,7 @@ def test_species_zero_stays_zero():
 def test_species_inert_constant_is_bitwise_fixed():
     s = uniform_state(8, z=0.37)
     p = ref_params(k_rate=0.0)
-    z_new, _, _ = species_step(s, 0.1, p, stage_phi(s, p))
+    z_new = species_step(s, 0.1, p, stage_phi(s, p))
     assert np.all(z_new == 0.37)
 
 
@@ -489,7 +521,7 @@ def test_species_single_cell_decay_closed_form():
     s = uniform_state(1, v=0.8, theta=1.3, z=0.9)
     phi = reaction_rate(s.v, s.theta, p)[0]
     expected = 0.9 / (1.0 + 0.05 * phi)
-    z_new, _, _ = species_step(s, 0.05, p, stage_phi(s, p))
+    z_new = species_step(s, 0.05, p, stage_phi(s, p))
     assert z_new[0] == expected
 
 
@@ -501,7 +533,7 @@ def test_species_inert_mass_conserved():
     s.z = rng.uniform(0.1, 0.9, n)
     total_before = float(np.sum(s.z))
     p = ref_params(k_rate=0.0)
-    z_new, _, _ = species_step(s, 0.05, p, stage_phi(s, p))
+    z_new = species_step(s, 0.05, p, stage_phi(s, p))
     assert float(np.sum(z_new)) == pytest.approx(total_before, rel=1e-13)
 
 
@@ -517,7 +549,8 @@ def test_species_balance_identity_single_step():
     dt = 0.02
     p = ref_params(k_rate=4.0, a_act=2.0)
     half_before = 0.5 * float(np.sum(s.z**2)) * dx
-    z_new, diff_inc, react_inc = species_step(s, dt, p, stage_phi(s, p))
+    z_new = species_step(s, dt, p, stage_phi(s, p))
+    diff_inc, react_inc = species_quadratures(s, z_new, dt, p)
     half_after = 0.5 * float(np.sum(z_new**2)) * dx
     jump = 0.5 * float(np.sum((z_new - s.z) ** 2)) * dx
     lhs = half_after + diff_inc + react_inc
@@ -537,7 +570,7 @@ def test_species_range_preserved(data):
     # species_step itself asserts nonnegativity and the max principle;
     # here we just confirm the returned values satisfy the public range.
     p = ref_params(k_rate=1.0)
-    z_new, _, _ = species_step(s, 0.05, p, stage_phi(s, p))
+    z_new = species_step(s, 0.05, p, stage_phi(s, p))
     assert np.all(z_new >= 0.0)
     assert float(np.max(z_new)) <= max(float(np.max(z0)), 0.0) * (1.0 + 1e-13)
 
@@ -773,12 +806,12 @@ def test_step_batch_line_search_halves_one_members_step(monkeypatch):
     # of its own serial step, made with the same push.
     cfg = bump_config(n_cells=16, t_end=10.0, k_rate=5.0)
     cfg.params = dataclasses.replace(cfg.params, p_ext=5.0)  # hard squeeze
-    coeff, solve = rrgas.solver.heat_interface_coeff, rrgas.solver.solveh_banded
+    laws, solve = rrgas.solver._energy_laws, rrgas.solver.solveh_banded
     iterates, updates, pushed = [], [], []  # per Newton iteration; the row pushed
 
-    def recording_coeff(v, theta, params):
+    def recording_laws(theta, *args):
         iterates.append(theta)
-        return coeff(v, theta, params)
+        return laws(theta, *args)
 
     def pushing_solve(diag, upper, rhs):
         delta = solve(diag, upper, rhs)
@@ -788,7 +821,7 @@ def test_step_batch_line_search_halves_one_members_step(monkeypatch):
             updates.append(delta)
         return delta
 
-    monkeypatch.setattr(rrgas.solver, "heat_interface_coeff", recording_coeff)
+    monkeypatch.setattr(rrgas.solver, "_energy_laws", recording_laws)
     monkeypatch.setattr(rrgas.solver, "solveh_banded", pushing_solve)
 
     def run(advance, state, dt, row):
@@ -973,6 +1006,28 @@ def test_start_point_below_the_floor_falls_back_per_member(monkeypatch):
     assert report.newton_iterations[0] < report.newton_iterations[1]
 
 
+@pytest.mark.parametrize("bad", BAD_CELLS, ids=BAD_IDS)
+def test_start_point_falls_back_for_exactly_the_member_with_a_bad_cell(bad):
+    # theta goes 1.5 -> 1 over one time unit, so one more unit lands on
+    # 0.5.  An older level of 2 (1 -> 0) puts a cell on theta_floor = 0,
+    # one of -inf (+inf, nan) makes it +inf (-inf, nan): that member
+    # starts from theta^n, the others from their extrapolation.
+    grid = Grid(4)
+
+    def level(theta, t):
+        return State(grid, np.ones(4), np.full(4, theta), np.zeros(4), np.zeros(5), t)
+
+    state, older = stack([level(1.0, 1.0)] * 3), stack([level(1.5, 0.0)] * 3)
+    older.theta[1, 2] = {"floor": 2.0, np.inf: -np.inf, -np.inf: np.inf}.get(bad, bad)
+    with np.errstate(invalid="ignore"):
+        guess = _start_point(state, (older,), np.ones(3), 0.0)
+        alone = _start_point(state[1], (older[1],), 1.0, 0.0)
+    assert guess[1].tobytes() == state.theta[1].tobytes()
+    assert (guess[[0, 2]] == 0.5).all()
+    assert alone is None  # a single run starts from theta^n
+    assert (_start_point(state[0], (older[0],), 1.0, 0.0) == 0.5).all()
+
+
 def test_a_retry_keeps_the_history(monkeypatch):
     # The first attempt at the cfl_dt step is rejected; the retry at half
     # of it starts from the same state and the same history, and gives
@@ -1009,7 +1064,7 @@ def test_a_retry_keeps_the_history(monkeypatch):
 # configs/reacting.ini: SHA-256 of the state after its first step (no
 # history, so Newton starts from theta^n) and that step's newton
 # iterations, as before Newton started from an extrapolation
-REACTING_FIRST_STEP = ("c258fb898bfc6296f2e941b99dc12eea4b87b62cbe69d5d75be0561e09007498", 5)
+REACTING_FIRST_STEP = ("aa958c76cf962c3b51c0046a3996501daf2c0b6e3ded75d4c71ecfd4fb114194", 5)
 
 
 def test_the_first_step_has_no_history_and_keeps_its_bits(configs_dir):
