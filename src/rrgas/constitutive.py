@@ -188,9 +188,10 @@ def heat_conductivity(v, theta, params: PhysParams):
 
 
 def _energy_laws(theta, av, v, params: PhysParams):
-    """internal_energy and heat_conductivity at theta in one call, from
-    av = a*v for a fixed v; each has the bits of its law."""
-    return params.cv * theta + av * theta**4, heat_conductivity(v, theta, params)
+    """internal_energy, theta**4 and heat_conductivity at theta in one
+    call, from av = a*v for a fixed v; each has the bits of its law."""
+    theta4 = theta**4
+    return params.cv * theta + av * theta4, theta4, heat_conductivity(v, theta, params)
 
 
 def conductivity(v, theta, params: PhysParams):

@@ -12,6 +12,7 @@ record builds the rows for a block of states at once, over stacked
 arithmetic.  Each functional is one private kernel over a trailing cell
 axis; record is the one public entry point to them.  The species
 balance sums are formed here, so only a run that records rows pays.
+The law values come from the states (mesh.State.laws) where they carry them.
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ class DiagnosticsRecord:
 
 
 # Kernels: the cell (or edge) axis is the last one; one value per
-# leading index.
+# leading index.  Law values (e, phi, zm = z^m, kappa) come evaluated.
 
-def _total_energy(u, v, theta, z, grid, params: PhysParams):
+def _total_energy(u, v, e, z, grid, params: PhysParams):
     """Energy functional: kinetic + internal + bound species heat
     + gravitational potential + boundary compression work.
 
@@ -58,7 +59,7 @@ def _total_energy(u, v, theta, z, grid, params: PhysParams):
     kinetic = 0.25 * (u[..., :-1] ** 2 + u[..., 1:] ** 2)
     density = (
         kinetic
-        + internal_energy(v, theta, params)
+        + e
         + params.lambda_heat * z
         + 0.5 * params.g_grav * x * (1.0 - x) * v
         + params.p_ext * v
@@ -74,7 +75,7 @@ def _entropy_U(v, theta, dx, params: PhysParams):
     return density.sum(axis=-1) * dx
 
 
-def _dissipation_V(u, v, theta, z, dx, params: PhysParams):
+def _dissipation_V(u, v, theta, phi, zm, kappa, dx, params: PhysParams):
     """Viscous + conductive + reactive entropy production, all terms >= 0.
 
     Velocity gradients live on cells, temperature gradients at interior
@@ -82,14 +83,11 @@ def _dissipation_V(u, v, theta, z, dx, params: PhysParams):
     """
     dudx = (u[..., 1:] - u[..., :-1]) / dx
     out = params.mu * dudx**2 / (v * theta)
-    out = out + params.lambda_heat * reaction_rate(v, theta, params) * np.power(
-        z, params.m_order
-    ) / theta
+    out = out + params.lambda_heat * phi * zm / theta
     total = out.sum(axis=-1) * dx
 
     if v.shape[-1] >= 2:
         dthdx = (theta[..., 1:] - theta[..., :-1]) / dx
-        kappa = heat_conductivity(v, theta, params)
         v_m = 0.5 * (v[..., :-1] + v[..., 1:])
         th_m = 0.5 * (theta[..., :-1] + theta[..., 1:])
         k_m = 0.5 * (kappa[..., :-1] + kappa[..., 1:])
@@ -102,14 +100,12 @@ def _z_squared_norm(z, dx):
     return 0.5 * ((z**2).sum(axis=-1) * dx)
 
 
-def _species_quadratures(v, theta_old, z_old, z, dt, dx, params: PhysParams):
-    """The gradient and reaction quadratures of the steps of sizes dt
-    from (theta_old, z_old) to (v, z), with the coefficients
-    solver.species_step froze, so the z-balance residual measures
-    operator-splitting imbalance only."""
+def _species_quadratures(g, decay, z, dt, dx):
+    """The gradient and reaction quadratures of the steps of sizes dt to
+    z, with the coefficients g and decay solver.species_step froze, so
+    the z-balance residual measures operator-splitting imbalance only."""
     grad = (z[..., 1:] - z[..., :-1]) / dx
-    diff = dt * (species_interface_coeff(v, params) * grad * grad).sum(axis=-1) * dx
-    decay = reaction_rate(v, theta_old, params) * np.power(z_old, params.m_order - 1.0)
+    diff = dt * (g * grad * grad).sum(axis=-1) * dx
     return diff, dt * (decay * z * z).sum(axis=-1) * dx
 
 
@@ -143,6 +139,8 @@ def record(block, params: PhysParams, previous=None) -> list[DiagnosticsRecord]:
     A row is bitwise the one the kernels give on its state's own 1-D
     fields: the elementwise expressions are the same, and numpy sums
     each contiguous row with the same pairwise sum as a 1-D array.
+    A law value a state lacks is evaluated on its own fields; the states
+    before the last then lose their laws, the last its kappa, decay and g.
     """
     states, dts = zip(*block)
     # np.stack copies; one state, the large-grid case, is viewed as (1, N)
@@ -153,22 +151,35 @@ def record(block, params: PhysParams, previous=None) -> list[DiagnosticsRecord]:
     u = stack([s.u for s in states])
     grid = states[0].grid
     dx = grid.dx
+    laws = [s.laws if s.laws is not None and s.laws["params"] is params else {} for s in states]
+    for s, law in zip(states, laws):
+        for name, evaluate in (("e", internal_energy), ("kappa", heat_conductivity),
+                               ("phi", reaction_rate)):
+            if name not in law:
+                law[name] = evaluate(s.v, s.theta, params)
+        if "zm" not in law:
+            law["zm"] = np.power(s.z, params.m_order)
     # each step from the state before it; the run's first state has none
     olds = states[:-1] if previous is None else (previous[0], *states[:-1])
     quadratures = ((), ())
     if olds:
         new = slice(len(states) - len(olds), None)
+        for old, s, law in zip(olds, states[new], laws[new]):
+            if "g" not in law:  # the coefficients species_step froze
+                law.update(g=species_interface_coeff(s.v, params), decay=reaction_rate(
+                    s.v, old.theta, params) * np.power(old.z, params.m_order - 1.0))
         quadratures = (q.tolist() for q in _species_quadratures(
-            v[new], stack([s.theta for s in olds]), stack([s.z for s in olds]), z[new],
-            np.array(dts[new]), dx, params))
+            stack([law["g"] for law in laws[new]]), stack([law["decay"] for law in laws[new]]),
+            z[new], np.array(dts[new]), dx))
     z_diffs, z_reacts = (list(accumulate(q, initial=start))[-len(states):] for q, start in
                          zip(quadratures, previous[1:] if previous else (0.0, 0.0)))
+    e, phi, zm, kappa = (stack([law[k] for law in laws]) for k in ("e", "phi", "zm", "kappa"))
     columns = (
         [s.t for s in states],
         dts,
-        _total_energy(u, v, theta, z, grid, params).tolist(),
+        _total_energy(u, v, e, z, grid, params).tolist(),
         _entropy_U(v, theta, dx, params).tolist(),
-        _dissipation_V(u, v, theta, z, dx, params).tolist(),
+        _dissipation_V(u, v, theta, phi, zm, kappa, dx, params).tolist(),
         _z_squared_norm(z, dx).tolist(),
         z_diffs,
         z_reacts,
@@ -180,4 +191,8 @@ def record(block, params: PhysParams, previous=None) -> list[DiagnosticsRecord]:
         z.max(axis=-1).tolist(),
         np.trapezoid(u, dx=dx, axis=-1).tolist(),
     )
+    for old in olds:
+        old.laws = None
+    for name in ("kappa", "decay", "g"):
+        laws[-1].pop(name, None)
     return [DiagnosticsRecord(*row) for row in zip(*columns)]

@@ -63,6 +63,9 @@ class State:
     a_pos as (B,) arrays.  Indexing selects members: an int gives one
     member's state, an index array or mask a smaller batch, and None
     turns a single state into a batch of one.
+    laws: the law values its step (solver.step_batch) evaluated here, a
+    dict whose "params" is the PhysParams they belong to, tested with `is`;
+    None on any other state.  A state is never changed in place after a step.
     """
 
     grid: Grid
@@ -72,6 +75,7 @@ class State:
     u: np.ndarray
     t: float = 0.0
     a_pos: float = 0.0
+    laws = None  # not a field: set on the state a step makes
 
     def __post_init__(self) -> None:
         n = self.grid.n_cells

@@ -4,12 +4,14 @@ Everything numeric is serialized with 17 significant digits
 (`config.NUM_FORMAT`), which round-trips IEEE doubles exactly;
 rereading a snapshot reproduces the state bit for bit.  The table
 writers format a whole row, or a block of rows, with one `%`-template;
-the bytes are those of `fmt`.  `rrgas run` hands every snapshot table
-to a SnapshotWriter, whose forked helper process formats and writes it
-while the run steps on, where `workers.may_fork`; else the writer
-writes the tables inline.  A run is identified by a short hash of its
-fully serialized configuration, so the id is stable across processes
-and machines.
+the bytes are those of `fmt`.  A snapshot table holds the five changing
+columns; its templates hold the fixed i and x_center text, built once
+per grid size in the process that formats it.  `rrgas run` hands every
+snapshot table to a SnapshotWriter, whose forked helper process formats
+and writes it while the run steps on, where `workers.may_fork`; else
+the writer writes the tables inline.  A run is identified by a short
+hash of its fully serialized configuration, so the id is stable
+across processes and machines.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ _diag_values = operator.attrgetter(*DIAG_COLUMNS)
 # table in one template peaks at about 2 MB of transient memory,
 # 256-row blocks at about 0.4 MB, at the same speed.
 _SNAPSHOT_BLOCK = 256
-_SNAPSHOT_ROW = "%d" + ("," + NUM_FORMAT) * (len(SNAPSHOT_COLUMNS) - 1) + "\n"
+_SNAPSHOT_ROW = ("," + NUM_FORMAT) * (len(SNAPSHOT_COLUMNS) - 2) + "\n"  # after i, x_center
+_snapshot_templates = {}  # n_cells -> the template of each block of rows
 
 
 def fmt(x: float) -> str:
@@ -114,10 +117,7 @@ def write_snapshot(path, state: State, params: PhysParams, run: str = "", writer
         f"# physics: {echo}\n"
         + ",".join(SNAPSHOT_COLUMNS) + "\n"
     )
-    table = np.column_stack((
-        np.arange(n), state.grid.cell_centers, y_center,
-        state.v, state.theta, state.z, state.u[:-1],
-    ))
+    table = np.column_stack((y_center, state.v, state.theta, state.z, state.u[:-1]))
     if writer is None:
         _write_table(path, header, table)
     else:
@@ -126,11 +126,16 @@ def write_snapshot(path, state: State, params: PhysParams, run: str = "", writer
 
 def _write_table(path, header: str, table) -> None:
     """The snapshot file: the header text, then one row per table row."""
+    n = len(table)
+    templates = _snapshot_templates.get(n)
+    if templates is None:
+        rows = [f"{i},{fmt(x)}{_SNAPSHOT_ROW}" for i, x in enumerate(Grid(n).cell_centers)]
+        templates = _snapshot_templates[n] = [
+            "".join(rows[start:start + _SNAPSHOT_BLOCK]) for start in range(0, n, _SNAPSHOT_BLOCK)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header)
-        for start in range(0, len(table), _SNAPSHOT_BLOCK):
-            block = table[start:start + _SNAPSHOT_BLOCK]
-            fh.write((_SNAPSHOT_ROW * len(block)) % tuple(block.ravel().tolist()))
+        for start, template in zip(range(0, n, _SNAPSHOT_BLOCK), templates):
+            fh.write(template % tuple(table[start:start + _SNAPSHOT_BLOCK].ravel().tolist()))
 
 
 class SnapshotWriter:

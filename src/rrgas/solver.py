@@ -8,6 +8,8 @@ Pressure work and reaction heat stay explicit in theta, which limits the
 splitting to first order in dt; diffusion stiffness never restricts dt.
 Each Newton residual takes e and kappa in one pass; the species balance
 sums are diagnostics.record's, formed only where a run records rows.
+A new state carries the law values its step evaluated (mesh.State.laws)
+to the next step, cfl_dt and record.
 
 All linear systems are symmetric positive definite tridiagonal and go
 through LAPACK `dptsv` (pivot-free L·D·Lᵀ).  It is called through
@@ -182,10 +184,12 @@ def solveh_banded(diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> np.nd
     return x.reshape(rhs.shape)
 
 
-def total_stress(v, theta, u, dx: float, params: PhysParams) -> np.ndarray:
-    """Cell total stress sigma = -p + mu*u_x/v."""
+def total_stress(v, theta, u, dx: float, params: PhysParams, theta4=None) -> np.ndarray:
+    """Cell total stress sigma = -p + mu*u_x/v; theta4 is theta**4, if given."""
     du = u[..., 1:] - u[..., :-1]
-    return -pressure(v, theta, params) + params.mu * du / (dx * v)
+    p = (pressure(v, theta, params) if theta4 is None
+         else params.r_gas * theta / v + (params.a_rad / 3.0) * theta4)
+    return -p + params.mu * du / (dx * v)
 
 
 def stress_divergence(sigma: np.ndarray, p_ext: float, grid) -> np.ndarray:
@@ -239,9 +243,9 @@ def diffusion_apply(coeff: np.ndarray, f: np.ndarray, dx: float) -> np.ndarray:
     return (flux[..., 1:] - flux[..., :-1]) / dx
 
 
-def _acceleration(v, theta, u, grid, params: PhysParams):
+def _acceleration(v, theta, u, grid, params: PhysParams, theta4=None):
     """Cell total stresses and the edge accelerations they and gravity give."""
-    sigma = total_stress(v, theta, u, grid.dx, params)
+    sigma = total_stress(v, theta, u, grid.dx, params, theta4)
     accel = stress_divergence(sigma, params.p_ext, grid) + gravity_accel(grid.edges, params)
     return sigma, accel
 
@@ -322,10 +326,16 @@ def cfl_dt(state: State, config):
     A single run gets a float, and a dt not above DT_MIN raises
     SimulationError.  A batch gets a (B,) array reduced per row, each
     row the bits of its member's own float (max and min are exact); it
-    does not raise, so the caller checks DT_MIN per member.
+    does not raise, so the caller checks DT_MIN per member.  phi and
+    z^m come from the state's laws, if it carries them; phi is left there.
     """
     params = config.params
     v, theta, z = state.v, state.theta, state.z
+    laws = state.laws
+    if laws is None or laws["params"] is not params:
+        laws = {"zm": np.power(z, params.m_order)}  # for this call only
+    if "phi" not in laws:
+        laws["phi"] = reaction_rate(v, theta, params)
     dx = state.grid.dx
     c2 = theta * (params.r_gas + (4.0 * params.a_rad / 3.0) * theta**3 * v) * (
         params.r_gas / params.cv + 1.0
@@ -333,8 +343,7 @@ def cfl_dt(state: State, config):
     # The floor keeps the denominator positive, so nothing divides by zero.
     acoustic = np.where(c2 > 0.0, dx * v / np.sqrt(np.maximum(c2, 1e-300)), np.inf)
     # A cell whose rate is 0 (cold, or no reaction) adds a growth of 0.
-    phi = reaction_rate(v, theta, params)
-    growth = params.lambda_heat * phi * np.power(z, params.m_order) * (
+    growth = params.lambda_heat * laws["phi"] * laws["zm"] * (
         params.beta / theta + params.a_act / theta**2
     )
     # Land on t_end exactly; the relative slack absorbs the rounding of
@@ -363,7 +372,7 @@ def cfl_dt(state: State, config):
     return dt
 
 
-def momentum_step(state: State, dt, params: PhysParams, s_u=None) -> np.ndarray:
+def momentum_step(state: State, dt, params: PhysParams, s_u=None, theta4=None) -> np.ndarray:
     """Backward-Euler viscous velocity update with explicit pressure/gravity.
 
     Solved in increment form: (W + c*L) du = W*dt*a(u^n), where a(u^n)
@@ -376,7 +385,7 @@ def momentum_step(state: State, dt, params: PhysParams, s_u=None) -> np.ndarray:
     grid = state.grid
     dx = grid.dx
     v = state.v
-    _, accel = _acceleration(v, state.theta, state.u, grid, params)
+    _, accel = _acceleration(v, state.theta, state.u, grid, params, theta4)
     if s_u is not None:
         accel = accel + s_u
 
@@ -404,14 +413,14 @@ def volume_step(state: State, dt, config, s_v=None) -> np.ndarray:
     return v_new
 
 
-def species_step(state: State, dt, params: PhysParams, phi, s_z=None):
+def species_step(state: State, dt, params: PhysParams, phi, s_z=None, laws=None):
     """Implicit species diffusion with semi-implicit reaction decay.
 
     Requires state.v at the new level and state.z at the old one; phi
     is reaction_rate(state.v, state.theta) with theta at the old level.
     Returns z_new.  The step's gradient and reaction quadratures, with
-    the coefficients the solve froze, are diagnostics.record's, from the
-    states before and after the step.
+    the coefficients the solve froze, are diagnostics.record's: laws, if
+    given, gets them as "decay" and "g".
     """
     dx = state.grid.dx
     v, z = state.v, state.z
@@ -419,6 +428,8 @@ def species_step(state: State, dt, params: PhysParams, phi, s_z=None):
     decay = phi * np.power(z, params.m_order - 1.0)
     g = species_interface_coeff(v, params)
     base = 1.0 + dtc * decay
+    if laws is not None:
+        laws["decay"], laws["g"] = decay, g
 
     # Diffusion of a constant vanishes identically, so for a member
     # whose profile is constant (its min is its max) the solve
@@ -445,7 +456,7 @@ def species_step(state: State, dt, params: PhysParams, phi, s_z=None):
     return z_new
 
 
-def energy_step(state: State, dt, config, v_old: np.ndarray, phi, s_theta=None, guess=None):
+def energy_step(state: State, dt, config, v_old, phi, s_theta=None, guess=None, laws=None):
     """Newton solve for theta^{n+1} from the internal-energy balance.
 
     Requires state.u, state.v, state.z at the new level and state.theta
@@ -461,6 +472,9 @@ def energy_step(state: State, dt, config, v_old: np.ndarray, phi, s_theta=None, 
     guess is None.  Convergence is checked before the first iteration,
     so a start point that already meets newton_tol is returned with
     zero iterations, as an exact fixed point is.
+    laws, if given, is a dict: theta^n**4 and e^n are taken from its
+    "theta4" and "e" where present, and on convergence it gets the new
+    level's theta4, e, kappa and zm (z^m).
 
     Each member of a batch converges on its own.  A converged member's
     update is zeroed, so its theta stays put and stays converged, and
@@ -477,11 +491,14 @@ def energy_step(state: State, dt, config, v_old: np.ndarray, phi, s_theta=None, 
     v, z, u = state.v, state.z, state.u
     theta_n = state.theta
 
+    laws = {} if laws is None else laws
     dudx = (u[..., 1:] - u[..., :-1]) / dx
-    work = total_stress(v, theta_n, u, dx, params) * dudx
-    heating = params.lambda_heat * phi * np.power(z, params.m_order)
+    work = total_stress(v, theta_n, u, dx, params, laws.get("theta4")) * dudx
+    zm = np.power(z, params.m_order)
+    heating = params.lambda_heat * phi * zm
     dtc = _per_cell(dt)
-    target = internal_energy(v_old, theta_n, params) + dtc * (work + heating)
+    e_n = laws["e"] if "e" in laws else internal_energy(v_old, theta_n, params)
+    target = e_n + dtc * (work + heating)
     if s_theta is not None:
         target = target + dtc * s_theta
 
@@ -494,7 +511,7 @@ def energy_step(state: State, dt, config, v_old: np.ndarray, phi, s_theta=None, 
     theta = theta_n.copy() if guess is None else guess
     iters = count = 0  # iters: per member; count: the iterations made
     while True:
-        e_cur, kappa = _energy_laws(theta, av, v, params)
+        e_cur, theta4, kappa = _energy_laws(theta, av, v, params)
         kc = kappa * half
         k = kc[..., :-1] + kc[..., 1:]
         np.multiply(k, theta[..., 1:] - theta[..., :-1], out=inner)
@@ -502,6 +519,7 @@ def energy_step(state: State, dt, config, v_old: np.ndarray, phi, s_theta=None, 
         res = _max(np.abs(resid), axis=-1) / _max(e_cur, axis=-1, initial=1.0)  # e > 0
         done = res <= config.newton_tol
         if _all(done):
+            laws.update(theta4=theta4, e=e_cur, kappa=kappa, zm=zm)
             return theta, iters * done, res  # done is all True: iters per member
         if count >= config.newton_max_iter:
             raise StepRejection("newton_stall", ~done)
@@ -571,22 +589,29 @@ def step_batch(state: State, config, sources=None, *, dt, history=()):
     its own run.  The step is one attempt: a rejection's mask names its
     members.  Returns (new_state, StepReport) with every report field
     per member.
+    The new state carries as its laws (mesh.State) theta**4, e, kappa
+    and z^m from Newton's converged residual and the species solve's
+    decay and g; the step takes theta^n**4 and e^n from the input's.
     """
     params = config.params
     # Implicit sub-updates see sources at the level they solve for.
     s_v, s_u, s_th, s_z = (None,) * 4 if sources is None else sources
+    laws = state.laws
+    laws = ({"theta4": laws["theta4"], "e": laws["e"]}
+            if laws is not None and laws["params"] is params else {"theta4": state.theta**4})
+    laws["params"] = params
     trial = State.__new__(State)  # a shallow copy: each field gets a new array
-    vars(trial).update(vars(state))
-    trial.u = momentum_step(trial, dt, params, s_u=s_u)
+    vars(trial).update(vars(state), laws=None)
+    trial.u = momentum_step(trial, dt, params, s_u=s_u, theta4=laws["theta4"])
     trial.v = volume_step(trial, dt, config, s_v=s_v)
     advance_boundary(trial, dt)
     # Species and energy both take the rate at (v^{n+1}, theta^n).
     phi = reaction_rate(trial.v, trial.theta, params)
-    trial.z = species_step(trial, dt, params, phi, s_z=s_z)
+    trial.z = species_step(trial, dt, params, phi, s_z=s_z, laws=laws)
     guess = _start_point(state, history, dt, config.theta_floor)
     trial.theta, iters, res = energy_step(trial, dt, config, state.v, phi, s_theta=s_th,
-                                          guess=guess)
-    trial.t = state.t + dt
+                                          guess=guess, laws=laws)
+    trial.t, trial.laws = state.t + dt, laws
     return trial, StepReport(dt, iters, res)
 
 

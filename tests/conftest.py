@@ -9,7 +9,7 @@ import pytest
 
 import rrgas.solver
 from rrgas.config import load_config
-from rrgas.constitutive import reaction_rate
+from rrgas.constitutive import heat_conductivity, internal_energy, reaction_rate
 from rrgas.diagnostics import (
     DiagnosticsRecord,
     _dissipation_V,
@@ -51,9 +51,12 @@ def per_state_row():
         return DiagnosticsRecord(
             t=state.t,
             dt=dt,
-            e_total=float(_total_energy(u, v, theta, z, state.grid, params)),
+            e_total=float(_total_energy(u, v, internal_energy(v, theta, params), z, state.grid,
+                                        params)),
             u_entropy=float(_entropy_U(v, theta, dx, params)),
-            v_dissipation=float(_dissipation_V(u, v, theta, z, dx, params)),
+            v_dissipation=float(_dissipation_V(
+                u, v, theta, reaction_rate(v, theta, params), np.power(z, params.m_order),
+                heat_conductivity(v, theta, params), dx, params)),
             z_l2=float(_z_squared_norm(z, dx)),
             z_diff_accum=z_diff,
             z_react_accum=z_react,

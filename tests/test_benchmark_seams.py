@@ -15,7 +15,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_golden_outputs import LARGE_RUN
 
+import rrgas.constitutive
 import rrgas.diagnostics
 import rrgas.mms
 import rrgas.solver
@@ -42,7 +44,21 @@ REACTING_COUNTS = (116, 526, 295)
 # t_end 0.1, 40 steps).  Unlike a time, a count does not move with the
 # host, so it shows added per-step work at once; a rise needs a
 # measured reason in CHANGES.md.
-CALLS_PER_STEP = {"reacting": 84.6, "mms": 59.375}
+CALLS_PER_STEP = {"reacting": 83.52, "mms": 56.4}
+
+# Calls of each constitutive law per accepted step, counted as
+# CALLS_PER_STEP is, upper bounds: configs/reacting.ini to t = 0.05
+# (35 steps, 128 cells) and at LARGE_RUN (51 steps, 4096 cells), where
+# each diagnostics row is a block of its own.  Every accepted level's
+# laws are evaluated once and carried to the next step, cfl_dt and
+# record; the leftovers are the first state's and Newton's iterates.
+LAWS = ("reaction_rate", "internal_energy", "pressure", "heat_conductivity")
+LAW_CALLS_PER_STEP = {
+    "reacting": {"reaction_rate": 2.058, "internal_energy": 0.058, "pressure": 0.0,
+                 "heat_conductivity": 4.372},
+    "large": {"reaction_rate": 2.04, "internal_energy": 0.04, "pressure": 0.0,
+              "heat_conductivity": 2.1},
+}
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +197,36 @@ def test_a_step_makes_no_more_python_calls_than_pinned(configs_dir):
     }
     for name, count in counted.items():
         assert count <= CALLS_PER_STEP[name], (name, count)
+
+
+def law_calls_per_step(run):
+    """Calls of each of LAWS per accepted step of run(), which returns
+    its step count; a first, uncounted run fills every cache."""
+    run()
+    calls = dict.fromkeys(LAWS, 0)
+    home = rrgas.constitutive.__file__
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == home and frame.f_code.co_name in calls:
+            calls[frame.f_code.co_name] += 1
+
+    sys.setprofile(count)
+    try:
+        steps = run()
+    finally:
+        sys.setprofile(None)
+    return {name: n / steps for name, n in calls.items()}
+
+
+def test_a_step_evaluates_each_law_no_more_than_pinned(configs_dir):
+    runs = {"reacting": (128, 0.05), "large": LARGE_RUN}
+    for name, (n_cells, t_end) in runs.items():
+        config = load_config(configs_dir / "reacting.ini")
+        config.n_cells, config.t_end = n_cells, t_end
+        state = init_state(config)
+        counted = law_calls_per_step(lambda: run_simulation(config, state=state).n_steps)
+        for law, bound in LAW_CALLS_PER_STEP[name].items():
+            assert counted[law] <= bound, (name, law, counted[law])
 
 
 def test_only_a_recorded_run_forms_balance_sums(configs_dir, tmp_path, monkeypatch):

@@ -116,9 +116,13 @@ def test_energy_kernels_equal_the_laws_bit_for_bit(q_cond, cond_model, data, a_r
     live = np.array(data.draw(st.lists(st.booleans(), min_size=3, max_size=3)))
     av = (p.a_rad * v)[live]
     v, theta = v[live], theta[live]
-    e, kappa = _energy_laws(theta, av, v, p)
+    e, theta4, kappa = _energy_laws(theta, av, v, p)
     et = de_dtheta(v, theta, p)
     np.testing.assert_array_equal(e, internal_energy(v, theta, p))
+    # the theta^4 the next step's pressures take, pressure's bits
+    np.testing.assert_array_equal(theta4, theta**4)
+    np.testing.assert_array_equal(p.r_gas * theta / v + (p.a_rad / 3.0) * theta4,
+                                  pressure(v, theta, p))
     np.testing.assert_array_equal(et, de_dtheta(v, theta, p))  # the update takes the law
     np.testing.assert_array_equal(kappa, heat_conductivity(v, theta, p))
     # the laws as written before the split, C_v*theta + a*v*theta^4 and

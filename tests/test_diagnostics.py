@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rrgas.config import init_state, load_config
 from rrgas.constitutive import PhysParams
-from rrgas.driver import _BLOCK_VALUES
+from rrgas.driver import _BLOCK_VALUES, run_simulation
 from rrgas.diagnostics import (
     DiagnosticsRecord,
     record,
@@ -229,8 +230,8 @@ def random_block(n, length, seed):
 def test_block_rows_equal_per_state_rows(n, per_state_row, step_quadratures):
     # Blocks of length 1, K - 1, K and K + 1, K being the driver's block
     # at n cells, are prefixes of one block.  Its last state has a cell
-    # at theta <= 0, so the longest block makes reaction_rate mask every
-    # state, while each other state alone takes the unmasked branch.
+    # at theta <= 0, so reaction_rate masks that state, while each other
+    # state takes the unmasked branch.
     p = params(k_rate=2.0, a_act=1.5, m_order=1.5, beta=2.0, q_cond=1.5,
                g_grav=0.7, p_ext=0.3, cond_model="B", kappa2=2.0)
     k = max(1, _BLOCK_VALUES // n)
@@ -246,3 +247,30 @@ def test_block_rows_equal_per_state_rows(n, per_state_row, step_quadratures):
         for length in sorted({1, max(1, k - 1), k, k + 1}):
             rows = record(block[:length], p)
             assert [bits(r) for r in rows] == expected[:length], (n, length)
+
+
+
+@pytest.mark.parametrize("n_cells,t_end", [(128, 0.05), (4096, 0.0006)], ids=["K>1", "K=1"])
+def test_rows_of_carried_laws_equal_rows_of_bare_fields(n_cells, t_end, configs_dir):
+    # A run's rows, built from states that carry their steps' law values,
+    # have the bits of rows built in the same blocks from the same
+    # fields by State(...), which carry none.  At 128 cells a block is
+    # 32 states, at 4096 cells one.
+    config = load_config(configs_dir / "reacting.ini")
+    config.n_cells, config.t_end = n_cells, t_end
+    config.params = dataclasses.replace(config.params, q_cond=0.5, cond_model="B", m_order=2.0)
+    initial = init_state(config)
+    trajectory = [(initial, 0.0)]
+    result = run_simulation(config, state=initial, on_step=lambda state, report, n: (
+        trajectory.append((state, report.dt))))
+    assert result.completed and len(trajectory) > 2
+    last = trajectory[-1][0].laws  # record read it, and kept what cfl_dt would take
+    assert last["params"] is config.params and "phi" in last and "kappa" not in last
+    bare = [(State(s.grid, s.v, s.theta, s.z, s.u, s.t, s.a_pos), dt) for s, dt in trajectory]
+    rows, previous, k = [], None, max(1, _BLOCK_VALUES // n_cells)
+    for start in range(0, len(bare), k):
+        block = bare[start:start + k]
+        rows += record(block, config.params, previous)
+        previous = (block[-1][0], rows[-1].z_diff_accum, rows[-1].z_react_accum)
+    assert len(rows) == len(result.records)
+    assert [bits(r) for r in rows] == [bits(r) for r in result.records]

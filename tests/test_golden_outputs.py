@@ -17,7 +17,9 @@ and with each case's sources.  The shipped configs have power-of-two
 grids of at most 128 cells; the reacting scenario is also pinned at
 1000 cells, a grid whose dx is not exact in binary, and at 4096 cells,
 and at q_cond = 0 (model A) and 1/2 (model B): every shipped config and
-MMS case has q_cond = 2.
+MMS case has q_cond = 2.  Those two are pinned again with higher-order
+kinetics, m = 2 and 3, the paper's case: every other pinned run with
+records has m = 1.
 `rrgas run` hands every snapshot to its helper process where
 workers.may_fork; the reacting config is also run as on a platform that
 cannot fork, on one CPU and without os.sched_getaffinity, where every
@@ -91,6 +93,20 @@ CONDUCTIVITY_GOLDEN = {
     ("0.5", "B"): (
         "806ca629b1395cfac996b84e14af68764f599d722f83947ecb7285bc927076f0",
         "6e7af7e87d1fe0a91875326e0b9e87902f24de21f40d3de7efd0afd7fff4fc60",
+    ),
+}
+
+# configs/reacting.ini to t_end = 0.05 with higher-order kinetics, the
+# paper's case: (q_cond, cond_model, m_order) -> (diagnostics.csv,
+# snapshots) SHA-256.  Every other pinned run with records has m = 1.
+KINETICS_GOLDEN = {
+    ("0.0", "A", "2.0"): (
+        "6b859f592c3faa2150f13816c7e0160b3caa050a94bb2fc5f825804f860a8268",
+        "6664cae90790fe808b437e6838b166d9b487b3bf2f1ac7f9203076468ade3955",
+    ),
+    ("0.5", "B", "3.0"): (
+        "b34595c123c59124649e49df9ed284d70db06afd538b7daa1edb0f60364e7c62",
+        "e6df9af6ff0cd724f17c477accb29e9852d68f20fd21c9bd3d9b0d53dc726069",
     ),
 }
 
@@ -234,6 +250,22 @@ def test_conductivity_range_outputs_are_byte_identical(q_cond, cond_model, confi
                    .replace("cond_model = A", f"cond_model = {cond_model}"))
     out = tmp_path / "out"
     assert run_digests(ini, out) == CONDUCTIVITY_GOLDEN[q_cond, cond_model]
+    assert len(list(out.glob("snapshot_*.csv"))) == 5
+
+
+@pytest.mark.parametrize("q_cond,cond_model,m_order", sorted(KINETICS_GOLDEN))
+def test_higher_order_kinetics_outputs_are_byte_identical(q_cond, cond_model, m_order,
+                                                          configs_dir, tmp_path):
+    # The reaction of order m enters the decay phi*z^(m-1) of the
+    # species solve, the heat release phi*z^m and the dissipation row.
+    ini = resized_reacting(configs_dir, tmp_path, 128, 0.05)
+    text = ini.read_text()
+    assert "m_order = 1.0" in text
+    ini.write_text(text.replace("q_cond = 2.0", f"q_cond = {q_cond}")
+                   .replace("cond_model = A", f"cond_model = {cond_model}")
+                   .replace("m_order = 1.0", f"m_order = {m_order}"))
+    out = tmp_path / "out"
+    assert run_digests(ini, out) == KINETICS_GOLDEN[q_cond, cond_model, m_order]
     assert len(list(out.glob("snapshot_*.csv"))) == 5
 
 

@@ -91,23 +91,38 @@ def test_snapshot_round_trip_bitwise(tmp_path):
         assert int(meta["n_cells"]) == n
 
 
+def per_value_rows(s):
+    """A snapshot's data rows, each value formatted on its own."""
+    y_edges, _ = physical_coordinates(s)
+    y_center = 0.5 * (y_edges[:-1] + y_edges[1:])
+    x = s.grid.cell_centers
+    return [
+        ",".join((str(i), fmt(x[i]), fmt(y_center[i]), fmt(s.v[i]),
+                  fmt(s.theta[i]), fmt(s.z[i]), fmt(s.u[i]))) + "\n"
+        for i in range(s.grid.n_cells)
+    ]
+
+
 @pytest.mark.parametrize(
     "n",
-    [1, _SNAPSHOT_BLOCK - 1, _SNAPSHOT_BLOCK, _SNAPSHOT_BLOCK + 1, 2 * _SNAPSHOT_BLOCK + 3],
+    [1, _SNAPSHOT_BLOCK - 1, _SNAPSHOT_BLOCK, _SNAPSHOT_BLOCK + 1, 2 * _SNAPSHOT_BLOCK + 3, 4096],
 )
 def test_snapshot_rows_match_per_value_format(tmp_path, n):
     s = edge_state(n)
     path = tmp_path / "snap.csv"
     write_snapshot(path, s, PhysParams())
-    y_edges, _ = physical_coordinates(s)
-    y_center = 0.5 * (y_edges[:-1] + y_edges[1:])
-    x = s.grid.cell_centers
-    expected = [
-        ",".join((str(i), fmt(x[i]), fmt(y_center[i]), fmt(s.v[i]),
-                  fmt(s.theta[i]), fmt(s.z[i]), fmt(s.u[i]))) + "\n"
-        for i in range(n)
-    ]
-    assert data_rows(path) == expected
+    assert data_rows(path) == per_value_rows(s)
+
+
+def test_snapshot_rows_of_two_grids_written_in_turn(tmp_path):
+    # Each grid size has its own row templates in the formatting
+    # process; writing two sizes by turns keeps each one's i and x_center.
+    sizes = (_SNAPSHOT_BLOCK + 3, 7, _SNAPSHOT_BLOCK + 3, 7)
+    for k, n in enumerate(sizes):
+        s = edge_state(n)
+        s.v *= 1.0 + k  # the changing columns differ on each write
+        write_snapshot(tmp_path / f"snap_{k}.csv", s, PhysParams())
+        assert data_rows(tmp_path / f"snap_{k}.csv") == per_value_rows(s)
 
 
 def test_snapshot_rejects_short_row(tmp_path):

@@ -21,11 +21,18 @@ from test_golden_outputs import GOLDEN, run_digests, state_digest
 
 import rrgas.solver
 from rrgas.config import Profile, RunConfig, init_state, load_config
-from rrgas.constitutive import PhysParams, internal_energy, pressure, reaction_rate
+from rrgas.constitutive import (
+    PhysParams,
+    heat_conductivity,
+    internal_energy,
+    pressure,
+    reaction_rate,
+)
 from rrgas.diagnostics import record
 from rrgas.driver import run_fixed
 from rrgas.explicit import explicit_reference_step
 from rrgas.mesh import Grid, State, stack, velocity_mean, width
+from rrgas.output import read_snapshot, write_snapshot
 from rrgas.solver import (
     InvariantViolation,
     SimulationError,
@@ -37,6 +44,7 @@ from rrgas.solver import (
     momentum_step,
     rates,
     solveh_banded,
+    species_interface_coeff,
     species_step,
     step,
     step_batch,
@@ -959,6 +967,108 @@ def test_step_batch_with_per_member_constants_matches_serial_steps():
                     assert getattr(report, name)[b] == value, name
         iterations.add(tuple(report.newton_iterations.tolist()))
     assert any(len(set(its)) > 1 for its in iterations)
+
+
+# ------------------------------------------------ law values a step carries
+
+def expected_laws(new, before, params):
+    """The laws on new's own fields (the species decay on before's too):
+    what new carries from the step that made it from before."""
+    m = params.m_order
+    return {
+        "theta4": new.theta**4,
+        "e": internal_energy(new.v, new.theta, params),
+        "kappa": heat_conductivity(new.v, new.theta, params),
+        "zm": np.power(new.z, m),
+        "decay": reaction_rate(new.v, before.theta, params) * np.power(before.z, m - 1.0),
+        "g": species_interface_coeff(new.v, params),
+    }
+
+
+def rebuilt(s):
+    """s as a state built by State(...): its fields, no law values."""
+    return State(s.grid, s.v, s.theta, s.z, s.u, s.t, s.a_pos)
+
+
+@pytest.mark.parametrize("m_order", [1.0, 2.0])
+@pytest.mark.parametrize("cond_model", ["A", "B"])
+@pytest.mark.parametrize("q_cond", [0.0, 0.5, 2.0])
+def test_a_step_carries_the_laws_of_its_new_state(q_cond, cond_model, m_order):
+    # Every carried array is bit for bit the law on the new state's own
+    # fields, for one run and for each member of a batch with
+    # per-member constants; a step from a carried state has the bits
+    # of a step from the same fields without them.
+    base = ref_params(k_rate=5.0, q_cond=q_cond, cond_model=cond_model, m_order=m_order)
+    members = [base, dataclasses.replace(base, a_rad=0.25, cv=1.5, kappa2=2.0),
+               dataclasses.replace(base, k_rate=3.0, d_diff=0.2, lambda_heat=2.0)]
+    configs = [bump_config(n_cells=16, t_end=10.0) for _ in members]
+    for config, params in zip(configs, members):
+        config.params = params
+    first = init_state(configs[0])
+    assert first.laws is None
+    batch_config = dataclasses.replace(configs[0], params=PhysParams.stack(members))
+    before, dts = stack([first] * 3), np.array([2e-3, 1e-3, 4e-3])
+    for _ in range(2):
+        batch, _ = step_batch(before, batch_config, dt=dts)
+        assert batch.laws["params"] is batch_config.params
+        cfl_dt(batch, batch_config)
+        for b, params in enumerate(members):
+            laws = {name: value[b] for name, value in batch.laws.items() if name != "params"}
+            expected = expected_laws(batch[b], before[b], params)
+            expected["phi"] = reaction_rate(batch[b].v, batch[b].theta, params)
+            assert laws.keys() == expected.keys()
+            for name, value in expected.items():
+                assert laws[name].tobytes() == value.tobytes(), (b, name)
+        again, _ = step_batch(rebuilt(batch), batch_config, dt=dts)
+        assert state_bits(step_batch(batch, batch_config, dt=dts)[0]) == state_bits(again)
+        before = batch
+    config = configs[0]
+    states = [first]
+    for _ in range(3):
+        new, _ = step(states[-1], config, dt=1e-3)
+        assert new.laws["params"] is config.params
+        expected = expected_laws(new, states[-1], config.params)
+        assert new.laws.keys() - {"params"} == expected.keys()
+        for name, value in expected.items():
+            assert new.laws[name].tobytes() == value.tobytes(), name
+        assert state_bits(step(rebuilt(new), config, dt=1e-3)[0]) == state_bits(
+            step(new, config, dt=1e-3)[0])
+        states.append(new)
+
+
+def test_carried_laws_belong_to_their_constants(tmp_path):
+    # One state stepped, bounded and recorded under two sets of
+    # constants: the second reads none of the first's values, and its
+    # bits are those of the bare fields.  The other constants change
+    # every carried law, and their reaction bounds dt.
+    config = bump_config(n_cells=16, t_end=10.0, k_rate=5.0)
+    other = dataclasses.replace(config, params=dataclasses.replace(
+        config.params, a_rad=0.25, k_rate=5e3, m_order=2.0, q_cond=0.5))
+    first = init_state(config)
+    new, _ = step(first, config, dt=1e-3)
+    cfl_dt(new, config)
+    assert state_bits(step(new, other, dt=1e-3)[0]) == state_bits(
+        step(rebuilt(new), other, dt=1e-3)[0])
+    assert cfl_dt(new, other) == cfl_dt(rebuilt(new), other) < cfl_dt(new, config)
+    for previous in None, (first, 0.0, 0.0):
+        assert repr(record([(new, 1e-3)], other.params, previous)) == repr(
+            record([(rebuilt(new), 1e-3)], other.params, previous))
+    assert new.laws["params"] is config.params
+    write_snapshot(tmp_path / "snap.csv", new, config.params)
+    reread, _ = read_snapshot(tmp_path / "snap.csv")
+    for made in (new.copy(), new[None], stack([new]), rebuilt(new), reread):
+        assert made.laws is None
+
+
+def test_a_trial_state_carries_nothing(monkeypatch):
+    # The sub-steps see a trial state without its input's law values.
+    seen, real = [], rrgas.solver.species_step
+    monkeypatch.setattr(rrgas.solver, "species_step", lambda state, *args, **kwargs: (
+        seen.append(state.laws), real(state, *args, **kwargs))[1])
+    config = bump_config(n_cells=16, t_end=10.0)
+    new, _ = step(init_state(config), config, dt=1e-3)
+    step(new, config, dt=1e-3)
+    assert new.laws is not None and seen == [None, None]
 
 
 # ------------------------------------------------- Newton's start point
