@@ -19,10 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
 from .constitutive import PhysParams, heat_conductivity, internal_energy, reaction_rate
+from .mesh import State
 from .solver import species_interface_coeff
 
 
@@ -140,49 +142,46 @@ def record(block, params: PhysParams, previous=None) -> list[DiagnosticsRecord]:
     fields: the elementwise expressions are the same, and numpy sums
     each contiguous row with the same pairwise sum as a 1-D array.
     A law value a state lacks is evaluated on its own fields; the states
-    before the last then lose their laws, the last its kappa, decay and g.
+    before the last then lose their laws, the last its State.RECORD_ONLY ones.
     """
     states, dts = zip(*block)
     # np.stack copies; one state, the large-grid case, is viewed as (1, N)
-    stack = np.stack if len(states) > 1 else (lambda arrays: arrays[0][None])
-    v = stack([s.v for s in states])
-    theta = stack([s.theta for s in states])
-    z = stack([s.z for s in states])
-    u = stack([s.u for s in states])
+    stacked = ((lambda rows: map(np.stack, zip(*rows))) if len(states) > 1
+               else (lambda rows: map(itemgetter(None), rows[0])))
     grid = states[0].grid
     dx = grid.dx
-    laws = [s.laws if s.laws is not None and s.laws["params"] is params else {} for s in states]
-    for s, law in zip(states, laws):
+    # each step from the state before it; the run's first state has none
+    olds = states[:-1] if previous is None else (previous[0], *states[:-1])
+    first = len(states) - len(olds)  # the first state a step of the block made
+    fields, frozen = [], []
+    for s, old in zip(states, (None,) * first + olds):
+        law = s.laws if s.laws is not None and s.laws["params"] is params else {}
         for name, evaluate in (("e", internal_energy), ("kappa", heat_conductivity),
                                ("phi", reaction_rate)):
             if name not in law:
                 law[name] = evaluate(s.v, s.theta, params)
         if "zm" not in law:
             law["zm"] = np.power(s.z, params.m_order)
-    # each step from the state before it; the run's first state has none
-    olds = states[:-1] if previous is None else (previous[0], *states[:-1])
-    quadratures = ((), ())
-    if olds:
-        new = slice(len(states) - len(olds), None)
-        for old, s, law in zip(olds, states[new], laws[new]):
+        fields.append((s.v, s.theta, s.z, s.u, law["e"], law["phi"], law["zm"], law["kappa"]))
+        if old is not None:
             if "g" not in law:  # the coefficients species_step froze
                 law.update(g=species_interface_coeff(s.v, params), decay=reaction_rate(
                     s.v, old.theta, params) * np.power(old.z, params.m_order - 1.0))
-        quadratures = (q.tolist() for q in _species_quadratures(
-            stack([law["g"] for law in laws[new]]), stack([law["decay"] for law in laws[new]]),
-            z[new], np.array(dts[new]), dx))
-    z_diffs, z_reacts = (list(accumulate(q, initial=start))[-len(states):] for q, start in
-                         zip(quadratures, previous[1:] if previous else (0.0, 0.0)))
-    e, phi, zm, kappa = (stack([law[k] for law in laws]) for k in ("e", "phi", "zm", "kappa"))
+            frozen.append((law["g"], law["decay"]))
+    v, theta, z, u, e, phi, zm, kappa = stacked(fields)
+    diffs = reacts = ()
+    if frozen:
+        diffs, reacts = map(np.ndarray.tolist, _species_quadratures(
+            *stacked(frozen), z[first:], np.array(dts[first:]), dx))
     columns = (
-        [s.t for s in states],
+        list(map(attrgetter("t"), states)),
         dts,
         _total_energy(u, v, e, z, grid, params).tolist(),
         _entropy_U(v, theta, dx, params).tolist(),
         _dissipation_V(u, v, theta, phi, zm, kappa, dx, params).tolist(),
         _z_squared_norm(z, dx).tolist(),
-        z_diffs,
-        z_reacts,
+        list(accumulate(diffs, initial=previous[1] if previous else 0.0))[-len(states):],
+        list(accumulate(reacts, initial=previous[2] if previous else 0.0))[-len(states):],
         # mesh.width and mesh.velocity_mean, per row
         (v.sum(axis=-1) * dx).tolist(),
         v.min(axis=-1).tolist(),
@@ -193,6 +192,6 @@ def record(block, params: PhysParams, previous=None) -> list[DiagnosticsRecord]:
     )
     for old in olds:
         old.laws = None
-    for name in ("kappa", "decay", "g"):
-        laws[-1].pop(name, None)
-    return [DiagnosticsRecord(*row) for row in zip(*columns)]
+    for name in State.RECORD_ONLY:
+        law.pop(name, None)
+    return list(map(DiagnosticsRecord, *columns))

@@ -164,6 +164,8 @@ def _run_alone(config: RunConfig, state: State, n_steps: int, observe=None,
         n_steps += 1
         if observe is not None:
             observe(state, report, n_steps)
+        else:  # no rows: once stepped from, a state's laws have no reader
+            history[0].laws = None
     return RunResult(state, [], completed, error, n_steps)
 
 
@@ -217,6 +219,7 @@ def run_batch(configs, state: State) -> list:
         try:
             new, _ = step_batch(batch, stacked, dt=dt, history=history)
             history, batch = (batch, *history)[:2], new
+            history[0].laws = None  # no rows, as in _run_alone
             n_steps, failed = n_steps + 1, False
         except StepRejection as rej:
             failed = rej.members
@@ -296,6 +299,7 @@ def run_fixed(state: State, config: RunConfig, n_steps, sources=None) -> list:
                     last_state=last,
                 ) from rej
             history, state = (state, *history)[:2], new
+            history[0].laws = None  # no rows, as in _run_alone
         taken = stop
         done = counts[live] == taken
         for member, position in zip(live[done], np.flatnonzero(done)):

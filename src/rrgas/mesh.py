@@ -64,8 +64,10 @@ class State:
     member's state, an index array or mask a smaller batch, and None
     turns a single state into a batch of one.
     laws: the law values its step (solver.step_batch) evaluated here, a
-    dict whose "params" is the PhysParams they belong to, tested with `is`;
-    None on any other state.  A state is never changed in place after a step.
+    dict whose "params" is the PhysParams they belong to (an `is` test);
+    None on any other state.  The next step reads its theta4 and e,
+    cfl_dt phi and zm (z^m), and diagnostics.record e, phi, zm and
+    RECORD_ONLY, dropped with its row.  Fields never change after a step.
     """
 
     grid: Grid
@@ -76,6 +78,7 @@ class State:
     t: float = 0.0
     a_pos: float = 0.0
     laws = None  # not a field: set on the state a step makes
+    RECORD_ONLY = ("kappa", "decay", "g")  # the laws only diagnostics.record reads
 
     def __post_init__(self) -> None:
         n = self.grid.n_cells

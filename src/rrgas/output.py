@@ -5,13 +5,13 @@ Everything numeric is serialized with 17 significant digits
 rereading a snapshot reproduces the state bit for bit.  The table
 writers format a whole row, or a block of rows, with one `%`-template;
 the bytes are those of `fmt`.  A snapshot table holds the five changing
-columns; its templates hold the fixed i and x_center text, built once
-per grid size in the process that formats it.  `rrgas run` hands every
-snapshot table to a SnapshotWriter, whose forked helper process formats
-and writes it while the run steps on, where `workers.may_fork`; else
-the writer writes the tables inline.  A run is identified by a short
-hash of its fully serialized configuration, so the id is stable
-across processes and machines.
+columns, and templates built once per grid size where it is formatted
+hold the fixed i and x_center text.  `rrgas run` hands every snapshot
+table to a SnapshotWriter, whose forked helper process formats and
+writes it while the run steps on, where `workers.may_fork`; else the
+writer writes the tables inline.  A run is identified by a short hash
+of its fully serialized configuration, so the id is stable across
+processes and machines.
 """
 
 from __future__ import annotations

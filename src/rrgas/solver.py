@@ -6,10 +6,9 @@ left boundary advance, implicit species diffusion with semi-implicit
 reaction, and a Newton solve for temperature with implicit conduction.
 Pressure work and reaction heat stay explicit in theta, which limits the
 splitting to first order in dt; diffusion stiffness never restricts dt.
-Each Newton residual takes e and kappa in one pass; the species balance
-sums are diagnostics.record's, formed only where a run records rows.
-A new state carries the law values its step evaluated (mesh.State.laws)
-to the next step, cfl_dt and record.
+Each Newton residual takes e and kappa in one pass, and a new state
+carries the law values its step evaluated (mesh.State.laws) to the next
+step, cfl_dt and record, which alone forms the species balance sums.
 
 All linear systems are symmetric positive definite tridiagonal and go
 through LAPACK `dptsv` (pivot-free L·D·Lᵀ).  It is called through
@@ -56,7 +55,6 @@ from .constitutive import (
     de_dtheta,
     heat_conductivity,
     internal_energy,
-    pressure,
     reaction_rate,
 )
 from .mesh import State, advance_boundary
@@ -187,8 +185,7 @@ def solveh_banded(diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> np.nd
 def total_stress(v, theta, u, dx: float, params: PhysParams, theta4=None) -> np.ndarray:
     """Cell total stress sigma = -p + mu*u_x/v; theta4 is theta**4, if given."""
     du = u[..., 1:] - u[..., :-1]
-    p = (pressure(v, theta, params) if theta4 is None
-         else params.r_gas * theta / v + (params.a_rad / 3.0) * theta4)
+    p = params.r_gas * theta / v + (params.a_rad / 3.0) * (theta**4 if theta4 is None else theta4)
     return -p + params.mu * du / (dx * v)
 
 
@@ -331,9 +328,8 @@ def cfl_dt(state: State, config):
     """
     params = config.params
     v, theta, z = state.v, state.theta, state.z
-    laws = state.laws
-    if laws is None or laws["params"] is not params:
-        laws = {"zm": np.power(z, params.m_order)}  # for this call only
+    laws = (state.laws if state.laws is not None and state.laws["params"] is params
+            else {"zm": np.power(z, params.m_order)})  # else for this call only
     if "phi" not in laws:
         laws["phi"] = reaction_rate(v, theta, params)
     dx = state.grid.dx
@@ -472,9 +468,8 @@ def energy_step(state: State, dt, config, v_old, phi, s_theta=None, guess=None, 
     guess is None.  Convergence is checked before the first iteration,
     so a start point that already meets newton_tol is returned with
     zero iterations, as an exact fixed point is.
-    laws, if given, is a dict: theta^n**4 and e^n are taken from its
-    "theta4" and "e" where present, and on convergence it gets the new
-    level's theta4, e, kappa and zm (z^m).
+    laws, if given, is a dict: its "theta4" and "e" give theta^n**4 and
+    e^n, and on convergence it gets the new theta4, e, kappa and zm (z^m).
 
     Each member of a batch converges on its own.  A converged member's
     update is zeroed, so its theta stays put and stays converged, and
@@ -589,17 +584,16 @@ def step_batch(state: State, config, sources=None, *, dt, history=()):
     its own run.  The step is one attempt: a rejection's mask names its
     members.  Returns (new_state, StepReport) with every report field
     per member.
-    The new state carries as its laws (mesh.State) theta**4, e, kappa
-    and z^m from Newton's converged residual and the species solve's
-    decay and g; the step takes theta^n**4 and e^n from the input's.
+    The new state's laws (mesh.State) hold Newton's converged theta**4,
+    e, kappa and z^m and the species solve's decay and g; the step reads
+    theta^n**4 and e^n from the input state's.
     """
     params = config.params
     # Implicit sub-updates see sources at the level they solve for.
     s_v, s_u, s_th, s_z = (None,) * 4 if sources is None else sources
     laws = state.laws
-    laws = ({"theta4": laws["theta4"], "e": laws["e"]}
-            if laws is not None and laws["params"] is params else {"theta4": state.theta**4})
-    laws["params"] = params
+    laws = ({"params": params, "theta4": laws["theta4"], "e": laws["e"]} if laws is not None
+            and laws["params"] is params else {"params": params, "theta4": state.theta**4})
     trial = State.__new__(State)  # a shallow copy: each field gets a new array
     vars(trial).update(vars(state), laws=None)
     trial.u = momentum_step(trial, dt, params, s_u=s_u, theta4=laws["theta4"])

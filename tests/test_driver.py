@@ -10,7 +10,7 @@ import rrgas.solver
 from rrgas.config import Profile, RunConfig, init_state, load_config
 from rrgas.constitutive import PhysParams
 from rrgas.driver import check_scenario, run_batch, run_fixed, run_simulation
-from rrgas.mesh import ConfigurationError
+from rrgas.mesh import ConfigurationError, State
 
 
 def rest_config(t_end=0.05, n_cells=16):
@@ -320,6 +320,35 @@ def test_run_fixed_hands_each_member_the_levels_of_its_own_run(monkeypatch):
         assert len(history) == min(k, 2)
         for j, levels in enumerate(history):
             assert levels.tolist() == [level(count, k - 1 - j) for count in live]
+
+
+@pytest.mark.parametrize("loop", ["simulation K=3", "simulation K=1", "fixed", "batch"])
+def test_no_state_a_loop_stepped_from_keeps_its_laws(loop, monkeypatch):
+    # Once a step is made from a state, only diagnostics.record reads its
+    # laws, and drops them with its row; a loop that records no rows
+    # drops them once it has stepped.  So when a loop returns, no state it
+    # stepped from holds an array of them.
+    real, stepped = rrgas.solver.step_batch, []
+
+    def recording(state, config, sources=None, *, dt, history=()):
+        made = real(state, config, sources, dt=dt, history=history)
+        stepped.append(state)
+        return made
+
+    for module in (rrgas.solver, rrgas.driver):
+        monkeypatch.setattr(module, "step_batch", recording)
+    cfg = bump_config(t_end=0.04, n_cells=16)
+    if loop.startswith("simulation"):
+        monkeypatch.setattr(rrgas.driver, "_BLOCK_VALUES", int(loop[-1]) * cfg.n_cells)
+        result = run_simulation(cfg)
+        assert result.completed and not result.state.laws.keys() & set(State.RECORD_ONLY)
+    elif loop == "fixed":
+        run_fixed(init_state(cfg), cfg, [5, 3, 1])  # 2 steps a batch of 2, 2 alone
+    else:
+        # the stiffer member takes 10 steps, the last 2 alone
+        other = dataclasses.replace(cfg, params=dataclasses.replace(cfg.params, a_rad=5.0))
+        assert all(result.completed for result in run_batch([cfg, other], init_state(cfg)))
+    assert len(stepped) >= 3 and all(state.laws is None for state in stepped)
 
 
 def bits(rec):
