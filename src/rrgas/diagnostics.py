@@ -24,7 +24,6 @@ from operator import attrgetter, itemgetter
 import numpy as np
 
 from .constitutive import PhysParams, heat_conductivity, internal_energy, reaction_rate
-from .mesh import State
 from .solver import species_interface_coeff
 
 
@@ -141,8 +140,7 @@ def record(block, params: PhysParams, previous=None) -> list[DiagnosticsRecord]:
     A row is bitwise the one the kernels give on its state's own 1-D
     fields: the elementwise expressions are the same, and numpy sums
     each contiguous row with the same pairwise sum as a 1-D array.
-    A law value a state lacks is evaluated on its own fields; the states
-    before the last then lose their laws, the last its State.RECORD_ONLY ones.
+    A law value a state lacks is evaluated on its own fields.
     """
     states, dts = zip(*block)
     # np.stack copies; one state, the large-grid case, is viewed as (1, N)
@@ -190,8 +188,4 @@ def record(block, params: PhysParams, previous=None) -> list[DiagnosticsRecord]:
         z.max(axis=-1).tolist(),
         np.trapezoid(u, dx=dx, axis=-1).tolist(),
     )
-    for old in olds:
-        old.laws = None
-    for name in State.RECORD_ONLY:
-        law.pop(name, None)
     return list(map(DiagnosticsRecord, *columns))

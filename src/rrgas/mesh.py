@@ -66,8 +66,8 @@ class State:
     laws: the law values its step (solver.step_batch) evaluated here, a
     dict whose "params" is the PhysParams they belong to (an `is` test);
     None on any other state.  The next step reads its theta4 and e,
-    cfl_dt phi and zm (z^m), and diagnostics.record e, phi, zm and
-    RECORD_ONLY, dropped with its row.  Fields never change after a step.
+    cfl_dt phi and zm (z^m), and diagnostics.record all but theta4; they
+    are freed with the state.  Fields never change after a step.
     """
 
     grid: Grid
@@ -78,7 +78,6 @@ class State:
     t: float = 0.0
     a_pos: float = 0.0
     laws = None  # not a field: set on the state a step makes
-    RECORD_ONLY = ("kappa", "decay", "g")  # the laws only diagnostics.record reads
 
     def __post_init__(self) -> None:
         n = self.grid.n_cells

@@ -34,11 +34,12 @@ run and step_batch a batch.
 
 The temperature Newton solve starts from the extrapolation in time of
 theta through the run's last accepted levels, up to two of them before
-the input state, which the caller passes as history; without history it
-starts from theta^n.  A member whose start point is not finite or not
-above theta_floor in every cell starts from theta^n.  The start point
-moves only the route to the root of the same discrete equations; a
-start point that already meets newton_tol takes no linear solve.
+the input state, which the caller passes as history (objects with t and
+theta, States among them); without history it starts from theta^n.  A
+member whose start point is not finite or not above theta_floor in
+every cell starts from theta^n.  The start point moves only the route to
+the root of the same discrete equations; a start point that already
+meets newton_tol takes no linear solve.
 """
 
 from __future__ import annotations
@@ -545,7 +546,7 @@ def _start_point(state: State, history, dt, theta_floor: float):
     """theta at t + dt extrapolated through state and history, the last
     accepted levels before it (most recent first, at most two), in
     divided differences; None, for energy_step's own start at theta,
-    without history.
+    without history.  A level is read for its t and theta only.
 
     The divided-difference form extrapolates a constant field to itself
     bit for bit.  A member whose start point is not finite or not above
@@ -575,15 +576,15 @@ def step_batch(state: State, config, sources=None, *, dt, history=()):
     dt is the batch of one, without the axis.  sources, if given, is the
     tuple (s_v, s_u, s_theta, s_z) at the members' new level, each an
     array or None: s_u of the state's edge shape, the others of its
-    cell shape.  history holds up to two earlier accepted states of the
-    same members, most recent first; the temperature Newton solve starts
-    from theta extrapolated through them to this attempt's t + dt, per
-    member (theta^n where that is not finite or not above theta_floor,
-    and theta^n without history).  Every row is computed on its own, a
-    converged Newton member staying put, so each member gets the bits of
-    its own run.  The step is one attempt: a rejection's mask names its
-    members.  Returns (new_state, StepReport) with every report field
-    per member.
+    cell shape.  history holds the levels (t and theta) of up to two
+    earlier accepted states of the same members, most recent first; the
+    temperature Newton solve starts from theta extrapolated through them
+    to this attempt's t + dt, per member (theta^n where that is not
+    finite or not above theta_floor, and theta^n without history).  Every
+    row is computed on its own, a converged Newton member staying put, so
+    each member gets the bits of its own run.  The step is one attempt: a
+    rejection's mask names its members.  Returns (new_state, StepReport)
+    with every report field per member.
     The new state's laws (mesh.State) hold Newton's converged theta**4,
     e, kappa and z^m and the species solve's decay and g; the step reads
     theta^n**4 and e^n from the input state's.
@@ -614,9 +615,10 @@ def step(state: State, config, sources=None, dt: float | None = None, history=()
 
     sources, if given, is the tuple (s_v, s_u, s_theta, s_z) of
     manufactured right-hand sides at the new level, each an array or
-    None: s_u on the edges, the others on the cells.  history holds up
-    to two earlier accepted states of the run, most recent first, from
-    which step_batch extrapolates Newton's start point; the first step
+    None: s_u on the edges, the others on the cells.  history holds the
+    levels (t and theta, a State serves) of up to two earlier accepted
+    states of the run, most recent first, from which step_batch
+    extrapolates Newton's start point; the first step
     has none and starts from theta^n, the second has one level.  dt is
     normally taken from cfl_dt, and a rejected attempt is retried from
     the input state and the same history at half the dt, up to

@@ -264,9 +264,8 @@ def test_rows_of_carried_laws_equal_rows_of_bare_fields(n_cells, t_end, configs_
     result = run_simulation(config, state=initial, on_step=lambda state, report, n: (
         trajectory.append((state, report.dt))))
     assert result.completed and len(trajectory) > 2
-    last = trajectory[-1][0].laws  # record read it, and kept what cfl_dt would take
+    last = trajectory[-1][0].laws  # record read it, phi included
     assert last["params"] is config.params and "phi" in last
-    assert not last.keys() & set(State.RECORD_ONLY)
     bare = [(State(s.grid, s.v, s.theta, s.z, s.u, s.t, s.a_pos), dt) for s, dt in trajectory]
     rows, previous, k = [], None, max(1, _BLOCK_VALUES // n_cells)
     for start in range(0, len(bare), k):

@@ -1,6 +1,7 @@
 """Simulation loop and scenario grading."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import rrgas.solver
 from rrgas.config import Profile, RunConfig, init_state, load_config
 from rrgas.constitutive import PhysParams
 from rrgas.driver import check_scenario, run_batch, run_fixed, run_simulation
-from rrgas.mesh import ConfigurationError, State
+from rrgas.mesh import ConfigurationError
 
 
 def rest_config(t_end=0.05, n_cells=16):
@@ -271,6 +272,7 @@ def test_run_fixed_gives_each_count_the_bits_of_its_serial_run_in_input_order():
 
 
 def test_each_step_is_handed_the_two_accepted_states_before_it(monkeypatch):
+    # As levels: the t and theta bits of the states before, most recent first.
     real = rrgas.driver.step
     calls = []  # (input state, history, new state) per step
 
@@ -285,7 +287,9 @@ def test_each_step_is_handed_the_two_accepted_states_before_it(monkeypatch):
     for k, (state, history, _) in enumerate(calls):
         assert k == 0 or state is calls[k - 1][2]
         assert len(history) == min(k, 2)
-        assert all(h is calls[k - 1 - j][0] for j, h in enumerate(history))
+        for j, level in enumerate(history):
+            before = calls[k - 1 - j][0]
+            assert (level.t, level.theta.tobytes()) == (before.t, before.theta.tobytes())
 
 
 def test_run_fixed_hands_each_member_the_levels_of_its_own_run(monkeypatch):
@@ -322,33 +326,43 @@ def test_run_fixed_hands_each_member_the_levels_of_its_own_run(monkeypatch):
             assert levels.tolist() == [level(count, k - 1 - j) for count in live]
 
 
-@pytest.mark.parametrize("loop", ["simulation K=3", "simulation K=1", "fixed", "batch"])
+@pytest.mark.parametrize("loop", ["simulation K=3", "simulation K=1", "fixed", "batch",
+                                  "alone"])
 def test_no_state_a_loop_stepped_from_keeps_its_laws(loop, monkeypatch):
-    # Once a step is made from a state, only diagnostics.record reads its
-    # laws, and drops them with its row; a loop that records no rows
-    # drops them once it has stepped.  So when a loop returns, no state it
-    # stepped from holds an array of them.
-    real, stepped = rrgas.solver.step_batch, []
+    # A loop keeps the levels (t, theta) of the states it has stepped
+    # from, not the states, so each is freed with its laws.  At every step
+    # none of them is alive, except in run_simulation: its initial state,
+    # and the states its block of rows may still hold, among the last K.
+    real, stepped, alive = rrgas.solver.step_batch, [], []
 
     def recording(state, config, sources=None, *, dt, history=()):
+        alive.append([j for j, ref in enumerate(stepped) if ref() is not None
+                      and ref() is not state])
         made = real(state, config, sources, dt=dt, history=history)
-        stepped.append(state)
+        stepped.append(weakref.ref(state))
         return made
 
     for module in (rrgas.solver, rrgas.driver):
         monkeypatch.setattr(module, "step_batch", recording)
     cfg = bump_config(t_end=0.04, n_cells=16)
     if loop.startswith("simulation"):
-        monkeypatch.setattr(rrgas.driver, "_BLOCK_VALUES", int(loop[-1]) * cfg.n_cells)
-        result = run_simulation(cfg)
-        assert result.completed and not result.state.laws.keys() & set(State.RECORD_ONLY)
-    elif loop == "fixed":
-        run_fixed(init_state(cfg), cfg, [5, 3, 1])  # 2 steps a batch of 2, 2 alone
+        k = int(loop[-1])
+        monkeypatch.setattr(rrgas.driver, "_BLOCK_VALUES", k * cfg.n_cells)
+        assert run_simulation(cfg).completed
+        assert all(j == 0 or j >= n - k for n, kept in enumerate(alive) for j in kept)
     else:
-        # the stiffer member takes 10 steps, the last 2 alone
-        other = dataclasses.replace(cfg, params=dataclasses.replace(cfg.params, a_rad=5.0))
-        assert all(result.completed for result in run_batch([cfg, other], init_state(cfg)))
-    assert len(stepped) >= 3 and all(state.laws is None for state in stepped)
+        if loop == "fixed":
+            run_fixed(init_state(cfg), cfg, [5, 3, 1])  # 2 steps a batch of 2, 2 alone
+        elif loop == "batch":
+            # the stiffer member takes 10 steps, the last 2 alone
+            other = dataclasses.replace(cfg, params=dataclasses.replace(cfg.params, a_rad=5.0))
+            assert all(result.completed for result in run_batch([cfg, other], init_state(cfg)))
+        else:
+            # outside an assert, whose rewriting would hold the initial state
+            result = rrgas.driver._run_alone(cfg, init_state(cfg), 0)
+            assert result.completed
+        assert all(kept == [] for kept in alive)
+    assert len(stepped) >= 4
 
 
 def bits(rec):

@@ -263,6 +263,22 @@ def test_only_workers_names_the_fork_rule(path):
     assert [references(path.read_text(), name) for name in FORK_RULE_NAMES] == [[], []]
 
 
+def test_laws_names_are_found():
+    source = ("laws = state.laws\nfrom .mesh import laws\nstate.laws = None\n"
+              "_energy_laws(theta)\nlaws_seen = 1\nprint('laws')\n")
+    assert references(source, "laws") == ["line 1", "line 2", "line 3"]
+
+
+# A step leaves the law values it evaluated on its new state
+# (mesh.State.laws), which solver and diagnostics.record read; the time
+# loops keep levels, not states, so no other module frees or reads them.
+@pytest.mark.parametrize("path", [path for path in sorted(PACKAGE.glob("*.py"))
+                                  if path.name not in ("mesh.py", "solver.py", "diagnostics.py")],
+                         ids=lambda path: path.name)
+def test_only_mesh_solver_and_diagnostics_name_the_carried_laws(path):
+    assert references(path.read_text(), "laws") == []
+
+
 def test_select_calls_are_found():
     source = ("params = params.select(going)\nfrom .constitutive import select\n"
               "def select(self, index):\n    pass\nselected = 1\nprint('select')\n")
