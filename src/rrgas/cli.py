@@ -14,13 +14,7 @@ from .config import init_state, load_config, save_config
 from .driver import check_scenario, run_simulation
 from .mesh import ConfigurationError
 from .mms import CASES, studies
-from .output import (
-    SnapshotWriter,
-    run_id,
-    write_diagnostics,
-    write_failure,
-    write_snapshot,
-)
+from .output import RunWriter, run_id, write_failure, write_snapshot
 from .solver import InvariantViolation, SimulationError
 from .sweep import run_sweep
 
@@ -70,6 +64,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args) -> int:
+    """Runs a scenario into --out.  Its snapshots and each block of its
+    diagnostics rows go to one RunWriter, which formats and writes them
+    beside the run where rrgas may fork; the run keeps no rows.  The
+    writer is joined, with diagnostics.csv complete, before failure.json
+    is written or the command returns; a writer error ends the command
+    as an OSError (exit 3)."""
     config = load_config(args.config)
     initial = init_state(config)  # a bad initial state writes nothing
     out = Path(args.out)
@@ -77,7 +77,7 @@ def cmd_run(args) -> int:
     rid = run_id(config)
     save_config(out / "config.ini", config)
 
-    with SnapshotWriter() as writer:
+    with RunWriter(out / "diagnostics.csv") as writer:
 
         def snapshot(state, index):
             path = out / f"snapshot_{index:06d}.csv"
@@ -88,8 +88,7 @@ def cmd_run(args) -> int:
                 snapshot(state, index)
 
         snapshot(initial, 0)
-        result = run_simulation(config, state=initial, on_step=on_step)
-        write_diagnostics(out / "diagnostics.csv", result.records)
+        result = run_simulation(config, state=initial, on_step=on_step, sink=writer.add_rows)
         if result.n_steps % config.output_every:
             snapshot(result.state, result.n_steps)
 

@@ -17,9 +17,9 @@ The law values come from the states (mesh.State.laws) where they carry them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +27,10 @@ from .constitutive import PhysParams, heat_conductivity, internal_energy, reacti
 from .solver import species_interface_coeff
 
 
-@dataclass
-class DiagnosticsRecord:
+class DiagnosticsRecord(NamedTuple):
+    """One diagnostics row: a tuple of these values, in this order (the
+    columns of diagnostics.csv)."""
+
     t: float
     dt: float
     e_total: float
@@ -143,8 +145,12 @@ def record(block, params: PhysParams, previous=None) -> list[DiagnosticsRecord]:
     A law value a state lacks is evaluated on its own fields.
     """
     states, dts = zip(*block)
-    # np.stack copies; one state, the large-grid case, is viewed as (1, N)
-    stacked = ((lambda rows: map(np.stack, zip(*rows))) if len(states) > 1
+    # k > 1 states: each field is copied into one (k, N) array by a
+    # concatenate, cheaper than np.stack, reshaped by the column's own
+    # length (a block that starts the run has k - 1 steps); one state,
+    # the large-grid case, is viewed as (1, N)
+    stacked = ((lambda rows: (np.concatenate(column).reshape(len(column), -1)
+                              for column in zip(*rows))) if len(states) > 1
                else (lambda rows: map(itemgetter(None), rows[0])))
     grid = states[0].grid
     dx = grid.dx

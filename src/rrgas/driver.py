@@ -7,10 +7,11 @@ extrapolates its start point; a batch's levels are cut with its members.
 A state stepped from is freed, laws and all, once nothing else holds it.
 
 run_simulation owns the adaptive time loop: init, step, record (a
-block of states at a time, the species balance sums included).  It
-never raises for a failed integration, nor for a violated scheme
-invariant; the result says how far it got and why it stopped, so
-callers can still serialize the partial trajectory.
+block of states at a time, the species balance sums included), and
+each block's rows to one sink.  It never raises for a failed
+integration, nor for a violated scheme invariant; the result says how
+far it got and why it stopped, so callers can still serialize the
+partial trajectory.
 
 run_batch owns the adaptive loop of a batch of runs that differ in
 their physical constants only, as a sweep's members do: each member
@@ -71,9 +72,10 @@ UV_RUN_CAP = 1e3
 MAX_STEPS = 5_000_000
 
 # Values per array in one block: run_simulation builds diagnostics rows
-# for max(1, _BLOCK_VALUES // n_cells) states per record call, and
+# for max(1, _BLOCK_VALUES // n_cells) states per record call,
 # run_fixed evaluates sources for max(1, _BLOCK_VALUES // (B * (n + 1)))
-# levels per call for B members on n cells.
+# levels per call for B members on n cells, and output.RunWriter sends
+# its queue once it holds this many values.
 _BLOCK_VALUES = 4096
 
 
@@ -91,6 +93,7 @@ def run_simulation(
     *,
     state: State | None = None,
     on_step=None,
+    sink=None,
 ) -> RunResult:
     """Integrate from t=0 to t_end, recording diagnostics every step.
 
@@ -98,23 +101,29 @@ def run_simulation(
     a caller that has already built the initial state passes it in.
     on_step(state, report, step_index) observes each accepted step.
     Rows are built a block of states at a time, so a hook must not
-    change a state in place; every return path hands over the last,
-    partial block, so `records` holds n_steps + 1 rows whenever
-    run_simulation returns, the last built from the returned `state`.
-    Each block's last state and its balance sums carry into the next.
+    change a state in place.  sink(rows) gets each block's rows (a
+    list of DiagnosticsRecords), in step order; the default,
+    `records.extend`, keeps them on the result, and a run given a sink
+    keeps none.  Every return path hands over the last, partial block,
+    so the sink has had n_steps + 1 rows whenever run_simulation
+    returns, the last built from the returned `state`.  Each block's
+    last state and its balance sums carry into the next.
     """
     params = config.params
     if state is None:
         state = init_state(config)
     records = []
+    if sink is None:
+        sink = records.extend
     pending = []  # (state, dt) awaiting their rows
     previous = None  # (state, z_diff, z_react) before pending's first
     block = max(1, _BLOCK_VALUES // state.grid.n_cells)
 
     def flush():
         nonlocal previous
-        records.extend(record(pending, params, previous))
-        previous = (pending[-1][0], records[-1].z_diff_accum, records[-1].z_react_accum)
+        rows = record(pending, params, previous)
+        sink(rows)
+        previous = (pending[-1][0], rows[-1].z_diff_accum, rows[-1].z_react_accum)
         pending.clear()
 
     def keep(kept, dt):

@@ -7,11 +7,13 @@ writers format a whole row, or a block of rows, with one `%`-template;
 the bytes are those of `fmt`.  A snapshot table holds the five changing
 columns, and templates built once per grid size where it is formatted
 hold the fixed i and x_center text.  `rrgas run` hands every snapshot
-table to a SnapshotWriter, whose forked helper process formats and
-writes it while the run steps on, where `workers.may_fork`; else the
-writer writes the tables inline.  A run is identified by a short hash
-of its fully serialized configuration, so the id is stable across
-processes and machines.
+table and every block of diagnostics rows to a RunWriter, whose forked
+helper process formats and writes them while the run steps on, where
+`workers.may_fork`; else the writer writes them in process.  Either
+way diagnostics.csv is appended a block at a time, by
+`write_diagnostics`, the one formatter of its rows.  A run is
+identified by a short hash of its fully serialized configuration, so
+the id is stable across processes and machines.
 """
 
 from __future__ import annotations
@@ -19,22 +21,20 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import operator
 
 import numpy as np
 
-from . import workers
+from . import driver, workers
 from .config import NUM_FORMAT, RunConfig, serialize_config
 from .constitutive import PhysParams
 from .diagnostics import DiagnosticsRecord
 from .mesh import ConfigurationError, Grid, State, physical_coordinates
 
-DIAG_COLUMNS = tuple(f.name for f in dataclasses.fields(DiagnosticsRecord))
+DIAG_COLUMNS = DiagnosticsRecord._fields
 
 SNAPSHOT_COLUMNS = ("i", "x_center", "y_center", "v", "theta", "z", "u_left_edge")
 
 _DIAG_ROW = ",".join([NUM_FORMAT] * len(DIAG_COLUMNS)) + "\n"
-_diag_values = operator.attrgetter(*DIAG_COLUMNS)
 
 # Snapshot rows are formatted this many at a time: a whole 4096-cell
 # table in one template peaks at about 2 MB of transient memory,
@@ -53,16 +53,21 @@ def run_id(config: RunConfig) -> str:
     return digest[:12]
 
 
-def write_rows(path, columns, template: str, rows) -> None:
+def write_rows(path, columns, template: str, rows, append: bool = False) -> None:
     """A CSV file: the header line of columns, then template % row for
-    each row, a tuple; template ends the line."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(columns) + "\n")
+    each row, a tuple; template ends the line.  With append, the rows
+    only, added at the end of the file."""
+    with open(path, "a" if append else "w", encoding="utf-8", newline="") as fh:
+        if not append:
+            fh.write(",".join(columns) + "\n")
         fh.writelines(template % row for row in rows)
 
 
-def write_diagnostics(path, records) -> None:
-    write_rows(path, DIAG_COLUMNS, _DIAG_ROW, map(_diag_values, records))
+def write_diagnostics(path, rows, append: bool = False) -> None:
+    """diagnostics.csv of rows, DiagnosticsRecords or plain tuples of
+    their values; with append, the rows are added at the end of the
+    file, as RunWriter adds each block."""
+    write_rows(path, DIAG_COLUMNS, _DIAG_ROW, rows, append)
 
 
 def read_diagnostics(path):
@@ -97,7 +102,7 @@ def write_snapshot(path, state: State, params: PhysParams, run: str = "", writer
     boundary position, the last edge velocity (rows hold the left edge
     of each cell only) and an echo of the physical constants.  The
     header and the table are built here.  Given `writer` (a
-    SnapshotWriter), the table goes to it; otherwise it is written
+    RunWriter), the table goes to it; otherwise it is written
     inline.  The bytes are the same either way.
     """
     y_edges, _ = physical_coordinates(state)
@@ -138,20 +143,31 @@ def _write_table(path, header: str, table) -> None:
             fh.write(template % tuple(table[start:start + _SNAPSHOT_BLOCK].ravel().tolist()))
 
 
-class SnapshotWriter:
-    """Formats and writes snapshot tables in one forked helper process,
-    where workers.may_fork at the first `send`; else each table inline,
-    in `send`, with the same bytes.
+class RunWriter:
+    """Writes a run's snapshot tables and diagnostics rows in one forked
+    helper process, where workers.may_fork at the first item queued;
+    else in this process, with the same bytes.
 
-    The helper, a workers.Worker, is forked on the first `send` and
-    gets each (path, header, table) over its pipe; the caller goes on
-    while the helper formats.  Files are written in the order they are
-    sent.  The first error the helper meets (an OSError from `open`,
-    say) ends it; the next `send`, or the exit of the `with` block,
-    raises that error.  On exit the helper has written every file it
+    `send` queues a snapshot table and `add_rows` a block of rows for
+    the file at `diagnostics`.  Once the queue holds driver._BLOCK_VALUES
+    values it goes to the helper as one message, or is written here;
+    what is left goes on a clean exit from the `with` block.  Rows ride
+    with tables: a pipe send costs about as much as formatting a small
+    table, so one message per item would give back what moving the work
+    gains.  Each message is written in order: its rows appended to the
+    diagnostics file (the first rows start it with the header), then
+    its tables.
+
+    The helper, a workers.Worker, is forked at the first item queued
+    and gets each message over its pipe; the caller goes on while the
+    helper formats.  The first error the helper meets (an OSError from
+    `open`, say) ends it; the next message, or the exit of the `with`
+    block, raises that error.  In process, the write that meets an
+    error raises it.  On exit the helper has written every message it
     was sent, or has failed, and has been joined.  A helper that dies
     without reporting is an OSError naming its exit code.  An exception
-    already leaving the `with` block is not replaced by the helper's.
+    already leaving the `with` block is not replaced by the helper's,
+    and what is still queued then is dropped.
 
     The helper only formats strings and writes files; it calls no BLAS
     or other threaded library, so forking a process whose BLAS has
@@ -159,19 +175,24 @@ class SnapshotWriter:
     pipe is written synchronously, with no feeder thread as in a pool.
     """
 
-    def __init__(self):
+    def __init__(self, diagnostics=None):
+        self._diagnostics = diagnostics
+        self._started = False  # whether a message has had rows: later rows append
+        self._rows, self._tables, self._values = [], [], 0  # the queue
         self._worker = self._conn = self._write = None
 
     def __enter__(self):
         return self
 
     def __exit__(self, exc_type, exc, tb):
+        if exc is None and (self._rows or self._tables):
+            self._flush()
         if self._worker is None or self._conn.closed:  # none, or it has reported
             return False
         if exc is not None:
             # A send cut short by the exception may have left part of a
             # message in the pipe, so close it rather than send the
-            # sentinel: the helper writes every whole table it got,
+            # sentinel: the helper writes every whole message it got,
             # then sees EOF.
             self._worker.close()
             return False
@@ -183,31 +204,60 @@ class SnapshotWriter:
         return False
 
     def send(self, path, header: str, table) -> None:
-        if self._write is None:  # the first table: fork the helper, or write inline
+        """Queues a snapshot table, to be written to path under header."""
+        self._tables.append((path, header, table))
+        self._queued(table.size)
+
+    def add_rows(self, rows) -> None:
+        """Queues a block of diagnostics rows (DiagnosticsRecords), to be
+        appended to the diagnostics file as plain tuples."""
+        self._rows.extend(map(tuple, rows))
+        self._queued(len(rows) * len(DIAG_COLUMNS))
+
+    def _queued(self, values: int) -> None:
+        if self._write is None:  # the first item: fork the helper, or write here
             if workers.may_fork():
-                self._worker = workers.Worker(_write_tables, "snapshot writer")
+                self._worker = workers.Worker(_write_messages, "run writer")
                 self._conn = self._worker.conn
                 self._write = self._send
             else:
-                self._write = _write_table
-        self._write(path, header, table)
+                self._write = _write_message
+        self._values += values
+        if self._values >= driver._BLOCK_VALUES:
+            self._flush()
 
-    def _send(self, path, header: str, table) -> None:
+    def _flush(self) -> None:
+        message = (self._diagnostics, self._started, self._rows, self._tables)
+        self._started = self._started or bool(self._rows)
+        self._rows, self._tables, self._values = [], [], 0
+        self._write(message)
+
+    def _send(self, message) -> None:
         if self._conn.poll():  # the helper has failed: raise why
             self._worker.result()
         try:
-            self._conn.send((path, header, table))
+            self._conn.send(message)
         except OSError:  # the helper is gone: raise why
             self._worker.result()
 
 
-def _write_tables(conn) -> None:
-    """The helper's body: write each table it is sent until the sentinel.
+def _write_message(message) -> None:
+    """One queued message: (diagnostics path, whether to append, rows,
+    tables); the rows go to the diagnostics file, then each table."""
+    diagnostics, append, rows, tables = message
+    if rows:
+        write_diagnostics(diagnostics, rows, append)
+    for table in tables:
+        _write_table(*table)
+
+
+def _write_messages(conn) -> None:
+    """The helper's body: write each message it is sent until the sentinel.
 
     An error ends it, EOFError too, if the parent closed the pipe.
     """
-    for item in iter(conn.recv, None):
-        _write_table(*item)
+    for message in iter(conn.recv, None):
+        _write_message(message)
 
 
 def read_snapshot(path):

@@ -1,8 +1,9 @@
 """The one fork policy: a worker process over a pipe, and calls run side by side.
 
 rrgas runs work beside the calling process in forked workers: the
-snapshot writer of `rrgas run`, the temporal study of `rrgas mms` and
-all but the first chunk of `rrgas sweep --jobs N`.  Each of them forks
+writer of `rrgas run`'s snapshots and diagnostics rows, the temporal
+study of `rrgas mms` and all but the first chunk of `rrgas sweep
+--jobs N`.  Each of them forks
 where `may_fork` says so, and does the same work in process, with the
 same output, where it does not.  A forked worker needs nothing pickled
 to start (an MmsCase holds closures, which could not be) and sees every

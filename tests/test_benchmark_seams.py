@@ -15,11 +15,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import cpus
 from test_golden_outputs import LARGE_RUN
 
+import rrgas.cli
 import rrgas.constitutive
 import rrgas.diagnostics
 import rrgas.mms
+import rrgas.output
 import rrgas.solver
 import rrgas.sweep
 from rrgas.config import init_state, load_config
@@ -59,6 +62,16 @@ LAW_CALLS_PER_STEP = {
     "large": {"reaction_rate": 2.04, "internal_energy": 0.04, "pressure": 0.0,
               "heat_conductivity": 2.1},
 }
+
+
+# Messages the run writer (output.RunWriter) sends per `rrgas run` of
+# configs/reacting.ini as shipped (128 cells, 116 steps), an upper
+# bound.  Its 13 snapshot tables and 117 diagnostics rows ride together
+# in messages of about driver._BLOCK_VALUES values; a pipe send costs
+# about as much as formatting a small table, so a return to one message
+# per table or per row block would show here first.
+WRITER_MESSAGES = {"reacting": 3}
+REACTING_TABLES = 13  # snapshots 0, 10, ..., 110 and the last, 116
 
 
 @pytest.fixture(scope="module")
@@ -253,3 +266,24 @@ def test_only_a_recorded_run_forms_balance_sums(configs_dir, tmp_path, monkeypat
     config.t_end = 0.01
     run_simulation(config)
     assert formed  # the counter sees record's sums
+
+
+@pytest.mark.parametrize("n_cpus", [2, 1], ids=["forked", "inline"])
+def test_run_writer_sends_no_more_messages_than_pinned(n_cpus, configs_dir, tmp_path,
+                                                       monkeypatch):
+    # Forked, a message is a send to the helper; inline, a write in
+    # process.  Both come from the same queue, so they count alike.
+    cpus(monkeypatch, n_cpus)
+    messages = []
+    for owner, attr in ((rrgas.output.RunWriter, "_send"), (rrgas.output, "_write_message")):
+        write = getattr(owner, attr)
+
+        def counted(*args, write=write):
+            messages.append(None)
+            return write(*args)
+
+        monkeypatch.setattr(owner, attr, counted)
+    out = tmp_path / "out"
+    assert rrgas.cli.main(["run", str(configs_dir / "reacting.ini"), "--out", str(out)]) == 0
+    assert len(list(out.glob("snapshot_*.csv"))) == REACTING_TABLES
+    assert len(messages) <= min(WRITER_MESSAGES["reacting"], REACTING_TABLES), len(messages)

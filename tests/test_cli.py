@@ -15,7 +15,8 @@ import rrgas.solver
 import rrgas.sweep
 from rrgas.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SIMULATION, main
 from rrgas.config import load_config
-from rrgas.output import read_diagnostics, read_snapshot, run_id
+from rrgas.driver import run_simulation
+from rrgas.output import read_diagnostics, read_snapshot, run_id, write_diagnostics
 
 REST_INI = """\
 [run]
@@ -356,6 +357,117 @@ def test_run_builds_the_initial_state_once(rest_ini, tmp_path, monkeypatch):
         monkeypatch.setattr(module, "init_state", counting_init_state)
     assert main(["run", str(rest_ini), "--out", str(tmp_path / "out")]) == EXIT_OK
     assert len(calls) == 1
+
+
+# -------------------------------------------------- diagnostics stream
+
+def library_diagnostics(ini, path):
+    """The bytes write_diagnostics writes to path of the rows
+    run_simulation keeps for the config at ini."""
+    write_diagnostics(path, run_simulation(load_config(ini)).records)
+    return path.read_bytes()
+
+
+def counted_row_writes(monkeypatch):
+    """The `append` flag of each output.write_rows call made in this
+    process; a forked helper's calls are its own."""
+    appends = []
+    write_rows = rrgas.output.write_rows
+
+    def counted(path, columns, template, rows, *append):
+        appends.append(bool(append and append[0]))
+        write_rows(path, columns, template, rows, *append)
+
+    monkeypatch.setattr(rrgas.output, "write_rows", counted)
+    return appends
+
+
+@pytest.mark.parametrize("n_cpus", [2, 1], ids=["forked", "inline"])
+def test_run_streams_the_rows_the_library_keeps(n_cpus, configs_dir, tmp_path, forks,
+                                                monkeypatch):
+    # rrgas run's diagnostics.csv has the bytes of write_diagnostics of
+    # the rows run_simulation keeps.  Forked, the stepping process
+    # formats no row; inline, it appends the rows a message at a time.
+    ini = configs_dir / "reacting.ini"
+    expected = library_diagnostics(ini, tmp_path / "library.csv")
+    cpus(monkeypatch, n_cpus)
+    appends = counted_row_writes(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["run", str(ini), "--out", str(out)]) == EXIT_OK
+    assert (out / "diagnostics.csv").read_bytes() == expected
+    assert len(forks) == n_cpus - 1
+    if n_cpus == 2:
+        assert appends == []
+    else:
+        assert appends[0] is False and len(appends) > 1 and all(appends[1:])
+
+
+@pytest.mark.parametrize("n_cpus", [2, 1], ids=["forked", "inline"])
+def test_run_rows_in_many_small_blocks_arrive_whole_and_in_order(n_cpus, configs_dir, tmp_path,
+                                                                 monkeypatch):
+    # Three rows per block, and a message at every table or ten blocks:
+    # the rows still arrive complete and in order, with the bytes of the
+    # library's rows at the default block size.
+    ini = configs_dir / "reacting.ini"
+    expected = library_diagnostics(ini, tmp_path / "library.csv")
+    cpus(monkeypatch, n_cpus)
+    monkeypatch.setattr(rrgas.driver, "_BLOCK_VALUES", 3 * 128)
+    appends = counted_row_writes(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["run", str(ini), "--out", str(out)]) == EXIT_OK
+    assert (out / "diagnostics.csv").read_bytes() == expected
+    if n_cpus == 1:
+        assert len(appends) > 10  # 117 rows over more than ten messages
+
+
+def reject_from(monkeypatch, t_first):
+    """Every volume update of a step from t >= t_first is rejected at
+    the volume floor, as at an impossible v_floor (say 2): the run
+    fails there, after its accepted steps."""
+    volume_step = rrgas.solver.volume_step
+
+    def volume_floor(state, dt, config, s_v=None):
+        if state.t >= t_first:
+            raise rrgas.solver.StepRejection("volume_floor")
+        return volume_step(state, dt, config, s_v)
+
+    monkeypatch.setattr(rrgas.solver, "volume_step", volume_floor)
+
+
+@pytest.mark.parametrize("n_cpus", [2, 1], ids=["forked", "inline"])
+def test_failed_run_streams_every_row_and_writes_failure(n_cpus, configs_dir, tmp_path,
+                                                         monkeypatch, capsys):
+    ini = configs_dir / "reacting.ini"
+    reject_from(monkeypatch, 0.1)
+    expected = library_diagnostics(ini, tmp_path / "library.csv")
+    cpus(monkeypatch, n_cpus)
+    out = tmp_path / "out"
+    assert main(["run", str(ini), "--out", str(out)]) == EXIT_SIMULATION
+    assert "simulation failed" in capsys.readouterr().err
+    assert (out / "diagnostics.csv").read_bytes() == expected
+    records = read_diagnostics(out / "diagnostics.csv")
+    assert len(records) > 32  # more than one block of rows
+    payload = json.loads((out / "failure.json").read_text())
+    assert payload["t_last"] == records[-1].t >= 0.1
+
+
+@pytest.mark.parametrize("n_cpus", [2, 1], ids=["forked", "inline"])
+def test_run_diagnostics_path_taken_is_io_error_mid_run(n_cpus, configs_dir, tmp_path, capsys,
+                                                        monkeypatch):
+    # Fault injection: a directory sits where diagnostics.csv goes.  The
+    # writer meets it at its first message, and the run ends there:
+    # exit 3 and one line naming the file, and no later snapshot.
+    cpus(monkeypatch, n_cpus)
+    out = tmp_path / "out"
+    (out / "diagnostics.csv").mkdir(parents=True)
+    code = main(["run", str(configs_dir / "reacting.ini"), "--out", str(out)])
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("io error:") and err.count("\n") == 1
+    assert str(out / "diagnostics.csv") in err
+    assert "Traceback" not in err
+    assert not (out / "snapshot_000110.csv").exists()  # the last one sent from on_step
+    assert not (out / "failure.json").exists()
 
 
 # ---------------------------------------------------------------- check

@@ -213,7 +213,7 @@ def test_record_collects_extrema():
 
 
 def bits(rec):
-    return np.array(dataclasses.astuple(rec), dtype=float).tobytes()
+    return np.array(rec, dtype=float).tobytes()
 
 
 def random_block(n, length, seed):

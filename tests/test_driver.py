@@ -366,7 +366,7 @@ def test_no_state_a_loop_stepped_from_keeps_its_laws(loop, monkeypatch):
 
 
 def bits(rec):
-    return np.array(dataclasses.astuple(rec), dtype=float).tobytes()
+    return np.array(rec, dtype=float).tobytes()
 
 
 @pytest.mark.parametrize("case", ["completed", "budget", "rejected", "invariant"])
@@ -416,6 +416,30 @@ def test_rows_come_in_blocks_and_are_complete_on_every_exit(case, monkeypatch, p
         per_state_row(state, cfg.params, *rest) for state, *rest in seen
     ]
     assert [bits(r) for r in result.records] == [bits(r) for r in expected]
+
+
+@pytest.mark.parametrize("case", ["completed", "rejected"])
+def test_a_sink_gets_every_row_in_order_and_the_result_keeps_none(case, monkeypatch):
+    # 4 states per record call on 32 cells.  The sink gets each block as
+    # record built it, n_steps + 1 rows in all, bitwise the rows the
+    # default path keeps; the run it was given keeps no rows of its own.
+    block = 4
+    monkeypatch.setattr(rrgas.driver, "_BLOCK_VALUES", block * 32)
+    cfg = bump_config()
+    initial = init_state(cfg)
+    if case == "rejected":
+        cfg.v_floor = 2.0
+    default = run_simulation(cfg, state=initial)
+    blocks = []
+    result = run_simulation(cfg, state=initial, sink=blocks.append)
+    assert result.records == []
+    assert (result.completed, result.error, result.n_steps) == (
+        default.completed, default.error, default.n_steps)
+    assert [len(rows) for rows in blocks[:-1]] == [block] * (len(blocks) - 1)
+    rows = [row for rows in blocks for row in rows]
+    assert len(rows) == result.n_steps + 1
+    assert [bits(r) for r in rows] == [bits(r) for r in default.records]
+    assert rows[-1].t == result.state.t
 
 
 @pytest.mark.parametrize("case", ["completed", "failed"])

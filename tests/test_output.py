@@ -13,12 +13,13 @@ from conftest import cpus
 from rrgas.config import RunConfig
 from rrgas.constitutive import PhysParams
 from rrgas.diagnostics import DiagnosticsRecord
+from rrgas.driver import _BLOCK_VALUES
 from rrgas.mesh import ConfigurationError, Grid, State, physical_coordinates
 from rrgas.output import (
     _SNAPSHOT_BLOCK,
     DIAG_COLUMNS,
     SNAPSHOT_COLUMNS,
-    SnapshotWriter,
+    RunWriter,
     fmt,
     read_diagnostics,
     read_snapshot,
@@ -268,7 +269,9 @@ def test_write_failure_without_state(tmp_path):
 
 # ------------------------------------------------------- snapshot writer
 
-SENT_ROWS = 37  # a table of any size goes to the helper
+# A table of more values than _BLOCK_VALUES fills the writer's queue
+# by itself, so it goes to the helper as soon as it is sent.
+SENT_ROWS = _BLOCK_VALUES // (len(SNAPSHOT_COLUMNS) - 2) + 1
 
 
 def test_snapshot_writer_bytes_match_inline(tmp_path, monkeypatch):
@@ -279,7 +282,7 @@ def test_snapshot_writer_bytes_match_inline(tmp_path, monkeypatch):
     cpus(monkeypatch, 2)
     params = PhysParams()
     sizes = (1, 128, _SNAPSHOT_BLOCK + 1, 1537)
-    with SnapshotWriter() as writer:
+    with RunWriter() as writer:
         for n in sizes:
             write_snapshot(tmp_path / f"sent_{n}.csv", edge_state(n), params, "r", writer=writer)
             assert len(multiprocessing.active_children()) == 1
@@ -291,19 +294,21 @@ def test_snapshot_writer_bytes_match_inline(tmp_path, monkeypatch):
 
 
 def test_snapshot_writer_on_one_cpu_writes_inline(tmp_path, monkeypatch, forks):
-    # On one CPU the writer starts no process: each send writes its
-    # table before it returns, with the bytes of the inline path, and
-    # raises the error it meets.
+    # On one CPU the writer starts no process: it queues tables as it
+    # does for its helper and writes each message itself, with the
+    # bytes of the inline path, and the send that writes a table raises
+    # the error it meets.
     cpus(monkeypatch, 1)
     params = PhysParams()
     sizes = (1, _SNAPSHOT_BLOCK + 1)
-    (tmp_path / "taken.csv").mkdir()
-    with SnapshotWriter() as writer:
+    with RunWriter() as writer:
         for n in sizes:
             write_snapshot(tmp_path / f"sent_{n}.csv", edge_state(n), params, "r", writer=writer)
-            assert (tmp_path / f"sent_{n}.csv").exists()
+        assert list(tmp_path.iterdir()) == []  # queued: too few values for a message
+    (tmp_path / "taken.csv").mkdir()
+    with RunWriter() as writer:
         with pytest.raises(IsADirectoryError, match="taken.csv"):
-            write_snapshot(tmp_path / "taken.csv", edge_state(1), params, writer=writer)
+            write_snapshot(tmp_path / "taken.csv", edge_state(SENT_ROWS), params, writer=writer)
     assert forks == []
     for n in sizes:
         write_snapshot(tmp_path / f"inline_{n}.csv", edge_state(n), params, "r")
@@ -319,7 +324,7 @@ def test_snapshot_writer_writes_in_order_and_reports_first_error(tmp_path, monke
     state = edge_state(SENT_ROWS)
     (tmp_path / "taken.csv").mkdir()
     with pytest.raises(IsADirectoryError, match="taken.csv"):
-        with SnapshotWriter() as writer:
+        with RunWriter() as writer:
             for name in ("first.csv", "taken.csv", "third.csv"):
                 write_snapshot(tmp_path / name, state, params, writer=writer)
     assert len(data_rows(tmp_path / "first.csv")) == SENT_ROWS
@@ -331,7 +336,7 @@ def test_snapshot_writer_send_raises_a_reported_error(tmp_path, monkeypatch):
     params = PhysParams()
     state = edge_state(SENT_ROWS)
     (tmp_path / "taken.csv").mkdir()
-    with SnapshotWriter() as writer:
+    with RunWriter() as writer:
         write_snapshot(tmp_path / "taken.csv", state, params, writer=writer)
         (helper,) = multiprocessing.active_children()
         helper.join(timeout=30)  # it has reported its error and exited
@@ -347,7 +352,7 @@ def test_snapshot_writer_keeps_the_exception_in_flight(tmp_path, monkeypatch):
     state = edge_state(SENT_ROWS)
     (tmp_path / "taken.csv").mkdir()
     with pytest.raises(KeyError, match="in flight"):
-        with SnapshotWriter() as writer:
+        with RunWriter() as writer:
             write_snapshot(tmp_path / "taken.csv", state, params, writer=writer)
             raise KeyError("in flight")
     assert multiprocessing.active_children() == []
@@ -368,7 +373,7 @@ def test_snapshot_writer_survives_a_send_cut_short(tmp_path, monkeypatch):
     signal.alarm(30)
     try:
         with pytest.raises(KeyError, match="interrupted"):
-            with SnapshotWriter() as writer:
+            with RunWriter() as writer:
                 write_snapshot(tmp_path / "whole.csv", state, params, writer=writer)
                 writer._conn._send(struct.pack("!i", 1 << 20) + b"cut short")
                 raise KeyError("interrupted")
@@ -376,3 +381,39 @@ def test_snapshot_writer_survives_a_send_cut_short(tmp_path, monkeypatch):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert len(data_rows(tmp_path / "whole.csv")) == SENT_ROWS
+
+
+def diagnostics_rows(n, seed=5):
+    rng = np.random.default_rng(seed)
+    return [DiagnosticsRecord(*rng.standard_normal(len(DIAG_COLUMNS)).tolist()) for _ in range(n)]
+
+
+def test_diagnostics_appended_blocks_equal_one_write(tmp_path):
+    rows = diagnostics_rows(7)
+    write_diagnostics(tmp_path / "whole.csv", rows)
+    write_diagnostics(tmp_path / "blocks.csv", rows[:3])
+    write_diagnostics(tmp_path / "blocks.csv", rows[3:4], append=True)
+    write_diagnostics(tmp_path / "blocks.csv", rows[4:], append=True)
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n_cpus", [2, 1], ids=["forked", "inline"])
+def test_run_writer_appends_row_blocks_between_tables(n_cpus, tmp_path, monkeypatch, forks):
+    # Row blocks ride in the messages of the tables around them: the
+    # diagnostics file is one header and every row in order, and each
+    # table has the bytes of the inline path.
+    cpus(monkeypatch, n_cpus)
+    params = PhysParams()
+    rows = diagnostics_rows(3 * _BLOCK_VALUES // len(DIAG_COLUMNS))  # about three messages
+    blocks = [rows[start:start + 32] for start in range(0, len(rows), 32)]
+    with RunWriter(tmp_path / "diagnostics.csv") as writer:
+        for k, block in enumerate(blocks):
+            writer.add_rows(block)
+            if k % 10 == 0:
+                write_snapshot(tmp_path / f"sent_{k}.csv", edge_state(128), params, writer=writer)
+    assert len(forks) == n_cpus - 1
+    write_diagnostics(tmp_path / "whole.csv", rows)
+    assert (tmp_path / "diagnostics.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    write_snapshot(tmp_path / "inline.csv", edge_state(128), params)
+    for k in range(0, len(blocks), 10):
+        assert (tmp_path / f"sent_{k}.csv").read_bytes() == (tmp_path / "inline.csv").read_bytes()
