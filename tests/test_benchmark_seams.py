@@ -286,4 +286,4 @@ def test_run_writer_sends_no_more_messages_than_pinned(n_cpus, configs_dir, tmp_
     out = tmp_path / "out"
     assert rrgas.cli.main(["run", str(configs_dir / "reacting.ini"), "--out", str(out)]) == 0
     assert len(list(out.glob("snapshot_*.csv"))) == REACTING_TABLES
-    assert len(messages) <= min(WRITER_MESSAGES["reacting"], REACTING_TABLES), len(messages)
+    assert len(messages) <= WRITER_MESSAGES["reacting"] < REACTING_TABLES, len(messages)
