@@ -2,17 +2,17 @@
 its four workloads, and the wall time of `rrgas run` on each shipped
 config.
 
-    python3 scripts/bench_record.py 36 [--seconds 26] [--repeats 7]
+    python3 scripts/bench_record.py 36
 
 Run from the root of the source tree.  Each workload is one
-`perfbench/run.py --trace 0` subprocess, at the default seed, whose
-result line (the last line of its output) and record line (the one
-before) are kept.  The shipped runs are fresh `python3 -m rrgas.cli run`
-processes, taken in turn over the configs --repeats times so that a
-slow stretch of the host falls on all of them; each config gets the
-median wall time and the median CPU time of its processes
-(resource.getrusage of this script's children).  Nothing but the
-record file is left behind.
+`perfbench/run.py --trace 0` subprocess, at the default seed and for
+the `run_seconds` of BENCHMARK.json, whose result line (the last line
+of its output) and record line (the one before) are kept.  The
+shipped runs are fresh `python3 -m rrgas.cli run` processes, taken in
+turn over the configs REPEATS times so that a slow stretch of the host
+falls on all of them; each config gets the median wall time and the
+median CPU time of its processes (resource.getrusage of this script's
+children).  Nothing but the record file is left behind.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from pathlib import Path
 
 WORKLOADS = ("run-small", "run-large", "sweep-jobs2", "mms-trig")
 SHIPPED = ("equilibrium", "reference", "reacting", "expansion")
+REPEATS = 7  # runs of each shipped config
 
 
 def workload(root: Path, name: str, seconds: float) -> dict:
@@ -54,13 +55,13 @@ def children_cpu_s() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
-def shipped_runs(root: Path, repeats: int) -> dict:
+def shipped_runs(root: Path) -> dict:
     """Median wall and CPU seconds of `rrgas run` on each shipped config."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     walls = {name: [] for name in SHIPPED}
     cpus = {name: [] for name in SHIPPED}
     with tempfile.TemporaryDirectory() as scratch:
-        for repeat in range(repeats):
+        for repeat in range(REPEATS):
             for name in SHIPPED:
                 out = Path(scratch) / f"{name}-{repeat}"
                 cpu = children_cpu_s()
@@ -97,20 +98,17 @@ def environment(root: Path) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("number", type=int, help="the record's number: writes BENCH_<number>.json")
-    parser.add_argument("--seconds", type=float, default=26.0,
-                        help="perfbench measuring time per workload (default: 26)")
-    parser.add_argument("--repeats", type=int, default=7,
-                        help="runs of each shipped config (default: 7)")
     args = parser.parse_args(argv)
     root = Path.cwd()
     if not (root / "perfbench" / "run.py").is_file():
         print("error: run from the root of an rrgas source tree", file=sys.stderr)
         return 2
+    seconds = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
     bench = {
         "environment": environment(root),
-        "seconds": args.seconds,
-        "workloads": {name: workload(root, name, args.seconds) for name in WORKLOADS},
-        "shipped": {"repeats": args.repeats, "runs": shipped_runs(root, args.repeats)},
+        "seconds": seconds,
+        "workloads": {name: workload(root, name, seconds) for name in WORKLOADS},
+        "shipped": {"repeats": REPEATS, "runs": shipped_runs(root)},
     }
     path = root / f"BENCH_{args.number}.json"
     path.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -51,6 +51,7 @@ import numpy as np
 from .config import RunConfig, init_state
 from .constitutive import PhysParams
 from .diagnostics import record, z_balance_residual
+from . import mesh
 from .mesh import ConfigurationError, State, stack
 from .solver import (
     DT_MIN,
@@ -70,14 +71,6 @@ UV_RUN_CAP = 1e3
 
 # Accepted steps after which run_simulation stops a run as failed.
 MAX_STEPS = 5_000_000
-
-# Values per array in one block: run_simulation builds diagnostics rows
-# for max(1, _BLOCK_VALUES // n_cells) states per record call,
-# run_fixed evaluates sources for max(1, _BLOCK_VALUES // (B * (n + 1)))
-# levels per call for B members on n cells, and output.RunWriter sends
-# its queue once it holds this many values.
-_BLOCK_VALUES = 4096
-
 
 @dataclass
 class RunResult:
@@ -117,7 +110,7 @@ def run_simulation(
         sink = records.extend
     pending = []  # (state, dt) awaiting their rows
     previous = None  # (state, z_diff, z_react) before pending's first
-    block = max(1, _BLOCK_VALUES // state.grid.n_cells)
+    block = max(1, mesh.BLOCK_VALUES // state.grid.n_cells)
 
     def flush():
         nonlocal previous
@@ -282,7 +275,7 @@ def run_fixed(state: State, config: RunConfig, n_steps, sources=None) -> list:
         if sources is not None:
             # A block ends where a member leaves, so its rows are for
             # one set of members: (k, b) levels, or (k,) for a single run.
-            stop = min(stop, taken + max(1, _BLOCK_VALUES // (live.size * width)))
+            stop = min(stop, taken + max(1, mesh.BLOCK_VALUES // (live.size * width)))
             times = np.array([levels[member][taken:stop] for member in live]).T
             rows = block = ()  # dropped first, so two blocks are never held at once
             block = sources(times if batched else times[:, 0])

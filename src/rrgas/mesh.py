@@ -16,6 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# Values per array in one block, for two separate uses: driver builds
+# diagnostics rows for max(1, BLOCK_VALUES // n_cells) states per
+# record call (and run_fixed evaluates sources for
+# max(1, BLOCK_VALUES // (B * (n + 1))) levels per call for B members
+# on n cells), and output.RunWriter sends its queue to its helper once
+# it holds this many values.  Retuning it moves both.
+BLOCK_VALUES = 4096
+
+
 class ConfigurationError(ValueError):
     """Raised for invalid run configurations or initial data."""
 

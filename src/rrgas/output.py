@@ -24,7 +24,7 @@ import json
 
 import numpy as np
 
-from . import driver, workers
+from . import mesh, workers
 from .config import NUM_FORMAT, RunConfig, serialize_config
 from .constitutive import PhysParams
 from .diagnostics import DiagnosticsRecord
@@ -149,7 +149,7 @@ class RunWriter:
     else in this process, with the same bytes.
 
     `send` queues a snapshot table and `add_rows` a block of rows for
-    the file at `diagnostics`.  Once the queue holds driver._BLOCK_VALUES
+    the file at `diagnostics`.  Once the queue holds mesh.BLOCK_VALUES
     values it goes to the helper as one message, or is written here;
     what is left goes on a clean exit from the `with` block.  Rows ride
     with tables: a pipe send costs about as much as formatting a small
@@ -175,7 +175,7 @@ class RunWriter:
     pipe is written synchronously, with no feeder thread as in a pool.
     """
 
-    def __init__(self, diagnostics=None):
+    def __init__(self, diagnostics):
         self._diagnostics = diagnostics
         self._started = False  # whether a message has had rows: later rows append
         self._rows, self._tables, self._values = [], [], 0  # the queue
@@ -223,7 +223,7 @@ class RunWriter:
             else:
                 self._write = _write_message
         self._values += values
-        if self._values >= driver._BLOCK_VALUES:
+        if self._values >= mesh.BLOCK_VALUES:
             self._flush()
 
     def _flush(self) -> None:

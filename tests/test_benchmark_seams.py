@@ -67,7 +67,7 @@ LAW_CALLS_PER_STEP = {
 # Messages the run writer (output.RunWriter) sends per `rrgas run` of
 # configs/reacting.ini as shipped (128 cells, 116 steps), an upper
 # bound.  Its 13 snapshot tables and 117 diagnostics rows ride together
-# in messages of about driver._BLOCK_VALUES values; a pipe send costs
+# in messages of about mesh.BLOCK_VALUES values; a pipe send costs
 # about as much as formatting a small table, so a return to one message
 # per table or per row block would show here first.
 WRITER_MESSAGES = {"reacting": 3}

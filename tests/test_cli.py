@@ -10,6 +10,7 @@ from conftest import cpus
 
 import rrgas.cli
 import rrgas.driver
+import rrgas.mesh
 import rrgas.output
 import rrgas.solver
 import rrgas.sweep
@@ -411,7 +412,7 @@ def test_run_rows_in_many_small_blocks_arrive_whole_and_in_order(n_cpus, configs
     ini = configs_dir / "reacting.ini"
     expected = library_diagnostics(ini, tmp_path / "library.csv")
     cpus(monkeypatch, n_cpus)
-    monkeypatch.setattr(rrgas.driver, "_BLOCK_VALUES", 3 * 128)
+    monkeypatch.setattr(rrgas.mesh, "BLOCK_VALUES", 3 * 128)
     appends = counted_row_writes(monkeypatch)
     out = tmp_path / "out"
     assert main(["run", str(ini), "--out", str(out)]) == EXIT_OK

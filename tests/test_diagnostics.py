@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from rrgas.config import init_state, load_config
 from rrgas.constitutive import PhysParams
-from rrgas.driver import _BLOCK_VALUES, run_simulation
+from rrgas.driver import run_simulation
+from rrgas.mesh import BLOCK_VALUES
 from rrgas.diagnostics import (
     DiagnosticsRecord,
     record,
@@ -234,7 +235,7 @@ def test_block_rows_equal_per_state_rows(n, per_state_row, step_quadratures):
     # state takes the unmasked branch.
     p = params(k_rate=2.0, a_act=1.5, m_order=1.5, beta=2.0, q_cond=1.5,
                g_grav=0.7, p_ext=0.3, cond_model="B", kappa2=2.0)
-    k = max(1, _BLOCK_VALUES // n)
+    k = max(1, BLOCK_VALUES // n)
     block = random_block(n, k + 1, seed=n)
     block[k][0].theta[n // 2] = 0.0
     with np.errstate(all="ignore"):
@@ -267,7 +268,7 @@ def test_rows_of_carried_laws_equal_rows_of_bare_fields(n_cells, t_end, configs_
     last = trajectory[-1][0].laws  # record read it, phi included
     assert last["params"] is config.params and "phi" in last
     bare = [(State(s.grid, s.v, s.theta, s.z, s.u, s.t, s.a_pos), dt) for s, dt in trajectory]
-    rows, previous, k = [], None, max(1, _BLOCK_VALUES // n_cells)
+    rows, previous, k = [], None, max(1, BLOCK_VALUES // n_cells)
     for start in range(0, len(bare), k):
         block = bare[start:start + k]
         rows += record(block, config.params, previous)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import rrgas.driver
+import rrgas.mesh
 import rrgas.solver
 from rrgas.config import Profile, RunConfig, init_state, load_config
 from rrgas.constitutive import PhysParams
@@ -347,7 +348,7 @@ def test_no_state_a_loop_stepped_from_keeps_its_laws(loop, monkeypatch):
     cfg = bump_config(t_end=0.04, n_cells=16)
     if loop.startswith("simulation"):
         k = int(loop[-1])
-        monkeypatch.setattr(rrgas.driver, "_BLOCK_VALUES", k * cfg.n_cells)
+        monkeypatch.setattr(rrgas.mesh, "BLOCK_VALUES", k * cfg.n_cells)
         assert run_simulation(cfg).completed
         assert all(j == 0 or j >= n - k for n, kept in enumerate(alive) for j in kept)
     else:
@@ -375,7 +376,7 @@ def test_rows_come_in_blocks_and_are_complete_on_every_exit(case, monkeypatch, p
     # 4 states per record call on 32 cells.  Every run here ends with a
     # partly filled block, which the driver must still hand over.
     block = 4
-    monkeypatch.setattr(rrgas.driver, "_BLOCK_VALUES", block * 32)
+    monkeypatch.setattr(rrgas.mesh, "BLOCK_VALUES", block * 32)
     cfg = bump_config()
     initial = init_state(cfg)
     if case == "rejected":
@@ -424,7 +425,7 @@ def test_a_sink_gets_every_row_in_order_and_the_result_keeps_none(case, monkeypa
     # record built it, n_steps + 1 rows in all, bitwise the rows the
     # default path keeps; the run it was given keeps no rows of its own.
     block = 4
-    monkeypatch.setattr(rrgas.driver, "_BLOCK_VALUES", block * 32)
+    monkeypatch.setattr(rrgas.mesh, "BLOCK_VALUES", block * 32)
     cfg = bump_config()
     initial = init_state(cfg)
     if case == "rejected":

@@ -23,7 +23,7 @@ from rrgas.constitutive import (
     pressure,
     reaction_rate,
 )
-from rrgas.driver import _BLOCK_VALUES
+from rrgas.mesh import BLOCK_VALUES
 from rrgas.mesh import ConfigurationError, Grid
 from rrgas.mms import (
     CASES,
@@ -122,7 +122,7 @@ def test_run_mms_evaluates_each_source_once_per_level(name, source_times):
     run_mms(CASES[name](), 16, 0.05, [12])
     levels = set(accumulated_levels(0.05, 12))
     assert len(levels) == 12
-    n_blocks = -(-12 // max(1, _BLOCK_VALUES // 17))
+    n_blocks = -(-12 // max(1, BLOCK_VALUES // 17))
     for attr, calls in source_times.items():
         assert len(calls) == n_blocks, attr
         assert sum(np.size(t) for t in calls) == 12, attr
@@ -177,7 +177,7 @@ def rejecting_once(monkeypatch, at_call, members=True):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_block_sources_match_per_level_bits(name, n_cells, served, source_times):
     case = CASES[name]()
-    per_block = max(1, _BLOCK_VALUES // (n_cells + 1))
+    per_block = max(1, BLOCK_VALUES // (n_cells + 1))
     n_steps = 2 * per_block + per_block // 3 + 1  # two full blocks, a partial one
     t_end = 1e-4 * n_steps
     run_mms(case, n_cells, t_end, [n_steps])
@@ -200,7 +200,7 @@ def test_block_sources_serve_batch_rows(served, source_times):
     case = CASES["tanh"]()
     counts = (7, 11, 18)
     levels = [accumulated_levels(0.1, n) for n in counts]
-    per_block = max(1, _BLOCK_VALUES // (3 * 32))
+    per_block = max(1, BLOCK_VALUES // (3 * 32))
     run_mms(case, 31, 0.1, list(counts))
     shapes = [np.shape(t) for t in source_times["source_theta"]]
     assert shapes == [(min(per_block, 7), 3, 1), (4, 2, 1), (7, 1)]
@@ -215,7 +215,7 @@ def test_block_sources_serve_batch_rows(served, source_times):
 
 
 def test_batch_blocks_hold_source_block_values_over_the_members_left(source_times):
-    # At 255 cells a block holds _BLOCK_VALUES // (b * 256) levels of the
+    # At 255 cells a block holds BLOCK_VALUES // (b * 256) levels of the
     # b members still stepping: 5 of three, 8 of two and 16 of one, each
     # cut where a member leaves.
     run_mms(CASES["trig"](), 255, 0.01, [7, 11, 18])

@@ -13,7 +13,7 @@ from conftest import cpus
 from rrgas.config import RunConfig
 from rrgas.constitutive import PhysParams
 from rrgas.diagnostics import DiagnosticsRecord
-from rrgas.driver import _BLOCK_VALUES
+from rrgas.mesh import BLOCK_VALUES
 from rrgas.mesh import ConfigurationError, Grid, State, physical_coordinates
 from rrgas.output import (
     _SNAPSHOT_BLOCK,
@@ -269,9 +269,9 @@ def test_write_failure_without_state(tmp_path):
 
 # ------------------------------------------------------- snapshot writer
 
-# A table of more values than _BLOCK_VALUES fills the writer's queue
+# A table of more values than BLOCK_VALUES fills the writer's queue
 # by itself, so it goes to the helper as soon as it is sent.
-SENT_ROWS = _BLOCK_VALUES // (len(SNAPSHOT_COLUMNS) - 2) + 1
+SENT_ROWS = BLOCK_VALUES // (len(SNAPSHOT_COLUMNS) - 2) + 1
 
 
 def test_snapshot_writer_bytes_match_inline(tmp_path, monkeypatch):
@@ -282,7 +282,7 @@ def test_snapshot_writer_bytes_match_inline(tmp_path, monkeypatch):
     cpus(monkeypatch, 2)
     params = PhysParams()
     sizes = (1, 128, _SNAPSHOT_BLOCK + 1, 1537)
-    with RunWriter() as writer:
+    with RunWriter(tmp_path / "diagnostics.csv") as writer:
         for n in sizes:
             write_snapshot(tmp_path / f"sent_{n}.csv", edge_state(n), params, "r", writer=writer)
             assert len(multiprocessing.active_children()) == 1
@@ -301,12 +301,12 @@ def test_snapshot_writer_on_one_cpu_writes_inline(tmp_path, monkeypatch, forks):
     cpus(monkeypatch, 1)
     params = PhysParams()
     sizes = (1, _SNAPSHOT_BLOCK + 1)
-    with RunWriter() as writer:
+    with RunWriter(tmp_path / "diagnostics.csv") as writer:
         for n in sizes:
             write_snapshot(tmp_path / f"sent_{n}.csv", edge_state(n), params, "r", writer=writer)
         assert list(tmp_path.iterdir()) == []  # queued: too few values for a message
     (tmp_path / "taken.csv").mkdir()
-    with RunWriter() as writer:
+    with RunWriter(tmp_path / "diagnostics.csv") as writer:
         with pytest.raises(IsADirectoryError, match="taken.csv"):
             write_snapshot(tmp_path / "taken.csv", edge_state(SENT_ROWS), params, writer=writer)
     assert forks == []
@@ -324,7 +324,7 @@ def test_snapshot_writer_writes_in_order_and_reports_first_error(tmp_path, monke
     state = edge_state(SENT_ROWS)
     (tmp_path / "taken.csv").mkdir()
     with pytest.raises(IsADirectoryError, match="taken.csv"):
-        with RunWriter() as writer:
+        with RunWriter(tmp_path / "diagnostics.csv") as writer:
             for name in ("first.csv", "taken.csv", "third.csv"):
                 write_snapshot(tmp_path / name, state, params, writer=writer)
     assert len(data_rows(tmp_path / "first.csv")) == SENT_ROWS
@@ -336,7 +336,7 @@ def test_snapshot_writer_send_raises_a_reported_error(tmp_path, monkeypatch):
     params = PhysParams()
     state = edge_state(SENT_ROWS)
     (tmp_path / "taken.csv").mkdir()
-    with RunWriter() as writer:
+    with RunWriter(tmp_path / "diagnostics.csv") as writer:
         write_snapshot(tmp_path / "taken.csv", state, params, writer=writer)
         (helper,) = multiprocessing.active_children()
         helper.join(timeout=30)  # it has reported its error and exited
@@ -352,7 +352,7 @@ def test_snapshot_writer_keeps_the_exception_in_flight(tmp_path, monkeypatch):
     state = edge_state(SENT_ROWS)
     (tmp_path / "taken.csv").mkdir()
     with pytest.raises(KeyError, match="in flight"):
-        with RunWriter() as writer:
+        with RunWriter(tmp_path / "diagnostics.csv") as writer:
             write_snapshot(tmp_path / "taken.csv", state, params, writer=writer)
             raise KeyError("in flight")
     assert multiprocessing.active_children() == []
@@ -373,7 +373,7 @@ def test_snapshot_writer_survives_a_send_cut_short(tmp_path, monkeypatch):
     signal.alarm(30)
     try:
         with pytest.raises(KeyError, match="interrupted"):
-            with RunWriter() as writer:
+            with RunWriter(tmp_path / "diagnostics.csv") as writer:
                 write_snapshot(tmp_path / "whole.csv", state, params, writer=writer)
                 writer._conn._send(struct.pack("!i", 1 << 20) + b"cut short")
                 raise KeyError("interrupted")
@@ -404,7 +404,7 @@ def test_run_writer_appends_row_blocks_between_tables(n_cpus, tmp_path, monkeypa
     # table has the bytes of the inline path.
     cpus(monkeypatch, n_cpus)
     params = PhysParams()
-    rows = diagnostics_rows(3 * _BLOCK_VALUES // len(DIAG_COLUMNS))  # about three messages
+    rows = diagnostics_rows(3 * BLOCK_VALUES // len(DIAG_COLUMNS))  # about three messages
     blocks = [rows[start:start + 32] for start in range(0, len(rows), 32)]
     with RunWriter(tmp_path / "diagnostics.csv") as writer:
         for k, block in enumerate(blocks):
