@@ -1,18 +1,19 @@
 """Write a BENCH_<n>.json record: the benchmark's end-to-end metrics on
 its four workloads, and the wall time of `rrgas run` on each shipped
-config.
+config and of `rrgas sweep` on the sweep example at one and two jobs.
 
-    python3 scripts/bench_record.py 36
+    python3 scripts/bench_record.py 38
 
 Run from the root of the source tree.  Each workload is one
 `perfbench/run.py --trace 0` subprocess, at the default seed and for
 the `run_seconds` of BENCHMARK.json, whose result line (the last line
 of its output) and record line (the one before) are kept.  The
-shipped runs are fresh `python3 -m rrgas.cli run` processes, taken in
-turn over the configs REPEATS times so that a slow stretch of the host
-falls on all of them; each config gets the median wall time and the
-median CPU time of its processes (resource.getrusage of this script's
-children).  Nothing but the record file is left behind.
+shipped runs are fresh `python3 -m rrgas.cli` processes, one per
+command of SHIPPED_RUNS, taken in turn REPEATS times so that a slow
+stretch of the host falls on all of them; each command gets the median
+wall time and the median CPU time of its processes
+(resource.getrusage of this script's children, a sweep's pool
+workers included).  Nothing but the record file is left behind.
 """
 
 from __future__ import annotations
@@ -30,8 +31,15 @@ import time
 from pathlib import Path
 
 WORKLOADS = ("run-small", "run-large", "sweep-jobs2", "mms-trig")
-SHIPPED = ("equilibrium", "reference", "reacting", "expansion")
-REPEATS = 7  # runs of each shipped config
+SWEEP = ["sweep", "configs/sweep_example.ini", "--jobs"]
+# `rrgas` arguments of each shipped run, without its --out
+SHIPPED_RUNS = {
+    **{name: ["run", f"configs/{name}.ini"]
+       for name in ("equilibrium", "reference", "reacting", "expansion")},
+    "sweep_example --jobs 1": SWEEP + ["1"],
+    "sweep_example --jobs 2": SWEEP + ["2"],
+}
+REPEATS = 7  # runs of each shipped command
 
 
 def workload(root: Path, name: str, seconds: float) -> dict:
@@ -56,26 +64,24 @@ def children_cpu_s() -> float:
 
 
 def shipped_runs(root: Path) -> dict:
-    """Median wall and CPU seconds of `rrgas run` on each shipped config."""
+    """Median wall and CPU seconds of each of SHIPPED_RUNS."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    walls = {name: [] for name in SHIPPED}
-    cpus = {name: [] for name in SHIPPED}
+    walls = {name: [] for name in SHIPPED_RUNS}
+    cpus = {name: [] for name in SHIPPED_RUNS}
     with tempfile.TemporaryDirectory() as scratch:
         for repeat in range(REPEATS):
-            for name in SHIPPED:
-                out = Path(scratch) / f"{name}-{repeat}"
+            for number, (name, args) in enumerate(SHIPPED_RUNS.items()):
+                out = Path(scratch) / f"{number}-{repeat}"
                 cpu = children_cpu_s()
                 start = time.perf_counter()
-                subprocess.run(
-                    [sys.executable, "-m", "rrgas.cli", "run", f"configs/{name}.ini",
-                     "--out", str(out)],
-                    cwd=root, env=env, stdout=subprocess.DEVNULL, check=True)
+                subprocess.run([sys.executable, "-m", "rrgas.cli", *args, "--out", str(out)],
+                               cwd=root, env=env, stdout=subprocess.DEVNULL, check=True)
                 walls[name].append(time.perf_counter() - start)
                 cpus[name].append(children_cpu_s() - cpu)
     return {name: {"wall_s": statistics.median(walls[name]),
                    "cpu_s": statistics.median(cpus[name]),
                    "wall_s_samples": walls[name]}
-            for name in SHIPPED}
+            for name in SHIPPED_RUNS}
 
 
 def environment(root: Path) -> dict:

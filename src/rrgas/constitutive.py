@@ -150,11 +150,20 @@ def de_dtheta(v, theta, params: PhysParams):
     return params.cv + 4.0 * params.a_rad * v * theta**3
 
 
+def power(x, exponent):
+    """x**exponent for a batch's (B, 1) column of exponents against x's
+    (B, ...) rows, each row raised to its own float as its member's run
+    raises it: numpy takes a float exponent of -1, 0.5 or 2 by a shortcut
+    (1/x, sqrt, x*x) whose last bit a column's pow need not match."""
+    return np.stack([np.power(row, e) for row, e in zip(x, exponent[:, 0].tolist())])
+
+
 def _arrhenius(v, theta, params: PhysParams):
+    m1, beta = 1.0 - params.m_order, params.beta
     return (
         params.k_rate
-        * v ** (1.0 - params.m_order)
-        * theta**params.beta
+        * (power(v, m1) if isinstance(m1, np.ndarray) else v**m1)
+        * (power(theta, beta) if isinstance(beta, np.ndarray) else theta**beta)
         * np.exp(-params.a_act / theta)
     )
 
@@ -182,9 +191,11 @@ def heat_conductivity(v, theta, params: PhysParams):
     Model A: kappa = kappa1 + kappa2 * theta^q       (volume-independent)
     Model B: kappa = kappa1 + kappa2 * v * theta^q
     """
+    q = params.q_cond
+    theta_q = power(theta, q) if isinstance(q, np.ndarray) else theta**q
     if params.cond_model == "A":
-        return params.kappa1 + params.kappa2 * theta**params.q_cond
-    return params.kappa1 + params.kappa2 * v * theta**params.q_cond
+        return params.kappa1 + params.kappa2 * theta_q
+    return params.kappa1 + params.kappa2 * v * theta_q
 
 
 def _energy_laws(theta, av, v, params: PhysParams):

@@ -1,10 +1,8 @@
 """Time loops and the scenario-level invariant check.
 
-Every time loop keeps the levels (t and theta) of the last two accepted
-states before the one it steps from, most recent first, and hands them
-to solver.step or solver.step_batch as history, from which Newton
-extrapolates its start point; a batch's levels are cut with its members.
-A state stepped from is freed, laws and all, once nothing else holds it.
+A time loop hands each step only the state to step from, which carries
+what Newton's start point needs (mesh.State); a state stepped from is
+freed, laws and all, once nothing else holds it.
 
 run_simulation owns the adaptive time loop: init, step, record (a
 block of states at a time, the species balance sums included), and
@@ -44,7 +42,6 @@ import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -138,12 +135,9 @@ def run_simulation(
     return result
 
 
-def _run_alone(config: RunConfig, state: State, n_steps: int, observe=None,
-               history=()) -> RunResult:
+def _run_alone(config: RunConfig, state: State, n_steps: int, observe=None) -> RunResult:
     """Step one run from state, after its first n_steps steps, to t_end.
 
-    history holds the levels of the run's accepted states before state,
-    most recent first, at most two (solver.step's history).
     observe(state, report, step_index), if given, sees each accepted
     step.  A failure ends the run; the result says how far it got and
     why it stopped, with no records.
@@ -154,17 +148,14 @@ def _run_alone(config: RunConfig, state: State, n_steps: int, observe=None,
             completed, error = False, "step budget exhausted"
             break
         try:
-            new, report = step(state, config, history=history)
-        except SimulationError as exc:
-            if exc.last_state is not None:
-                state = exc.last_state
+            state, report = step(state, config)
+        except SimulationError as exc:  # its last_state is state, the step's input
             completed, error = False, str(exc)
             break
         except InvariantViolation as exc:
             completed, error = False, f"scheme invariant violated at t={state.t:.6e}: {exc}"
             break
-        history = (SimpleNamespace(t=state.t, theta=state.theta), *history)[:2]
-        state, n_steps = new, n_steps + 1
+        n_steps += 1
         if observe is not None:
             observe(state, report, n_steps)
     return RunResult(state, [], completed, error, n_steps)
@@ -181,8 +172,8 @@ def run_batch(configs, state: State) -> list:
     step is one attempt.  A member leaves at t_end.  The last member
     left, one below DT_MIN, every member at the step budget, the members
     a step rejects and every member after an InvariantViolation step on
-    alone from their state before the step and their rows of the
-    levels, the way run_simulation steps: solver.step makes any
+    alone from their state before the step, which carries their rows of
+    the levels, the way run_simulation steps: solver.step makes any
     retries, and each result has the bits of its serial run.
     """
     base = configs[0]
@@ -194,7 +185,6 @@ def run_batch(configs, state: State) -> list:
     batch = stack([state] * len(configs))
     stacked = dataclasses.replace(base, params=PhysParams.stack([c.params for c in configs]))
     n_steps, failed = 0, False  # failed: the members the last attempt failed
-    history = ()  # the levels before batch's, most recent first
     while True:
         # Alone, a member at t_end is done at once, one below DT_MIN
         # raises its serial run's underflow, one at the step budget stops
@@ -208,20 +198,16 @@ def run_batch(configs, state: State) -> list:
         leaving |= np.count_nonzero(~leaving) < 2
         for position in np.flatnonzero(leaving):
             member = live[position]
-            results[member] = _run_alone(configs[member], batch[position], n_steps, history=tuple(
-                SimpleNamespace(t=h.t[position], theta=h.theta[position]) for h in history))
+            results[member] = _run_alone(configs[member], batch[position], n_steps)
         if leaving.all():
             return results
         if leaving.any():
             staying = ~leaving
             live, batch, dt = (a[staying] for a in (live, batch, dt))
-            history = tuple(SimpleNamespace(t=h.t[staying], theta=h.theta[staying])
-                            for h in history)
             stacked.params = stacked.params.select(staying)
         try:
-            new, _ = step_batch(batch, stacked, dt=dt, history=history)
-            history = (SimpleNamespace(t=batch.t, theta=batch.theta), *history)[:2]
-            batch, n_steps, failed = new, n_steps + 1, False
+            batch, _ = step_batch(batch, stacked, dt=dt)
+            n_steps, failed = n_steps + 1, False
         except StepRejection as rej:
             failed = rej.members
         except InvariantViolation:
@@ -232,9 +218,7 @@ def run_fixed(state: State, config: RunConfig, n_steps, sources=None) -> list:
     """The final states of n steps of dt = config.t_end / n from state,
     one for each count n in n_steps, in their order.
 
-    Each has the bits of its own serial run of step(..., dt=dt,
-    history=history), history the run's last two states before the
-    step, or their levels (t and theta), most recent first.
+    Each has the bits of its own serial run of step(..., dt=dt).
     sources, if given, is a callable t -> (s_v, s_u, s_theta, s_z) on
     state's grid that broadcasts over an array of times, as
     mms.MmsCase.sources(grid) does; each step is handed the read-only
@@ -262,14 +246,12 @@ def run_fixed(state: State, config: RunConfig, n_steps, sources=None) -> list:
     finals = [None] * len(counts)
     live = np.arange(len(counts))  # the members still stepping, in order
     state, batched = stack([state] * len(counts)), True
-    history = ()  # the levels before state's, most recent first
     taken = 0
     while live.size:
         if live.size == 1 and batched:
             # The last member steps on as a single run: the same code
             # without the member axis, which costs less per step.
             state, batched = state[0], False
-            history = tuple(SimpleNamespace(t=h.t[0], theta=h.theta[0]) for h in history)
         stop = counts[live].min()
         level_rows = repeat(None)  # each level's (s_v, s_u, s_theta, s_z)
         if sources is not None:
@@ -286,7 +268,7 @@ def run_fixed(state: State, config: RunConfig, n_steps, sources=None) -> list:
                    else partial(step, dt=dts[live[0]]))
         for k, rows in zip(range(stop - taken), level_rows):
             try:
-                new, _ = advance(state, config, sources=rows, history=history)
+                state, _ = advance(state, config, sources=rows)
             except InvariantViolation as exc:
                 runs = ", ".join(map(str, counts[live]))
                 raise InvariantViolation(
@@ -299,8 +281,6 @@ def run_fixed(state: State, config: RunConfig, n_steps, sources=None) -> list:
                     f"at t={last.t:.6e}; a fixed-dt study cannot take a shorter one",
                     last_state=last,
                 ) from rej
-            history = (SimpleNamespace(t=state.t, theta=state.theta), *history)[:2]
-            state = new
         taken = stop
         done = counts[live] == taken
         for member, position in zip(live[done], np.flatnonzero(done)):
@@ -308,8 +288,6 @@ def run_fixed(state: State, config: RunConfig, n_steps, sources=None) -> list:
         live = live[~done]
         if batched:
             state = state[~done]
-            history = tuple(SimpleNamespace(t=h.t[~done], theta=h.theta[~done])
-                            for h in history)
     return finals
 
 @dataclass

@@ -77,6 +77,9 @@ class State:
     None on any other state.  The next step reads its theta4 and e,
     cfl_dt phi and zm (z^m), and diagnostics.record all but theta4; they
     are freed with the state.  Fields never change after a step.
+    history: the (t, theta) levels of the run's two accepted states
+    before this one, most recent first, for Newton's next start point;
+    set by the step that makes the state, cut by indexing, () otherwise.
     """
 
     grid: Grid
@@ -87,6 +90,7 @@ class State:
     t: float = 0.0
     a_pos: float = 0.0
     laws = None  # not a field: set on the state a step makes
+    history = ()  # not a field either
 
     def __post_init__(self) -> None:
         n = self.grid.n_cells
@@ -112,8 +116,11 @@ class State:
         t, a_pos = np.asarray(self.t)[index], np.asarray(self.a_pos)[index]
         if t.ndim == 0:
             t, a_pos = float(t), float(a_pos)
-        return State(self.grid, self.v[index], self.theta[index], self.z[index],
+        part = State(self.grid, self.v[index], self.theta[index], self.z[index],
                      self.u[index], t, a_pos)
+        part.history = tuple((np.asarray(level_t)[index], theta[index])
+                             for level_t, theta in self.history)
+        return part
 
     def require_valid(self, v_floor: float, theta_floor: float) -> None:
         """Raise if a field is not finite, v or theta is not above its

@@ -34,8 +34,8 @@ run and step_batch a batch.
 
 The temperature Newton solve starts from the extrapolation in time of
 theta through the run's last accepted levels, up to two of them before
-the input state, which the caller passes as history (objects with t and
-theta, States among them); without history it starts from theta^n.  A
+the input state, which carries them (mesh.State.history; a step leaves
+them on the state it makes); without them it starts from theta^n.  A
 member whose start point is not finite or not above theta_floor in
 every cell starts from theta^n.  The start point moves only the route to
 the root of the same discrete equations; a start point that already
@@ -56,6 +56,7 @@ from .constitutive import (
     de_dtheta,
     heat_conductivity,
     internal_energy,
+    power,
     reaction_rate,
 )
 from .mesh import State, advance_boundary
@@ -329,8 +330,9 @@ def cfl_dt(state: State, config):
     """
     params = config.params
     v, theta, z = state.v, state.theta, state.z
+    m = params.m_order
     laws = (state.laws if state.laws is not None and state.laws["params"] is params
-            else {"zm": np.power(z, params.m_order)})  # else for this call only
+            else {"zm": power(z, m) if isinstance(m, np.ndarray) else np.power(z, m)})
     if "phi" not in laws:
         laws["phi"] = reaction_rate(v, theta, params)
     dx = state.grid.dx
@@ -422,7 +424,8 @@ def species_step(state: State, dt, params: PhysParams, phi, s_z=None, laws=None)
     dx = state.grid.dx
     v, z = state.v, state.z
     dtc = _per_cell(dt)
-    decay = phi * np.power(z, params.m_order - 1.0)
+    m1 = params.m_order - 1.0
+    decay = phi * (power(z, m1) if isinstance(m1, np.ndarray) else np.power(z, m1))
     g = species_interface_coeff(v, params)
     base = 1.0 + dtc * decay
     if laws is not None:
@@ -490,7 +493,8 @@ def energy_step(state: State, dt, config, v_old, phi, s_theta=None, guess=None, 
     laws = {} if laws is None else laws
     dudx = (u[..., 1:] - u[..., :-1]) / dx
     work = total_stress(v, theta_n, u, dx, params, laws.get("theta4")) * dudx
-    zm = np.power(z, params.m_order)
+    m = params.m_order
+    zm = power(z, m) if isinstance(m, np.ndarray) else np.power(z, m)
     heating = params.lambda_heat * phi * zm
     dtc = _per_cell(dt)
     e_n = laws["e"] if "e" in laws else internal_energy(v_old, theta_n, params)
@@ -542,24 +546,26 @@ def energy_step(state: State, dt, config, v_old, phi, s_theta=None, guess=None, 
         iters, count = iters + ~done, count + 1
 
 
-def _start_point(state: State, history, dt, theta_floor: float):
-    """theta at t + dt extrapolated through state and history, the last
-    accepted levels before it (most recent first, at most two), in
+def _start_point(state: State, dt, theta_floor: float):
+    """theta at t + dt extrapolated through state and state.history, the
+    last accepted levels before it (most recent first, at most two), in
     divided differences; None, for energy_step's own start at theta,
-    without history.  A level is read for its t and theta only.
+    without history.
 
     The divided-difference form extrapolates a constant field to itself
     bit for bit.  A member whose start point is not finite or not above
     theta_floor in every cell gets its own theta.
     """
-    if not history:
+    if not state.history:
         return None
     theta = state.theta
-    dt, s1 = _per_cell(dt), _per_cell(state.t - history[0].t)
-    slope = d1 = (theta - history[0].theta) / s1
-    if len(history) > 1:
-        s2 = _per_cell(history[0].t - history[1].t)
-        d2 = (history[0].theta - history[1].theta) / s2
+    (t1, theta1), *older = state.history
+    dt, s1 = _per_cell(dt), _per_cell(state.t - t1)
+    slope = d1 = (theta - theta1) / s1
+    if older:
+        t2, theta2 = older[0]
+        s2 = _per_cell(t1 - t2)
+        d2 = (theta1 - theta2) / s2
         slope = d1 + (d1 - d2) * ((dt + s1) / (s1 + s2))
     guess = theta + dt * slope
     bad = _not_above(guess, theta_floor)
@@ -568,7 +574,7 @@ def _start_point(state: State, history, dt, theta_floor: float):
     return guess
 
 
-def step_batch(state: State, config, sources=None, *, dt, history=()):
+def step_batch(state: State, config, sources=None, *, dt):
     """Advance every member of a batch one step at its own pinned dt.
 
     state is a batch of B runs on one grid (a mesh.State with a leading
@@ -576,11 +582,11 @@ def step_batch(state: State, config, sources=None, *, dt, history=()):
     dt is the batch of one, without the axis.  sources, if given, is the
     tuple (s_v, s_u, s_theta, s_z) at the members' new level, each an
     array or None: s_u of the state's edge shape, the others of its
-    cell shape.  history holds the levels (t and theta) of up to two
-    earlier accepted states of the same members, most recent first; the
-    temperature Newton solve starts from theta extrapolated through them
-    to this attempt's t + dt, per member (theta^n where that is not
-    finite or not above theta_floor, and theta^n without history).  Every
+    cell shape.  The temperature Newton solve starts from theta
+    extrapolated through the state and its history (mesh.State) to this
+    attempt's t + dt, per member (theta^n where that is not finite or
+    not above theta_floor, and theta^n without history); the new state's
+    history is the input's (t, theta) and the input's latest level.  Every
     row is computed on its own, a converged Newton member staying put, so
     each member gets the bits of its own run.  The step is one attempt: a
     rejection's mask names its members.  Returns (new_state, StepReport)
@@ -603,25 +609,22 @@ def step_batch(state: State, config, sources=None, *, dt, history=()):
     # Species and energy both take the rate at (v^{n+1}, theta^n).
     phi = reaction_rate(trial.v, trial.theta, params)
     trial.z = species_step(trial, dt, params, phi, s_z=s_z, laws=laws)
-    guess = _start_point(state, history, dt, config.theta_floor)
+    guess = _start_point(state, dt, config.theta_floor)
     trial.theta, iters, res = energy_step(trial, dt, config, state.v, phi, s_theta=s_th,
                                           guess=guess, laws=laws)
     trial.t, trial.laws = state.t + dt, laws
+    trial.history = ((state.t, state.theta), *state.history)[:2]
     return trial, StepReport(dt, iters, res)
 
 
-def step(state: State, config, sources=None, dt: float | None = None, history=()):
+def step(state: State, config, sources=None, dt: float | None = None):
     """Advance one run one accepted step: step_batch for a single run.
 
     sources, if given, is the tuple (s_v, s_u, s_theta, s_z) of
     manufactured right-hand sides at the new level, each an array or
-    None: s_u on the edges, the others on the cells.  history holds the
-    levels (t and theta, a State serves) of up to two earlier accepted
-    states of the run, most recent first, from which step_batch
-    extrapolates Newton's start point; the first step
-    has none and starts from theta^n, the second has one level.  dt is
-    normally taken from cfl_dt, and a rejected attempt is retried from
-    the input state and the same history at half the dt, up to
+    None: s_u on the edges, the others on the cells.  dt is normally
+    taken from cfl_dt, and a rejected attempt is retried from the input
+    state, its history (mesh.State) included, at half the dt, up to
     MAX_REJECTIONS attempts.  Passing dt pins the step size for
     convergence studies; the step is then one attempt, and a rejection
     raises StepRejection.  Returns (new_state, StepReport).
@@ -632,7 +635,7 @@ def step(state: State, config, sources=None, dt: float | None = None, history=()
     rejections = 0
     while True:
         try:
-            new, r = step_batch(state, config, sources, dt=dt, history=history)
+            new, r = step_batch(state, config, sources, dt=dt)
             break
         except StepRejection as rej:
             if pinned:

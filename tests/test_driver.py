@@ -11,6 +11,7 @@ import rrgas.mesh
 import rrgas.solver
 from rrgas.config import Profile, RunConfig, init_state, load_config
 from rrgas.constitutive import PhysParams
+from rrgas.diagnostics import record
 from rrgas.driver import check_scenario, run_batch, run_fixed, run_simulation
 from rrgas.mesh import ConfigurationError
 
@@ -211,12 +212,12 @@ def test_a_rejected_member_leaves_the_batch_and_retries_alone(monkeypatch):
     attempts = []  # (where, p_ext, t, dt) per member and attempt
 
     def recording(where):
-        def step_batch(state, config, sources=None, *, dt, history=()):
+        def step_batch(state, config, sources=None, *, dt):
             shape = np.shape(state.t)
             p_ext = np.broadcast_to(config.params.p_ext, shape + (1,))[..., 0]
             attempts.append([(where, *row) for row in zip(
                 np.atleast_1d(p_ext), np.atleast_1d(state.t), np.broadcast_to(dt, shape).flat)])
-            return real_step_batch(state, config, sources, dt=dt, history=history)
+            return real_step_batch(state, config, sources, dt=dt)
 
         return step_batch
 
@@ -263,23 +264,23 @@ def test_run_fixed_gives_each_count_the_bits_of_its_serial_run_in_input_order():
     finals = run_fixed(s0, cfg, counts)
     assert len(finals) == len(counts)
     for n_steps, final in zip(counts, finals):
-        serial, history = s0, ()
+        serial = s0
         for _ in range(n_steps):
-            new, _ = rrgas.solver.step(serial, cfg, dt=cfg.t_end / n_steps, history=history)
-            serial, history = new, (serial, *history)[:2]
+            serial, _ = rrgas.solver.step(serial, cfg, dt=cfg.t_end / n_steps)
         assert state_bits(final) == state_bits(serial)
         assert final.a_pos == serial.a_pos
     assert state_bits(s0) == state_bits(init_state(cfg))
 
 
 def test_each_step_is_handed_the_two_accepted_states_before_it(monkeypatch):
-    # As levels: the t and theta bits of the states before, most recent first.
+    # As the levels its input state carries: the t and theta bits of the
+    # states before, most recent first.
     real = rrgas.driver.step
-    calls = []  # (input state, history, new state) per step
+    calls = []  # (input state, its history, new state) per step
 
-    def recording(state, config, history=()):
-        new, report = real(state, config, history=history)
-        calls.append((state, history, new))
+    def recording(state, config):
+        new, report = real(state, config)
+        calls.append((state, state.history, new))
         return new, report
 
     monkeypatch.setattr(rrgas.driver, "step", recording)
@@ -288,23 +289,42 @@ def test_each_step_is_handed_the_two_accepted_states_before_it(monkeypatch):
     for k, (state, history, _) in enumerate(calls):
         assert k == 0 or state is calls[k - 1][2]
         assert len(history) == min(k, 2)
-        for j, level in enumerate(history):
+        for j, (t, theta) in enumerate(history):
             before = calls[k - 1 - j][0]
-            assert (level.t, level.theta.tobytes()) == (before.t, before.theta.tobytes())
+            assert (t, theta.tobytes()) == (before.t, before.theta.tobytes())
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_a_plain_step_loop_has_the_bits_of_run_simulation(block, monkeypatch):
+    # A step depends on its input state alone: a loop that hands each
+    # step the state the last one made, and nothing else, gets the final
+    # state and the rows of run_simulation bit for bit.
+    cfg = bump_config(t_end=0.05)
+    monkeypatch.setattr(rrgas.mesh, "BLOCK_VALUES", block * cfg.n_cells)
+    result = run_simulation(cfg)
+    state = init_state(cfg)
+    kept = [(state, 0.0)]
+    while state.t < cfg.t_end:
+        state, report = rrgas.solver.step(state, cfg)
+        kept.append((state, report.dt))
+    assert len(kept) == result.n_steps + 1 >= 4
+    assert state_bits(state) == state_bits(result.state)
+    assert [bits(row) for row in record(kept, cfg.params)] == list(map(bits, result.records))
 
 
 def test_run_fixed_hands_each_member_the_levels_of_its_own_run(monkeypatch):
     # The members leave after 1, 2 and 3 steps, the last one stepping on
-    # alone for two more; at every step each member's history holds its own last two
-    # levels, most recent first, the t of its own serial run.
+    # alone for two more; at every step the history each member's state
+    # carries holds its own last two levels, most recent first, the t of
+    # its own serial run.
     counts = [5, 1, 3, 2]
     cfg = bump_config(n_cells=16)
     seen = []  # (t of the state, t of each history level) per step
 
     def recording(real):
-        def advance(state, config, sources=None, *, dt, history=()):
-            seen.append((np.atleast_1d(state.t), [np.atleast_1d(h.t) for h in history]))
-            return real(state, config, sources, dt=dt, history=history)
+        def advance(state, config, sources=None, *, dt):
+            seen.append((np.atleast_1d(state.t), [np.atleast_1d(t) for t, _ in state.history]))
+            return real(state, config, sources, dt=dt)
 
         return advance
 
@@ -330,16 +350,16 @@ def test_run_fixed_hands_each_member_the_levels_of_its_own_run(monkeypatch):
 @pytest.mark.parametrize("loop", ["simulation K=3", "simulation K=1", "fixed", "batch",
                                   "alone"])
 def test_no_state_a_loop_stepped_from_keeps_its_laws(loop, monkeypatch):
-    # A loop keeps the levels (t, theta) of the states it has stepped
-    # from, not the states, so each is freed with its laws.  At every step
+    # A state carries the levels (t, theta) of the states before it, not
+    # the states, so each is freed with its laws.  At every step
     # none of them is alive, except in run_simulation: its initial state,
     # and the states its block of rows may still hold, among the last K.
     real, stepped, alive = rrgas.solver.step_batch, [], []
 
-    def recording(state, config, sources=None, *, dt, history=()):
+    def recording(state, config, sources=None, *, dt):
         alive.append([j for j, ref in enumerate(stepped) if ref() is not None
                       and ref() is not state])
-        made = real(state, config, sources, dt=dt, history=history)
+        made = real(state, config, sources, dt=dt)
         stepped.append(weakref.ref(state))
         return made
 
@@ -540,8 +560,8 @@ def corrupting_step(corrupt, monkeypatch):
     # sees it, and the next step starts from the corrupted state.
     real = rrgas.driver.step
 
-    def step(state, config, history=()):
-        new, report = real(state, config, history=history)
+    def step(state, config):
+        new, report = real(state, config)
         return corrupt(new), report
 
     monkeypatch.setattr(rrgas.driver, "step", step)

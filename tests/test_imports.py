@@ -215,8 +215,8 @@ def test_cli_starts_and_runs_without_scipy(configs_dir, tmp_path):
 
 
 def references(source: str, name: str) -> list[str]:
-    """The lines of source that name `name`: as a variable, an attribute
-    or an imported name."""
+    """The lines of source that name `name`: as a variable, an attribute,
+    an imported name, a parameter or a keyword argument."""
     lines = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -224,7 +224,9 @@ def references(source: str, name: str) -> list[str]:
                         for alias in node.names)
         else:
             named = (isinstance(node, ast.Name) and node.id == name
-                     or isinstance(node, ast.Attribute) and node.attr == name)
+                     or isinstance(node, ast.Attribute) and node.attr == name
+                     or isinstance(node, ast.arg) and node.arg == name
+                     or isinstance(node, ast.keyword) and node.arg == name)
         if named:
             lines.add(node.lineno)
     return [f"line {line}" for line in sorted(lines)]
@@ -270,13 +272,29 @@ def test_laws_names_are_found():
 
 
 # A step leaves the law values it evaluated on its new state
-# (mesh.State.laws), which solver and diagnostics.record read; the time
-# loops keep levels, not states, so no other module frees or reads them.
+# (mesh.State.laws), which solver and diagnostics.record read; a state
+# carries levels, not states, so no other module frees or reads them.
 @pytest.mark.parametrize("path", [path for path in sorted(PACKAGE.glob("*.py"))
                                   if path.name not in ("mesh.py", "solver.py", "diagnostics.py")],
                          ids=lambda path: path.name)
 def test_only_mesh_solver_and_diagnostics_name_the_carried_laws(path):
     assert references(path.read_text(), "laws") == []
+
+
+def test_history_names_are_found():
+    source = ("levels = state.history\nnew.history = ()\ndef f(state, history=()):\n"
+              "    pass\nstep(state, history=levels)\nhistory_seen = 1\nprint('history')\n")
+    assert references(source, "history") == ["line 1", "line 2", "line 3", "line 5"]
+
+
+# A step leaves the levels Newton's next start point is extrapolated
+# through on its new state (mesh.State.history), and indexing a state
+# cuts them; no other module builds, cuts or hands them over.
+@pytest.mark.parametrize("path", [path for path in sorted(PACKAGE.glob("*.py"))
+                                  if path.name not in ("mesh.py", "solver.py")],
+                         ids=lambda path: path.name)
+def test_only_mesh_and_solver_name_the_history(path):
+    assert references(path.read_text(), "history") == []
 
 
 def test_select_calls_are_found():
@@ -305,8 +323,8 @@ def test_step_names_are_found():
 
 
 # Every time loop lives in driver.py, which hands solver.step and
-# solver.step_batch the history Newton's start point is extrapolated
-# from; no other module steps a run.
+# solver.step_batch the state to step from and nothing else; no other
+# module steps a run.
 @pytest.mark.parametrize("path", [path for path in sorted(PACKAGE.glob("*.py"))
                                   if path.name not in ("driver.py", "solver.py")],
                          ids=lambda path: path.name)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rrgas.constitutive import PhysParams
 from rrgas.mesh import (
     ConfigurationError,
     Grid,
@@ -16,6 +17,7 @@ from rrgas.mesh import (
     velocity_mean,
     width,
 )
+from rrgas.output import read_snapshot, write_snapshot
 
 
 def make_state(n=4, v=1.0, u=0.0, theta=1.0, z=0.5, a_pos=0.0):
@@ -82,6 +84,40 @@ def test_batch_state_shapes_and_members():
     assert batch.v[0].tolist() == [1.0] * 4 and batch.t.tolist() == [0.0, 0.25]
     with pytest.raises(ConfigurationError, match=r"u must have shape \(2, 5\)"):
         State(Grid(4), batch.v, batch.theta, batch.z, np.zeros(5))
+
+
+def levels(*ts):
+    """Levels of a batch of 3 members on 4 cells, one per t, most recent
+    first: member b's theta at level t is 10*t + b in every cell."""
+    return tuple((np.full(3, t), 10.0 * t + np.repeat(np.arange(3.0)[:, None], 4, axis=1))
+                 for t in ts)
+
+
+@pytest.mark.parametrize("index", [1, np.array([2, 0]), np.array([True, False, True]), None],
+                         ids=["int", "array", "mask", "None"])
+def test_indexing_cuts_each_level_with_the_members(index):
+    batch = stack([make_state()] * 3)
+    batch.history = levels(0.5, 0.25)
+    part = batch[index]
+    assert len(part.history) == 2
+    for (t, theta), (all_t, all_theta) in zip(part.history, batch.history):
+        assert np.asarray(t).tolist() == all_t[index].tolist()
+        assert theta.tobytes() == all_theta[index].tobytes()
+        assert theta.shape == part.theta.shape
+    one = make_state()
+    one.history = ((0.5, np.full(4, 2.0)),)
+    [(t, theta)] = one[None].history
+    assert t.tolist() == [0.5] and theta.tolist() == [[2.0] * 4]
+
+
+def test_a_built_copied_stacked_or_read_state_carries_no_history(tmp_path):
+    s = make_state()
+    s.history = ((0.0, s.theta),)
+    write_snapshot(tmp_path / "snap.csv", s, PhysParams())
+    made = [make_state(), s.copy(), stack([s, s]), read_snapshot(tmp_path / "snap.csv")[0],
+            State(s.grid, s.v, s.theta, s.z, s.u, s.t, s.a_pos)]
+    assert all(state.history == () for state in made)
+    assert len(s.history) == 1
 
 
 def test_state_copy_is_deep():

@@ -150,10 +150,9 @@ def served(monkeypatch):
     calls = []
     for name in ("step", "step_batch"):
 
-        def recording(state, config, sources=None, *, dt, history=(),
-                      fn=getattr(rrgas.driver, name)):
+        def recording(state, config, sources=None, *, dt, fn=getattr(rrgas.driver, name)):
             calls.append((state.t + dt, sources))
-            return fn(state, config, sources, dt=dt, history=history)
+            return fn(state, config, sources, dt=dt)
 
         monkeypatch.setattr(rrgas.driver, name, recording)
     return calls

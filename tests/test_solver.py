@@ -969,6 +969,31 @@ def test_step_batch_with_per_member_constants_matches_serial_steps():
     assert any(len(set(its)) > 1 for its in iterations)
 
 
+def test_per_member_exponents_keep_each_members_bits():
+    # A single run takes an exponent of -1, 0.5 or 2 by numpy's shortcut
+    # (1/x, sqrt, x*x), which a broadcast (B, 1) column's rows can miss;
+    # m_order 1.5, 2 and 3 give z^m, z^(m-1) and v^(1-m) such exponents,
+    # as do beta and q_cond here.  Each member still has the bits of its
+    # own run: its cfl_dt, its new state and the laws that state carries.
+    base = bump_config(n_cells=512, t_end=10.0, k_rate=5.0)
+    first = init_state(base)
+    first.z = np.random.default_rng(5).uniform(0.1, 1.0, first.z.shape)
+    configs = []
+    for m_order, beta, q_cond in ((1.5, 0.5, 2.0), (2.0, 2.0, 0.5), (3.0, 1.0, 1.0)):
+        configs.append(dataclasses.replace(base, params=dataclasses.replace(
+            base.params, m_order=m_order, beta=beta, q_cond=q_cond)))
+    stacked = dataclasses.replace(base, params=PhysParams.stack([c.params for c in configs]))
+    batch = stack([first] * 3)
+    dts = cfl_dt(batch, stacked)
+    assert dts.tolist() == [cfl_dt(first, config) for config in configs]
+    new, _ = step_batch(batch, stacked, dt=dts)
+    for b, config in enumerate(configs):
+        alone, _ = step(first, config, dt=dts[b])
+        assert state_bits(new[b]) == state_bits(alone)
+        for name in alone.laws.keys() - {"params"}:
+            assert new.laws[name][b].tobytes() == alone.laws[name].tobytes(), (b, name)
+
+
 # ------------------------------------------------ law values a step carries
 
 def expected_laws(new, before, params):
@@ -986,8 +1011,11 @@ def expected_laws(new, before, params):
 
 
 def rebuilt(s):
-    """s as a state built by State(...): its fields, no law values."""
-    return State(s.grid, s.v, s.theta, s.z, s.u, s.t, s.a_pos)
+    """s as a state built by State(...): its fields and its history, no
+    law values."""
+    made = State(s.grid, s.v, s.theta, s.z, s.u, s.t, s.a_pos)
+    made.history = s.history
+    return made
 
 
 @pytest.mark.parametrize("m_order", [1.0, 2.0])
@@ -1074,12 +1102,16 @@ def test_a_trial_state_carries_nothing(monkeypatch):
 # ------------------------------------------------- Newton's start point
 
 def two_steps(cfg, dt):
-    """(state, history) after two steps of dt from cfg's initial state:
-    the third step's input and its two earlier levels."""
-    s0 = init_state(cfg)
-    s1, _ = step(s0, cfg, dt=dt)
-    s2, _ = step(s1, cfg, dt=dt, history=(s0,))
-    return s2, (s1, s0)
+    """The state after two steps of dt from cfg's initial state: the
+    third step's input, carrying its two earlier levels."""
+    s1, _ = step(init_state(cfg), cfg, dt=dt)
+    return step(s1, cfg, dt=dt)[0]
+
+
+def member_levels(*histories):
+    """The levels of a batch whose member b carries histories[b]."""
+    return tuple((np.array([t for t, _ in levels]), np.stack([theta for _, theta in levels]))
+                 for levels in zip(*histories))
 
 
 def test_start_point_below_the_floor_falls_back_per_member(monkeypatch):
@@ -1089,9 +1121,9 @@ def test_start_point_below_the_floor_falls_back_per_member(monkeypatch):
     # own serial step with its own history.
     cfg = bump_config(n_cells=16, t_end=10.0, k_rate=5.0)
     dt = 1e-3
-    state, (s1, s0) = two_steps(cfg, dt)
-    hot = s1.copy()
-    hot.theta = state.theta + 10.0
+    state = two_steps(cfg, dt)
+    s1, s0 = state.history
+    hot = (s1[0], state.theta + 10.0)
     histories = [(s1, s0), (hot, s0)]
     guesses = []  # of every energy_step call, in order
 
@@ -1100,13 +1132,15 @@ def test_start_point_below_the_floor_falls_back_per_member(monkeypatch):
         return energy_step(*args, guess=guess, **kwargs)
 
     monkeypatch.setattr(rrgas.solver, "energy_step", recording)
-    batch, report = step_batch(stack([state] * 2), cfg, dt=np.array([dt, dt]),
-                               history=tuple(stack(levels) for levels in zip(*histories)))
+    batch = stack([state] * 2)
+    batch.history = member_levels(*histories)
+    batch, report = step_batch(batch, cfg, dt=np.array([dt, dt]))
     [guess] = guesses
     assert guess[1].tobytes() == state.theta.tobytes()
     assert (guess[0] != state.theta).any() and (guess[0] > cfg.theta_floor).all()
     for member, history in enumerate(histories):
-        s, r = step(state, cfg, dt=dt, history=history)
+        state.history = history
+        s, r = step(state, cfg, dt=dt)
         assert state_bits(batch[member]) == state_bits(s)
         assert (batch[member].t, batch[member].a_pos) == (s.t, s.a_pos)
         for name, value in vars(r).items():
@@ -1129,13 +1163,36 @@ def test_start_point_falls_back_for_exactly_the_member_with_a_bad_cell(bad):
 
     state, older = stack([level(1.0, 1.0)] * 3), stack([level(1.5, 0.0)] * 3)
     older.theta[1, 2] = {"floor": 2.0, np.inf: -np.inf, -np.inf: np.inf}.get(bad, bad)
+    state.history = ((older.t, older.theta),)
     with np.errstate(invalid="ignore"):
-        guess = _start_point(state, (older,), np.ones(3), 0.0)
-        alone = _start_point(state[1], (older[1],), 1.0, 0.0)
+        guess = _start_point(state, np.ones(3), 0.0)
+        alone = _start_point(state[1], 1.0, 0.0)
     assert guess[1].tobytes() == state.theta[1].tobytes()
     assert (guess[[0, 2]] == 0.5).all()
     assert alone is None  # a single run starts from theta^n
-    assert (_start_point(state[0], (older[0],), 1.0, 0.0) == 0.5).all()
+    assert (_start_point(state[0], 1.0, 0.0) == 0.5).all()
+
+
+def test_a_step_leaves_its_input_level_and_the_latest_of_its_own():
+    # On the new state: the input's (t, theta), then the most recent
+    # level the input carries, each a pair that shares the theta array of
+    # the state it came from, never the state.
+    cfg = bump_config(n_cells=16, t_end=10.0)
+    states = [init_state(cfg)]
+    for _ in range(3):
+        states.append(step(states[-1], cfg, dt=1e-3)[0])
+    for k, new in enumerate(states):
+        assert len(new.history) == min(k, 2)
+        for j, (t, theta) in enumerate(new.history):
+            before = states[k - 1 - j]
+            assert t == before.t and theta is before.theta
+    batch = stack([states[0]] * 2)
+    for _ in range(3):
+        new, _ = step_batch(batch, cfg, dt=np.array([1e-3, 2e-3]))
+        (t, theta), *older = new.history
+        assert t is batch.t and theta is batch.theta
+        assert all(a is b for a, b in zip(older, batch.history[:1], strict=True))
+        batch = new
 
 
 def test_a_retry_keeps_the_history(monkeypatch):
@@ -1143,10 +1200,11 @@ def test_a_retry_keeps_the_history(monkeypatch):
     # of it starts from the same state and the same history, and gives
     # the bits of a step pinned at that dt with that history.
     cfg = bump_config(n_cells=16, t_end=10.0, k_rate=5.0)
-    state, history = two_steps(cfg, 1e-3)
+    state = two_steps(cfg, 1e-3)
+    history = state.history
     pinned_dt = cfl_dt(state, cfg) / 2
-    pinned, pinned_report = step(state, cfg, dt=pinned_dt, history=history)
-    unstarted, _ = step(state, cfg, dt=pinned_dt)
+    pinned, pinned_report = step(state, cfg, dt=pinned_dt)
+    unstarted, _ = step(state.copy(), cfg, dt=pinned_dt)  # a copy carries no history
     assert state_bits(unstarted) != state_bits(pinned)
 
     real_volume_step, real_step_batch = rrgas.solver.volume_step, rrgas.solver.step_batch
@@ -1157,13 +1215,13 @@ def test_a_retry_keeps_the_history(monkeypatch):
             raise StepRejection("volume_floor")
         return real_volume_step(*args, **kwargs)
 
-    def recording(state, config, sources=None, *, dt, history=()):
-        attempts.append((state, dt, history))
-        return real_step_batch(state, config, sources, dt=dt, history=history)
+    def recording(state, config, sources=None, *, dt):
+        attempts.append((state, dt, state.history))
+        return real_step_batch(state, config, sources, dt=dt)
 
     monkeypatch.setattr(rrgas.solver, "volume_step", rejecting_once)
     monkeypatch.setattr(rrgas.solver, "step_batch", recording)
-    new, report = step(state, cfg, history=history)
+    new, report = step(state, cfg)
     assert all(s is state and h is history for s, _, h in attempts)
     assert [dt for _, dt, _ in attempts] == [pinned_dt * 2, pinned_dt]
     assert (report.rejections, report.dt) == (1, pinned_dt)
@@ -1193,12 +1251,11 @@ def test_constant_temperature_extrapolates_to_itself():
     cfg = RunConfig(params=PhysParams.stack(members), t_end=1.0)
     batch = stack([uniform_state(16), uniform_state(16, theta=2.0)])
     dts = np.array([1e-3, 3e-3])
-    history = ()
-    for _ in range(4):
-        new, report = step_batch(batch, cfg, dt=dts, history=history)
+    for k in range(4):
+        assert len(batch.history) == min(k, 2)
+        batch, report = step_batch(batch, cfg, dt=dts)
         assert report.newton_iterations.tolist() == [0, 0]
-        history, batch = (batch, *history)[:2], new
         dts = dts * 1.5
-    assert len(history) == 2
+    assert len(batch.history) == 2
     assert np.all(batch.theta == np.array([[1.0], [2.0]]))
     assert np.all(batch.v == 1.0) and np.all(batch.u == 0.0) and np.all(batch.z == 0.0)
