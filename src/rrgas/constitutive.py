@@ -151,11 +151,14 @@ def de_dtheta(v, theta, params: PhysParams):
 
 
 def power(x, exponent):
-    """x**exponent for a batch's (B, 1) column of exponents against x's
-    (B, ...) rows, each row raised to its own float as its member's run
-    raises it: numpy takes a float exponent of -1, 0.5 or 2 by a shortcut
-    (1/x, sqrt, x*x) whose last bit a column's pow need not match."""
-    return np.stack([np.power(row, e) for row, e in zip(x, exponent[:, 0].tolist())])
+    """x**exponent for a batch's (B, 1) column of exponents, each row with
+    its member's serial bits: numpy takes one float exponent of -1, 0.5 or
+    2 by a shortcut (1/x, sqrt, x*x) that a column can miss by an ulp."""
+    out = x**exponent
+    for row, e in enumerate(exponent[:, 0].tolist()):
+        if e in (-1.0, 0.5, 2.0):
+            out[row] = x[row] ** e
+    return out
 
 
 def _arrhenius(v, theta, params: PhysParams):

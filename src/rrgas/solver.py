@@ -329,8 +329,7 @@ def cfl_dt(state: State, config):
     z^m come from the state's laws, if it carries them; phi is left there.
     """
     params = config.params
-    v, theta, z = state.v, state.theta, state.z
-    m = params.m_order
+    v, theta, z, m = state.v, state.theta, state.z, params.m_order
     laws = (state.laws if state.laws is not None and state.laws["params"] is params
             else {"zm": power(z, m) if isinstance(m, np.ndarray) else np.power(z, m)})
     if "phi" not in laws:
@@ -422,9 +421,8 @@ def species_step(state: State, dt, params: PhysParams, phi, s_z=None, laws=None)
     given, gets them as "decay" and "g".
     """
     dx = state.grid.dx
-    v, z = state.v, state.z
+    v, z, m1 = state.v, state.z, params.m_order - 1.0
     dtc = _per_cell(dt)
-    m1 = params.m_order - 1.0
     decay = phi * (power(z, m1) if isinstance(m1, np.ndarray) else np.power(z, m1))
     g = species_interface_coeff(v, params)
     base = 1.0 + dtc * decay
@@ -487,13 +485,12 @@ def energy_step(state: State, dt, config, v_old, phi, s_theta=None, guess=None, 
     """
     params, theta_floor = config.params, config.theta_floor
     dx = state.grid.dx
-    v, z, u = state.v, state.z, state.u
+    v, z, u, m = state.v, state.z, state.u, params.m_order
     theta_n = state.theta
 
     laws = {} if laws is None else laws
     dudx = (u[..., 1:] - u[..., :-1]) / dx
     work = total_stress(v, theta_n, u, dx, params, laws.get("theta4")) * dudx
-    m = params.m_order
     zm = power(z, m) if isinstance(m, np.ndarray) else np.power(z, m)
     heating = params.lambda_heat * phi * zm
     dtc = _per_cell(dt)
