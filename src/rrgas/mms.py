@@ -203,29 +203,19 @@ class MmsCase:
         return at
 
 
-def trig_case() -> MmsCase:
+def _case_params(**constants) -> PhysParams:
+    """The constants both cases share, p_ext the pressure of their base
+    state (v = theta = 1), and the given ones."""
+    r_gas = a_rad = 1.0
+    return PhysParams(mu=0.1, d_diff=0.1, lambda_heat=1.0, cv=1.0, r_gas=r_gas, a_rad=a_rad,
+                      p_ext=r_gas + a_rad / 3.0, kappa1=0.5, **constants)
+
+
+def trig_case(q_cond: float = 2.0) -> MmsCase:
     """Smooth trigonometric fields, reaction off: viscosity, conduction
     and the radiative state laws carry all the coupling."""
-    r_gas = 1.0
-    a_rad = 1.0
-    params = PhysParams(
-        mu=0.1,
-        d_diff=0.1,
-        lambda_heat=1.0,
-        cv=1.0,
-        r_gas=r_gas,
-        a_rad=a_rad,
-        g_grav=0.0,
-        p_ext=r_gas + a_rad / 3.0,
-        k_rate=0.0,
-        a_act=1.0,
-        m_order=1.0,
-        beta=0.0,
-        q_cond=2.0,
-        kappa1=0.5,
-        kappa2=0.5,
-        cond_model="A",
-    )
+    params = _case_params(g_grav=0.0, k_rate=0.0, a_act=1.0, m_order=1.0, beta=0.0,
+                          q_cond=q_cond, kappa2=0.5, cond_model="A")
     shape = _trig_shape()
     return MmsCase(
         "trig",
@@ -237,29 +227,11 @@ def trig_case() -> MmsCase:
     )
 
 
-def tanh_case() -> MmsCase:
+def tanh_case(q_cond: float = 2.0) -> MmsCase:
     """Tanh-localized fields with the full reaction path, gravity and
     the volume-weighted conductivity model."""
-    r_gas = 1.0
-    a_rad = 1.0
-    params = PhysParams(
-        mu=0.1,
-        d_diff=0.1,
-        lambda_heat=1.0,
-        cv=1.0,
-        r_gas=r_gas,
-        a_rad=a_rad,
-        g_grav=0.1,
-        p_ext=r_gas + a_rad / 3.0,
-        k_rate=2.0,
-        a_act=2.0,
-        m_order=2.0,
-        beta=1.0,
-        q_cond=2.0,
-        kappa1=0.5,
-        kappa2=1.0,
-        cond_model="B",
-    )
+    params = _case_params(g_grav=0.1, k_rate=2.0, a_act=2.0, m_order=2.0, beta=1.0,
+                          q_cond=q_cond, kappa2=1.0, cond_model="B")
     shape = _tanh_shape(6.0)
     return MmsCase(
         "tanh",
