@@ -131,9 +131,10 @@ class PhysParams:
         return self.beta < self.q_cond + 9.0
 
 
-def pressure(v, theta, params: PhysParams):
-    """Total pressure R*theta/v + (a/3)*theta^4."""
-    return params.r_gas * theta / v + (params.a_rad / 3.0) * theta**4
+def pressure(v, theta, params: PhysParams, theta4=None):
+    """Total pressure R*theta/v + (a/3)*theta^4; theta4 is theta**4, if given."""
+    theta4 = theta**4 if theta4 is None else theta4
+    return params.r_gas * theta / v + (params.a_rad / 3.0) * theta4
 
 
 def internal_energy(v, theta, params: PhysParams):

@@ -16,16 +16,18 @@ boundary stress, heat-flux and species-flux conditions hold exactly.
 The source methods broadcast: called with a (k, 1) column of times
 against a grid array, they return (k, n) rows, each bit-identical to
 the call at its one time.  run_mms steps with driver.run_fixed, which
-uses this to evaluate the sources for a block of levels per call.
-run_mms advances its step counts as one batch on one grid.  studies
-runs the temporal study beside the spatial study, in a forked worker
-where workers.may_fork, else the two in turn, with the same output
+uses this to evaluate the sources for a block of levels per call, the
+four sharing what they have in common (MmsCase.sources).  run_mms
+advances its step counts as one batch on one grid.  studies runs the
+temporal study beside the spatial study, in a forked worker where
+workers.may_fork, else the two in turn, with the same output
 (workers.in_parallel).
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -57,6 +59,12 @@ class Field:
 
     def dt(self, x, t):
         return self.amp * self._s(x) * self._df(t)
+
+    def scaled(self, x):
+        return self.amp * self._s(x), self.amp * self._ds(x), self.amp * self._dss(x)
+
+    def time(self, t):
+        return self._f(t), self._df(t)
 
 
 def _trig_shape():
@@ -105,18 +113,6 @@ def _sine(omega: float, phase: float = 0.0):
     )
 
 
-def _dp_dv(v, theta, params: PhysParams):
-    return -params.r_gas * theta / v**2
-
-
-def _dp_dtheta(v, theta, params: PhysParams):
-    return params.r_gas / v + (4.0 * params.a_rad / 3.0) * theta**3
-
-
-def _de_dv(theta, params: PhysParams):
-    return params.a_rad * theta**4
-
-
 class MmsCase:
     """Manufactured fields plus source closures for one verification run."""
 
@@ -127,6 +123,7 @@ class MmsCase:
         self.u = u
         self.theta = theta
         self.z = z
+        self._block = None  # what the sources share while a callable of sources runs
 
     def state(self, grid: Grid, t: float = 0.0) -> State:
         """The manufactured fields on grid at time t."""
@@ -137,48 +134,68 @@ class MmsCase:
     def initial_state(self, n_cells: int) -> State:
         return self.state(Grid(n_cells))
 
+    def _factors(self, x, t):
+        """Each field's Field.scaled at x and Field.time at t, in the order
+        v, u, theta, z, and the block's dict of what the sources share, each
+        evaluated once per block (sources); called on its own, all anew."""
+        fields = (self.v, self.u, self.theta, self.z)
+        block = self._block
+        if block is None or block["t"] is not t:  # a call on its own
+            return [f.scaled(x) for f in fields], [f.time(t) for f in fields], {}
+        if "times" not in block:
+            block["times"] = [f.time(t) for f in fields]
+        return block["scaled"][id(x)], block["times"], block
+
+    def _cells(self, x, t):
+        """What more than one source reads at the cell centers x, and the
+        factors of theta and z; the first call of a block evaluates them
+        for the others, each source the rest of what it reads."""
+        scaled, times, block = self._factors(x, t)
+        if "cells" not in block:
+            (s_v, ds_v, _), (_, ds_u, _), (s_th, _, _), (s_z, _, _) = scaled
+            (f_v, df_v), (f_u, _), (f_th, _), (f_z, _) = times
+            v, theta = self.v.base + s_v * f_v, self.theta.base + s_th * f_th
+            block["cells"] = SimpleNamespace(
+                v=v, v_x=ds_v * f_v, v_t=s_v * df_v, v2=v**2, u_x=ds_u * f_u, theta=theta,
+                rate=reaction_rate(v, theta, self.params),
+                z_m=np.power(self.z.base + s_z * f_z, self.params.m_order),
+                theta_factors=scaled[2] + times[2], z_factors=scaled[3] + times[3])
+        return block["cells"]
+
     def source_v(self, x, t):
-        return self.v.dt(x, t) - self.u.dx(x, t)
+        c = self._cells(x, t)
+        return c.v_t - c.u_x
 
     def source_u(self, x, t):
-        p = self.params
-        v = self.v.value(x, t)
-        theta = self.theta.value(x, t)
-        v_x = self.v.dx(x, t)
-        theta_x = self.theta.dx(x, t)
-        u_x = self.u.dx(x, t)
-        u_xx = self.u.dxx(x, t)
-        sigma_x = (
-            -(_dp_dv(v, theta, p) * v_x + _dp_dtheta(v, theta, p) * theta_x)
-            + p.mu * (u_xx / v - u_x * v_x / v**2)
-        )
-        return self.u.dt(x, t) - sigma_x + p.g_grav * (x - 0.5)
+        p, (scaled, times, _) = self.params, self._factors(x, t)
+        (s_v, ds_v, _), (s_u, ds_u, dss_u), (s_th, ds_th, _), _ = scaled
+        (f_v, _), (f_u, df_u), (f_th, _), _ = times
+        v, theta = self.v.base + s_v * f_v, self.theta.base + s_th * f_th
+        v_x, v2 = ds_v * f_v, v**2
+        sigma_x = (-((-p.r_gas * theta / v2) * v_x  # dp/dv and dp/dtheta
+                     + (p.r_gas / v + (4.0 * p.a_rad / 3.0) * theta**3) * (ds_th * f_th))
+                   + p.mu * ((dss_u * f_u) / v - (ds_u * f_u) * v_x / v2))
+        return s_u * df_u - sigma_x + p.g_grav * (x - 0.5)
 
     def source_theta(self, x, t):
-        p = self.params
-        v = self.v.value(x, t)
-        theta = self.theta.value(x, t)
-        z = self.z.value(x, t)
-        v_x = self.v.dx(x, t)
-        theta_x = self.theta.dx(x, t)
-        u_x = self.u.dx(x, t)
-
-        e_t = _de_dv(theta, p) * self.v.dt(x, t) + de_dtheta(v, theta, p) * self.theta.dt(x, t)
-        kappa, dk_dv, dk_dtheta = conductivity(v, theta, p)
-        coeff_x = (dk_dv * v_x + dk_dtheta * theta_x) / v - kappa * v_x / v**2
-        conduction = coeff_x * theta_x + (kappa / v) * self.theta.dxx(x, t)
-        sigma = -pressure(v, theta, p) + p.mu * u_x / v
-        heating = p.lambda_heat * reaction_rate(v, theta, p) * np.power(z, p.m_order)
-        return e_t - conduction - sigma * u_x - heating
+        p, c = self.params, self._cells(x, t)
+        s, ds, dss, f, df = c.theta_factors
+        theta_x = ds * f
+        kappa, dk_dv, dk_dtheta = conductivity(c.v, c.theta, p)
+        coeff_x = (dk_dv * c.v_x + dk_dtheta * theta_x) / c.v - kappa * c.v_x / c.v2
+        del dk_dv, dk_dtheta  # each array is dropped once read: a smaller working set
+        conduction = coeff_x * theta_x + (kappa / c.v) * (dss * f)
+        del theta_x, kappa, coeff_x
+        theta4 = c.theta**4
+        e_t = p.a_rad * theta4 * c.v_t + de_dtheta(c.v, c.theta, p) * (s * df)
+        sigma = -pressure(c.v, c.theta, p, theta4) + p.mu * c.u_x / c.v
+        return e_t - conduction - sigma * c.u_x - p.lambda_heat * c.rate * c.z_m
 
     def source_z(self, x, t):
-        p = self.params
-        v = self.v.value(x, t)
-        z = self.z.value(x, t)
-        v_x = self.v.dx(x, t)
-        diffusion = p.d_diff * (self.z.dxx(x, t) / v**2 - 2.0 * self.z.dx(x, t) * v_x / v**3)
-        sink = reaction_rate(v, self.theta.value(x, t), p) * np.power(z, p.m_order)
-        return self.z.dt(x, t) - diffusion + sink
+        p, c = self.params, self._cells(x, t)
+        s, ds, dss, f, df = c.z_factors
+        diffusion = p.d_diff * ((dss * f) / c.v2 - 2.0 * (ds * f) * c.v_x / c.v**3)
+        return s * df - diffusion + c.rate * c.z_m
 
     def sources(self, grid: Grid):
         """The sources on grid, as the callable driver.run_fixed takes.
@@ -186,19 +203,23 @@ class MmsCase:
         It maps t to (s_v, s_u, s_theta, s_z), the tuple solver.step and
         solver.rates take: s_u at the edges, the other three at the cell
         centers.  An array of times gives one row per time, of shape
-        t.shape + (the grid's size,).
+        t.shape + (the grid's size,).  A call is one block: it calls each
+        source_* once, and they share what they have in common (_factors,
+        _cells).  No block array is kept after the call.
         """
         x_cells, x_edges = grid.cell_centers, grid.edges
+        scaled = {id(x): [f.scaled(x) for f in (self.v, self.u, self.theta, self.z)]
+                  for x in (x_cells, x_edges)}
 
         def at(t):
             if np.ndim(t):
                 t = np.asarray(t)[..., None]
-            return (
-                self.source_v(x_cells, t),
-                self.source_u(x_edges, t),
-                self.source_theta(x_cells, t),
-                self.source_z(x_cells, t),
-            )
+            self._block = {"t": t, "scaled": scaled}
+            try:
+                return (self.source_v(x_cells, t), self.source_u(x_edges, t),
+                        self.source_theta(x_cells, t), self.source_z(x_cells, t))
+            finally:
+                self._block = None
 
         return at
 
@@ -299,7 +320,7 @@ def discrete_residual(case: MmsCase, n_cells: int, t: float):
     v_t, u_t, e_t, z_t = rates(exact, case.params, case.sources(grid)(t))
     x, p = grid.cell_centers, case.params
     v, theta = exact.v, exact.theta
-    exact_e_t = _de_dv(theta, p) * case.v.dt(x, t) + de_dtheta(v, theta, p) * case.theta.dt(x, t)
+    exact_e_t = p.a_rad * theta**4 * case.v.dt(x, t) + de_dtheta(v, theta, p) * case.theta.dt(x, t)
     return {
         "v": case.v.dt(x, t) - v_t,
         "u": case.u.dt(grid.edges, t) - u_t,

@@ -19,6 +19,7 @@ import rrgas.mms
 import rrgas.solver
 from rrgas.constitutive import (
     conductivity,
+    de_dtheta,
     internal_energy,
     pressure,
     reaction_rate,
@@ -44,6 +45,10 @@ from rrgas.solver import InvariantViolation, SimulationError, StepRejection
 H = 1e-5  # central-difference step for the oracle derivatives
 X_SAMPLES = (0.13, 0.41, 0.77)
 T_SAMPLES = (0.0, 0.3)
+# Each case at its own conductivity exponent q = 2 (id: the case's name),
+# at constant conductivity and at a fractional power.
+CASES_AND_Q = [pytest.param(name, q, id=name if q == 2.0 else f"{name}-q{q:g}")
+               for name in sorted(CASES) for q in (2.0, 0.0, 0.5)]
 
 
 def central(f, x):
@@ -141,6 +146,81 @@ def test_case_sources_place_each_source_on_its_grid():
     )
     assert [a.shape for a in got] == [(16,), (17,), (16,), (16,)]
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def plain_sources(case, grid, t):
+    """The four sources at one t as plain Field.value, dx, dxx and dt
+    calls and constitutive laws: each source evaluates every field it
+    reads on its own, in the operation order the case's sources keep."""
+    p, v, u, theta, z = case.params, case.v, case.u, case.theta, case.z
+    x = grid.edges
+    ve, th = v.value(x, t), theta.value(x, t)
+    sigma_x = (
+        -((-p.r_gas * th / ve**2) * v.dx(x, t)
+          + (p.r_gas / ve + (4.0 * p.a_rad / 3.0) * th**3) * theta.dx(x, t))
+        + p.mu * (u.dxx(x, t) / ve - u.dx(x, t) * v.dx(x, t) / ve**2)
+    )
+    s_u = u.dt(x, t) - sigma_x + p.g_grav * (x - 0.5)
+    x = grid.cell_centers
+    vc, th, zc, v_x, theta_x, u_x = (v.value(x, t), theta.value(x, t), z.value(x, t),
+                                     v.dx(x, t), theta.dx(x, t), u.dx(x, t))
+    e_t = p.a_rad * th**4 * v.dt(x, t) + de_dtheta(vc, th, p) * theta.dt(x, t)
+    kappa, dk_dv, dk_dtheta = conductivity(vc, th, p)
+    coeff_x = (dk_dv * v_x + dk_dtheta * theta_x) / vc - kappa * v_x / vc**2
+    conduction = coeff_x * theta_x + (kappa / vc) * theta.dxx(x, t)
+    sigma = -pressure(vc, th, p) + p.mu * u_x / vc
+    heating = p.lambda_heat * reaction_rate(vc, th, p) * np.power(zc, p.m_order)
+    s_theta = e_t - conduction - sigma * u_x - heating
+    diffusion = p.d_diff * (z.dxx(x, t) / vc**2 - 2.0 * z.dx(x, t) * v_x / vc**3)
+    sink = reaction_rate(vc, theta.value(x, t), p) * np.power(zc, p.m_order)
+    s_z = z.dt(x, t) - diffusion + sink
+    return v.dt(x, t) - u.dx(x, t), s_u, s_theta, s_z
+
+
+@pytest.mark.parametrize("n_cells", [33, 256])
+@pytest.mark.parametrize("name,q_cond", CASES_AND_Q)
+def test_block_sources_equal_plain_field_calls(name, q_cond, n_cells):
+    # A (k, 1) block and a (k, b, 1) block: each row holds the bits of
+    # the four plain expressions at its one level.
+    case = CASES[name](q_cond=q_cond)
+    grid = Grid(n_cells)
+    at = case.sources(grid)
+    for times in (np.linspace(0.05, 0.4, 7), np.linspace(0.01, 0.37, 12).reshape(4, 3)):
+        block = at(times)
+        for index in np.ndindex(times.shape):
+            want = plain_sources(case, grid, float(times[index]))
+            for got, w in zip(block, want):
+                assert got[index].shape == w.shape
+                assert got[index].tobytes() == w.tobytes()
+    assert case._block is None  # nothing of the last block is held
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_sources_evaluate_each_factor_once(name, monkeypatch):
+    # Over two blocks of one sources(grid): each field's shape functions
+    # run once per coordinate array, its time functions once per block.
+    case = CASES[name]()
+    grid = Grid(40)
+    calls = {}
+    for field_name in ("v", "u", "theta", "z"):
+        field = getattr(case, field_name)
+        for attr in ("_s", "_ds", "_dss", "_f", "_df"):
+
+            def spy(arg, fn=getattr(field, attr), key=(field_name, attr)):
+                calls.setdefault(key, []).append(arg)
+                return fn(arg)
+
+            monkeypatch.setattr(field, attr, spy)
+    at = case.sources(grid)
+    blocks = [np.array([0.1, 0.2, 0.3]), np.array([0.4, 0.5])]
+    for times in blocks:
+        at(times)
+    assert len(calls) == 20
+    for (_, attr), args in calls.items():
+        if attr in ("_f", "_df"):
+            assert [np.ravel(t).tolist() for t in args] == [t.tolist() for t in blocks]
+        else:
+            assert sorted(map(id, args)) == sorted(map(id, (grid.cell_centers, grid.edges)))
 
 
 @pytest.fixture
@@ -295,9 +375,9 @@ def test_run_mms_batch_matches_serial_runs(name):
 
 # ------------------------------------------- source algebra vs FD oracle
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_mass_source_closes_equation(name):
-    case = CASES[name]()
+@pytest.mark.parametrize("name,q_cond", CASES_AND_Q)
+def test_mass_source_closes_equation(name, q_cond):
+    case = CASES[name](q_cond=q_cond)
     for x in X_SAMPLES:
         for t in T_SAMPLES:
             ut = central(lambda tt: case.v.value(x, tt), t)  # noqa: B023
@@ -305,12 +385,12 @@ def test_mass_source_closes_equation(name):
             assert defect == pytest.approx(0.0, abs=1e-8)
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_momentum_source_closes_equation(name):
+@pytest.mark.parametrize("name,q_cond", CASES_AND_Q)
+def test_momentum_source_closes_equation(name, q_cond):
     # Oracle: FD in x of the composite stress sigma(v*, theta*, u*_x),
     # FD in t of u*.  Any slip in the hand chain rule inside source_u
     # leaves an O(1) defect; FD truncation is ~1e-8 (measured).
-    case = CASES[name]()
+    case = CASES[name](q_cond=q_cond)
     p = case.params
 
     def sigma(x, t):
@@ -327,11 +407,11 @@ def test_momentum_source_closes_equation(name):
             assert u_t - rhs == pytest.approx(0.0, abs=1e-6)
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_energy_source_closes_equation(name):
+@pytest.mark.parametrize("name,q_cond", CASES_AND_Q)
+def test_energy_source_closes_equation(name, q_cond):
     # Checks e_t, the conduction flux divergence (including the kappa
     # partials of model B), the stress work and the reaction heat.
-    case = CASES[name]()
+    case = CASES[name](q_cond=q_cond)
     p = case.params
 
     def e_of(x, t):
@@ -358,9 +438,9 @@ def test_energy_source_closes_equation(name):
             assert e_t - rhs == pytest.approx(0.0, abs=1e-6)
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_species_source_closes_equation(name):
-    case = CASES[name]()
+@pytest.mark.parametrize("name,q_cond", CASES_AND_Q)
+def test_species_source_closes_equation(name, q_cond):
+    case = CASES[name](q_cond=q_cond)
     p = case.params
 
     def species_flux(x, t):
